@@ -32,16 +32,13 @@
 //	               and match-latency quantiles; -shards N instead dumps
 //	               that one configuration's receive outcomes line by
 //	               line (the CI byte-diff format)
-//	bench          wall-clock harness: times every figure sweep at -jobs 1
-//	               and -jobs N and appends a timestamped record with the
-//	               speedups and micro-benchmarks to BENCH.json
 //	scale          conservative-PDES scaling study: a large halo-exchange
 //	               world run on the serial engine and again split across
 //	               -par partitions, with wall-clock speedup
 //	stall          forces a watchdog stall (endless ping-pong world) and
 //	               writes the flight-recorder post-mortem (-flightdump)
 //	all            the table and figure experiments plus phases (excludes
-//	               critpath, chaos, devchaos, tenancy, bench, scale, stall)
+//	               critpath, chaos, devchaos, tenancy, scale, stall)
 //	list           print the experiment table and exit
 //
 // Flags: -quick shrinks the sweeps (~10x faster), -format csv emits
@@ -90,8 +87,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -123,7 +118,6 @@ var (
 	msgSize    = flag.Int("size", 0, "message payload bytes for fig5/fig6")
 	jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation worlds per sweep (1 = sequential)")
 	par        = flag.Int("par", 0, "partitions per simulated world: conservative parallel simulation on per-partition engines (0 = serial engine; output is identical for any value >= 1)")
-	benchOut   = flag.String("benchout", "BENCH.json", "output path for -experiment bench")
 	faultSpec  = flag.String("faults", "", "fault model: a probability (\"0.02\") or class=prob pairs (\"drop=0.01,dup=0.01,reorder=0.02,corrupt=0.005\")")
 	faultSeed  = flag.Int64("seed", 1, "fault-injection seed (same seed => byte-identical run)")
 	tracePath  = flag.String("trace", "", "phases experiment: write Chrome trace-event JSON to this file (\"-\" = stdout)")
@@ -168,7 +162,6 @@ var experimentList = []struct{ name, desc string }{
 	{"chaos", "figure workloads over a faulty network vs protocol recovery"},
 	{"devchaos", "device-chaos soak: ALPUs that flip bits, stall or die"},
 	{"tenancy", "heavy-tenancy matching sweep incl. the sharded fabric"},
-	{"bench", "wall-clock harness; appends a timestamped record to BENCH.json"},
 	{"scale", "conservative-PDES scaling study: serial engine vs -par"},
 	{"stall", "forced watchdog stall with a flight-recorder post-mortem"},
 	{"all", "tables, figures, gap, anchors and phases (the deterministic core)"},
@@ -203,8 +196,20 @@ func openLog(path string) (*slog.Logger, func(), error) {
 // /progress endpoint; a no-op without -serve.
 func obsLabel(name string) { progressTracker.SetLabel(name) }
 
+// checkFlags rejects flag values no experiment can run with.
+func checkFlags(size int) error {
+	if size < 0 {
+		return fmt.Errorf("-size %d: message size must not be negative", size)
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
+	if err := checkFlags(*msgSize); err != nil {
+		fmt.Fprintln(os.Stderr, "alpusim:", err)
+		os.Exit(2)
+	}
 	if *jobs < 1 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}
@@ -264,8 +269,6 @@ func main() {
 		devchaosExp()
 	case "tenancy":
 		tenancyExp()
-	case "bench":
-		benchHarness()
 	case "scale":
 		scaleExp()
 	case "stall":
@@ -560,185 +563,6 @@ func gapExp() {
 	}
 	tb.Render(os.Stdout)
 	fmt.Println()
-}
-
-// benchResult is one experiment entry of a BENCH.json record: the same
-// sweep timed sequentially and with the worker pool.
-type benchResult struct {
-	Experiment    string  `json:"experiment"`
-	Points        int     `json:"points"`
-	SequentialSec float64 `json:"sequential_sec"`
-	ParallelSec   float64 `json:"parallel_sec"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// benchSchema versions the benchReport layout. Version 2 turned
-// BENCH.json into an append-only array of timestamped records and added
-// the -par setting and the event-queue micro-benchmarks; the original
-// layout (a single bare record, implicitly version 1) is migrated in
-// place by appendBenchRecord.
-const benchSchema = 2
-
-// benchReport is one BENCH.json record: a per-experiment wall-clock
-// trajectory future PRs can diff against.
-type benchReport struct {
-	Schema     int    `json:"schema"`
-	RecordedAt string `json:"recorded_at"` // RFC 3339 UTC
-	Quick      bool   `json:"quick"`
-	Jobs       int    `json:"jobs"`
-	// Par is the -par setting the sweeps ran with (partitions per world;
-	// 0 = serial engine).
-	Par         int           `json:"par"`
-	NumCPU      int           `json:"num_cpu"`
-	GoMaxProcs  int           `json:"gomaxprocs"`
-	Experiments []benchResult `json:"experiments"`
-	// ALPUMicro holds the device micro-benchmarks (internal/alpu
-	// MicroCases): host ns/op and allocs/op of simulating one insert,
-	// search, or compaction drain per geometry.
-	ALPUMicro []alpu.MicroResult `json:"alpu_micro"`
-	// QueueMicro holds the event-kernel micro-benchmarks (internal/sim
-	// QueueMicroCases): schedule/step and cancellation costs of the heap
-	// and ladder queues, plus the partition-runner barrier overhead.
-	QueueMicro  []sim.MicroResult `json:"queue_micro"`
-	TotalSeqSec float64           `json:"total_sequential_sec"`
-	TotalParSec float64           `json:"total_parallel_sec"`
-	Speedup     float64           `json:"speedup"`
-}
-
-// appendBenchRecord appends rep to the BENCH.json record array (newest
-// last) so successive runs accumulate a wall-clock history instead of
-// overwriting it. A legacy file holding a single bare report object
-// becomes the array's first record.
-func appendBenchRecord(path string, rep benchReport) error {
-	var records []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		data = bytes.TrimSpace(data)
-		switch {
-		case len(data) == 0:
-		case data[0] == '[':
-			if err := json.Unmarshal(data, &records); err != nil {
-				return fmt.Errorf("existing %s: %w", path, err)
-			}
-		default:
-			var legacy json.RawMessage
-			if err := json.Unmarshal(data, &legacy); err != nil {
-				return fmt.Errorf("existing %s: %w", path, err)
-			}
-			records = append(records, legacy)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	rec, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	records = append(records, rec)
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// benchHarness times the full Fig. 5 + Fig. 6 + gap sweeps at -jobs 1 and
-// at -jobs N and appends the record to BENCH.json. The sweeps are the
-// ones the figure experiments run (honouring -quick and -par); output
-// tables are skipped so the numbers measure simulation, not rendering.
-func benchHarness() {
-	obsLabel("bench")
-	parJobs := *jobs
-	type exp struct {
-		name string
-		run  func(jobs int) int // returns number of points simulated
-	}
-	fig5 := func(kind bench.NICKind) func(int) int {
-		return func(jobs int) int {
-			return len(bench.RunPreposted(bench.PrepostedConfig{
-				NIC:        bench.NICConfig(kind),
-				QueueLens:  queueLens(),
-				Fracs:      fracs(),
-				MsgSize:    *msgSize,
-				Jobs:       jobs,
-				Partitions: *par,
-			}))
-		}
-	}
-	exps := []exp{
-		{"fig5-baseline", fig5(bench.Baseline)},
-		{"fig5-alpu128", fig5(bench.ALPU128)},
-		{"fig5-alpu256", fig5(bench.ALPU256)},
-		{"fig6", func(jobs int) int {
-			n := 0
-			for _, k := range []bench.NICKind{bench.Baseline, bench.ALPU128, bench.ALPU256} {
-				n += len(bench.RunUnexpected(bench.UnexpectedConfig{
-					NIC: bench.NICConfig(k), QueueLens: unexpLens(), MsgSize: *msgSize, Jobs: jobs,
-					Partitions: *par,
-				}))
-			}
-			return n
-		}},
-		{"gap", func(jobs int) int {
-			depths := []int{0, 25, 50, 100, 150, 200}
-			if *quick {
-				depths = []int{0, 50, 150}
-			}
-			n := 0
-			for _, c := range []nic.Config{
-				bench.NICConfig(bench.Baseline),
-				bench.NICConfig(bench.ALPU128),
-				bench.NICConfig(bench.ALPU256),
-				bench.ElanNICConfig(),
-			} {
-				n += len(bench.RunGap(bench.GapConfig{NIC: c, Depths: depths, Jobs: jobs, Partitions: *par}))
-			}
-			return n
-		}},
-	}
-
-	rep := benchReport{
-		Schema:     benchSchema,
-		RecordedAt: time.Now().UTC().Format(time.RFC3339),
-		Quick:      *quick,
-		Jobs:       parJobs,
-		Par:        *par,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	for _, x := range exps {
-		t0 := time.Now()
-		points := x.run(1)
-		seq := time.Since(t0).Seconds()
-		t0 = time.Now()
-		x.run(parJobs)
-		par := time.Since(t0).Seconds()
-		r := benchResult{Experiment: x.name, Points: points, SequentialSec: seq, ParallelSec: par}
-		if par > 0 {
-			r.Speedup = seq / par
-		}
-		rep.Experiments = append(rep.Experiments, r)
-		rep.TotalSeqSec += seq
-		rep.TotalParSec += par
-		fmt.Printf("%-14s %3d points  seq %6.2fs  par(%d) %6.2fs  %.2fx\n",
-			x.name, points, seq, parJobs, par, r.Speedup)
-	}
-	if rep.TotalParSec > 0 {
-		rep.Speedup = rep.TotalSeqSec / rep.TotalParSec
-	}
-	rep.ALPUMicro = alpu.RunMicroBenchmarks()
-	for _, m := range rep.ALPUMicro {
-		fmt.Printf("micro %-32s %9.0f ns/op  %d allocs/op\n", m.Name, m.NsPerOp, m.AllocsPerOp)
-	}
-	rep.QueueMicro = sim.RunQueueMicroBenchmarks()
-	for _, m := range rep.QueueMicro {
-		fmt.Printf("micro %-32s %9.0f ns/op  %d allocs/op\n", m.Name, m.NsPerOp, m.AllocsPerOp)
-	}
-	if err := appendBenchRecord(*benchOut, rep); err != nil {
-		fmt.Fprintf(os.Stderr, "alpusim: bench report: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("total: seq %.2fs, par %.2fs, %.2fx -> appended to %s\n",
-		rep.TotalSeqSec, rep.TotalParSec, rep.Speedup, *benchOut)
 }
 
 // scaleExp measures what the partitioned engines buy: one large

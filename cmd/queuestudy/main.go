@@ -104,8 +104,20 @@ func runners() []runner {
 	}
 }
 
+// checkFlags rejects flag values no study can run with.
+func checkFlags(cells int) error {
+	if cells < 0 {
+		return fmt.Errorf("-cells %d: ALPU cell count must not be negative", cells)
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
+	if err := checkFlags(*cells); err != nil {
+		fmt.Fprintln(os.Stderr, "queuestudy:", err)
+		os.Exit(2)
+	}
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "queuestudy:", err)
@@ -172,19 +184,19 @@ func main() {
 	}
 	var studies []study
 	var runs []func() workloads.Report
-	// Per-run recorders (phases, tracer, sampler), indexed like runs:
+	// Per-run recorders (lifecycle, tracer, sampler), indexed like runs:
 	// each world owns its recorders; outputs merge in enumeration order.
 	wantReport := *reportOut != "" || srv != nil
-	var phases []*telemetry.Phases
+	var phases []*telemetry.Causal
 	var tracers []*telemetry.Tracer
 	var samplers []*telemetry.Sampler
 	var runLabels []string
 	addRun := func(cfg nic.Config, n int, r runner, label string) {
-		var p *telemetry.Phases
+		var p *telemetry.Causal
 		var tr *telemetry.Tracer
 		var sa *telemetry.Sampler
 		if *breakdown {
-			p = telemetry.NewPhases()
+			p = telemetry.NewCausal()
 		}
 		if *tracePath != "" {
 			tr = telemetry.NewTracer()
@@ -197,7 +209,7 @@ func main() {
 		samplers = append(samplers, sa)
 		runLabels = append(runLabels, fmt.Sprintf("%s/r%d/%s/", r.name, n, label))
 		ro := append(append([]workloads.Option{}, opts...),
-			workloads.WithPhases(p), workloads.WithTracer(tr), workloads.WithSeries(sa))
+			workloads.WithCausal(p), workloads.WithTracer(tr), workloads.WithSeries(sa))
 		runs = append(runs, func() workloads.Report { return r.run(cfg, n, ro...) })
 	}
 	for _, r := range runners() {

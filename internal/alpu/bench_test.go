@@ -2,9 +2,8 @@ package alpu
 
 import "testing"
 
-// BenchmarkMicro exposes the MicroCases grid (microbench.go) to go test
-// -bench; the CI bench gate and the BENCH.json harness both consume the
-// same cases.
+// BenchmarkMicro exposes the MicroCases grid (microbench_test.go) to go
+// test -bench; the CI bench gate consumes these cases.
 func BenchmarkMicro(b *testing.B) {
 	for _, c := range MicroCases() {
 		b.Run(c.Name, c.Bench)

@@ -11,18 +11,10 @@ import (
 // Micro-benchmarks of the Device hot paths — insert, search at depth
 // (hit and miss), and the compaction drain after an insert fragments the
 // array — across the §VI-A geometry grid (128/256 cells × block
-// 8/16/32). They exist in a non-test file so the alpusim bench harness
-// can fold the results into BENCH.json; go test -bench reaches them
-// through BenchmarkMicro. The numbers measure host cost of simulating
-// the operation (the model-performance target of DESIGN.md), not
-// simulated latency — that is what the figure benchmarks report.
-
-// MicroResult is one micro-benchmark measurement for BENCH.json.
-type MicroResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
+// 8/16/32). go test -bench reaches them through BenchmarkMicro. The
+// numbers measure host cost of simulating the operation (the
+// model-performance target of DESIGN.md), not simulated latency — that
+// is what the figure benchmarks report.
 
 // MicroCase names one runnable micro-benchmark.
 type MicroCase struct {
@@ -55,21 +47,6 @@ func MicroCases() []MicroCase {
 		)
 	}
 	return cases
-}
-
-// RunMicroBenchmarks runs every case through testing.Benchmark for the
-// BENCH.json harness.
-func RunMicroBenchmarks() []MicroResult {
-	var out []MicroResult
-	for _, c := range MicroCases() {
-		r := testing.Benchmark(c.Bench)
-		out = append(out, MicroResult{
-			Name:        c.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return out
 }
 
 func microConfig(g Geometry) Config {

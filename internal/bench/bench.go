@@ -118,13 +118,11 @@ type PrepostedConfig struct {
 	Faults   *network.FaultModel
 	Watchdog sim.Time
 
-	// Telemetry / Tracer / Phases / Causal / Series instrument the point's
-	// world. Each world must own its recorders, so these only make sense
+	// Telemetry / Tracer / Causal / Series instrument the point's world. Each world must own its recorders, so these only make sense
 	// when the config describes a single point (the phases, chaos and
 	// critpath harnesses build a fresh config per cell).
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-	Phases    *telemetry.Phases
 	Causal    *telemetry.Causal
 	Series    *telemetry.Sampler
 }
@@ -211,7 +209,6 @@ func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 			for k := 0; k < iters; k++ {
 				key := mpi.MsgKey(0, matchBase+k)
 				sendStart[k] = r.Now()
-				cfg.Phases.Stamp(key, telemetry.StampInject, r.Now())
 				cfg.Causal.Stamp(key, telemetry.StampInject, r.Now())
 				// Rank 0 alone records the cause links — it owns the static
 				// dependency structure of this workload: the ack exists
@@ -250,8 +247,8 @@ func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 	w := mpi.RunPrograms(mpi.Config{
 		Ranks: 2, NIC: cfg.NIC, Partitions: cfg.Partitions,
 		Faults: cfg.Faults, WatchdogLimit: cfg.Watchdog,
-		Telemetry: cfg.Telemetry, Tracer: cfg.Tracer, Phases: cfg.Phases,
-		Causal: cfg.Causal, Series: cfg.Series,
+		Telemetry: cfg.Telemetry, Tracer: cfg.Tracer, Causal: cfg.Causal,
+		Series: cfg.Series,
 	}, progs)
 
 	observeWorld(w)
@@ -282,10 +279,10 @@ type UnexpectedConfig struct {
 	Faults   *network.FaultModel
 	Watchdog sim.Time
 
-	// Telemetry / Tracer / Phases: as in PrepostedConfig (single point only).
+	// Telemetry / Tracer / Causal: as in PrepostedConfig (single point only).
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-	Phases    *telemetry.Phases
+	Causal    *telemetry.Causal
 }
 
 // RunUnexpected measures latency — including the time to post the
@@ -317,7 +314,7 @@ func unexpectedPoint(cfg UnexpectedConfig, u int) (sim.Time, *mpi.World) {
 			}
 			r.Send(1, doneTag, 0)
 			r.Wait(goReq)
-			cfg.Phases.Stamp(mpi.MsgKey(0, matchBase), telemetry.StampInject, r.Now())
+			cfg.Causal.Stamp(mpi.MsgKey(0, matchBase), telemetry.StampInject, r.Now())
 			r.Send(1, matchBase, cfg.MsgSize)
 		},
 		// Rank 1: waits until the flood has fully arrived (DONE is
@@ -337,7 +334,7 @@ func unexpectedPoint(cfg UnexpectedConfig, u int) (sim.Time, *mpi.World) {
 	w := mpi.RunPrograms(mpi.Config{
 		Ranks: 2, NIC: cfg.NIC, Partitions: cfg.Partitions,
 		Faults: cfg.Faults, WatchdogLimit: cfg.Watchdog,
-		Telemetry: cfg.Telemetry, Tracer: cfg.Tracer, Phases: cfg.Phases,
+		Telemetry: cfg.Telemetry, Tracer: cfg.Tracer, Causal: cfg.Causal,
 	}, progs)
 	observeWorld(w)
 	return t1 - t0, w

@@ -13,8 +13,8 @@ import (
 )
 
 // The phases experiment: the Fig. 5 full-traversal workload re-run with
-// the per-message phase recorder attached, decomposing the end-to-end
-// latency into the pipeline phases of telemetry.Phases. The phase
+// the per-message lifecycle recorder attached, decomposing the end-to-end
+// latency into the pipeline phases of telemetry.Causal.Breakdown. The phase
 // columns telescope — they sum exactly to the independently measured
 // end-to-end latency — which is the cross-check RenderPhases exposes as
 // its last two columns.
@@ -101,7 +101,7 @@ func RunPhases(cfg PhasesConfig) []PhasePoint {
 			NIC: NICConfig(c.kind), MsgSize: cfg.MsgSize, Iters: iters,
 			Partitions: cfg.Partitions,
 			Telemetry:  telemetry.NewRegistry(),
-			Phases:     telemetry.NewPhases(),
+			Causal:     telemetry.NewCausal(),
 		}
 		if cfg.Faults != nil {
 			fm := *cfg.Faults
@@ -115,10 +115,10 @@ func RunPhases(cfg PhasesConfig) []PhasePoint {
 			pc.Series = telemetry.NewSampler(0, 0)
 		}
 		lat, w := prepostedPoint(pc, c.q, c.q)
-		bd, _ := pc.Phases.Breakdown(mpi.MsgKey(0, matchBase+iters-1))
+		bd, _ := pc.Causal.Breakdown(mpi.MsgKey(0, matchBase+iters-1))
 		return PhasePoint{
 			Kind: c.kind, QueueLen: c.q, Latency: lat,
-			Breakdown: bd, Totals: pc.Phases.Totals(),
+			Breakdown: bd, Totals: pc.Causal.Totals(),
 			Metrics: w.TelemetrySnapshot(), Tracer: pc.Tracer,
 			Series: pc.Series,
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"alpusim/internal/network"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
 )
@@ -107,6 +108,64 @@ func TestWorldCausalReportPartitionInvariant(t *testing.T) {
 		if got.CriticalPath != serial.CriticalPath || got.Messages != serial.Messages {
 			t.Errorf("par=%d report diverged: critpath %v/%v messages %d/%d",
 				parts, got.CriticalPath, serial.CriticalPath, got.Messages, serial.Messages)
+		}
+	}
+}
+
+// A world given both Phases and Causal records each message once: Phases
+// receives a copy of the folded Causal records, including the inject
+// stamps a workload writes straight into Causal, so both report the same
+// breakdown for every message at any partition count, clean and under
+// faults.
+func TestPhasesCopyMatchesCausal(t *testing.T) {
+	const ranks, msgs = 4, 6
+	for _, faults := range []bool{false, true} {
+		var par1 telemetry.Totals
+		for _, parts := range []int{0, 1, 4} {
+			cfg := baseCfg(ranks)
+			cfg.Partitions = parts
+			cfg.Causal, cfg.Phases = telemetry.NewCausal(), telemetry.NewPhases()
+			if faults {
+				cfg.Faults = &network.FaultModel{
+					Seed: 42, DropProb: 0.02, DupProb: 0.02, ReorderProb: 0.02, CorruptProb: 0.01,
+				}
+			}
+			Run(cfg, func(r *Rank) {
+				next, prev := (r.Rank()+1)%ranks, (r.Rank()+ranks-1)%ranks
+				reqs := make([]*Request, msgs)
+				for k := range reqs {
+					reqs[k] = r.Irecv(prev, k, 64)
+				}
+				for k := 0; k < msgs; k++ {
+					if r.Rank() == 0 { // one writer: the recorder is not sharded
+						cfg.Causal.Stamp(MsgKey(0, k), telemetry.StampInject, r.Now())
+					}
+					r.Send(next, k, 64)
+				}
+				r.Waitall(reqs...)
+			})
+			for src := 0; src < ranks; src++ {
+				for k := 0; k < msgs; k++ {
+					bc, okc := cfg.Causal.Breakdown(MsgKey(src, k))
+					bp, okp := cfg.Phases.Breakdown(MsgKey(src, k))
+					if !okc || !okp || bc != bp {
+						t.Fatalf("faults=%v par=%d msg %d/%d: causal %+v (%v) != phases %+v (%v)",
+							faults, parts, src, k, bc, okc, bp, okp)
+					}
+					if src == 0 && bc.Durs[telemetry.PhaseInject] <= 0 {
+						t.Errorf("faults=%v par=%d msg 0/%d: inject stamp missing from the copy", faults, parts, k)
+					}
+				}
+			}
+			tc, tp := cfg.Causal.Totals(), cfg.Phases.Totals()
+			if tc != tp || tc.Messages < ranks*msgs {
+				t.Errorf("faults=%v par=%d: totals causal %+v phases %+v", faults, parts, tc, tp)
+			}
+			if parts == 1 {
+				par1 = tc
+			} else if parts > 1 && tc != par1 {
+				t.Errorf("faults=%v par=%d: totals %+v != par1 %+v", faults, parts, tc, par1)
+			}
 		}
 	}
 }

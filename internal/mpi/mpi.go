@@ -79,11 +79,14 @@ type Config struct {
 	// Tracer records the world's activity as Chrome trace events: NIC
 	// firmware/ALPU/reliability tracks plus engine counter sampling.
 	Tracer *telemetry.Tracer
-	// Phases records per-message latency pipeline stamps.
-	Phases *telemetry.Phases
-	// Causal records per-message causal context (pipeline stamps, cause
-	// links, resource annotations) for critical-path analysis.
+	// Causal is the world's per-message lifecycle recorder: pipeline
+	// stamps (the phase breakdown), cause links and resource annotations
+	// (the critical-path analysis).
 	Causal *telemetry.Causal
+	// Phases, when set, receives a copy of the world's lifecycle records
+	// when RunSim returns; the components record into Causal, or into a
+	// private recorder when Causal is unset.
+	Phases *telemetry.Phases
 	// Series, when set, samples per-NIC time series (queue depths, FIFO
 	// occupancy, go-back-N window, fabric balance, rolling match-latency
 	// p99) on each engine's front-poll chain at the sampler's interval.
@@ -132,22 +135,22 @@ type World struct {
 	// Flight is the recorder the world's components trace into: the
 	// bounded flight ring when no full tracer was configured, or the
 	// full tracer itself. Nil when recording is off and in partitioned
-	// mode, where each partition records into its own shard — use
+	// mode, where each partition records into its own bundle — use
 	// WriteFlight/FlightStats, which merge.
 	Flight *telemetry.Tracer
 
 	// Partitioned mode (Config.Partitions > 0).
-	Engines      []*sim.Engine // per-partition engines (nil when serial)
-	ps           *sim.PartitionSet
-	partOf       []int                // rank -> partition
-	recShards    []*telemetry.Tracer  // per-partition tracer/flight shards
-	phaseShards  []*telemetry.Phases  // per-partition phase shards
-	causalShards []*telemetry.Causal  // per-partition causal shards
-	seriesShards []*telemetry.Sampler // per-engine sampler shards (also serial)
-	wds          []*sim.Watchdog      // per-partition watchdogs
-	wdErrs       []*sim.WatchdogError // per-partition expiry, read at barriers
-	absorbed     bool                 // shards folded into Tracer/Phases
-	pendingDump  string               // flight dump requested mid-window (under mu)
+	Engines     []*sim.Engine // per-partition engines (nil when serial)
+	ps          *sim.PartitionSet
+	partOf      []int                // rank -> partition
+	wds         []*sim.Watchdog      // per-partition watchdogs
+	wdErrs      []*sim.WatchdogError // per-partition expiry, read at barriers
+	pendingDump string               // flight dump requested mid-window (under mu)
+
+	// parts holds one recorder bundle per partition (one for a serial
+	// world), folded into the world's recorders when RunSim returns.
+	parts    []*recorders
+	absorbed bool // bundles folded into Tracer/Causal/Phases/Series
 
 	log          *slog.Logger
 	flightPath   string
@@ -235,29 +238,21 @@ func NewWorld(cfg Config) *World {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	// The recorder components trace into: the full tracer when one was
-	// configured, else a bounded flight ring when a watchdog or a dump
-	// path asks for post-mortem capture. The ring accepts the same
-	// instrumentation calls with O(N) memory, so it can stay on during
-	// chaos soaks without changing any simulated outcome.
-	rec := cfg.Tracer
-	if rec == nil && cfg.FlightEvents >= 0 {
-		n := cfg.FlightEvents
-		if n == 0 && (cfg.WatchdogLimit > 0 || cfg.FlightDumpPath != "") {
-			n = telemetry.DefaultFlightEvents
-		}
-		if n > 0 {
-			rec = telemetry.NewFlightRecorder(n)
-		}
-	}
+	// Engine counter sampling only rides the full tracer: a sampler
+	// would flood the small flight ring with counter events and evict
+	// the firmware history a post-mortem is actually after.
+	telemetry.TraceEngine(eng, cfg.Tracer, 0)
+	rec := newRecorders(cfg, eng, true)
 	w := &World{
 		Eng:         eng,
 		Net:         net,
 		Tel:         reg,
 		Tracer:      cfg.Tracer,
+		Causal:      cfg.Causal,
 		Phases:      cfg.Phases,
 		Series:      cfg.Series,
-		Flight:      rec,
+		Flight:      rec.tracer,
+		parts:       []*recorders{rec},
 		log:         telemetry.SimLogger(cfg.Log, eng.Now),
 		flightPath:  cfg.FlightDumpPath,
 		devFaults:   cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
@@ -266,35 +261,12 @@ func NewWorld(cfg Config) *World {
 		ctxTable:    make(map[string]uint16),
 		boards:      make(map[string][]any),
 	}
-	if cfg.Phases != nil {
-		net.SetPhases(cfg.Phases)
-	}
-	if cfg.Causal != nil {
-		w.Causal = cfg.Causal
-		net.SetCausal(cfg.Causal)
-	}
-	// Engine counter sampling only rides the full tracer: a sampler
-	// would flood the small flight ring with counter events and evict
-	// the firmware history a post-mortem is actually after.
-	telemetry.TraceEngine(eng, cfg.Tracer, 0)
-	// The time-series sampler works through a shard even in serial mode,
-	// so the fold into the master is identical at any partition count.
-	if cfg.Series != nil {
-		sh := cfg.Series.Shard()
-		w.seriesShards = []*telemetry.Sampler{sh}
-		sh.Attach(eng)
-	}
 	for i := 0; i < cfg.Ranks; i++ {
 		nc := cfg.NIC
 		nc.ID = i
 		applyDeviceFaults(&nc, cfg.Faults)
 		nc.Telemetry = reg
-		nc.Tracer = rec
-		nc.Phases = cfg.Phases
-		nc.Causal = cfg.Causal
-		if w.seriesShards != nil {
-			nc.Series = w.seriesShards[0]
-		}
+		rec.attach(&nc, net.Endpoint(i))
 		nc.Log = w.log
 		if w.flightPath != "" {
 			nc.ErrorHook = func(error) { w.dumpFlight("protocol-error", false) }
@@ -305,15 +277,7 @@ func NewWorld(cfg Config) *World {
 	}
 	if cfg.WatchdogLimit > 0 {
 		wd := sim.NewWatchdog(eng, cfg.WatchdogLimit, 0)
-		wd.Diag = func() string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "faults: %v injected [%s]\n", cfg.Faults, net.FaultStats().String())
-			b.WriteString(w.TelemetrySnapshot().Table())
-			if ch, ok := w.Causal.Top1(); ok {
-				fmt.Fprintf(&b, "\nslowest causal chain: %s", ch.String())
-			}
-			return b.String()
-		}
+		wd.Diag = func() string { return w.stallDiag(cfg.Faults) }
 		wd.OnDump = func() {
 			if w.log != nil {
 				w.log.Error("watchdog expired", "limit", cfg.WatchdogLimit.String())
@@ -328,9 +292,10 @@ func NewWorld(cfg Config) *World {
 // simulation: one ladder-kernel engine per partition of the rank space,
 // synchronized by a sim.PartitionSet whose lookahead is the wire latency
 // (the minimum cross-partition delivery delay — see DESIGN.md §5.9).
-// Every mutable recorder a partition writes during a window is sharded
-// per partition (tracer, flight ring, phase stamps, slog clock) and
-// merged canonically afterwards, so the world's outputs are a pure
+// Every mutable recorder a partition writes during a window lives in the
+// partition's recorder bundle (tracer or flight ring, lifecycle
+// recorder, sampler shard) or is per partition (slog clock), and bundles
+// merge canonically afterwards, so the world's outputs are a pure
 // function of the simulation, not of the partition count.
 func newPartitionedWorld(cfg Config) *World {
 	nparts := cfg.Partitions
@@ -362,78 +327,32 @@ func newPartitionedWorld(cfg Config) *World {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	// Recorder shards, one per partition, under the serial path's arming
-	// rules: full tracers when tracing was requested, flight rings when a
-	// watchdog or dump path asks for post-mortem capture. Components on
-	// partition p trace only into shard p; Tracer.Absorb merges the
-	// shards into one canonical timeline after the run.
-	recShards := make([]*telemetry.Tracer, nparts)
-	switch {
-	case cfg.Tracer != nil:
-		for p := range recShards {
-			recShards[p] = telemetry.NewTracer()
-		}
-	case cfg.FlightEvents >= 0:
-		n := cfg.FlightEvents
-		if n == 0 && (cfg.WatchdogLimit > 0 || cfg.FlightDumpPath != "") {
-			n = telemetry.DefaultFlightEvents
-		}
-		if n > 0 {
-			for p := range recShards {
-				recShards[p] = telemetry.NewFlightRecorder(n)
-			}
-		}
-	}
-	var phaseShards []*telemetry.Phases
-	if cfg.Phases != nil {
-		phaseShards = make([]*telemetry.Phases, nparts)
-		for p := range phaseShards {
-			phaseShards[p] = telemetry.NewPhases()
-		}
-	}
-	var causalShards []*telemetry.Causal
-	if cfg.Causal != nil {
-		causalShards = make([]*telemetry.Causal, nparts)
-		for p := range causalShards {
-			causalShards[p] = telemetry.NewCausal()
-		}
-	}
-	var seriesShards []*telemetry.Sampler
-	if cfg.Series != nil {
-		seriesShards = make([]*telemetry.Sampler, nparts)
-		for p := range seriesShards {
-			seriesShards[p] = cfg.Series.Shard()
-			seriesShards[p].Attach(engines[p])
-		}
+	// One recorder bundle per partition: components on partition p
+	// record only into bundle p, and absorbShards folds the bundles into
+	// the caller's recorders in canonical order after the run.
+	parts := make([]*recorders, nparts)
+	for p := range parts {
+		parts[p] = newRecorders(cfg, engines[p], false)
 	}
 	w := &World{
-		Eng:          engines[0],
-		Net:          net,
-		Tel:          reg,
-		Tracer:       cfg.Tracer,
-		Phases:       cfg.Phases,
-		Causal:       cfg.Causal,
-		Series:       cfg.Series,
-		Engines:      engines,
-		ps:           ps,
-		partOf:       partOf,
-		recShards:    recShards,
-		phaseShards:  phaseShards,
-		causalShards: causalShards,
-		seriesShards: seriesShards,
-		log:          telemetry.SimLogger(cfg.Log, engines[0].Now),
-		flightPath:   cfg.FlightDumpPath,
-		devFaults:    cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
-		matchShards:  cfg.NIC.MatchShards,
-		nextCtx:      worldContext,
-		ctxTable:     make(map[string]uint16),
-		boards:       make(map[string][]any),
-	}
-	if phaseShards != nil {
-		net.SetPhasesSharded(phaseShards)
-	}
-	if causalShards != nil {
-		net.SetCausalSharded(causalShards)
+		Eng:         engines[0],
+		Net:         net,
+		Tel:         reg,
+		Tracer:      cfg.Tracer,
+		Causal:      cfg.Causal,
+		Phases:      cfg.Phases,
+		Series:      cfg.Series,
+		Engines:     engines,
+		ps:          ps,
+		partOf:      partOf,
+		parts:       parts,
+		log:         telemetry.SimLogger(cfg.Log, engines[0].Now),
+		flightPath:  cfg.FlightDumpPath,
+		devFaults:   cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
+		matchShards: cfg.NIC.MatchShards,
+		nextCtx:     worldContext,
+		ctxTable:    make(map[string]uint16),
+		boards:      make(map[string][]any),
 	}
 	// No engine counter sampling: the serial sampler's track is a single
 	// pid 999 stream, and a per-partition equivalent would make the trace
@@ -449,20 +368,11 @@ func newPartitionedWorld(cfg Config) *World {
 		nc.ID = i
 		applyDeviceFaults(&nc, cfg.Faults)
 		nc.Telemetry = reg
-		nc.Tracer = recShards[p]
-		if phaseShards != nil {
-			nc.Phases = phaseShards[p]
-		}
-		if causalShards != nil {
-			nc.Causal = causalShards[p]
-		}
-		if seriesShards != nil {
-			nc.Series = seriesShards[p]
-		}
+		parts[p].attach(&nc, net.Endpoint(i))
 		nc.Log = logs[p]
-		if w.flightPath != "" && recShards[0] != nil {
+		if w.flightPath != "" && parts[0].tracer != nil {
 			// The hook fires on a partition goroutine mid-window, where
-			// reading other partitions' shards would race; defer the dump
+			// reading other partitions' bundles would race; defer the dump
 			// to the next barrier, where the world is quiescent.
 			nc.ErrorHook = func(error) { w.requestDump("protocol-error") }
 		}
@@ -491,13 +401,11 @@ func newPartitionedWorld(cfg Config) *World {
 		if w.wds != nil {
 			w.wds[p].Poke()
 		}
-		if seriesShards != nil {
-			// A drained partition's sampler chain stopped re-arming; an
-			// injected delivery is about to wake it, so resume the chain at
-			// the tick where it left off. The engine was frozen in between,
-			// so the resumed ticks sample what the serial run would have.
-			seriesShards[p].Rearm()
-		}
+		// A drained partition's sampler chain stopped re-arming; an
+		// injected delivery is about to wake it, so resume the chain at
+		// the tick where it left off. The engine was frozen in between,
+		// so the resumed ticks sample what the serial run would have.
+		parts[p].series.Rearm()
 	}
 	ps.OnBarrier = func() { w.onBarrier(cfg) }
 	return w
@@ -533,19 +441,7 @@ func (w *World) onBarrier(cfg Config) {
 		w.dumpFlight(reason, false)
 	}
 	if err != nil {
-		var b strings.Builder
-		fmt.Fprintf(&b, "faults: %v injected [%s]\n", cfg.Faults, w.Net.FaultStats().String())
-		b.WriteString(w.TelemetrySnapshot().Table())
-		if w.causalShards != nil {
-			// All partitions are quiescent at the barrier, so the causal
-			// shards can be merged for the dump without racing writers.
-			m := telemetry.NewCausal()
-			m.Absorb(w.causalShards...)
-			if ch, ok := m.Top1(); ok {
-				fmt.Fprintf(&b, "\nslowest causal chain: %s", ch.String())
-			}
-		}
-		err.Dump += "\n" + b.String()
+		err.Dump += "\n" + w.stallDiag(cfg.Faults)
 		if w.log != nil {
 			w.log.Error("watchdog expired", "limit", cfg.WatchdogLimit.String())
 		}
@@ -554,91 +450,162 @@ func (w *World) onBarrier(cfg Config) {
 	}
 }
 
-// RunSim drives the built world to completion: the partition coordinator
-// in partitioned mode (folding the recorder shards into Tracer/Phases
-// when it returns, panic included), the classic serial event loop
-// otherwise.
+// RunSim drives the built world to completion — the partition
+// coordinator in partitioned mode, the classic serial event loop
+// otherwise — and folds the recorder bundles into the world's recorders
+// when it returns, panic included.
 func (w *World) RunSim() {
-	if w.ps == nil {
-		w.Eng.Run()
-		w.finalizeSeries()
+	defer w.absorbShards()
+	if w.ps != nil {
+		w.ps.Run()
 		return
 	}
-	defer w.absorbShards()
-	w.ps.Run()
+	w.Eng.Run()
 }
 
-// absorbShards folds the per-partition recorder shards into the
-// world-level Tracer and Phases in canonical order. Idempotent.
+// absorbShards folds the recorder bundles into the world-level recorders
+// in partition order. Absorb skips a serial world's bundle, which already
+// is the caller's tracer and lifecycle recorder. Phases receives a copy
+// of the folded lifecycle records. Each sampler shard is padded to the
+// canonical sample count for the world's end-of-model time — max over
+// engines of LastModel, a pure function of the modelled event set —
+// before it folds into the master sampler. Idempotent.
 func (w *World) absorbShards() {
-	if w.absorbed || w.ps == nil {
+	if w.absorbed {
 		return
 	}
 	w.absorbed = true
-	if w.Tracer != nil {
-		w.Tracer.Absorb(w.recShards...)
-	}
-	if w.Phases != nil {
-		w.Phases.Absorb(w.phaseShards...)
-	}
+	causals := w.causals()
+	w.Tracer.Absorb(w.tracers()...)
+	w.Causal.Absorb(causals...)
 	if w.Causal != nil {
-		w.Causal.Absorb(w.causalShards...)
+		// Workloads stamp and link the caller's recorder directly, so the
+		// folded recorder is the world's whole record.
+		causals = []*telemetry.Causal{w.Causal}
 	}
-	w.finalizeSeries()
+	w.Phases.Absorb(causals...)
+	var tEnd sim.Time
+	for _, r := range w.parts {
+		tEnd = max(tEnd, r.eng.LastModel())
+	}
+	for _, r := range w.parts {
+		r.series.Finalize(tEnd)
+		w.Series.Absorb(r.series)
+	}
 }
 
-// finalizeSeries pads every sampler shard to the canonical sample count
-// for the world's end-of-model time — max over engines of LastModel, a
-// pure function of the modelled event set — and folds the shards into
-// the master sampler. Idempotent; runs with every engine drained.
-func (w *World) finalizeSeries() {
-	if w.Series == nil || w.seriesShards == nil {
-		return
+// recorders is one partition's recorder bundle: every recorder the
+// components on that partition write during a window. A serial world's
+// single bundle holds the caller's own tracer (or the flight ring) and
+// lifecycle recorder, so its records are never copied or re-sorted; a
+// partitioned world gives each partition fresh recorders, which
+// absorbShards folds into the caller's.
+type recorders struct {
+	eng    *sim.Engine
+	tracer *telemetry.Tracer  // full tracer or flight ring; nil when off
+	causal *telemetry.Causal  // lifecycle recorder; nil when off
+	series *telemetry.Sampler // time-series shard; nil when off
+}
+
+// newRecorders builds the bundle of the partition running on eng. own
+// makes it a serial world's bundle, which records straight into the
+// caller's Tracer and Causal. A lifecycle recorder is armed when the
+// config asks for Causal or Phases, a flight ring when no full tracer
+// was configured but a watchdog or dump path asks for post-mortem
+// capture: the ring accepts the same instrumentation calls with O(N)
+// memory, so it can stay on during chaos soaks without changing any
+// simulated outcome.
+func newRecorders(cfg Config, eng *sim.Engine, own bool) *recorders {
+	r := &recorders{eng: eng}
+	flight := cfg.FlightEvents
+	if flight == 0 && (cfg.WatchdogLimit > 0 || cfg.FlightDumpPath != "") {
+		flight = telemetry.DefaultFlightEvents
 	}
-	var tEnd sim.Time
-	if w.ps == nil {
-		tEnd = w.Eng.LastModel()
-	} else {
-		for _, eng := range w.Engines {
-			if t := eng.LastModel(); t > tEnd {
-				tEnd = t
-			}
+	switch {
+	case cfg.Tracer != nil && own:
+		r.tracer = cfg.Tracer
+	case cfg.Tracer != nil:
+		r.tracer = telemetry.NewTracer()
+	case flight > 0:
+		r.tracer = telemetry.NewFlightRecorder(flight)
+	}
+	switch {
+	case cfg.Causal != nil && own:
+		r.causal = cfg.Causal
+	case cfg.Causal != nil || cfg.Phases != nil:
+		r.causal = telemetry.NewCausal()
+	}
+	// The time-series sampler works through a shard even in a serial
+	// world, so the fold into the master is identical at any partition
+	// count.
+	r.series = cfg.Series.Shard()
+	r.series.Attach(eng)
+	return r
+}
+
+// attach points one rank's NIC config and network endpoint at the
+// bundle.
+func (r *recorders) attach(nc *nic.Config, ep *network.Endpoint) {
+	nc.Tracer, nc.Causal, nc.Series = r.tracer, r.causal, r.series
+	ep.Causal = r.causal
+}
+
+// tracers and causals list the bundles' recorders in partition order.
+func (w *World) tracers() []*telemetry.Tracer {
+	out := make([]*telemetry.Tracer, len(w.parts))
+	for i, r := range w.parts {
+		out[i] = r.tracer
+	}
+	return out
+}
+
+func (w *World) causals() []*telemetry.Causal {
+	out := make([]*telemetry.Causal, len(w.parts))
+	for i, r := range w.parts {
+		out[i] = r.causal
+	}
+	return out
+}
+
+// stallDiag renders the model diagnostics a watchdog expiry appends to
+// its dump: injected faults, the telemetry table and, when causal
+// tracing is on, the slowest causal chain. Every partition must be
+// quiescent.
+func (w *World) stallDiag(f *network.FaultModel) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "faults: %v injected [%s]\n", f, w.Net.FaultStats().String())
+	b.WriteString(w.TelemetrySnapshot().Table())
+	if w.Causal != nil {
+		m := telemetry.NewCausal()
+		m.Absorb(w.causals()...)
+		if ch, ok := m.Top1(); ok {
+			fmt.Fprintf(&b, "\nslowest causal chain: %s", ch.String())
 		}
 	}
-	for _, sh := range w.seriesShards {
-		sh.Finalize(tEnd)
-		w.Series.Absorb(sh)
-	}
-	w.seriesShards = nil
+	return b.String()
 }
 
-// flightTracer returns the recorder WriteFlight and dumpFlight render:
-// the world recorder in serial mode, the partition shards merged into
-// one canonical timeline in partitioned mode (nil when recording is
+// flightTracer returns the recorder WriteFlight and dumpFlight render: a
+// serial world's own recorder as recorded, or the partition bundles'
+// recorders merged into one canonical timeline (nil when recording is
 // off). Each partition ring bounds its own history, so a partitioned
 // dump can retain up to Partitions x FlightEvents events.
 func (w *World) flightTracer() *telemetry.Tracer {
-	if w.ps == nil {
+	if w.Flight != nil || w.parts[0].tracer == nil {
 		return w.Flight
 	}
-	if w.recShards[0] == nil {
-		return nil
-	}
 	m := telemetry.NewTracer()
-	m.Absorb(w.recShards...)
+	m.Absorb(w.tracers()...)
 	return m
 }
 
 // FlightStats reports the flight recorder's retained and overwritten
-// event counts, summed across partition shards in partitioned mode
-// (0, 0 when recording is off).
+// event counts, summed across partition bundles (0, 0 when recording is
+// off).
 func (w *World) FlightStats() (events int, dropped uint64) {
-	if w.ps == nil {
-		return w.Flight.Len(), w.Flight.Dropped()
-	}
-	for _, sh := range w.recShards {
-		events += sh.Len()
-		dropped += sh.Dropped()
+	for _, r := range w.parts {
+		events += r.tracer.Len()
+		dropped += r.tracer.Dropped()
 	}
 	return events, dropped
 }
@@ -695,7 +662,7 @@ func (w *World) TelemetrySnapshot() telemetry.Snapshot {
 		n.PublishTelemetry()
 	}
 	w.Net.Publish(w.Tel)
-	if w.seriesShards == nil {
+	if w.absorbed {
 		// Series gauges publish only once the run ended and the shards
 		// folded; mid-run values would depend on the window schedule.
 		w.Series.Publish(w.Tel)

@@ -9,6 +9,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -159,7 +160,7 @@ func ParseFaults(spec string, seed int64) (*FaultModel, error) {
 			return nil, &ParseError{Spec: spec, Pos: 1, Token: spec,
 				Msg: "not a probability; want a float in [0,1] or a class list: " + faultClasses}
 		}
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // rejects NaN too
 			return nil, &ParseError{Spec: spec, Pos: 1, Token: spec,
 				Msg: fmt.Sprintf("probability %g out of [0,1]", p)}
 		}
@@ -183,6 +184,10 @@ func ParseFaults(spec string, seed int64) (*FaultModel, error) {
 			if err != nil || d <= 0 {
 				return nil, fail(fmt.Sprintf("bad death time %q; want a positive Go duration like 500us", rest))
 			}
+			if d.Nanoseconds() > int64(math.MaxInt64/sim.Nanosecond) {
+				return nil, fail(fmt.Sprintf("death time %q overflows the simulated clock (max %v)",
+					rest, time.Duration(math.MaxInt64/sim.Nanosecond)))
+			}
 			fm.ALPUDeathAt = sim.Time(d.Nanoseconds()) * sim.Nanosecond
 			continue
 		}
@@ -191,7 +196,7 @@ func ParseFaults(spec string, seed int64) (*FaultModel, error) {
 			return nil, fail("want class=value; classes: " + faultClasses)
 		}
 		p, err := strconv.ParseFloat(val, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) {
 			return nil, fail(fmt.Sprintf("bad probability %q; want a float in [0,1]", val))
 		}
 		switch strings.ToLower(key) {

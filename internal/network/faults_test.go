@@ -190,6 +190,9 @@ func TestParseFaultsErrorsArePositional(t *testing.T) {
 		{"alpudeath@yesterday", "alpudeath@yesterday", 1},
 		{"drop=0.01,alpustuck=7", "alpustuck=7", 2},
 		{"1.5", "1.5", 1},
+		{"NaN", "NaN", 1},
+		{"drop=0.01,corrupt=NaN", "corrupt=NaN", 2},
+		{"drop=0.01,alpudeath@3000h", "alpudeath@3000h", 2},
 	} {
 		_, err := ParseFaults(c.spec, 0)
 		pe, ok := err.(*ParseError)
@@ -202,6 +205,37 @@ func TestParseFaultsErrorsArePositional(t *testing.T) {
 				c.spec, pe.Pos, pe.Token, c.pos, c.tok)
 		}
 	}
+}
+
+// FuzzParseFaults: any spec either fails with a *ParseError or yields a
+// model whose probabilities all lie in [0,1] and whose ALPU death time is
+// not negative. The seed corpus lives in testdata/fuzz/FuzzParseFaults.
+func FuzzParseFaults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		fm, err := ParseFaults(spec, seed)
+		if err != nil {
+			if _, ok := err.(*ParseError); !ok {
+				t.Fatalf("spec %q: error type %T, want *ParseError", spec, err)
+			}
+			return
+		}
+		if fm == nil {
+			return
+		}
+		for name, p := range map[string]float64{
+			"drop": fm.DropProb, "dup": fm.DupProb, "reorder": fm.ReorderProb,
+			"corrupt": fm.CorruptProb, "linkflap": fm.LinkFlapFrac,
+			"alpubitflip": fm.ALPUBitFlipProb, "alpuresultdrop": fm.ALPUResultDropProb,
+			"alpustuck": fm.ALPUStuckProb, "fwcrash": fm.FwCrashProb,
+		} {
+			if !(p >= 0 && p <= 1) {
+				t.Errorf("spec %q: %s probability %v outside [0,1]", spec, name, p)
+			}
+		}
+		if fm.ALPUDeathAt < 0 {
+			t.Errorf("spec %q: ALPUDeathAt %v is negative", spec, fm.ALPUDeathAt)
+		}
+	})
 }
 
 // TestLinkFlapDropsAndRecovers: a flapping link drops whole windows of

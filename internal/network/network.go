@@ -131,10 +131,13 @@ type Endpoint struct {
 	// duplicate, failed checksum, protocol control traffic, refused
 	// admission) — the NIC reliability engine hangs here.
 	Ingress func(Packet) bool
+	// Causal, when set, receives the endpoint's per-message lifecycle
+	// stamps: WireTx as the sender, Arrive and Deliver as the receiver.
+	// On a partitioned network it must be the endpoint's partition's
+	// recorder.
+	Causal *telemetry.Causal
 
-	eng    *sim.Engine
-	phases *telemetry.Phases
-	causal *telemetry.Causal
+	eng *sim.Engine
 }
 
 // phaseKey returns the latency-breakdown key for packets that carry an
@@ -154,12 +157,11 @@ func phaseKey(p Packet) (uint64, bool) {
 // drop path is only reachable on raw unreliable endpoints.
 func (ep *Endpoint) deliverNow(p Packet) {
 	key, tracked := uint64(0), false
-	if ep.phases != nil || ep.causal != nil {
+	if ep.Causal != nil {
 		if key, tracked = phaseKey(p); tracked {
 			// Arrive is stamped before the reliability ingress, Deliver
 			// only on FIFO admission; the gap is the recovery phase.
-			ep.phases.Stamp(key, telemetry.StampArrive, ep.eng.Now())
-			ep.causal.Stamp(key, telemetry.StampArrive, ep.eng.Now())
+			ep.Causal.Stamp(key, telemetry.StampArrive, ep.eng.Now())
 		}
 	}
 	if ep.Ingress != nil && !ep.Ingress(p) {
@@ -170,10 +172,22 @@ func (ep *Endpoint) deliverNow(p Packet) {
 	}
 	if ep.RxQ.Push(p) {
 		if tracked {
-			ep.phases.Stamp(key, telemetry.StampDeliver, ep.eng.Now())
-			ep.causal.Stamp(key, telemetry.StampDeliver, ep.eng.Now())
+			ep.Causal.Stamp(key, telemetry.StampDeliver, ep.eng.Now())
 		}
 		ep.Arrived.Raise()
+	}
+}
+
+// stampWireTx records WireTx for an envelope-carrying packet the
+// endpoint sends. It is stamped when the NIC hands the packet to the
+// link, so transmit serialisation waits land in the wire phase;
+// first-wins keeps retransmits from moving it.
+func (ep *Endpoint) stampWireTx(pkt Packet, now sim.Time) {
+	if ep.Causal == nil {
+		return
+	}
+	if key, ok := phaseKey(pkt); ok {
+		ep.Causal.Stamp(key, telemetry.StampWireTx, now)
 	}
 }
 
@@ -189,9 +203,6 @@ type Network struct {
 	faults *FaultModel
 	frng   *frand
 	fstats FaultStats
-
-	phases *telemetry.Phases
-	causal *telemetry.Causal
 
 	// Partitioned mode (NewPartitioned): the world is split across
 	// per-partition engines under conservative synchronization, and all
@@ -268,42 +279,6 @@ func NewPartitioned(ps *sim.PartitionSet, partOf []int, wire sim.Time, bwBpns in
 	return net
 }
 
-// SetPhases installs a latency-phase recorder; the network stamps wire
-// transmit and arrival boundaries for envelope-carrying packets.
-func (n *Network) SetPhases(p *telemetry.Phases) {
-	n.phases = p
-	for _, ep := range n.endpoints {
-		ep.phases = p
-	}
-}
-
-// SetPhasesSharded installs one latency-phase recorder per partition on a
-// partitioned network: endpoint i stamps shards[partOf[i]]. Send-side
-// stamps (WireTx) go to the sender's shard, receive-side stamps to the
-// receiver's; Phases.Absorb reassembles them after the run.
-func (n *Network) SetPhasesSharded(shards []*telemetry.Phases) {
-	for i, ep := range n.endpoints {
-		ep.phases = shards[n.partOf[i]]
-	}
-}
-
-// SetCausal installs a causal recorder; the network contributes the same
-// wire-boundary stamps it gives the phase recorder.
-func (n *Network) SetCausal(c *telemetry.Causal) {
-	n.causal = c
-	for _, ep := range n.endpoints {
-		ep.causal = c
-	}
-}
-
-// SetCausalSharded installs one causal recorder per partition, mirroring
-// SetPhasesSharded; Causal.Absorb reassembles the shards after the run.
-func (n *Network) SetCausalSharded(shards []*telemetry.Causal) {
-	for i, ep := range n.endpoints {
-		ep.causal = shards[n.partOf[i]]
-	}
-}
-
 // Endpoint returns endpoint i.
 func (n *Network) Endpoint(i int) *Endpoint { return n.endpoints[i] }
 
@@ -328,15 +303,7 @@ func (n *Network) Send(pkt Packet) {
 	pkt.Seq = n.seq
 
 	now := n.eng.Now()
-	if n.phases != nil || n.causal != nil {
-		// WireTx is stamped when the NIC hands the packet to the link, so
-		// transmit serialisation waits land in the wire phase. First-wins
-		// keeps retransmits from moving the stamp.
-		if key, ok := phaseKey(pkt); ok {
-			n.phases.Stamp(key, telemetry.StampWireTx, now)
-			n.causal.Stamp(key, telemetry.StampWireTx, now)
-		}
-	}
+	src.stampWireTx(pkt, now)
 	start := now
 	if src.txBusyUntil > start {
 		start = src.txBusyUntil
@@ -370,12 +337,7 @@ func (n *Network) sendPartitioned(pkt Packet) {
 	pkt.Seq = uint64(pkt.Src+1)<<40 | ln.seq
 
 	now := src.eng.Now()
-	if src.phases != nil || src.causal != nil {
-		if key, ok := phaseKey(pkt); ok {
-			src.phases.Stamp(key, telemetry.StampWireTx, now)
-			src.causal.Stamp(key, telemetry.StampWireTx, now)
-		}
-	}
+	src.stampWireTx(pkt, now)
 	start := now
 	if src.txBusyUntil > start {
 		start = src.txBusyUntil

@@ -78,9 +78,6 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 	switch pkt.Kind {
 	case network.Eager, network.RTS:
 		key := uint64(match.Pack(pkt.Hdr))
-		if n.phases != nil {
-			n.phases.Stamp(key, telemetry.StampFwPop, e.Now())
-		}
 		n.causal.Stamp(key, telemetry.StampFwPop, e.Now())
 		if n.tracer != nil {
 			// Terminate the cross-rank flow arrow started at the sender's
@@ -100,9 +97,6 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 		n.matchLat.Add(int((e.Now() - searchT0) / (64 * sim.Nanosecond)))
 		if entry != nil {
 			n.stats.PostedMatches++
-			if n.phases != nil {
-				n.phases.Stamp(key, telemetry.StampMatch, e.Now())
-			}
 			n.causal.Stamp(key, telemetry.StampMatch, e.Now())
 			pr := n.fabricResolve(e, entry)
 			n.entryAlloc.put(entry.Addr)
@@ -248,9 +242,6 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 		um := entry.Req.(*unexMsg)
 		key := uint64(match.Pack(um.pkt.Hdr))
 		n.annotateFaultSearch(&n.unexp, key, searchT0, faults0, e.Now())
-		if n.phases != nil {
-			n.phases.Stamp(key, telemetry.StampMatch, e.Now())
-		}
 		n.causal.Stamp(key, telemetry.StampMatch, e.Now())
 		n.entryAlloc.put(entry.Addr)
 		if um.pkt.Kind == network.Eager {

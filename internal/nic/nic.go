@@ -171,10 +171,9 @@ type Config struct {
 	// Tracer, when set, records firmware/ALPU/reliability activity as
 	// trace events under pid ID.
 	Tracer *telemetry.Tracer
-	// Phases, when set, receives per-message pipeline stamps.
-	Phases *telemetry.Phases
-	// Causal, when set, receives per-message causal stamps and the
-	// firmware's resync/failover time annotations (telemetry.Causal).
+	// Causal, when set, is the NIC's per-message lifecycle recorder: it
+	// receives the firmware's pipeline stamps (FwPop, Match, Complete,
+	// HostDone) and resync/failover time annotations (telemetry.Causal).
 	Causal *telemetry.Causal
 	// Series, when set, receives the NIC's time-series probes: queue
 	// depths, FIFO occupancy, the go-back-N window, per-shard fabric
@@ -329,10 +328,9 @@ type NIC struct {
 
 	// Telemetry: the registry all counters live in (never nil — a private
 	// one is created when Config.Telemetry is unset), plus the optional
-	// tracer and phase recorder.
+	// tracer and lifecycle recorder.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
-	phases *telemetry.Phases
 	causal *telemetry.Causal
 
 	// Reliability-engine state (reliability.go). The counters live in the
@@ -415,7 +413,6 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 		entryAlloc:   addrAlloc{next: 0x1_0000, size: params.QueueEntryFullBytes},
 		reg:          cfg.Telemetry,
 		tracer:       cfg.Tracer,
-		phases:       cfg.Phases,
 		causal:       cfg.Causal,
 	}
 	if n.reg == nil {
@@ -804,7 +801,7 @@ func (n *NIC) complete(reqID uint64, at sim.Time, st CompletionStatus) {
 // the completion lands no earlier than the firmware's current time, and
 // the host observes it one host-bus crossing later (host.Request.DoneAt).
 func (n *NIC) stampCompletion(hdr match.Header, done sim.Time) {
-	if n.phases == nil && n.causal == nil {
+	if n.causal == nil {
 		return
 	}
 	at := done
@@ -812,8 +809,6 @@ func (n *NIC) stampCompletion(hdr match.Header, done sim.Time) {
 		at = now
 	}
 	key := uint64(match.Pack(hdr))
-	n.phases.Stamp(key, telemetry.StampComplete, at)
-	n.phases.Stamp(key, telemetry.StampHostDone, at+params.HostBusLatency)
 	n.causal.Stamp(key, telemetry.StampComplete, at)
 	n.causal.Stamp(key, telemetry.StampHostDone, at+params.HostBusLatency)
 }

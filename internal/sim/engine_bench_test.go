@@ -48,8 +48,7 @@ func BenchmarkEngineCancellable(b *testing.B) {
 }
 
 // BenchmarkQueueMicro runs the event-queue kernel micro set (heap vs
-// ladder, plus the partition-window overhead) — the same cases the
-// alpusim bench harness folds into BENCH.json.
+// ladder, plus the partition-window overhead) for the CI bench gate.
 func BenchmarkQueueMicro(b *testing.B) {
 	for _, c := range QueueMicroCases() {
 		b.Run(c.Name, c.Bench)

@@ -7,17 +7,9 @@ import (
 
 // Micro-benchmarks of the event-queue kernels — heap vs ladder at several
 // steady-state queue depths, the cancellable churn path, and the
-// partition-runner barrier window. They live in a non-test file so the
-// alpusim bench harness can fold the results into BENCH.json; go test
-// -bench reaches them through BenchmarkQueueMicro. The numbers measure
-// host cost of simulating the operation, not simulated latency.
-
-// MicroResult is one micro-benchmark measurement for BENCH.json.
-type MicroResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
+// partition-runner barrier window. go test -bench reaches them through
+// BenchmarkQueueMicro. The numbers measure host cost of simulating the
+// operation, not simulated latency.
 
 // MicroCase names one runnable micro-benchmark.
 type MicroCase struct {
@@ -139,20 +131,4 @@ func QueueMicroCases() []MicroCase {
 		})
 	}
 	return cases
-}
-
-// RunQueueMicroBenchmarks executes the micro set via testing.Benchmark,
-// for harnesses (the alpusim bench experiment) that want the numbers
-// outside go test.
-func RunQueueMicroBenchmarks() []MicroResult {
-	var out []MicroResult
-	for _, c := range QueueMicroCases() {
-		r := testing.Benchmark(c.Bench)
-		out = append(out, MicroResult{
-			Name:        c.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return out
 }

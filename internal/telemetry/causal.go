@@ -8,12 +8,13 @@ import (
 	"alpusim/internal/sim"
 )
 
-// The causal recorder generalises the phase breakdown from "where did the
-// mean message spend its time" to "which resource gated the run". Every
+// Causal is the simulator's one per-message lifecycle recorder. Its
+// first-wins pipeline stamps (phases.go) answer "where did the mean
+// message spend its time" through Breakdown and Totals; the causal
+// analysis generalises that to "which resource gated the run". Every
 // tracked message contributes a chain of typed edges (cause event ->
-// effect event, resource, sim-duration) built from the same first-wins
-// pipeline stamps as Phases, refined by two extra records only the causal
-// analysis needs:
+// effect event, resource, sim-duration) built from the stamps, refined by
+// two extra records only the causal analysis needs:
 //
 //   - a cause link: message B was posted because message A completed
 //     (the host-side program order, recorded by the workload, which knows
@@ -44,7 +45,7 @@ import (
 // consumed its duration.
 type Resource int
 
-// Resources, in pipeline order. The first seven mirror the Phases
+// Resources, in pipeline order. The first seven mirror the phase
 // breakdown; ResResync is carved out of the search gap by firmware
 // annotations when the time was really spent in device-fault recovery
 // (resync windows, widened fallback walks, failover shadow searches).
@@ -101,8 +102,9 @@ func (c *Causal) rec(key uint64) *causalRec {
 	return r
 }
 
-// Stamp records the simulated time of a pipeline boundary for a message,
-// with the same first-wins semantics as Phases.Stamp.
+// Stamp records the simulated time of a pipeline boundary for a message.
+// First-wins: re-stamping the same (key, stamp) — a retransmit, a
+// duplicate delivery — is ignored.
 func (c *Causal) Stamp(key uint64, s Stamp, at sim.Time) {
 	if c == nil || s < 0 || s >= numStamps {
 		return
@@ -140,15 +142,19 @@ func (c *Causal) Annotate(key uint64, res Resource, d sim.Time) {
 	c.rec(key).ann[res] += d
 }
 
-// Absorb folds the records of shards into c, in shard order. Stamps keep
-// first-wins semantics (any one (key, stamp) is recorded by one side),
-// cause links keep first-wins, annotations sum.
+// Absorb folds the records of shards into c, in shard order. A
+// partitioned world gives each partition its own recorder; the stamps for
+// one message may split across shards — WireTx on the sender's
+// partition, the receive pipeline on the receiver's — and first-wins
+// semantics survive because any one (key, stamp) is recorded by one
+// side. Cause links keep first-wins, annotations sum. Absorbing c into
+// itself is a no-op.
 func (c *Causal) Absorb(shards ...*Causal) {
 	if c == nil {
 		return
 	}
 	for _, s := range shards {
-		if s == nil {
+		if s == nil || s == c {
 			continue
 		}
 		for _, key := range s.keys {
@@ -230,37 +236,73 @@ type CausalReport struct {
 	TopK         []CausalChain  `json:"top_k"`
 }
 
-// chain builds the decomposed edge list for a completed key, splitting
-// the search gap into search + resync per the recorded annotation.
-func (c *Causal) chain(key uint64) (CausalChain, bool) {
-	r := c.recs[key]
-	if r == nil || r.seen&needMask != needMask {
-		return CausalChain{}, false
-	}
-	ch := CausalChain{Key: key, Parent: r.parent, HasParent: r.hasParent}
+// complete reports whether r carries every stamp from WireTx through
+// HostDone (Inject is optional).
+func (r *causalRec) complete() bool { return r != nil && r.seen&needMask == needMask }
+
+// breakdown telescopes r's stamps into per-phase durations. The chain
+// starts at Inject when stamped and at WireTx otherwise; a stamp that
+// precedes its predecessor clamps that phase to zero.
+func (r *causalRec) breakdown() Breakdown {
+	var b Breakdown
 	start := r.t[StampInject]
 	if r.seen&(1<<uint(StampInject)) == 0 {
 		start = r.t[StampWireTx]
 	}
-	ch.Start = start
-	ch.End = r.t[StampHostDone]
-	ch.Total = ch.End - ch.Start
-	phaseRes := [NumPhases]Resource{
-		ResInject, ResWire, ResRecovery, ResRxFIFO, ResSearch, ResDeliver, ResHost,
-	}
 	prev := start
 	for s := StampWireTx; s < numStamps; s++ {
-		d := r.t[s] - prev
-		if d < 0 {
-			d = 0
-		}
+		b.Durs[Phase(s-1)] = max(r.t[s]-prev, 0)
 		prev = r.t[s]
-		res := phaseRes[Phase(s-1)]
+	}
+	b.Total = r.t[StampHostDone] - start
+	return b
+}
+
+// Breakdown returns the phase breakdown for a message, or ok=false if
+// the message never completed the pipeline (e.g. a rendezvous transfer,
+// which the recorder does not track end to end).
+func (c *Causal) Breakdown(key uint64) (Breakdown, bool) {
+	if c == nil || !c.recs[key].complete() {
+		return Breakdown{}, false
+	}
+	return c.recs[key].breakdown(), true
+}
+
+// Totals sums the breakdowns of every completed message.
+func (c *Causal) Totals() Totals {
+	var t Totals
+	if c == nil {
+		return t
+	}
+	for _, key := range c.keys {
+		if b, ok := c.Breakdown(key); ok {
+			t.Merge(Totals{Messages: 1, Durs: b.Durs, Total: b.Total})
+		}
+	}
+	return t
+}
+
+// phaseRes maps each phase to the resource its edge is charged to.
+var phaseRes = [NumPhases]Resource{
+	ResInject, ResWire, ResRecovery, ResRxFIFO, ResSearch, ResDeliver, ResHost,
+}
+
+// chain builds the decomposed edge list for a completed key: the phase
+// breakdown with the search gap split into search + resync per the
+// recorded annotation.
+func (c *Causal) chain(key uint64) (CausalChain, bool) {
+	r := c.recs[key]
+	if !r.complete() {
+		return CausalChain{}, false
+	}
+	b := r.breakdown()
+	ch := CausalChain{Key: key, Parent: r.parent, HasParent: r.hasParent,
+		End: r.t[StampHostDone], Total: b.Total}
+	ch.Start = ch.End - b.Total
+	for p, d := range b.Durs {
+		res := phaseRes[p]
 		if res == ResSearch {
-			resync := r.ann[ResResync]
-			if resync > d {
-				resync = d
-			}
+			resync := min(r.ann[ResResync], d)
 			ch.Edges = append(ch.Edges,
 				CausalEdge{Resource: ResSearch.String(), Dur: d - resync},
 				CausalEdge{Resource: ResResync.String(), Dur: resync})
@@ -277,7 +319,7 @@ func (c *Causal) chain(key uint64) (CausalChain, bool) {
 func (c *Causal) sortedComplete() []uint64 {
 	keys := make([]uint64, 0, len(c.keys))
 	for _, k := range c.keys {
-		if r := c.recs[k]; r != nil && r.seen&needMask == needMask {
+		if c.recs[k].complete() {
 			keys = append(keys, k)
 		}
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -244,5 +245,59 @@ func TestCausalSelfCauseIgnored(t *testing.T) {
 	rep, _ := c.Analyze(0)
 	if rep.CriticalPath != 70 {
 		t.Fatalf("self-cause changed the critical path: %d", rep.CriticalPath)
+	}
+}
+
+// Property: on random monotone stamp sets (optional inject, ignored late
+// re-stamps), with and without a resync annotation, the phase breakdown
+// is the causal chain with its search and resync edges summed, and both
+// telescope to the same total.
+func TestBreakdownMatchesChainProperty(t *testing.T) {
+	phaseOf := map[string]Phase{
+		"inject": PhaseInject, "wire": PhaseWire, "recovery": PhaseRecovery,
+		"rxfifo": PhaseRxFIFO, "search": PhaseSearch, "resync": PhaseSearch,
+		"deliver": PhaseDeliver, "host": PhaseHost,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for key := uint64(0); key < 2000; key++ {
+		c := NewCausal()
+		inject := rng.Intn(2) == 0
+		at := sim.Time(rng.Int63n(1_000_000))
+		for s := StampInject; s < numStamps; s++ {
+			at += sim.Time(rng.Int63n(5000)) // zero gaps included
+			if s == StampInject && !inject {
+				continue
+			}
+			c.Stamp(key, s, at)
+			if rng.Intn(4) == 0 {
+				c.Stamp(key, s, at+1+sim.Time(rng.Int63n(10_000))) // first wins
+			}
+		}
+		resync := rng.Intn(2) == 0
+		if resync {
+			c.Annotate(key, ResResync, 1+sim.Time(rng.Int63n(20_000)))
+		}
+		b, ok := c.Breakdown(key)
+		ch, okc := c.chain(key)
+		if !ok || !okc {
+			t.Fatalf("key %d: complete message has breakdown %v, chain %v", key, ok, okc)
+		}
+		var fromChain [NumPhases]sim.Time
+		var chainSum, phaseSum sim.Time
+		for _, e := range ch.Edges {
+			fromChain[phaseOf[e.Resource]] += e.Dur
+			chainSum += e.Dur
+		}
+		for _, d := range b.Durs {
+			phaseSum += d
+		}
+		if fromChain != b.Durs {
+			t.Fatalf("key %d (inject=%v resync=%v): chain phases %v != breakdown %v",
+				key, inject, resync, fromChain, b.Durs)
+		}
+		if phaseSum != b.Total || chainSum != ch.Total || b.Total != ch.Total {
+			t.Fatalf("key %d: phases sum %v, chain sum %v, totals %v/%v do not telescope",
+				key, phaseSum, chainSum, b.Total, ch.Total)
+		}
 	}
 }

@@ -76,69 +76,13 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-type phaseRec struct {
-	t    [numStamps]sim.Time
-	seen uint16
-}
+// Phases is the lifecycle recorder under the name its phase-breakdown
+// callers know: the breakdown is a view over Causal (Causal.Breakdown,
+// Causal.Totals), so both names denote one recorder.
+type Phases = Causal
 
-// Phases records per-message pipeline stamps for one simulated world.
-// Messages are keyed by their packed match bits (mpi.MsgKey); a nil
-// *Phases is a valid no-op recorder.
-type Phases struct {
-	recs map[uint64]*phaseRec
-	keys []uint64 // first-stamp order, for deterministic iteration
-}
-
-// NewPhases returns an empty recorder.
-func NewPhases() *Phases { return &Phases{recs: make(map[uint64]*phaseRec)} }
-
-// Stamp records the simulated time of a pipeline boundary for a message.
-// First-wins: re-stamping the same (key, stamp) — a retransmit, a
-// duplicate delivery — is ignored.
-func (p *Phases) Stamp(key uint64, s Stamp, at sim.Time) {
-	if p == nil || s < 0 || s >= numStamps {
-		return
-	}
-	r := p.recs[key]
-	if r == nil {
-		r = &phaseRec{}
-		p.recs[key] = r
-		p.keys = append(p.keys, key)
-	}
-	if r.seen&(1<<uint(s)) != 0 {
-		return
-	}
-	r.seen |= 1 << uint(s)
-	r.t[s] = at
-}
-
-// Absorb folds the stamps recorded in shards into p, in shard order. A
-// partitioned world gives each partition its own recorder (stamping a
-// shared map from parallel partitions would race); the stamps for one
-// message may split across shards — WireTx on the sender's partition, the
-// receive pipeline on the receiver's — and first-wins semantics are
-// preserved because any one (message, stamp) pair is only ever recorded
-// by one side. Key insertion order after a merge depends on shard order,
-// but nothing renders key order: Totals is a commutative fold and
-// Breakdown a lookup.
-func (p *Phases) Absorb(shards ...*Phases) {
-	if p == nil {
-		return
-	}
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		for _, key := range s.keys {
-			r := s.recs[key]
-			for st := Stamp(0); st < numStamps; st++ {
-				if r.seen&(1<<uint(st)) != 0 {
-					p.Stamp(key, st, r.t[st])
-				}
-			}
-		}
-	}
-}
+// NewPhases returns an empty lifecycle recorder.
+func NewPhases() *Phases { return NewCausal() }
 
 // Breakdown is one message's per-phase durations. Durs telescopes:
 // sum(Durs) == Total == HostDone - start, where start is Inject when
@@ -153,66 +97,12 @@ type Breakdown struct {
 // WireTx through HostDone. Inject is optional.
 const needMask = (1<<uint(numStamps) - 1) &^ (1 << uint(StampInject))
 
-// Breakdown returns the phase breakdown for a message, or ok=false if
-// the message never completed the pipeline (e.g. a rendezvous transfer,
-// which the recorder does not track end to end).
-func (p *Phases) Breakdown(key uint64) (Breakdown, bool) {
-	if p == nil {
-		return Breakdown{}, false
-	}
-	r := p.recs[key]
-	if r == nil || r.seen&needMask != needMask {
-		return Breakdown{}, false
-	}
-	var b Breakdown
-	start := r.t[StampInject]
-	if r.seen&(1<<uint(StampInject)) == 0 {
-		start = r.t[StampWireTx]
-	}
-	prev := start
-	for s := StampWireTx; s < numStamps; s++ {
-		d := r.t[s] - prev
-		if d < 0 {
-			d = 0
-		}
-		b.Durs[Phase(s-1)] = d
-		prev = r.t[s]
-	}
-	b.Total = r.t[StampHostDone] - start
-	return b, true
-}
-
 // Totals aggregates breakdowns across messages (and, via Merge, across
 // worlds).
 type Totals struct {
 	Messages uint64
 	Durs     [NumPhases]sim.Time
 	Total    sim.Time
-}
-
-// Totals sums the breakdowns of every completed message, in first-stamp
-// order.
-func (p *Phases) Totals() Totals {
-	var t Totals
-	if p == nil {
-		return t
-	}
-	for _, key := range p.keys {
-		b, ok := p.Breakdown(key)
-		if !ok {
-			continue
-		}
-		t.add(b)
-	}
-	return t
-}
-
-func (t *Totals) add(b Breakdown) {
-	t.Messages++
-	for i := range b.Durs {
-		t.Durs[i] += b.Durs[i]
-	}
-	t.Total += b.Total
 }
 
 // Merge folds other into t.

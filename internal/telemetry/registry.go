@@ -12,7 +12,7 @@
 //     trace events are emitted in simulation order, and every renderer
 //     uses fixed formatting — two runs with the same seed produce
 //     byte-identical bytes at any -jobs setting;
-//   - single-world ownership: a Registry (or Tracer, or Phases) belongs
+//   - single-world ownership: a Registry (or Tracer, or Causal) belongs
 //     to one simulated world, exactly like the engine it observes.
 //     Cross-world aggregation goes through Snapshot.Merge / WriteTrace
 //     in enumeration order, which keeps parallel sweeps deterministic.

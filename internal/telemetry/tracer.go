@@ -182,14 +182,14 @@ func (t *Tracer) FlowEnd(pid, tid int, cat, name string, at sim.Time, id uint64)
 // simulation, not of -par N. Track names concatenate in shard order,
 // which is partition order (itself rank order, fixed at construction).
 // Absorbing into a flight ring keeps only the most recent events, as a
-// single ring of the same size would.
+// single ring of the same size would. Absorbing t into itself is a no-op.
 func (t *Tracer) Absorb(shards ...*Tracer) {
 	if t == nil {
 		return
 	}
 	var all []tevent
 	for _, sh := range shards {
-		if sh == nil {
+		if sh == nil || sh == t {
 			continue
 		}
 		t.names = append(t.names, sh.names...)

@@ -54,9 +54,10 @@ func WithTracer(t *telemetry.Tracer) Option {
 	return func(cfg *mpi.Config) { cfg.Tracer = t }
 }
 
-// WithPhases records per-message latency pipeline stamps.
-func WithPhases(p *telemetry.Phases) Option {
-	return func(cfg *mpi.Config) { cfg.Phases = p }
+// WithCausal records per-message lifecycle stamps (the phase breakdown)
+// and causal context.
+func WithCausal(c *telemetry.Causal) Option {
+	return func(cfg *mpi.Config) { cfg.Causal = c }
 }
 
 // WithSeries samples per-NIC time series (queue depths, FIFO occupancy,
