@@ -51,7 +51,8 @@
 // engines synchronized by the wire-latency lookahead. Output is
 // byte-identical for every -par N >= 1 — including chaos runs, phase
 // tables, traces and metrics — so the determinism CI diffs -par 1 against
-// -par 8. -par 0 (default) keeps the classic serial engine.
+// -par 8. -par 0 (default) keeps the classic serial engine; a negative
+// -par exits 2.
 //
 // Fault injection: -faults installs a fault model for experiments that
 // support one (chaos, devchaos, phases): either one probability for all
@@ -197,16 +198,19 @@ func openLog(path string) (*slog.Logger, func(), error) {
 func obsLabel(name string) { progressTracker.SetLabel(name) }
 
 // checkFlags rejects flag values no experiment can run with.
-func checkFlags(size int) error {
+func checkFlags(size, par int) error {
 	if size < 0 {
 		return fmt.Errorf("-size %d: message size must not be negative", size)
+	}
+	if par < 0 {
+		return fmt.Errorf("-par %d: partition count must not be negative", par)
 	}
 	return nil
 }
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*msgSize); err != nil {
+	if err := checkFlags(*msgSize, *par); err != nil {
 		fmt.Fprintln(os.Stderr, "alpusim:", err)
 		os.Exit(2)
 	}

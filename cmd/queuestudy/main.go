@@ -105,16 +105,19 @@ func runners() []runner {
 }
 
 // checkFlags rejects flag values no study can run with.
-func checkFlags(cells int) error {
+func checkFlags(cells, par int) error {
 	if cells < 0 {
 		return fmt.Errorf("-cells %d: ALPU cell count must not be negative", cells)
+	}
+	if par < 0 {
+		return fmt.Errorf("-par %d: partition count must not be negative", par)
 	}
 	return nil
 }
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*cells); err != nil {
+	if err := checkFlags(*cells, *parFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "queuestudy:", err)
 		os.Exit(2)
 	}

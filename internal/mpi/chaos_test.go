@@ -1,7 +1,12 @@
 package mpi
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"alpusim/internal/network"
@@ -248,27 +253,46 @@ func TestChaosRNRBackpressure(t *testing.T) {
 // rank waits for a message nobody sends, with a pending reliability
 // retransmit keeping the event loop alive — and requires the watchdog to
 // convert the livelock into a *sim.WatchdogError instead of spinning.
+// Serial and partitioned worlds take the same route: the expiry surfaces
+// from RunPrograms unwrapped, its dump carries the engine state and the
+// fault diagnostics, and the flight recorder lands on disk as JSON.
 func TestChaosWatchdogCatchesStall(t *testing.T) {
-	cfg := baseCfg(2)
-	cfg.Faults = &network.FaultModel{Seed: 1, DropProb: 1.0} // every packet lost
-	cfg.WatchdogLimit = 2 * sim.Millisecond
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected a watchdog panic, got clean completion")
-		}
-		var werr *sim.WatchdogError
-		if pp, ok := r.(*sim.ProcessPanic); ok {
-			werr, _ = pp.Value.(*sim.WatchdogError)
-		} else {
-			werr, _ = r.(*sim.WatchdogError)
-		}
-		if werr == nil {
-			t.Fatalf("expected *sim.WatchdogError, got %v", r)
-		}
-	}()
-	RunPrograms(cfg, []Program{
-		func(r *Rank) { r.Send(1, 7, 64) },
-		func(r *Rank) { r.Recv(0, 7, 64) },
-	})
+	for _, parts := range []int{0, 2} {
+		t.Run(fmt.Sprintf("par%d", parts), func(t *testing.T) {
+			cfg := baseCfg(2)
+			cfg.Partitions = parts
+			cfg.Faults = &network.FaultModel{Seed: 1, DropProb: 1.0} // every packet lost
+			cfg.WatchdogLimit = 2 * sim.Millisecond
+			cfg.FlightDumpPath = filepath.Join(t.TempDir(), "flight.json")
+			werr := func() (werr *sim.WatchdogError) {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatal("expected a watchdog panic, got clean completion")
+					}
+					var ok bool
+					if werr, ok = r.(*sim.WatchdogError); !ok {
+						t.Fatalf("expected an unwrapped *sim.WatchdogError, got %T: %v", r, r)
+					}
+				}()
+				RunPrograms(cfg, []Program{
+					func(r *Rank) { r.Send(1, 7, 64) },
+					func(r *Rank) { r.Recv(0, 7, 64) },
+				})
+				return nil
+			}()
+			for _, want := range []string{"engine: now=", "\nfaults: "} {
+				if !strings.Contains(werr.Dump, want) {
+					t.Errorf("watchdog dump lacks %q:\n%s", want, werr.Dump)
+				}
+			}
+			data, err := os.ReadFile(cfg.FlightDumpPath)
+			if err != nil {
+				t.Fatalf("flight dump not written: %v", err)
+			}
+			if !json.Valid(data) {
+				t.Errorf("flight dump is not valid JSON (%d bytes)", len(data))
+			}
+		})
+	}
 }

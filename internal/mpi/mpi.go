@@ -53,14 +53,15 @@ type Config struct {
 
 	// Partitions > 0 runs the world as a conservative parallel simulation:
 	// ranks are split into that many contiguous partitions, each with its
-	// own engine (on the ladder event kernel) and worker goroutine,
-	// synchronized in barrier windows bounded by the wire-latency
-	// lookahead (see sim.PartitionSet). Output is canonical — byte
-	// identical for every Partitions >= 1, including under faults — but
-	// uses the partition-invariant event tie-break, so it can differ from
-	// the Partitions == 0 single-engine schedule in tie-sensitive
-	// observables (trace interleavings; never in protocol correctness).
-	// Values above Ranks are clamped; 0 keeps the classic serial engine.
+	// own engine and worker goroutine, synchronized in barrier windows
+	// bounded by the wire-latency lookahead (see sim.PartitionSet).
+	// Output is canonical — byte identical for every Partitions >= 1,
+	// including under faults — but uses the partition-invariant event
+	// tie-break, so it can differ from the Partitions == 0 single-engine
+	// schedule in tie-sensitive observables (trace interleavings; never
+	// in protocol correctness).
+	// Values above Ranks are clamped; 0 keeps the classic serial engine;
+	// negative values panic.
 	Partitions int
 
 	// Faults installs a network fault model (nil = the reliable in-order
@@ -139,12 +140,12 @@ type World struct {
 	// WriteFlight/FlightStats, which merge.
 	Flight *telemetry.Tracer
 
-	// Partitioned mode (Config.Partitions > 0).
-	Engines     []*sim.Engine // per-partition engines (nil when serial)
-	ps          *sim.PartitionSet
+	// Engines holds one engine per partition (one for a serial world).
+	Engines     []*sim.Engine
+	ps          *sim.PartitionSet    // nil for a serial world
 	partOf      []int                // rank -> partition
 	wds         []*sim.Watchdog      // per-partition watchdogs
-	wdErrs      []*sim.WatchdogError // per-partition expiry, read at barriers
+	wdErrs      []*sim.WatchdogError // per-partition expiry, read when quiescent
 	pendingDump string               // flight dump requested mid-window (under mu)
 
 	// parts holds one recorder bundle per partition (one for a serial
@@ -153,6 +154,7 @@ type World struct {
 	absorbed bool // bundles folded into Tracer/Causal/Phases/Series
 
 	log          *slog.Logger
+	faults       *network.FaultModel // Config.Faults, for stall diagnostics
 	flightPath   string
 	flightDumped bool
 
@@ -218,16 +220,50 @@ func applyDeviceFaults(nc *nic.Config, f *network.FaultModel) {
 }
 
 // NewWorld constructs the cluster: network, NICs (with optional ALPUs),
-// hosts.
+// hosts. Ranks are split into max(Partitions, 1) contiguous partitions,
+// one engine each. A partitioned world couples its engines in a
+// sim.PartitionSet whose lookahead is the wire latency (the minimum
+// cross-partition delivery delay — see DESIGN.md §5.9). Every mutable
+// recorder a partition writes during a window lives in the partition's
+// recorder bundle (tracer or flight ring, lifecycle recorder, sampler
+// shard) or is per partition (slog clock), and bundles merge canonically
+// afterwards, so the world's outputs are a pure function of the
+// simulation, not of the partition count. A serial world (Partitions ==
+// 0) keeps its own schedule: the serial network's tie-break, the engine
+// counter track, and a bundle that records straight into the caller's
+// recorders.
 func NewWorld(cfg Config) *World {
 	if cfg.Ranks < 1 {
 		panic("mpi: need at least one rank")
 	}
-	if cfg.Partitions > 0 {
-		return newPartitionedWorld(cfg)
+	if cfg.Partitions < 0 {
+		panic("mpi: negative partition count")
 	}
-	eng := sim.NewEngine()
-	net := network.New(eng, cfg.Ranks, cfg.WireLatency, cfg.LinkBandwidthBpns)
+	serial := cfg.Partitions == 0
+	nparts := min(max(cfg.Partitions, 1), cfg.Ranks)
+	engines := make([]*sim.Engine, nparts)
+	for p := range engines {
+		engines[p] = sim.NewEngine()
+	}
+	// Contiguous rank blocks: rank i lives on partition i*P/N, so
+	// neighbor-heavy workloads (halo exchange) keep most traffic
+	// partition-local.
+	partOf := make([]int, cfg.Ranks)
+	for i := range partOf {
+		partOf[i] = i * nparts / cfg.Ranks
+	}
+	var net *network.Network
+	var ps *sim.PartitionSet
+	if serial {
+		net = network.New(engines[0], cfg.Ranks, cfg.WireLatency, cfg.LinkBandwidthBpns)
+	} else {
+		wire := cfg.WireLatency
+		if wire <= 0 {
+			wire = params.WireLatency
+		}
+		ps = sim.NewPartitionSet(engines, wire)
+		net = network.NewPartitioned(ps, partOf, cfg.WireLatency, cfg.LinkBandwidthBpns)
+	}
 	if cfg.Faults.WireActive() {
 		// Wire classes go to the network; the reliability protocol restores
 		// the in-order, loss-free delivery the matching queues assume.
@@ -238,101 +274,21 @@ func NewWorld(cfg Config) *World {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	// Engine counter sampling only rides the full tracer: a sampler
-	// would flood the small flight ring with counter events and evict
-	// the firmware history a post-mortem is actually after.
-	telemetry.TraceEngine(eng, cfg.Tracer, 0)
-	rec := newRecorders(cfg, eng, true)
-	w := &World{
-		Eng:         eng,
-		Net:         net,
-		Tel:         reg,
-		Tracer:      cfg.Tracer,
-		Causal:      cfg.Causal,
-		Phases:      cfg.Phases,
-		Series:      cfg.Series,
-		Flight:      rec.tracer,
-		parts:       []*recorders{rec},
-		log:         telemetry.SimLogger(cfg.Log, eng.Now),
-		flightPath:  cfg.FlightDumpPath,
-		devFaults:   cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
-		matchShards: cfg.NIC.MatchShards,
-		nextCtx:     worldContext,
-		ctxTable:    make(map[string]uint16),
-		boards:      make(map[string][]any),
-	}
-	for i := 0; i < cfg.Ranks; i++ {
-		nc := cfg.NIC
-		nc.ID = i
-		applyDeviceFaults(&nc, cfg.Faults)
-		nc.Telemetry = reg
-		rec.attach(&nc, net.Endpoint(i))
-		nc.Log = w.log
-		if w.flightPath != "" {
-			nc.ErrorHook = func(error) { w.dumpFlight("protocol-error", false) }
-		}
-		n := nic.New(eng, nc, net)
-		w.NICs = append(w.NICs, n)
-		w.Hosts = append(w.Hosts, host.New(eng, i, n))
-	}
-	if cfg.WatchdogLimit > 0 {
-		wd := sim.NewWatchdog(eng, cfg.WatchdogLimit, 0)
-		wd.Diag = func() string { return w.stallDiag(cfg.Faults) }
-		wd.OnDump = func() {
-			if w.log != nil {
-				w.log.Error("watchdog expired", "limit", cfg.WatchdogLimit.String())
-			}
-			w.dumpFlight("watchdog", true)
-		}
-	}
-	return w
-}
-
-// newPartitionedWorld builds the cluster for conservative parallel
-// simulation: one ladder-kernel engine per partition of the rank space,
-// synchronized by a sim.PartitionSet whose lookahead is the wire latency
-// (the minimum cross-partition delivery delay — see DESIGN.md §5.9).
-// Every mutable recorder a partition writes during a window lives in the
-// partition's recorder bundle (tracer or flight ring, lifecycle
-// recorder, sampler shard) or is per partition (slog clock), and bundles
-// merge canonically afterwards, so the world's outputs are a pure
-// function of the simulation, not of the partition count.
-func newPartitionedWorld(cfg Config) *World {
-	nparts := cfg.Partitions
-	if nparts > cfg.Ranks {
-		nparts = cfg.Ranks
-	}
-	wire := cfg.WireLatency
-	if wire <= 0 {
-		wire = params.WireLatency
-	}
-	engines := make([]*sim.Engine, nparts)
-	for p := range engines {
-		engines[p] = sim.NewLadderEngine()
-	}
-	ps := sim.NewPartitionSet(engines, wire)
-	// Contiguous rank blocks: rank i lives on partition i*P/N, so
-	// neighbor-heavy workloads (halo exchange) keep most traffic
-	// partition-local.
-	partOf := make([]int, cfg.Ranks)
-	for i := range partOf {
-		partOf[i] = i * nparts / cfg.Ranks
-	}
-	net := network.NewPartitioned(ps, partOf, cfg.WireLatency, cfg.LinkBandwidthBpns)
-	if cfg.Faults.WireActive() {
-		net.SetFaults(cfg.Faults)
-		cfg.NIC.Reliable = true
-	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	if serial {
+		// Engine counter sampling only rides the full tracer: a sampler
+		// would flood the small flight ring with counter events and evict
+		// the firmware history a post-mortem is actually after. Its track
+		// is a single pid 999 stream, so partitioned worlds skip it: a
+		// per-partition equivalent would make the trace a function of the
+		// partition count.
+		telemetry.TraceEngine(engines[0], cfg.Tracer, 0)
 	}
 	// One recorder bundle per partition: components on partition p
 	// record only into bundle p, and absorbShards folds the bundles into
 	// the caller's recorders in canonical order after the run.
 	parts := make([]*recorders, nparts)
 	for p := range parts {
-		parts[p] = newRecorders(cfg, engines[p], false)
+		parts[p] = newRecorders(cfg, engines[p], serial)
 	}
 	w := &World{
 		Eng:         engines[0],
@@ -347,6 +303,7 @@ func newPartitionedWorld(cfg Config) *World {
 		partOf:      partOf,
 		parts:       parts,
 		log:         telemetry.SimLogger(cfg.Log, engines[0].Now),
+		faults:      cfg.Faults,
 		flightPath:  cfg.FlightDumpPath,
 		devFaults:   cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
 		matchShards: cfg.NIC.MatchShards,
@@ -354,10 +311,9 @@ func newPartitionedWorld(cfg Config) *World {
 		ctxTable:    make(map[string]uint16),
 		boards:      make(map[string][]any),
 	}
-	// No engine counter sampling: the serial sampler's track is a single
-	// pid 999 stream, and a per-partition equivalent would make the trace
-	// a function of the partition count. The ladder/partition micro
-	// benchmarks cover kernel health instead.
+	if serial {
+		w.Flight = parts[0].tracer
+	}
 	logs := make([]*slog.Logger, nparts)
 	for p := range logs {
 		logs[p] = telemetry.SimLogger(cfg.Log, engines[p].Now)
@@ -371,10 +327,17 @@ func newPartitionedWorld(cfg Config) *World {
 		parts[p].attach(&nc, net.Endpoint(i))
 		nc.Log = logs[p]
 		if w.flightPath != "" && parts[0].tracer != nil {
-			// The hook fires on a partition goroutine mid-window, where
-			// reading other partitions' bundles would race; defer the dump
-			// to the next barrier, where the world is quiescent.
-			nc.ErrorHook = func(error) { w.requestDump("protocol-error") }
+			if serial {
+				// The world is quiescent inside any event of its one
+				// engine, so the dump holds exactly the history up to the
+				// first fault.
+				nc.ErrorHook = func(error) { w.dumpFlight("protocol-error", false) }
+			} else {
+				// The hook fires on a partition goroutine mid-window, where
+				// reading other partitions' bundles would race; defer the
+				// dump to the next barrier, where the world is quiescent.
+				nc.ErrorHook = func(error) { w.requestDump("protocol-error") }
+			}
 		}
 		n := nic.New(engines[p], nc, net)
 		w.NICs = append(w.NICs, n)
@@ -386,10 +349,10 @@ func newPartitionedWorld(cfg Config) *World {
 		for p := range w.wds {
 			wd := sim.NewWatchdog(engines[p], cfg.WatchdogLimit, 0)
 			pp := p
-			// Capture the expiry and stop this partition's window instead
-			// of panicking on a worker goroutine; the coordinator turns it
-			// into the world-level failure at the next barrier, appending
-			// the model diagnostics once everything is quiescent.
+			// Capture the expiry and stop this partition's engine instead
+			// of panicking inside an event (on a worker goroutine, when
+			// partitioned); surfaceFailures turns it into the world-level
+			// failure once everything is quiescent.
 			wd.OnFail = func(err *sim.WatchdogError) {
 				w.wdErrs[pp] = err
 				engines[pp].Stop()
@@ -397,17 +360,20 @@ func newPartitionedWorld(cfg Config) *World {
 			w.wds[p] = wd
 		}
 	}
-	ps.OnInject = func(p int) {
-		if w.wds != nil {
-			w.wds[p].Poke()
+	if ps != nil {
+		ps.OnInject = func(p int) {
+			if w.wds != nil {
+				w.wds[p].Poke()
+			}
+			// A drained partition's sampler chain stopped re-arming; an
+			// injected delivery is about to wake it, so resume the chain
+			// at the tick where it left off. The engine was frozen in
+			// between, so the resumed ticks sample what the serial run
+			// would have.
+			parts[p].series.Rearm()
 		}
-		// A drained partition's sampler chain stopped re-arming; an
-		// injected delivery is about to wake it, so resume the chain at
-		// the tick where it left off. The engine was frozen in between,
-		// so the resumed ticks sample what the serial run would have.
-		parts[p].series.Rearm()
+		ps.OnBarrier = w.surfaceFailures
 	}
-	ps.OnBarrier = func() { w.onBarrier(cfg) }
 	return w
 }
 
@@ -421,11 +387,11 @@ func (w *World) requestDump(reason string) {
 	w.mu.Unlock()
 }
 
-// onBarrier runs on the coordinator between partition windows, with every
-// partition quiescent: it performs flight dumps requested mid-window and
-// converts a captured watchdog expiry into the world-level panic the
-// serial path would have raised, diagnostics appended.
-func (w *World) onBarrier(cfg Config) {
+// surfaceFailures runs with every engine quiescent — on the coordinator
+// between partition windows, or after a serial world's run returns. It
+// performs flight dumps requested mid-window and converts a captured
+// watchdog expiry into the world-level panic, diagnostics appended.
+func (w *World) surfaceFailures() {
 	w.mu.Lock()
 	reason := w.pendingDump
 	w.pendingDump = ""
@@ -441,9 +407,9 @@ func (w *World) onBarrier(cfg Config) {
 		w.dumpFlight(reason, false)
 	}
 	if err != nil {
-		err.Dump += "\n" + w.stallDiag(cfg.Faults)
+		err.Dump += "\n" + w.stallDiag()
 		if w.log != nil {
-			w.log.Error("watchdog expired", "limit", cfg.WatchdogLimit.String())
+			w.log.Error("watchdog expired", "limit", err.Limit.String())
 		}
 		w.dumpFlight("watchdog", true)
 		panic(err)
@@ -451,7 +417,7 @@ func (w *World) onBarrier(cfg Config) {
 }
 
 // RunSim drives the built world to completion — the partition
-// coordinator in partitioned mode, the classic serial event loop
+// coordinator in partitioned mode, the single engine's event loop
 // otherwise — and folds the recorder bundles into the world's recorders
 // when it returns, panic included.
 func (w *World) RunSim() {
@@ -461,6 +427,7 @@ func (w *World) RunSim() {
 		return
 	}
 	w.Eng.Run()
+	w.surfaceFailures()
 }
 
 // absorbShards folds the recorder bundles into the world-level recorders
@@ -571,9 +538,9 @@ func (w *World) causals() []*telemetry.Causal {
 // its dump: injected faults, the telemetry table and, when causal
 // tracing is on, the slowest causal chain. Every partition must be
 // quiescent.
-func (w *World) stallDiag(f *network.FaultModel) string {
+func (w *World) stallDiag() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "faults: %v injected [%s]\n", f, w.Net.FaultStats().String())
+	fmt.Fprintf(&b, "faults: %v injected [%s]\n", w.faults, w.Net.FaultStats().String())
 	b.WriteString(w.TelemetrySnapshot().Table())
 	if w.Causal != nil {
 		m := telemetry.NewCausal()
@@ -770,16 +737,11 @@ func (req *Request) Status() Status {
 // Program is an application entry point (the rank's "main").
 type Program func(r *Rank)
 
-// SpawnRank starts prog as rank id (on its partition's engine when the
-// world is partitioned).
+// SpawnRank starts prog as rank id on its partition's engine.
 func (w *World) SpawnRank(id int, prog Program) {
 	h := w.Hosts[id]
-	eng := w.Eng
-	if w.ps != nil {
-		eng = w.Engines[w.partOf[id]]
-	}
 	w.ranksLive.Add(1)
-	eng.Spawn(fmt.Sprintf("rank%d", id), func(p *sim.Process) {
+	w.Engines[w.partOf[id]].Spawn(fmt.Sprintf("rank%d", id), func(p *sim.Process) {
 		r := &Rank{
 			w:  w,
 			id: id,

@@ -216,3 +216,14 @@ func TestPartitionedDrainsClean(t *testing.T) {
 	cfg.FlightEvents = -1
 	soakMatchDigest(t, "par-alpu", cfg, plan, ranks)
 }
+
+// A negative partition count is a caller error, rejected like a world
+// without ranks rather than silently run serial.
+func TestNewWorldRejectsNegativePartitions(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWorld accepted Partitions = -3")
+		}
+	}()
+	NewWorld(Config{Ranks: 2, Partitions: -3})
+}

@@ -47,8 +47,8 @@ func BenchmarkEngineCancellable(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueMicro runs the event-queue kernel micro set (heap vs
-// ladder, plus the partition-window overhead) for the CI bench gate.
+// BenchmarkQueueMicro runs the event-queue micro set (plus the
+// partition-window overhead) for the CI bench gate.
 func BenchmarkQueueMicro(b *testing.B) {
 	for _, c := range QueueMicroCases() {
 		b.Run(c.Name, c.Bench)

@@ -115,26 +115,6 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, d := range []Time{5, 10, 15, 20} {
-		d := d
-		e.Schedule(d*Nanosecond, func() { fired = append(fired, d) })
-	}
-	e.RunUntil(12 * Nanosecond)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(12ns) fired %d events, want 2", len(fired))
-	}
-	if e.Now() != 12*Nanosecond {
-		t.Errorf("Now = %v, want 12ns", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("Run after RunUntil fired %d total, want 4", len(fired))
-	}
-}
-
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0

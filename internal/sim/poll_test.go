@@ -6,29 +6,23 @@ import (
 )
 
 // Front polls must fire before every ordinary event and every delivery at
-// the same instant — in both event kernels, since the time-series sampler
-// relies on the ordering to observe partition-invariant state.
+// the same instant, since the time-series sampler relies on the ordering
+// to observe partition-invariant state.
 func TestPollFrontOrdering(t *testing.T) {
-	kernels := map[string]func() *Engine{
-		"heap":   NewEngine,
-		"ladder": NewLadderEngine,
-	}
-	for name, mk := range kernels {
-		t.Run(name, func(t *testing.T) {
-			e := mk()
-			var order []string
-			e.Schedule(100, func() { order = append(order, "ord1") })
-			e.AtDelivery(100, 3, 1, func() { order = append(order, "del") })
-			e.Schedule(100, func() { order = append(order, "ord2") })
-			e.AtPollFront(100, func() { order = append(order, "poll") })
-			e.Schedule(50, func() { order = append(order, "early") })
-			e.Run()
-			want := []string{"early", "poll", "ord1", "ord2", "del"}
-			if !reflect.DeepEqual(order, want) {
-				t.Errorf("firing order %v, want %v", order, want)
-			}
-		})
-	}
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
+		var order []string
+		e.Schedule(100, func() { order = append(order, "ord1") })
+		e.AtDelivery(100, 3, 1, func() { order = append(order, "del") })
+		e.Schedule(100, func() { order = append(order, "ord2") })
+		e.AtPollFront(100, func() { order = append(order, "poll") })
+		e.Schedule(50, func() { order = append(order, "early") })
+		e.Run()
+		want := []string{"early", "poll", "ord1", "ord2", "del"}
+		if !reflect.DeepEqual(order, want) {
+			t.Errorf("firing order %v, want %v", order, want)
+		}
+	})
 }
 
 // Front polls are housekeeping: excluded from Alive, and excluded from
@@ -54,7 +48,7 @@ func TestPollFrontAliveAndLastModel(t *testing.T) {
 // tick: a counter incremented by model events at the tick instant itself
 // must not be visible to that tick's sample.
 func TestPollFrontChainSamplesPreTickState(t *testing.T) {
-	e := NewLadderEngine()
+	e := NewEngine()
 	counter := 0
 	for i := 1; i <= 5; i++ {
 		at := Time(i * 10)

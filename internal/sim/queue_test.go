@@ -2,154 +2,29 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
-
-// driveQueue runs one pseudo-random event program against an engine and
-// returns the execution log. The program mixes plain schedules, absolute
-// schedules, cancellable events (some cancelled, some left to fire),
-// pollers, delivery-class events, and zero-delay bursts that stress
-// same-timestamp FIFO ties; events recursively schedule more work, so the
-// queue sees interleaved push/pop traffic rather than a load-then-drain
-// pattern. Two engines given the same seed must produce identical logs —
-// that is the oracle property pinning the ladder kernel to container/heap.
-func driveQueue(e *Engine, seed int64, n int) []string {
-	rng := rand.New(rand.NewSource(seed))
-	var log []string
-	var ids []EventID
-	var dseq [4]uint64
-	born := 0
-
-	record := func(name string) {
-		log = append(log, fmt.Sprintf("%s@%d pend=%d alive=%d", name, e.Now(), e.Pending(), e.Alive()))
-	}
-
-	var burst func(depth int)
-	burst = func(depth int) {
-		k := 1 + rng.Intn(4)
-		for i := 0; i < k; i++ {
-			if born >= n {
-				return
-			}
-			born++
-			name := fmt.Sprintf("e%d", born)
-			d := Time(rng.Intn(64))
-			if rng.Intn(4) == 0 {
-				d = 0 // force same-instant ties
-			}
-			fire := func() {
-				record(name)
-				if depth < 4 && rng.Intn(3) != 0 {
-					burst(depth + 1)
-				}
-			}
-			switch rng.Intn(8) {
-			case 0:
-				e.At(e.Now()+d, fire)
-			case 1:
-				id := e.ScheduleCancellable(d, fire)
-				ids = append(ids, id)
-			case 2:
-				id := e.AtCancellable(e.Now()+d, fire)
-				ids = append(ids, id)
-			case 3:
-				e.SchedulePoll(d+1, fire)
-			case 4:
-				src := uint32(rng.Intn(len(dseq)))
-				dseq[src]++
-				e.AtDelivery(e.Now()+d, src, dseq[src], fire)
-			default:
-				e.Schedule(d, fire)
-			}
-			// Cancel a random outstanding cancellable now and then; the
-			// pick is driven by the shared rng, so both kernels attempt
-			// the same cancellations in the same order.
-			if len(ids) > 0 && rng.Intn(3) == 0 {
-				i := rng.Intn(len(ids))
-				ok := e.Cancel(ids[i])
-				log = append(log, fmt.Sprintf("cancel#%d=%v pend=%d", i, ok, e.Pending()))
-				ids[i] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-			}
-		}
-	}
-
-	burst(0)
-	for e.Step() {
-	}
-	log = append(log, fmt.Sprintf("done@%d executed=%d pend=%d", e.Now(), e.Executed(), e.Pending()))
-	return log
-}
-
-// TestLadderMatchesHeap pins the ladder kernel to the container/heap
-// reference oracle: identical random Schedule/Cancel/Poll programs must
-// pop in identical order, including same-timestamp FIFO ties, and agree
-// on Pending/Alive at every step.
-func TestLadderMatchesHeap(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
-		want := driveQueue(NewEngine(), seed, 800)
-		got := driveQueue(NewLadderEngine(), seed, 800)
-		if len(want) != len(got) {
-			t.Fatalf("seed %d: heap log has %d entries, ladder %d", seed, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d: logs diverge at entry %d:\n  heap:   %s\n  ladder: %s",
-					seed, i, want[i], got[i])
-			}
-		}
-	}
-}
-
-// TestLadderWideSpread exercises the respread path: events scattered over
-// a wide time range (microseconds to milliseconds) so the far list gets
-// rebuilt into rungs several times.
-func TestLadderWideSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h, l := NewEngine(), NewLadderEngine()
-	var hLog, lLog []Time
-	for i := 0; i < 5000; i++ {
-		at := Time(rng.Int63n(int64(10 * Millisecond)))
-		h.At(at, func() { hLog = append(hLog, h.Now()) })
-		l.At(at, func() { lLog = append(lLog, l.Now()) })
-	}
-	for h.Step() {
-	}
-	for l.Step() {
-	}
-	if len(hLog) != len(lLog) {
-		t.Fatalf("heap ran %d events, ladder %d", len(hLog), len(lLog))
-	}
-	for i := range hLog {
-		if hLog[i] != lLog[i] {
-			t.Fatalf("event %d: heap at %v, ladder at %v", i, hLog[i], lLog[i])
-		}
-	}
-}
 
 // TestDeliveryOrdering pins the canonical tie-break: at one instant,
 // ordinary events fire in schedule order before any delivery, and
 // deliveries fire in (source, per-source sequence) order regardless of
 // the order they were scheduled in.
 func TestDeliveryOrdering(t *testing.T) {
-	for _, kernel := range []string{"heap", "ladder"} {
-		e := newQueueEngine(kernel)
-		var got []string
-		add := func(name string) func() {
-			return func() { got = append(got, name) }
-		}
-		const at = 100 * Nanosecond
-		e.AtDelivery(at, 2, 1, add("d:src2#1"))
-		e.AtDelivery(at, 1, 7, add("d:src1#7"))
-		e.At(at, add("ord1"))
-		e.AtDelivery(at, 1, 9, add("d:src1#9"))
-		e.At(at, add("ord2"))
-		for e.Step() {
-		}
-		want := []string{"ord1", "ord2", "d:src1#7", "d:src1#9", "d:src2#1"}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s kernel: got %v, want %v", kernel, got, want)
-		}
+	e := NewEngine()
+	var got []string
+	add := func(name string) func() {
+		return func() { got = append(got, name) }
+	}
+	const at = 100 * Nanosecond
+	e.AtDelivery(at, 2, 1, add("d:src2#1"))
+	e.AtDelivery(at, 1, 7, add("d:src1#7"))
+	e.At(at, add("ord1"))
+	e.AtDelivery(at, 1, 9, add("d:src1#9"))
+	e.At(at, add("ord2"))
+	for e.Step() {
+	}
+	want := []string{"ord1", "ord2", "d:src1#7", "d:src1#9", "d:src2#1"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks of the event-queue kernels — heap vs ladder at several
-// steady-state queue depths, the cancellable churn path, and the
-// partition-runner barrier window. go test -bench reaches them through
-// BenchmarkQueueMicro. The numbers measure host cost of simulating the
-// operation, not simulated latency.
+// Micro-benchmarks of the event queue at several steady-state queue
+// depths, the cancellable churn path, and the partition-runner barrier
+// window. go test -bench reaches them through BenchmarkQueueMicro. The
+// numbers measure host cost of simulating the operation, not simulated
+// latency.
 
 // MicroCase names one runnable micro-benchmark.
 type MicroCase struct {
@@ -17,20 +17,11 @@ type MicroCase struct {
 	Bench func(b *testing.B)
 }
 
-// newQueueEngine builds an engine on the named kernel.
-func newQueueEngine(kernel string) *Engine {
-	if kernel == "ladder" {
-		return NewLadderEngine()
-	}
-	return NewEngine()
-}
-
 // benchHold measures the schedule+step steady state with depth events
-// held in flight — the regime where the heap pays O(log depth) sift work
-// per operation and the ladder stays O(1).
-func benchHold(kernel string, depth int) func(*testing.B) {
+// held in flight — the heap pays O(log depth) sift work per operation.
+func benchHold(depth int) func(*testing.B) {
 	return func(b *testing.B) {
-		e := newQueueEngine(kernel)
+		e := NewEngine()
 		fn := func() {}
 		for i := 0; i < depth; i++ {
 			e.Schedule(Time(i)*Nanosecond, fn)
@@ -45,11 +36,11 @@ func benchHold(kernel string, depth int) func(*testing.B) {
 }
 
 // benchCancel measures the schedule-cancel churn path (timeouts that are
-// almost always revoked). The ladder cancels lazily, so the queue carries
-// tombstones between iterations.
-func benchCancel(kernel string) func(*testing.B) {
+// almost always revoked), with the clock advancing every 64 cycles as a
+// live world's would.
+func benchCancel() func(*testing.B) {
 	return func(b *testing.B) {
-		e := newQueueEngine(kernel)
+		e := NewEngine()
 		fn := func() {}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -57,8 +48,6 @@ func benchCancel(kernel string) func(*testing.B) {
 			id := e.ScheduleCancellable(Nanosecond, fn)
 			e.Cancel(id)
 			if i%64 == 63 {
-				// Let the clock pass the tombstones so the ladder
-				// reclaims them, as a live world would.
 				e.Schedule(Nanosecond, fn)
 				e.Step()
 			}
@@ -75,7 +64,7 @@ func benchPartitionWindow(p int) func(*testing.B) {
 	return func(b *testing.B) {
 		engines := make([]*Engine, p)
 		for i := range engines {
-			engines[i] = NewLadderEngine()
+			engines[i] = NewEngine()
 		}
 		ps := NewPartitionSet(engines, 200*Nanosecond)
 		// p chains hop in lockstep, so each window finds every chain in a
@@ -112,18 +101,13 @@ func benchPartitionWindow(p int) func(*testing.B) {
 // QueueMicroCases is the event-queue micro-benchmark set.
 func QueueMicroCases() []MicroCase {
 	var cases []MicroCase
-	for _, kernel := range []string{"heap", "ladder"} {
-		for _, depth := range []int{8, 64, 1024} {
-			cases = append(cases, MicroCase{
-				Name:  fmt.Sprintf("queue/%s/hold%d", kernel, depth),
-				Bench: benchHold(kernel, depth),
-			})
-		}
+	for _, depth := range []int{8, 64, 1024} {
 		cases = append(cases, MicroCase{
-			Name:  fmt.Sprintf("queue/%s/cancel", kernel),
-			Bench: benchCancel(kernel),
+			Name:  fmt.Sprintf("queue/heap/hold%d", depth),
+			Bench: benchHold(depth),
 		})
 	}
+	cases = append(cases, MicroCase{Name: "queue/heap/cancel", Bench: benchCancel()})
 	for _, p := range []int{2, 8} {
 		cases = append(cases, MicroCase{
 			Name:  fmt.Sprintf("partition/window%d", p),

@@ -7,8 +7,8 @@ import (
 
 // WatchdogError is the panic value raised when a watchdog deadline passes:
 // the simulated world livelocked (e.g. an unrecoverable retransmit storm)
-// instead of draining. It carries a diagnostic dump of the engine and any
-// model-level context the creator supplied.
+// instead of draining. It carries a diagnostic dump of the engine, to which
+// an OnFail handler may append model-level context.
 type WatchdogError struct {
 	Limit Time
 	Dump  string
@@ -27,16 +27,9 @@ type Watchdog struct {
 	eng      *Engine
 	limit    Time
 	interval Time
-	// Diag, when set, is appended to the engine state dump on expiry —
-	// model-level context (queue lengths, retransmit counters, ...).
-	Diag func() string
 	// OnFail handles the expiry; the default panics with *WatchdogError,
 	// which sweeps and tests can recover per world.
 	OnFail func(*WatchdogError)
-	// OnDump, when set, runs once at expiry before OnFail/panic — the
-	// hook the MPI layer uses to write the flight-recorder post-mortem
-	// while the world's final state is still intact.
-	OnDump func()
 
 	fired    bool
 	armed    bool // a check poller is pending
@@ -89,13 +82,7 @@ func (w *Watchdog) check() {
 		if w.lastPoke > 0 {
 			dump += fmt.Sprintf("\nwatchdog: last external progress poke at %v", w.lastPoke)
 		}
-		if w.Diag != nil {
-			dump += "\n" + w.Diag()
-		}
 		err := &WatchdogError{Limit: w.limit, Dump: dump}
-		if w.OnDump != nil {
-			w.OnDump()
-		}
 		if w.OnFail != nil {
 			w.OnFail(err)
 			return

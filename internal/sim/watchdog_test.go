@@ -76,24 +76,3 @@ func TestWatchdogDefaultPanics(t *testing.T) {
 	}()
 	eng.Run()
 }
-
-// The diagnostic dump includes the model-supplied context.
-func TestWatchdogDiagHook(t *testing.T) {
-	eng := NewEngine()
-	w := NewWatchdog(eng, 100*Nanosecond, 0) // 0 interval -> limit/8
-	w.Diag = func() string { return "retransmits=7" }
-	var caught *WatchdogError
-	w.OnFail = func(err *WatchdogError) {
-		caught = err
-		eng.Stop()
-	}
-	eng.Spawn("spinner", func(p *Process) {
-		for {
-			p.Sleep(Nanosecond)
-		}
-	})
-	eng.Run()
-	if caught == nil || !strings.Contains(caught.Dump, "retransmits=7") {
-		t.Fatalf("diag hook output missing from dump: %v", caught)
-	}
-}
