@@ -55,8 +55,8 @@
 // -par exits 2.
 //
 // Fault injection: -faults installs a fault model for experiments that
-// support one (chaos, devchaos, phases): either one probability for all
-// wire classes ("0.02") or per-class pairs ("drop=0.01,reorder=0.05").
+// support one (chaos, devchaos, phases, critpath): either one probability
+// for all wire classes ("0.02") or per-class pairs ("drop=0.01,reorder=0.05").
 // Device-level classes ride the same grammar: "alpubitflip=0.01",
 // "alpuresultdrop=0.02", "alpustuck=0.1", "alpudeath@50us",
 // "fwcrash=0.005", "linkflap=0.05". -seed seeds the injection streams;
@@ -78,20 +78,26 @@
 //
 // Live observability: -serve ADDR runs an HTTP server for the duration of
 // the experiments exposing /metrics (Prometheus text format), /healthz,
-// /progress (sweep completion, JSON or SSE), /critpath (causal reports),
+// /progress (sweep completion, JSON or SSE), /critpath (the critpath
+// experiment's causal reports, in enumeration order at any -jobs),
 // /report (the HTML run report) and /timeseries (series JSON; the latter
 // two answer 503 until the run finishes). Serving is strictly read-only —
 // experiment output stays byte-identical with and without it. -linger
 // keeps the server up after the run so scrapers can catch the final
 // state; -log FILE ("-" = stderr) writes structured simulated-time
-// diagnostics (watchdog expiry, protocol errors, flight dumps).
+// diagnostics (watchdog expiry, protocol errors, flight dumps). The
+// telemetry, report, serving, -log and profiling flags are the shared
+// observability block of internal/obs (obs.CLI), with the same meaning in
+// queuestudy and queueprobe.
+//
+// A malformed -faults, -format, or a negative -size, -par or -shards
+// exits 2, before any experiment runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"time"
@@ -104,10 +110,8 @@ import (
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
 	"alpusim/internal/params"
-	"alpusim/internal/profiling"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
-	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
 	"alpusim/internal/workloads"
 )
@@ -121,29 +125,17 @@ var (
 	par        = flag.Int("par", 0, "partitions per simulated world: conservative parallel simulation on per-partition engines (0 = serial engine; output is identical for any value >= 1)")
 	faultSpec  = flag.String("faults", "", "fault model: a probability (\"0.02\") or class=prob pairs (\"drop=0.01,dup=0.01,reorder=0.02,corrupt=0.005\")")
 	faultSeed  = flag.Int64("seed", 1, "fault-injection seed (same seed => byte-identical run)")
-	tracePath  = flag.String("trace", "", "phases experiment: write Chrome trace-event JSON to this file (\"-\" = stdout)")
-	metricsOut = flag.String("metrics", "", "phases: write the merged metrics snapshot JSON to this file; critpath: write the causal report JSON (\"-\" = stdout)")
-	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-	perCycle   = flag.Bool("percycle", false, "force the per-cycle ALPU reference model (no cycle batching); outputs must be byte-identical")
-	reportOut  = flag.String("report", "", "phases experiment: write the self-contained HTML run report to this file (\"-\" = stdout); with -serve it is also published at /report")
-	tsOut      = flag.String("timeseries", "", "phases experiment: write the simulated-time series dump as JSON to this file (\"-\" = stdout); with -serve it is also published at /timeseries")
-	simprofOut = flag.String("simprof", "", "phases experiment: write a pprof-compatible simulated-time profile to this file (read with `go tool pprof`)")
-	serveAddr  = flag.String("serve", "", "serve the live observability plane (/metrics, /healthz, /progress, /critpath, /report, /timeseries) on this address while experiments run (e.g. \":9090\"; \":0\" picks a port)")
-	linger     = flag.Duration("linger", 0, "with -serve: keep the observability server up this long after the experiments finish")
-	logPath    = flag.String("log", "", "write structured diagnostics (slog text, simulated-time stamped) to this file (\"-\" = stderr)")
 	flightDump = flag.String("flightdump", "flight.json", "stall experiment: write the flight-recorder dump (Perfetto-loadable trace JSON) here on watchdog expiry")
 	flightSize = flag.Int("flightsize", 0, "flight-recorder ring capacity in events (0 = default when a watchdog is armed; < 0 disables the recorder)")
 	shards     = flag.Int("shards", 0, "tenancy experiment: dump the receive outcomes of this one fabric width instead of the full sweep (1 = single-ALPU baseline)")
+
+	ob = obs.NewCLI("alpusim", flag.CommandLine,
+		obs.FlagTrace|obs.FlagMetrics|obs.FlagReport|obs.FlagTimeseries|obs.FlagSimProf|obs.FlagLog|obs.FlagServe|obs.FlagProfile)
 )
 
-// diagLog is the process's structured diagnostic logger (nil without
-// -log); progressTracker is the live sweep tracker (nil without -serve).
-var (
-	diagLog         *slog.Logger
-	progressTracker *sweep.Progress
-	obsSrv          *obs.Server
-)
+// faults is the -faults model, parsed once at startup; nil without
+// -faults.
+var faults *network.FaultModel
 
 // experimentList names every -experiment value with a one-line
 // description — the table behind "-experiment list" and the
@@ -178,72 +170,38 @@ func printExperiments(w io.Writer) {
 	tb.Render(w)
 }
 
-// openLog builds the -log slog logger; "" disables, "-" is stderr.
-func openLog(path string) (*slog.Logger, func(), error) {
-	if path == "" {
-		return nil, func() {}, nil
+// checkFlags rejects flag values no experiment can run with and returns
+// the parsed -faults model (nil without -faults).
+func checkFlags(size, par, shards int, format, faultSpec string, seed int64) (*network.FaultModel, error) {
+	switch {
+	case size < 0:
+		return nil, fmt.Errorf("-size %d: message size must not be negative", size)
+	case par < 0:
+		return nil, fmt.Errorf("-par %d: partition count must not be negative", par)
+	case shards < 0:
+		return nil, fmt.Errorf("-shards %d: fabric width must not be negative", shards)
+	case format != "table" && format != "csv":
+		return nil, fmt.Errorf("-format %q: want table or csv", format)
 	}
-	if path == "-" {
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), func() {}, nil
-	}
-	f, err := os.Create(path)
+	fm, err := network.ParseFaults(faultSpec, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("-faults: %w", err)
 	}
-	return slog.New(slog.NewTextHandler(f, nil)), func() { f.Close() }, nil
-}
-
-// obsLabel names the sweeps an experiment is about to run on the
-// /progress endpoint; a no-op without -serve.
-func obsLabel(name string) { progressTracker.SetLabel(name) }
-
-// checkFlags rejects flag values no experiment can run with.
-func checkFlags(size, par int) error {
-	if size < 0 {
-		return fmt.Errorf("-size %d: message size must not be negative", size)
-	}
-	if par < 0 {
-		return fmt.Errorf("-par %d: partition count must not be negative", par)
-	}
-	return nil
+	return fm, nil
 }
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*msgSize, *par); err != nil {
-		fmt.Fprintln(os.Stderr, "alpusim:", err)
-		os.Exit(2)
-	}
+	var err error
+	faults, err = checkFlags(*msgSize, *par, *shards, *format, *faultSpec, *faultSeed)
+	ob.Check(err, 2)
 	if *jobs < 1 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "alpusim:", err)
-		os.Exit(1)
+	ob.Check(ob.Start(), 1)
+	if ob.Server != nil {
+		bench.WorldObserver = func(w *mpi.World) { ob.Server.MergeSnapshot(w.TelemetrySnapshot()) }
 	}
-	defer stopProf()
-	var closeLog func()
-	diagLog, closeLog, err = openLog(*logPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "alpusim: -log: %v\n", err)
-		os.Exit(1)
-	}
-	defer closeLog()
-	if *serveAddr != "" {
-		progressTracker = sweep.NewProgress()
-		sweep.SetProgress(progressTracker)
-		obsSrv = obs.NewServer(obs.Options{Progress: progressTracker, Log: diagLog})
-		addr, err := obsSrv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "alpusim: observability plane on http://%s\n", addr)
-		bench.WorldObserver = func(w *mpi.World) { obsSrv.MergeSnapshot(w.TelemetrySnapshot()) }
-		bench.CritPathObserver = func(label string, rep telemetry.CausalReport) { obsSrv.AddCritPath(label, rep) }
-	}
-	bench.PerCycleALPU = *perCycle
 	switch *experiment {
 	case "tab3":
 		tab3()
@@ -295,13 +253,7 @@ func main() {
 		printExperiments(os.Stderr)
 		os.Exit(1)
 	}
-	if obsSrv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "alpusim: experiments done; serving for another %v\n", *linger)
-			time.Sleep(*linger)
-		}
-		obsSrv.Close()
-	}
+	ob.Close("experiments")
 }
 
 // stallExp forces a stall on purpose: two ranks ping-pong forever so the
@@ -318,7 +270,7 @@ func stallExp() {
 		WatchdogLimit:  limit,
 		FlightEvents:   *flightSize,
 		FlightDumpPath: *flightDump,
-		Log:            diagLog,
+		Log:            ob.Log,
 	})
 	prog := func(r *mpi.Rank) {
 		peer := 1 - r.Rank()
@@ -413,7 +365,7 @@ func fpgaTable(v alpu.Variant) {
 }
 
 func fig5(kind bench.NICKind) {
-	obsLabel(fmt.Sprintf("fig5-%s", kind))
+	ob.Progress.SetLabel(fmt.Sprintf("fig5-%s", kind))
 	fmt.Printf("Fig. 5 surface: %s NIC, %d-byte messages (one-way latency, ns)\n", kind, *msgSize)
 	pts := bench.RunPreposted(bench.PrepostedConfig{
 		NIC:        bench.NICConfig(kind),
@@ -477,7 +429,7 @@ func unexpectedByQ(pts []bench.UnexpectedPoint) map[int]bench.UnexpectedPoint {
 }
 
 func fig6() {
-	obsLabel("fig6")
+	ob.Progress.SetLabel("fig6")
 	fmt.Printf("Fig. 6: unexpected queue latency, %d-byte messages (ns)\n", *msgSize)
 	kinds := []bench.NICKind{bench.Baseline, bench.ALPU128, bench.ALPU256}
 	series := map[bench.NICKind]map[int]bench.UnexpectedPoint{}
@@ -527,7 +479,7 @@ func fig6() {
 // gapExp reports the message-rate study behind the paper's §I gap
 // motivation, including the §VI-B Quadrics Elan4 comparison point.
 func gapExp() {
-	obsLabel("gap")
+	ob.Progress.SetLabel("gap")
 	fmt.Println("Gap (inverse message rate) vs. match depth, plus the Elan4-class comparison")
 	depths := []int{0, 25, 50, 100, 150, 200}
 	if *quick {
@@ -576,7 +528,7 @@ func gapExp() {
 // tracks the number of physical cores — on a single-core box the
 // partitioned run can only show the synchronization overhead.
 func scaleExp() {
-	obsLabel("scale")
+	ob.Progress.SetLabel("scale")
 	ranks, iters := 64, 48
 	if *quick {
 		iters = 8
@@ -614,22 +566,6 @@ func phasesLens() []int {
 	return []int{0, 32, 128, 512}
 }
 
-// writeOutput writes to path via write, with "-" meaning stdout.
-func writeOutput(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // phasesExp decomposes the Fig. 5 end-to-end latency into pipeline
 // phases per NIC kind and queue length. The phase columns telescope —
 // they sum to the "total" column, which equals the independently
@@ -637,26 +573,17 @@ func writeOutput(path string, write func(w io.Writer) error) error {
 // in the recovery column; -trace and -metrics export the runs'
 // telemetry.
 func phasesExp() {
-	obsLabel("phases")
-	var fm *network.FaultModel
-	if *faultSpec != "" {
-		var err error
-		fm, err = network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	ob.Progress.SetLabel("phases")
 	// The run report and the /report, /timeseries endpoints need the
 	// time-series sampler; the sim-time profile rides on the tracer.
-	wantReport := *reportOut != "" || *tsOut != "" || obsSrv != nil
+	wantReport := ob.WantReport()
 	pts := bench.RunPhases(bench.PhasesConfig{
 		QueueLens:  phasesLens(),
 		MsgSize:    *msgSize,
 		Jobs:       *jobs,
 		Partitions: *par,
-		Faults:     fm,
-		Trace:      *tracePath != "" || *simprofOut != "",
+		Faults:     faults,
+		Trace:      ob.Want(obs.FlagTrace | obs.FlagSimProf),
 		Series:     wantReport,
 	})
 	if *format == "csv" {
@@ -681,78 +608,32 @@ func phasesExp() {
 		bench.RenderPhases(os.Stdout, pts)
 		fmt.Println()
 	}
-	if *tracePath != "" {
-		err := writeOutput(*tracePath, func(w io.Writer) error {
-			return telemetry.WriteTrace(w, bench.Tracers(pts)...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsOut != "" {
-		err := writeOutput(*metricsOut, func(w io.Writer) error {
-			return bench.MergedMetrics(pts).WriteJSON(w)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *simprofOut != "" {
-		err := writeOutput(*simprofOut, func(w io.Writer) error {
-			return telemetry.WriteSimProfile(w, bench.Tracers(pts)...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -simprof: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	ob.Check(ob.Emit(obs.FlagTrace, func(w io.Writer) error {
+		return telemetry.WriteTrace(w, bench.Tracers(pts)...)
+	}), 1)
+	ob.Check(ob.Emit(obs.FlagMetrics, func(w io.Writer) error {
+		return bench.MergedMetrics(pts).WriteJSON(w)
+	}), 1)
+	ob.Check(ob.Emit(obs.FlagSimProf, func(w io.Writer) error {
+		return telemetry.WriteSimProfile(w, bench.Tracers(pts)...)
+	}), 1)
 	if wantReport {
 		// The title describes the workload only: anything -par/-jobs
 		// dependent would break the byte-identity CI asserts on the report.
 		title := "alpusim phases experiment"
-		if *faultSpec != "" {
+		if faults != nil {
 			title += fmt.Sprintf(" (faults %s, seed %d)", *faultSpec, *faultSeed)
 		}
 		var totals telemetry.Totals
 		for _, p := range pts {
 			totals.Merge(p.Totals)
 		}
-		emitReport(&obs.Report{
+		ob.Check(ob.PublishReport(&obs.Report{
 			Title:    title,
 			Series:   bench.MergedSeries(pts),
 			Phases:   totals,
 			Snapshot: bench.MergedMetrics(pts),
-		})
-	}
-}
-
-// emitReport renders the run report once and fans it out to every sink
-// the flags asked for: the -report HTML file, the -timeseries JSON file,
-// and the obs server's /report and /timeseries endpoints.
-func emitReport(rep *obs.Report) {
-	html, tsJSON := rep.HTML(), rep.TimeseriesJSON()
-	if *reportOut != "" {
-		if err := writeOutput(*reportOut, func(w io.Writer) error {
-			_, err := w.Write(html)
-			return err
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -report: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *tsOut != "" {
-		if err := writeOutput(*tsOut, func(w io.Writer) error {
-			_, err := w.Write(tsJSON)
-			return err
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -timeseries: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if obsSrv != nil {
-		obsSrv.SetReport(html, tsJSON)
+		}), 1)
 	}
 }
 
@@ -764,35 +645,25 @@ func emitReport(rep *obs.Report) {
 // message chains. -metrics FILE writes the machine-readable JSON report;
 // output is byte-identical at any -jobs / -par setting.
 func critpathExp() {
-	obsLabel("critpath")
-	var fm *network.FaultModel
-	if *faultSpec != "" {
-		var err error
-		fm, err = network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	ob.Progress.SetLabel("critpath")
 	pts := bench.RunCritPath(bench.CritPathConfig{
 		QueueLens:  phasesLens(),
 		MsgSize:    *msgSize,
 		Jobs:       *jobs,
 		Partitions: *par,
-		Faults:     fm,
+		Faults:     faults,
 	})
+	if ob.Server != nil {
+		for _, pt := range pts {
+			ob.Server.AddCritPath(pt.Label(), pt.Report)
+		}
+	}
 	fmt.Printf("Causal critical-path analysis: %d-byte messages, final-iteration chains\n", *msgSize)
 	bench.RenderCritPath(os.Stdout, pts)
 	fmt.Println()
-	if *metricsOut != "" {
-		err := writeOutput(*metricsOut, func(w io.Writer) error {
-			return bench.WriteCritPathJSON(w, pts)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	ob.Check(ob.Emit(obs.FlagMetrics, func(w io.Writer) error {
+		return bench.WriteCritPathJSON(w, pts)
+	}), 1)
 }
 
 // chaosExp re-runs the figure workloads over a faulty network and reports
@@ -800,15 +671,10 @@ func critpathExp() {
 // mix is the whole matrix; otherwise every default mix runs. Output is a
 // pure function of the flags (same -seed => identical bytes).
 func chaosExp() {
-	obsLabel("chaos")
+	ob.Progress.SetLabel("chaos")
 	var mixes []bench.ChaosMix
-	if *faultSpec != "" {
-		fm, err := network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		mixes = []bench.ChaosMix{{Name: "custom", Faults: *fm}}
+	if faults != nil {
+		mixes = []bench.ChaosMix{{Name: "custom", Faults: *faults}}
 	}
 	for _, kind := range []bench.NICKind{bench.Baseline, bench.ALPU128} {
 		fmt.Printf("Chaos: figure workloads under injected faults — %s NIC, seed %d\n", kind, *faultSeed)
@@ -829,15 +695,10 @@ func chaosExp() {
 // given mix is the whole matrix. Output is a pure function of the flags
 // (same -seed => identical bytes at any -par).
 func devchaosExp() {
-	obsLabel("devchaos")
+	ob.Progress.SetLabel("devchaos")
 	var scenarios []bench.DevChaosScenario
-	if *faultSpec != "" {
-		fm, err := network.ParseFaults(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alpusim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		scenarios = []bench.DevChaosScenario{{Name: "custom", Faults: *fm}}
+	if faults != nil {
+		scenarios = []bench.DevChaosScenario{{Name: "custom", Faults: *faults}}
 	}
 	fmt.Printf("Device chaos: soak under injected device faults vs clean software reference — seed %d\n", *faultSeed)
 	bench.RenderDevChaos(os.Stdout, bench.RunDevChaos(bench.DevChaosConfig{
@@ -865,7 +726,7 @@ func tenancyCfg() bench.TenancyBenchConfig {
 // instead dumps that one configuration's receive outcomes — the format
 // the determinism CI byte-diffs across shard counts and -par settings.
 func tenancyExp() {
-	obsLabel("tenancy")
+	ob.Progress.SetLabel("tenancy")
 	cfg := tenancyCfg()
 	if *shards > 0 {
 		p, rep := bench.TenancyOutcomes(cfg, *shards)
@@ -874,22 +735,21 @@ func tenancyExp() {
 	}
 	// The report wants the occupancy waterlines (per-config queue depths,
 	// per-shard fabric balance) the sweep table cannot show.
-	wantReport := *reportOut != "" || *tsOut != "" || obsSrv != nil
-	cfg.Series = wantReport
+	cfg.Series = ob.WantReport()
 	fmt.Printf("Heavy tenancy: Zipf-skewed multi-communicator matching, seed %d\n", *faultSeed)
 	rows := bench.RunTenancy(cfg)
 	bench.RenderTenancy(os.Stdout, rows)
 	fmt.Println()
-	if wantReport {
-		emitReport(&obs.Report{
+	if cfg.Series {
+		ob.Check(ob.PublishReport(&obs.Report{
 			Title:  fmt.Sprintf("alpusim tenancy sweep (seed %d)", *faultSeed),
 			Series: bench.MergedTenancySeries(rows),
-		})
+		}), 1)
 	}
 }
 
 func anchors() {
-	obsLabel("anchors")
+	ob.Progress.SetLabel("anchors")
 	fmt.Println("Measured vs published anchors (§VI-B, §VI-C)")
 	qls := []int{0, 5, 25, 50, 100, 150, 200, 350, 400, 450, 500}
 	base := bench.RunPreposted(bench.PrepostedConfig{

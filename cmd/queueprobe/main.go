@@ -13,7 +13,9 @@
 //	occupancy | tags | stats      inspect the device
 //
 // Responses are printed as they appear in the result FIFO, with
-// simulated timestamps.
+// simulated timestamps. A field out of its match-word width (context
+// 11 bits, source 15, tag 16; §VI-A) or an alputag that is not an
+// unsigned 32-bit value rejects the command instead of wrapping.
 //
 //	queueprobe [-cells 128] [-block 16] [-variant posted|unexpected] [-demo]
 //	           [-trace FILE] [-metrics FILE]
@@ -27,39 +29,36 @@
 // queueprobe re-publishes the device counters to /metrics after every
 // command. The run-report endpoints answer 503 here — single-device
 // probing has no world to report on; they are alpusim's and
-// queuestudy's.
+// queuestudy's. -trace, -metrics, -serve, -linger, -cpuprofile and
+// -memprofile are the shared observability flags of internal/obs
+// (obs.CLI). A -variant other than posted or unexpected exits 2.
 package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
-
-	"flag"
 
 	"alpusim/internal/alpu"
 	"alpusim/internal/match"
 	"alpusim/internal/obs"
-	"alpusim/internal/profiling"
+	"alpusim/internal/params"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
 )
 
 var (
-	cells      = flag.Int("cells", 128, "total cells")
-	block      = flag.Int("block", 16, "cells per block (power of 2)")
-	variant    = flag.String("variant", "posted", "posted or unexpected")
-	demo       = flag.Bool("demo", false, "run the built-in demo script")
-	tracePath  = flag.String("trace", "", "write Chrome trace-event JSON to this file (\"-\" = stdout)")
-	metricsOut = flag.String("metrics", "", "write the device metrics snapshot JSON to this file (\"-\" = stdout)")
-	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-	serveAddr  = flag.String("serve", "", "serve the live observability plane (/metrics, /healthz, /progress, /critpath, /report, /timeseries) on this address; the device counters are re-published after every command")
-	linger     = flag.Duration("linger", 0, "with -serve: keep the observability server up this long after the session ends")
+	cells   = flag.Int("cells", 128, "total cells")
+	block   = flag.Int("block", 16, "cells per block (power of 2)")
+	variant = flag.String("variant", "posted", "posted or unexpected")
+	demo    = flag.Bool("demo", false, "run the built-in demo script")
+
+	ob = obs.NewCLI("queueprobe", flag.CommandLine,
+		obs.FlagTrace|obs.FlagMetrics|obs.FlagServe|obs.FlagProfile)
 )
 
 const demoScript = `start
@@ -77,32 +76,33 @@ occupancy
 stats
 `
 
+// parseVariant maps -variant to the device variant it names.
+func parseVariant(s string) (alpu.Variant, error) {
+	switch s {
+	case "posted":
+		return alpu.PostedReceives, nil
+	case "unexpected":
+		return alpu.UnexpectedMessages, nil
+	}
+	return 0, fmt.Errorf("-variant %q: want posted or unexpected", s)
+}
+
 func main() {
 	flag.Parse()
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "queueprobe:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	v := alpu.PostedReceives
-	if strings.HasPrefix(*variant, "unexp") {
-		v = alpu.UnexpectedMessages
-	}
+	v, err := parseVariant(*variant)
+	ob.Check(err, 2)
+	ob.Check(ob.Start(), 1)
 	cfg := alpu.DefaultConfig(v, *cells)
 	cfg.Geometry.BlockSize = *block
 	var tracer *telemetry.Tracer
-	if *tracePath != "" {
+	if ob.Want(obs.FlagTrace) {
 		tracer = telemetry.NewTracer()
 		tracer.NameProcess(0, "alpu")
 		cfg.Tracer = tracer
 	}
 	eng := sim.NewEngine()
 	dev, err := alpu.NewDevice(eng, "alpu", cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "queueprobe:", err)
-		os.Exit(1)
-	}
+	ob.Check(err, 1)
 	fmt.Printf("ALPU %s: %d cells, block %d, %d-cycle pipeline at %.0f MHz\n",
 		v, *cells, *block, cfg.MatchCycles, cfg.Clock.Freq())
 
@@ -110,25 +110,15 @@ func main() {
 	// directly: after each command settles, the counters are harvested
 	// into a frozen snapshot the scrape handler serves from behind its
 	// own lock.
-	var srv *obs.Server
 	publish := func() {
-		if srv == nil {
+		if ob.Server == nil {
 			return
 		}
 		reg := telemetry.NewRegistry()
 		dev.Publish(reg, "alpu")
-		srv.SetSnapshot(reg.Snapshot())
+		ob.Server.SetSnapshot(reg.Snapshot())
 	}
-	if *serveAddr != "" {
-		srv = obs.NewServer(obs.Options{})
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "queueprobe: -serve:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "queueprobe: observability plane on http://%s\n", addr)
-		publish()
-	}
+	publish()
 
 	var in *bufio.Scanner
 	if *demo {
@@ -165,52 +155,26 @@ func main() {
 		}
 		publish()
 	}
-	if *tracePath != "" {
-		if err := writeOutput(*tracePath, tracer.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "queueprobe: -trace:", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsOut != "" {
+	ob.Check(ob.Emit(obs.FlagTrace, tracer.WriteJSON), 1)
+	ob.Check(ob.Emit(obs.FlagMetrics, func(w io.Writer) error {
 		reg := telemetry.NewRegistry()
 		dev.Publish(reg, "alpu")
-		if err := writeOutput(*metricsOut, reg.Snapshot().WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "queueprobe: -metrics:", err)
-			os.Exit(1)
-		}
-	}
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "queueprobe: session done; serving for another %v\n", *linger)
-			time.Sleep(*linger)
-		}
-		srv.Close()
-	}
+		return reg.Snapshot().WriteJSON(w)
+	}), 1)
+	ob.Close("session")
 }
 
-// writeOutput writes to path via write, with "-" meaning stdout.
-func writeOutput(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// field parses a decimal or the wildcard "*".
-func field(s string) (int32, bool, error) {
+// field parses a decimal match field of the given bit width, or the
+// wildcard "*".
+func field(s string, bits int) (v int32, wild bool, err error) {
 	if s == "*" {
 		return 0, true, nil
 	}
-	v, err := strconv.Atoi(s)
-	return int32(v), false, err
+	u, err := strconv.ParseUint(s, 10, bits)
+	if err != nil {
+		return 0, false, fmt.Errorf("%q: want 0..%d or *", s, 1<<bits-1)
+	}
+	return int32(u), false, nil
 }
 
 func exec(eng *sim.Engine, dev *alpu.Device, line string) error {
@@ -230,9 +194,9 @@ func exec(eng *sim.Engine, dev *alpu.Device, line string) error {
 		if err != nil {
 			return err
 		}
-		t, err := strconv.Atoi(parts[4])
+		t, err := strconv.ParseUint(parts[4], 10, 32)
 		if err != nil {
-			return err
+			return fmt.Errorf("alputag %q: want an unsigned 32-bit value", parts[4])
 		}
 		dev.PushCommand(alpu.Command{Op: alpu.OpInsert, Bits: bits, Mask: mask, Tag: uint32(t)})
 	case "probe":
@@ -257,17 +221,20 @@ func exec(eng *sim.Engine, dev *alpu.Device, line string) error {
 }
 
 func parseTriple(f []string) (match.Bits, match.Bits, error) {
-	ctx, ctxWild, err := field(f[0])
-	if err != nil || ctxWild {
+	ctx, ctxWild, err := field(f[0], params.ContextBits)
+	if err != nil {
+		return 0, 0, fmt.Errorf("context %w", err)
+	}
+	if ctxWild {
 		return 0, 0, fmt.Errorf("context must be explicit (§II): %q", f[0])
 	}
-	src, srcWild, err := field(f[1])
+	src, srcWild, err := field(f[1], params.SourceBits)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("source %w", err)
 	}
-	tag, tagWild, err := field(f[2])
+	tag, tagWild, err := field(f[2], params.TagFieldBits)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("tag %w", err)
 	}
 	r := match.Recv{Context: uint16(ctx), Source: src, Tag: tag}
 	if srcWild {

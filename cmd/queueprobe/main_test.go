@@ -1,0 +1,89 @@
+package main
+
+import (
+	"flag"
+	"strings"
+	"testing"
+
+	"alpusim/internal/alpu"
+	"alpusim/internal/match"
+	"alpusim/internal/sim"
+)
+
+func TestParseTriple(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want match.Recv
+		ok   bool
+	}{
+		{"1 3 7", match.Recv{Context: 1, Source: 3, Tag: 7}, true},
+		{"1 * *", match.Recv{Context: 1, Source: match.AnySource, Tag: match.AnyTag}, true},
+		{"2047 32767 65535", match.Recv{Context: 2047, Source: 32767, Tag: 65535}, true},
+		{"* 1 1", match.Recv{}, false}, // the context is never a wildcard (§II)
+		{"2048 1 1", match.Recv{}, false},
+		{"1 32768 1", match.Recv{}, false},
+		{"1 99999999999 7", match.Recv{}, false},
+		{"1 -5 7", match.Recv{}, false},
+		{"1 1 65536", match.Recv{}, false},
+		{"1 1 -1", match.Recv{}, false},
+		{"x 1 1", match.Recv{}, false},
+	} {
+		bits, mask, err := parseTriple(strings.Fields(c.in))
+		if (err == nil) != c.ok {
+			t.Errorf("parseTriple(%q) = %v, want ok=%v", c.in, err, c.ok)
+			continue
+		}
+		if wb, wm := match.PackRecv(c.want); c.ok && (bits != wb || mask != wm) {
+			t.Errorf("parseTriple(%q) = %#x/%#x, want %#x/%#x", c.in, bits, mask, wb, wm)
+		}
+	}
+}
+
+func TestExecRejectsBadAlputag(t *testing.T) {
+	eng := sim.NewEngine()
+	dev, err := alpu.NewDevice(eng, "alpu", alpu.DefaultConfig(alpu.PostedReceives, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"insert 1 1 7 -5", "insert 1 1 7 4294967296", "insert 1 99999999999 7 5"} {
+		if err := exec(eng, dev, line); err == nil {
+			t.Errorf("exec(%q) accepted", line)
+		}
+	}
+	if err := exec(eng, dev, "insert 1 1 7 4294967295"); err != nil {
+		t.Errorf("exec of the largest alputag: %v", err)
+	}
+}
+
+func TestParseVariant(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want alpu.Variant
+		ok   bool
+	}{
+		{"posted", alpu.PostedReceives, true},
+		{"unexpected", alpu.UnexpectedMessages, true},
+		{"bogus", 0, false},
+		{"", 0, false},
+	} {
+		v, err := parseVariant(c.in)
+		if (err == nil) != c.ok || (c.ok && v != c.want) {
+			t.Errorf("parseVariant(%q) = %v, %v; want %v ok=%v", c.in, v, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestFlagSurface pins the registered flags: the shared observability
+// block must not add or drop an option of this cmd.
+func TestFlagSurface(t *testing.T) {
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	want := "block cells cpuprofile demo linger memprofile metrics serve trace variant"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("flags:\n got %s\nwant %s", s, want)
+	}
+}

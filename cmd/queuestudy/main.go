@@ -25,13 +25,18 @@
 // are byte-identical at any -jobs setting.
 //
 // -serve ADDR runs the observability HTTP server while the studies run
-// (/metrics, /healthz, /progress, /critpath, /report, /timeseries); with
-// -report data collected, the run report and series are published on
-// /report and /timeseries once the studies finish.
+// (/metrics, /healthz, /progress, /critpath, /report, /timeseries); the
+// run report and series are published on /report and /timeseries once
+// the studies finish. -linger keeps it up afterwards; -cpuprofile and
+// -memprofile profile the simulator itself. These are the shared
+// observability flags of internal/obs (obs.CLI), with the same meaning
+// as in alpusim and queueprobe.
 //
 // -par N splits every study world into N per-rank partitions run as a
 // conservative parallel simulation (see alpusim -help); every output is
 // byte-identical for any -par N >= 1, with 0 keeping the serial engine.
+//
+// A malformed -ranks, -cells, -par or -faults value exits 2.
 package main
 
 import (
@@ -42,12 +47,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
-	"alpusim/internal/profiling"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
 	"alpusim/internal/sweep"
@@ -65,14 +68,10 @@ var (
 	faultSpec  = flag.String("faults", "", "fault model: a probability or class=prob pairs (see alpusim -help)")
 	faultSeed  = flag.Int64("seed", 1, "fault-injection seed")
 	breakdown  = flag.Bool("breakdown", false, "report mean per-message latency phases per study")
-	tracePath  = flag.String("trace", "", "write Chrome trace-event JSON to this file (\"-\" = stdout)")
-	metricsOut = flag.String("metrics", "", "write the merged metrics snapshot JSON to this file (\"-\" = stdout)")
-	reportOut  = flag.String("report", "", "write the self-contained HTML run report to this file (\"-\" = stdout); with -serve it is also published at /report")
-	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-	serveAddr  = flag.String("serve", "", "serve the live observability plane (/metrics, /healthz, /progress, /critpath, /report, /timeseries) on this address while the studies run")
-	linger     = flag.Duration("linger", 0, "with -serve: keep the observability server up this long after the studies finish")
 	flightSize = flag.Int("flightsize", 0, "flight-recorder ring capacity in events per study world (0 = default when a watchdog is armed; < 0 disables the recorder)")
+
+	ob = obs.NewCLI("queuestudy", flag.CommandLine,
+		obs.FlagTrace|obs.FlagMetrics|obs.FlagReport|obs.FlagServe|obs.FlagProfile)
 )
 
 // faultyWatchdog bounds each study world when faults are injected; the
@@ -104,45 +103,38 @@ func runners() []runner {
 	}
 }
 
-// checkFlags rejects flag values no study can run with.
-func checkFlags(cells, par int) error {
+// checkFlags rejects flag values no study can run with and returns the
+// parsed -ranks list and -faults model (nil without -faults).
+func checkFlags(cells, par int, ranksSpec, faultSpec string, seed int64) ([]int, *network.FaultModel, error) {
 	if cells < 0 {
-		return fmt.Errorf("-cells %d: ALPU cell count must not be negative", cells)
+		return nil, nil, fmt.Errorf("-cells %d: ALPU cell count must not be negative", cells)
 	}
 	if par < 0 {
-		return fmt.Errorf("-par %d: partition count must not be negative", par)
+		return nil, nil, fmt.Errorf("-par %d: partition count must not be negative", par)
 	}
-	return nil
+	var ranks []int
+	for _, part := range strings.Split(ranksSpec, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 2 {
+			return nil, nil, fmt.Errorf("-ranks %q: want comma-separated process counts of at least 2", ranksSpec)
+		}
+		ranks = append(ranks, v)
+	}
+	fm, err := network.ParseFaults(faultSpec, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-faults: %w", err)
+	}
+	return ranks, fm, nil
 }
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*cells, *parFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "queuestudy:", err)
-		os.Exit(2)
-	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "queuestudy:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
+	ranks, fm, err := checkFlags(*cells, *parFlag, *ranksFlag, *faultSpec, *faultSeed)
+	ob.Check(err, 2)
+	ob.Check(ob.Start(), 1)
+	ob.Progress.SetLabel("queuestudy")
 	if *jobsFlag < 1 {
 		*jobsFlag = runtime.GOMAXPROCS(0)
-	}
-	var ranks []int
-	for _, part := range strings.Split(*ranksFlag, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 2 {
-			fmt.Fprintln(os.Stderr, "queuestudy: bad -ranks")
-			os.Exit(1)
-		}
-		ranks = append(ranks, v)
-	}
-	fm, err := network.ParseFaults(*faultSpec, *faultSeed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "queuestudy: -faults: %v\n", err)
-		os.Exit(1)
 	}
 	var opts []workloads.Option
 	if fm != nil {
@@ -153,19 +145,6 @@ func main() {
 	}
 	if *flightSize != 0 {
 		opts = append(opts, workloads.WithFlightEvents(*flightSize))
-	}
-	var srv *obs.Server
-	if *serveAddr != "" {
-		progress := sweep.NewProgress()
-		progress.SetLabel("queuestudy")
-		sweep.SetProgress(progress)
-		srv = obs.NewServer(obs.Options{Progress: progress})
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "queuestudy: -serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "queuestudy: observability plane on http://%s\n", addr)
 	}
 
 	fmt.Printf("Application queue study (refs [8]/[9] methodology), ALPU cells=%d\n", *cells)
@@ -189,7 +168,7 @@ func main() {
 	var runs []func() workloads.Report
 	// Per-run recorders (lifecycle, tracer, sampler), indexed like runs:
 	// each world owns its recorders; outputs merge in enumeration order.
-	wantReport := *reportOut != "" || srv != nil
+	wantReport := ob.WantReport()
 	var phases []*telemetry.Causal
 	var tracers []*telemetry.Tracer
 	var samplers []*telemetry.Sampler
@@ -201,7 +180,7 @@ func main() {
 		if *breakdown {
 			p = telemetry.NewCausal()
 		}
-		if *tracePath != "" {
+		if ob.Want(obs.FlagTrace) {
 			tr = telemetry.NewTracer()
 		}
 		if wantReport {
@@ -234,9 +213,9 @@ func main() {
 	for i := range studies {
 		studies[i].base, studies[i].accel = reports[2*i], reports[2*i+1]
 	}
-	if srv != nil {
+	if ob.Server != nil {
 		for _, rep := range reports {
-			srv.MergeSnapshot(rep.Telemetry)
+			ob.Server.MergeSnapshot(rep.Telemetry)
 		}
 	}
 
@@ -325,28 +304,14 @@ func main() {
 		bt.Render(os.Stdout)
 		fmt.Println()
 	}
-	if *tracePath != "" {
-		err := writeOutput(*tracePath, func(w io.Writer) error {
-			return telemetry.WriteTrace(w, tracers...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "queuestudy: -trace: %v\n", err)
-			os.Exit(1)
-		}
+	ob.Check(ob.Emit(obs.FlagTrace, func(w io.Writer) error {
+		return telemetry.WriteTrace(w, tracers...)
+	}), 1)
+	var merged telemetry.Snapshot
+	for _, rep := range reports {
+		merged.Merge(rep.Telemetry)
 	}
-	if *metricsOut != "" {
-		var merged telemetry.Snapshot
-		for _, rep := range reports {
-			merged.Merge(rep.Telemetry)
-		}
-		err := writeOutput(*metricsOut, func(w io.Writer) error {
-			return merged.WriteJSON(w)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "queuestudy: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	ob.Check(ob.Emit(obs.FlagMetrics, merged.WriteJSON), 1)
 	if wantReport {
 		// Fold the per-run samplers under study-scoped prefixes
 		// ("halo/r8/alpu/..."), as the waterline names in the report. The
@@ -364,51 +329,11 @@ func main() {
 		for _, p := range phases {
 			totals.Merge(p.Totals())
 		}
-		var merged telemetry.Snapshot
-		for _, rep := range reports {
-			merged.Merge(rep.Telemetry)
-		}
-		rep := &obs.Report{Title: title, Series: series, Phases: totals, Snapshot: merged}
-		html, tsJSON := rep.HTML(), rep.TimeseriesJSON()
-		if *reportOut != "" {
-			err := writeOutput(*reportOut, func(w io.Writer) error {
-				_, err := w.Write(html)
-				return err
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "queuestudy: -report: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if srv != nil {
-			srv.SetReport(html, tsJSON)
-		}
+		ob.Check(ob.PublishReport(&obs.Report{Title: title, Series: series, Phases: totals, Snapshot: merged}), 1)
 	}
 	fmt.Println("Reading the table: queue depth and match depth grow with the process")
 	fmt.Println("count for manager/worker and storm patterns (the paper's motivation);")
 	fmt.Println("the ALPU collapses software traversals and pays off exactly there,")
 	fmt.Println("while staying near-neutral for short-queue nearest-neighbour codes.")
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "queuestudy: studies done; serving for another %v\n", *linger)
-			time.Sleep(*linger)
-		}
-		srv.Close()
-	}
-}
-
-// writeOutput writes to path via write, with "-" meaning stdout.
-func writeOutput(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	ob.Close("studies")
 }

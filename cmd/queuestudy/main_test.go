@@ -1,22 +1,52 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"strings"
+	"testing"
+)
 
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		cells, par int
-		ok         bool
+		cells, par    int
+		ranks, faults string
+		ok            bool
 	}{
-		{0, 0, true}, // 0 selects the NIC's default geometry
-		{128, 0, true},
-		{128, 4, true},
-		{-1, 0, false},
-		{-5, 0, false},
-		{0, -1, false},
-		{128, -3, false},
+		{0, 0, "4,8,16", "", true}, // 0 selects the NIC's default geometry
+		{128, 0, "4", "", true},
+		{128, 4, "2, 8", "0.02", true},
+		{-1, 0, "4", "", false},
+		{-5, 0, "4", "", false},
+		{0, -1, "4", "", false},
+		{128, -3, "4", "", false},
+		{128, 0, "4,x", "", false},
+		{128, 0, "1", "", false},
+		{128, 0, "", "", false},
+		{128, 0, "4", "garbage", false},
 	} {
-		if err := checkFlags(c.cells, c.par); (err == nil) != c.ok {
-			t.Errorf("checkFlags(-cells %d -par %d) = %v, want ok=%v", c.cells, c.par, err, c.ok)
+		ranks, fm, err := checkFlags(c.cells, c.par, c.ranks, c.faults, 1)
+		if (err == nil) != c.ok {
+			t.Errorf("checkFlags(-cells %d -par %d -ranks %q -faults %q) = %v, want ok=%v",
+				c.cells, c.par, c.ranks, c.faults, err, c.ok)
 		}
+		if err == nil && (len(ranks) == 0 || (fm != nil) != (c.faults != "")) {
+			t.Errorf("checkFlags(-ranks %q -faults %q) = %v, %v", c.ranks, c.faults, ranks, fm)
+		}
+	}
+}
+
+// TestFlagSurface pins the registered flags: the shared observability
+// block must not add or drop an option of this cmd.
+func TestFlagSurface(t *testing.T) {
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	want := "breakdown cells cpuprofile faults flightsize jobs linger memprofile metrics par " +
+		"ranks report seed serve shards trace workload"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("flags:\n got %s\nwant %s", s, want)
 	}
 }

@@ -49,12 +49,6 @@ func (k NICKind) String() string {
 	}
 }
 
-// PerCycleALPU, when set before building configs, forces the per-cycle
-// ALPU reference model on every NICConfig result (the alpusim -percycle
-// flag). The batched fast path and the reference model are bit-identical
-// in observable behaviour; oracle_test.go enforces it per kind.
-var PerCycleALPU bool
-
 // WorldObserver, when set before any sweep starts, receives every
 // benchmark world after it has drained — the live observability hook:
 // alpusim -serve wires it to fold each world's telemetry snapshot into
@@ -76,9 +70,9 @@ func observeWorld(w *mpi.World) {
 func NICConfig(k NICKind) nic.Config {
 	switch k {
 	case ALPU128:
-		return nic.Config{UseALPU: true, Cells: 128, PerCycleALPU: PerCycleALPU}
+		return nic.Config{UseALPU: true, Cells: 128}
 	case ALPU256:
-		return nic.Config{UseALPU: true, Cells: 256, PerCycleALPU: PerCycleALPU}
+		return nic.Config{UseALPU: true, Cells: 256}
 	default:
 		return nic.Config{}
 	}

@@ -108,18 +108,9 @@ func RunCritPath(cfg CritPathConfig) []CritPathPoint {
 		}
 		lat, _ := prepostedPoint(pc, c.q, c.q)
 		rep, _ := pc.Causal.Analyze(cfg.topK())
-		pt := CritPathPoint{Kind: c.kind, QueueLen: c.q, Latency: lat, Report: rep}
-		if f := CritPathObserver; f != nil {
-			f(pt.Label(), rep)
-		}
-		return pt
+		return CritPathPoint{Kind: c.kind, QueueLen: c.q, Latency: lat, Report: rep}
 	})
 }
-
-// CritPathObserver, when set before RunCritPath, receives every cell's
-// causal report after its world drained — the obs-server hook feeding
-// /critpath. Called from sweep workers; must be safe for concurrent use.
-var CritPathObserver func(label string, rep telemetry.CausalReport)
 
 // permilleStr renders a permille share as a fixed-point percentage
 // ("12.3%"), keeping the output integer-deterministic.

@@ -99,7 +99,7 @@ func matchLatNs(rep workloads.Report, p float64) int64 {
 // its row. shards == 0 with alpuOn == false is the software-list
 // reference; shards <= 1 with alpuOn is the single-ALPU baseline.
 func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) TenancyRow {
-	nc := nic.Config{UseALPU: alpuOn, PerCycleALPU: PerCycleALPU}
+	nc := nic.Config{UseALPU: alpuOn}
 	if alpuOn {
 		nc.Cells = cfg.Cells
 	}
@@ -121,9 +121,9 @@ func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) Te
 	row := TenancyRow{
 		Config: name, Shards: nc.MatchShards, Digest: rep.Digest,
 		Elapsed: rep.Elapsed, PeakPosted: rep.PeakPosted,
-		P50: matchLatNs(rep.Report, 0.5),
-		P95: matchLatNs(rep.Report, 0.95),
-		P99: matchLatNs(rep.Report, 0.99),
+		P50:    matchLatNs(rep.Report, 0.5),
+		P95:    matchLatNs(rep.Report, 0.95),
+		P99:    matchLatNs(rep.Report, 0.99),
 		Series: sa,
 	}
 	if nc.MatchShards > 1 {
@@ -249,7 +249,7 @@ func WriteTenancyOutcomes(out io.Writer, p workloads.TenancyParams, rep workload
 // plan RunTenancy uses and returns its report for WriteTenancyOutcomes.
 func TenancyOutcomes(cfg TenancyBenchConfig, shards int) (workloads.TenancyParams, workloads.TenancyReport) {
 	cfg.norm()
-	nc := nic.Config{UseALPU: true, Cells: cfg.Cells, PerCycleALPU: PerCycleALPU}
+	nc := nic.Config{UseALPU: true, Cells: cfg.Cells}
 	if shards > 1 {
 		nc.MatchShards = shards
 	}

@@ -1,0 +1,89 @@
+package obs
+
+import (
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"alpusim/internal/sweep"
+)
+
+// TestCLISinks drives every sink of the block through one run: the file
+// sinks, the report fan-out to files and server, -log and both profiles.
+func TestCLISinks(t *testing.T) {
+	t.Cleanup(func() { sweep.SetProgress(nil) })
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := NewCLI("test", fs, FlagTrace|FlagMetrics|FlagReport|FlagTimeseries|FlagSimProf|FlagLog|FlagServe|FlagProfile)
+	err := fs.Parse([]string{
+		"-trace", path("trace.json"), "-report", path("report.html"), "-timeseries", path("ts.json"),
+		"-log", path("diag.log"), "-serve", "127.0.0.1:0",
+		"-cpuprofile", path("cpu.pprof"), "-memprofile", path("mem.pprof"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Log == nil || c.Server == nil || c.Progress == nil {
+		t.Fatalf("Start left Log=%v Server=%v Progress=%v", c.Log, c.Server, c.Progress)
+	}
+	if !c.Want(FlagTrace) || !c.Want(FlagMetrics|FlagTrace) || c.Want(FlagMetrics|FlagSimProf) || !c.WantReport() {
+		t.Error("Want/WantReport disagree with the parsed flags")
+	}
+
+	if err := c.Emit(FlagTrace, func(w io.Writer) error {
+		_, err := io.WriteString(w, "trace-bytes")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Emit(FlagMetrics, func(io.Writer) error {
+		t.Error("Emit wrote an unset sink")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep := reportFixture()
+	if err := c.PublishReport(rep); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := get(t, "http://"+c.Server.Addr()+"/report")
+	c.Log.Info("diagnostic")
+	c.Close("test")
+
+	for name, want := range map[string]string{
+		"trace.json":  "trace-bytes",
+		"report.html": string(rep.HTML()),
+		"ts.json":     string(rep.TimeseriesJSON()),
+	} {
+		if got, err := os.ReadFile(path(name)); err != nil || string(got) != want {
+			t.Errorf("%s = %.40q, %v; want %.40q", name, got, err, want)
+		}
+	}
+	if body != string(rep.HTML()) {
+		t.Error("/report does not serve the published report")
+	}
+	for _, name := range []string{"diag.log", "cpu.pprof", "mem.pprof"} {
+		if fi, err := os.Stat(path(name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", name, err)
+		}
+	}
+}
+
+func TestCLIEmitErrorNamesFlag(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := NewCLI("test", fs, FlagMetrics)
+	if err := fs.Parse([]string{"-metrics", filepath.Join(t.TempDir(), "missing", "m.json")}); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Emit(FlagMetrics, func(io.Writer) error { return nil })
+	if err == nil || !strings.HasPrefix(err.Error(), "-metrics: ") {
+		t.Errorf("Emit into a missing directory = %v, want a -metrics error", err)
+	}
+}

@@ -1,6 +1,9 @@
-// Package obs is the live observability plane: a Prometheus text
-// renderer for telemetry snapshots and an opt-in HTTP server exposing
-// /metrics, /healthz and /progress while experiments run.
+// Package obs is the cmds' observability layer: the one flag block
+// (CLI) that alpusim, queuestudy and queueprobe share for their file
+// sinks, profiles, -log and -serve; a Prometheus text renderer for
+// telemetry snapshots; the static run report; and an opt-in HTTP server
+// exposing /metrics, /healthz, /progress, /critpath, /report and
+// /timeseries while a run lasts.
 //
 // Everything here is host-side and strictly read-only with respect to
 // the simulated worlds: the server observes frozen telemetry.Snapshot

@@ -23,10 +23,6 @@ type Options struct {
 	// Progress, when set, backs /progress and the sweep gauges on
 	// /metrics.
 	Progress *sweep.Progress
-	// Snapshot, when set, supplies the complete current snapshot on every
-	// scrape (single-world tools like queueprobe). When nil the server
-	// renders the running merge fed through MergeSnapshot/SetSnapshot.
-	Snapshot func() telemetry.Snapshot
 	// Log receives server diagnostics (never written to stdout, which
 	// belongs to experiment output).
 	Log *slog.Logger
@@ -81,7 +77,10 @@ func (s *Server) SetSnapshot(sn telemetry.Snapshot) {
 
 // AddCritPath appends a finished world's causal critical-path report to
 // the read-only /critpath endpoint, under a label naming the world
-// (e.g. "alpu-128 q=96"). Safe from any goroutine.
+// (e.g. "alpu-128 q=96"). /critpath lists the reports in the order they
+// were added, so a caller that wants bytes independent of worker
+// scheduling adds them after its sweep, in enumeration order. Safe from
+// any goroutine.
 func (s *Server) AddCritPath(label string, rep telemetry.CausalReport) {
 	s.mu.Lock()
 	s.critpath = append(s.critpath, namedCritPath{Label: label, Report: rep})
@@ -213,17 +212,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var buf bytes.Buffer
-	if s.opts.Snapshot != nil {
-		WriteProm(&buf, s.opts.Snapshot())
-	} else {
-		// Render under the lock: Merge mutates the maps WriteProm reads.
-		s.mu.Lock()
-		err := WriteProm(&buf, s.merged)
-		s.mu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	// Render under the lock: Merge mutates the maps WriteProm reads.
+	s.mu.Lock()
+	err := WriteProm(&buf, s.merged)
+	s.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	s.writeHostMetrics(&buf)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -219,7 +219,7 @@ func TestServerCritPath(t *testing.T) {
 		t.Fatalf("/critpath not JSON after AddCritPath: %v", err)
 	}
 	if len(doc.Worlds) != 2 || doc.Worlds[0].Label != "baseline q=8" {
-		t.Fatalf("worlds = %+v, want 2 in arrival order", doc.Worlds)
+		t.Fatalf("worlds = %+v, want 2 in the order added", doc.Worlds)
 	}
 	if doc.Worlds[0].Report.CriticalPath != rep.CriticalPath {
 		t.Errorf("served critical path %v, want %v",
