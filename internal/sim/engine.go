@@ -93,12 +93,17 @@ type Engine struct {
 	arena   []event            // current arena block feeding the free path
 	stopped bool
 
+	// horizon bounds inline wakes (see inlineWake): maxTime under Run, t
+	// under RunBefore(t), zero when no run loop is active.
+	horizon Time
+
 	// procFailure holds a panic captured from a co-simulated process
 	// goroutine, re-raised on the engine goroutine by Process.run.
 	procFailure *ProcessPanic
 
 	// Stats.
 	executed uint64
+	switches uint64 // goroutine handoffs into co-simulated processes
 
 	// pollers counts pending housekeeping events scheduled with
 	// SchedulePoll — watchdog checks, telemetry samplers. They are
@@ -124,8 +129,14 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Executed reports how many events have fired so far.
+// Executed reports how many events have fired so far. A Sleep wake taken
+// inline counts as the event it stands for.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Switches reports how many times the engine has handed control to a
+// co-simulated process: each start and each resume from a park. A Sleep
+// wake taken inline costs none.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // alloc takes an event object off the free list, refilling it from the
 // arena when empty.
@@ -335,9 +346,34 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain or Stop is called.
+// inlineWake reports whether an ordinary event scheduled now for t would
+// be the next one the active run loop pops, and if so advances exactly
+// what push and Step would have (sequence, clock, LastModel, Executed)
+// without touching the queue. That holds when t is below the run loop's
+// horizon, Stop has not been called, and no pending event sorts before
+// (t, 0, seq+1): the head is later than t, or a delivery at t.
+func (e *Engine) inlineWake(t Time) bool {
+	if t >= e.horizon || e.stopped {
+		return false
+	}
+	if len(e.events) > 0 {
+		if h := e.events[0]; h.at < t || h.at == t && h.k1 < deliveryClass {
+			return false
+		}
+	}
+	e.seq++
+	e.now, e.lastModel = t, t
+	e.executed++
+	return true
+}
+
+// Run executes events until none remain or Stop is called. While it runs,
+// a process's Sleep whose wake is the next event continues inline (see
+// Process.Sleep); the order of events is the one Step alone produces.
 func (e *Engine) Run() {
 	e.stopped = false
+	e.horizon = maxTime
+	defer e.endRun()
 	for !e.stopped && e.Step() {
 	}
 }
@@ -346,9 +382,12 @@ func (e *Engine) Run() {
 // It does not advance the clock to t — the partition runner calls it
 // repeatedly with growing conservative horizons, and the clock must
 // stay at the last executed event so late-injected deliveries (which are
-// guaranteed to land at or after it) remain schedulable.
+// guaranteed to land at or after it) remain schedulable. t is also the
+// bound below which Sleep wakes may be taken inline.
 func (e *Engine) RunBefore(t Time) {
 	e.stopped = false
+	e.horizon = t
+	defer e.endRun()
 	for !e.stopped {
 		at, ok := e.PeekTime()
 		if !ok || at >= t {
@@ -357,6 +396,10 @@ func (e *Engine) RunBefore(t Time) {
 		e.Step()
 	}
 }
+
+// endRun clears the horizon on every exit from Run and RunBefore, panics
+// included, so a bare Step never takes a wake inline.
+func (e *Engine) endRun() { e.horizon = 0 }
 
 // Stop makes Run/RunBefore return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }

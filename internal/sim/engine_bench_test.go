@@ -54,3 +54,31 @@ func BenchmarkQueueMicro(b *testing.B) {
 		b.Run(c.Name, c.Bench)
 	}
 }
+
+// BenchmarkProcessSleep measures one Sleep of a co-simulated process under
+// Run. alone: the wake is always the next event, so Sleep takes it inline
+// with no goroutine handoff. contended: a rival sleeper's wake is always
+// pending first, so every Sleep parks and is resumed through the queue —
+// two channel handoffs plus a heap push and pop. One op there is one Sleep
+// of each of the two processes.
+func BenchmarkProcessSleep(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		procs int
+	}{{"alone", 1}, {"contended", 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := NewEngine()
+			n := b.N
+			for i := 0; i < c.procs; i++ {
+				e.Spawn("sleeper", func(p *Process) {
+					for j := 0; j < n; j++ {
+						p.Sleep(Nanosecond)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}

@@ -37,6 +37,7 @@ type Process struct {
 	yield  chan struct{}
 	done   bool
 	parked bool   // true while suspended awaiting a wake event
+	asleep bool   // parked in Sleep: only its own timer may resume it
 	gen    uint64 // increments on every wake; stale wake events are dropped
 }
 
@@ -79,6 +80,19 @@ func (p *Process) wakeFn() func() {
 	return func() { p.run(gen) }
 }
 
+// signalWakeFn is wakeFn for a signal waiter. A waiter list can hold a
+// process that has since moved on (WaitCondAny leaves it on the signal
+// that did not fire); if that process is asleep when the wake fires, the
+// wake is not its own and is dropped, so a Sleep is never cut short.
+func (p *Process) signalWakeFn() func() {
+	gen := p.gen
+	return func() {
+		if !p.asleep {
+			p.run(gen)
+		}
+	}
+}
+
 // run hands control to the process and waits for it to park or finish.
 // It must only be called from an engine event.
 func (p *Process) run(gen uint64) {
@@ -87,6 +101,7 @@ func (p *Process) run(gen uint64) {
 	}
 	p.parked = false
 	p.gen++
+	p.eng.switches++
 	p.resume <- struct{}{}
 	<-p.yield
 	if f := p.eng.procFailure; f != nil {
@@ -118,16 +133,27 @@ func (p *Process) Done() bool { return p.done }
 // Sleep advances the process's local time by d, yielding to the simulation.
 // Sleep(0) yields without advancing time (other events at the same instant
 // that were scheduled earlier run first).
+//
+// When the wake would be the very next event the active Run or RunBefore
+// pops, nothing can run in between, so Sleep takes it inline: the clock,
+// counters and generation advance as the real wake would advance them, and
+// the process keeps running without a goroutine handoff. Under a bare
+// Step, or once Stop is called, every wake goes through the queue.
 func (p *Process) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
 	}
+	if p.eng.inlineWake(p.eng.now + d) {
+		p.gen++
+		return
+	}
 	// The park below is what the scheduled wake resumes: stamp the wake
 	// with the post-park generation.
-	p.parked = true
+	p.parked, p.asleep = true, true
 	p.eng.Schedule(d, p.wakeFn())
 	p.yield <- struct{}{}
 	<-p.resume
+	p.asleep = false
 }
 
 // WaitSignal parks the process until s is raised. If s is already raised the
@@ -152,7 +178,9 @@ func (p *Process) WaitCond(s *Signal, cond func() bool) {
 // WaitCondAny parks the process, re-testing cond each time either signal
 // is raised, until cond is true. cond is also tested immediately. The
 // process joins both waiter lists; whichever Raise comes first wakes it,
-// and the other signal's wake is dropped by the generation guard.
+// and the other signal's wake is dropped by the generation guard. The
+// process stays on the other signal's list; a later Raise of it wakes the
+// process only if it is then parked in a signal wait, never out of a Sleep.
 func (p *Process) WaitCondAny(s1, s2 *Signal, cond func() bool) {
 	for !cond() {
 		s1.addWaiter(p)
@@ -215,7 +243,7 @@ func (s *Signal) Raise() {
 	ws := s.waiters
 	s.waiters = nil
 	for _, p := range ws {
-		s.eng.Schedule(0, p.wakeFn())
+		s.eng.Schedule(0, p.signalWakeFn())
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs the bench-gate benchmark set — the engine event loop, the
-# event-queue and partition-runner micro-benchmarks, the ALPU device
-# micro-benchmarks, the matching-fabric dispatch/overflow and dispatch-
-# cache micro-benchmarks, and the quick Fig. 5 sweep cuts — and appends
+# event-queue and partition-runner micro-benchmarks, the process Sleep
+# micro-benchmarks, the ALPU device micro-benchmarks, the matching-fabric
+# dispatch/overflow and dispatch-cache micro-benchmarks, and the quick
+# Fig. 5 sweep cuts — and appends
 # the raw `go test -bench` output to the given file (default
 # BENCH_CURRENT.txt). CI compares that output against the committed
 # BENCH_BASELINE.txt with cmd/benchgate; regenerate the baseline by
@@ -19,6 +20,9 @@ go test -run '^$' -bench 'BenchmarkEngineScheduleStep$' -benchtime 1s -count 3 .
 # hundreds of ns, so a fixed small iteration count would be all timer
 # noise.
 go test -run '^$' -bench 'BenchmarkQueueMicro/' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
+# Process Sleep: the inline wake (alone) and the goroutine handoff
+# (contended), tens to hundreds of ns each.
+go test -run '^$' -bench 'BenchmarkProcessSleep/' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkMicro/' -benchtime 2000x -count 3 ./internal/alpu | tee -a "$out"
 # Fabric hot paths: shard routing + overflow promote/demote are a few ns
 # to ~100 ns each, so time-based benchtime again.
