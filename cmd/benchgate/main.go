@@ -1,10 +1,10 @@
 // Command benchgate compares two `go test -bench` outputs and fails when
 // any benchmark present in both regressed by more than a threshold on
 // ns/op. It is the CI regression gate for the simulator's performance
-// work (ISSUE: cycle-batching fast path): the repository commits a
-// baseline (BENCH_BASELINE.txt) and CI re-runs the same benchmarks,
-// comparing like benchstat would but with a pass/fail verdict and no
-// external dependency.
+// work: CI runs scripts/benchgate.sh on the parent commit and on the
+// change, back to back on the same host, and compares the parent's
+// output (the baseline) with the change's, like benchstat would but with
+// a pass/fail verdict and no external dependency.
 //
 // Usage:
 //

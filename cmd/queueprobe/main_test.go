@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
+	"os"
+	osexec "os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,5 +91,41 @@ func TestFlagSurface(t *testing.T) {
 	want := "block cells cpuprofile demo linger memprofile metrics serve trace variant"
 	if s := strings.Join(got, " "); s != want {
 		t.Errorf("flags:\n got %s\nwant %s", s, want)
+	}
+}
+
+// TestMain doubles as the queueprobe binary: with QUEUEPROBE_MAIN set,
+// the test executable runs main with its own arguments, so a test can
+// drive the command end to end.
+func TestMain(m *testing.M) {
+	if os.Getenv("QUEUEPROBE_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDemoWideBlocks runs the demo script on geometries whose blocks span
+// whole 64-cell words — a block of two words, and one block covering the
+// array — and compares stdout with the goldens.
+func TestDemoWideBlocks(t *testing.T) {
+	for _, g := range []struct{ cells, block int }{{256, 128}, {256, 256}} {
+		name := fmt.Sprintf("demo-cells%d-block%d", g.cells, g.block)
+		t.Run(name, func(t *testing.T) {
+			cmd := osexec.Command(os.Args[0], "-demo",
+				"-cells", strconv.Itoa(g.cells), "-block", strconv.Itoa(g.block))
+			cmd.Env = append(os.Environ(), "QUEUEPROBE_MAIN=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("queueprobe %v: %v", cmd.Args[1:], err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout differs from testdata/%s.golden:\n%s", name, got)
+			}
+		})
 	}
 }

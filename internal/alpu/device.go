@@ -31,7 +31,9 @@ type Config struct {
 	// CompactAnyBlock widens the "space available" definition from
 	// "higher cell in this block or the lowest cell of the next block" to
 	// "any empty cell anywhere above" (§III-B discusses this as a timing
-	// trade-off). Used by the abl-compaction ablation.
+	// trade-off). That is the block rule with one block spanning the whole
+	// array, so it runs the compaction kernel's word-spanning case. Used by
+	// the abl-compaction ablation.
 	CompactAnyBlock bool
 
 	// PerCycle forces the reference stepping model: one engine event per
@@ -69,11 +71,12 @@ func DefaultConfig(v Variant, cells int) Config {
 	}
 }
 
+// cell is one cell's payload. Whether it holds data is recorded only in
+// Device.valid; the payload of an empty cell is meaningless.
 type cell struct {
-	valid bool
-	bits  match.Bits
-	mask  match.Bits
-	tag   uint32
+	bits match.Bits
+	mask match.Bits
+	tag  uint32
 	// par is the parity bit stamped over (bits, mask, tag) at insert time.
 	// A transient bit-flip leaves it stale, which is how the scrubber
 	// detects corruption. Living inside the cell, it rides every
@@ -135,26 +138,26 @@ type Device struct {
 	cells []cell
 	held  *Probe // failed match held for retry during insert mode (§III-C)
 
-	// Scratch bitmaps for the generic (per-bool) compaction step, used
-	// only when the geometry rules out the word-parallel path below.
-	validBuf []bool
-	curBuf   []bool
-
-	// Word-parallel compaction state (block size ≤ 64; the power-of-two
-	// constraint then makes blocks word-aligned). valid mirrors the cells'
-	// valid flags bit-for-bit and is maintained persistently, so a
-	// compaction step is a few shift/mask ops per 64 cells and only actual
-	// data moves touch the cell structs. nil when the geometry is
-	// unsupported, selecting the per-bool fallback everywhere.
+	// valid is the only record of which cells hold data: bit i%64 of
+	// word i/64 is cell i's valid bit. Every reader tests it and every
+	// writer sets or clears it; a compaction step is a few shift/mask ops
+	// per 64 cells (bitStep), and only actual data moves touch the cells.
 	valid    []uint64
-	moveBuf  []uint64 // scratch: per-word move masks for one step
-	lookBuf  []uint64 // scratch: bitmap copy for insert-wait lookahead
+	moveBuf  []uint64 // per-word move masks of the step in progress
+	lookBuf  []uint64 // bitmap copy stepped by the insert-wait lookahead
 	lastMask uint64   // bits of the top word that name real cells
-	lowMask  uint64   // the lowest bit of every block
-	topMask  uint64   // the top bit of every block
-	bcastMul uint64   // spreads a block-low bit across its whole block
-	sufShift []uint   // doubling shifts for the in-block suffix OR
-	sufMask  []uint64 // matching masks keeping each shift inside its block
+
+	// Compaction geometry, fixed at construction. blockWords > 0 selects
+	// the word-spanning kernel: each block is that many whole words (a
+	// block wider than 64 cells, or the one array-wide block of
+	// CompactAnyBlock). Otherwise every block lies inside one word at a
+	// fixed offset pattern and the masks below describe it.
+	blockWords int
+	lowMask    uint64   // the lowest bit of every block
+	topMask    uint64   // the top bit of every block
+	bcastMul   uint64   // spreads a block-low bit across its whole block
+	sufShift   []uint   // doubling shifts for the in-block suffix OR
+	sufMask    []uint64 // matching masks keeping each shift inside its block
 
 	// Idle-drain state (see idle): a drain is the compaction the device
 	// runs while parked waiting for work, advanced by chunked timers
@@ -210,16 +213,15 @@ func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// initBits sets up the word-parallel compaction state when the geometry
-// supports it. Block size is a validated power of two, so bs ≤ 64 means
-// every block lies within one 64-bit word at a fixed offset pattern — the
-// per-block scans become constant masks shared by all words.
+// initBits sets up the valid bitmap and the compaction geometry. Block
+// size is a validated power of two dividing the cell count, so a block
+// either lies within one 64-bit word at a fixed offset pattern (bs ≤ 64:
+// the per-block scans become constant masks shared by all words) or is a
+// run of whole words (bs ≥ 128, and then the cell count is a multiple of
+// 64 too).
 func (d *Device) initBits() {
 	bs := d.cfg.Geometry.BlockSize
 	n := d.cfg.Geometry.Cells
-	if bs > 64 {
-		return // whole-word blocks only; fall back to the per-bool step
-	}
 	words := (n + 63) / 64
 	d.valid = make([]uint64, words)
 	d.moveBuf = make([]uint64, words)
@@ -227,6 +229,14 @@ func (d *Device) initBits() {
 	d.lastMask = ^uint64(0)
 	if r := n % 64; r != 0 {
 		d.lastMask = 1<<uint(r) - 1
+	}
+	switch {
+	case d.cfg.CompactAnyBlock:
+		d.blockWords = words
+		return
+	case bs > 64:
+		d.blockWords = bs / 64
+		return
 	}
 	for p := 0; p < 64; p += bs {
 		d.lowMask |= 1 << uint(p)
@@ -247,21 +257,20 @@ func (d *Device) initBits() {
 	}
 }
 
-// rebuildBits resyncs the packed valid bitmap from the cell array, for
-// the few writers that restructure many cells at once (and white-box
-// tests that poke cells directly).
-func (d *Device) rebuildBits() {
-	if d.valid == nil {
-		return
-	}
-	for w := range d.valid {
-		d.valid[w] = 0
-	}
-	for i, c := range d.cells {
-		if c.valid {
-			d.valid[i/64] |= 1 << uint(i%64)
+// isValid reports whether cell i holds data.
+func (d *Device) isValid(i int) bool { return d.valid[i/64]>>uint(i%64)&1 != 0 }
+
+// nextValid returns the lowest valid cell at or above i, or the cell count
+// when there is none.
+func (d *Device) nextValid(i int) int {
+	n := len(d.cells)
+	for i < n {
+		if v := d.valid[i/64] >> uint(i%64); v != 0 {
+			return i + bits.TrailingZeros64(v)
 		}
+		i = (i/64 + 1) * 64
 	}
+	return n
 }
 
 // MustDevice is NewDevice for known-good configurations.
@@ -347,18 +356,9 @@ func (d *Device) PushCommand(c Command) bool {
 
 // Occupancy returns the number of valid cells.
 func (d *Device) Occupancy() int {
-	if d.valid != nil {
-		n := 0
-		for _, v := range d.valid {
-			n += bits.OnesCount64(v)
-		}
-		return n
-	}
 	n := 0
-	for _, c := range d.cells {
-		if c.valid {
-			n++
-		}
+	for _, v := range d.valid {
+		n += bits.OnesCount64(v)
 	}
 	return n
 }
@@ -371,7 +371,7 @@ func (d *Device) free() int { return d.cfg.Geometry.Cells - d.Occupancy() }
 func (d *Device) Tags() []uint32 {
 	var out []uint32
 	for i := len(d.cells) - 1; i >= 0; i-- {
-		if d.cells[i].valid {
+		if d.isValid(i) {
 			out = append(out, d.cells[i].tag)
 		}
 	}
@@ -464,37 +464,30 @@ func (d *Device) maybeFlip() {
 	if occ == 0 {
 		return
 	}
-	k := d.frng.intn(occ)
-	for i := range d.cells {
-		if !d.cells[i].valid {
-			continue
-		}
-		if k == 0 {
-			d.cells[i].bits ^= 1 << uint(d.frng.intn(64))
-			d.stats.BitFlips++
-			return
-		}
-		k--
+	i := d.nextValid(0)
+	for k := d.frng.intn(occ); k > 0; k-- {
+		i = d.nextValid(i + 1)
 	}
+	d.cells[i].bits ^= 1 << uint(d.frng.intn(64))
+	d.stats.BitFlips++
 }
 
 // scrub scans for parity-bad cells and quarantines each: the cell is
 // invalidated (leaving a hole for compaction) and a FAULT response carrying
 // the lost entry's tag tells the firmware which entry to repair from its
 // host-side shadow copy.
+//
+// The scan re-reads the bitmap at every step: a full result FIFO stalls
+// pushResult on compaction cycles, which can move cells mid-scan.
 func (d *Device) scrub(p *sim.Process) {
-	for i := range d.cells {
+	for i := d.nextValid(0); i < len(d.cells); i = d.nextValid(i + 1) {
 		c := &d.cells[i]
-		if !c.valid || cellParity(c.bits, c.mask, c.tag) == c.par {
+		if cellParity(c.bits, c.mask, c.tag) == c.par {
 			continue
 		}
-		tag := c.tag
-		*c = cell{}
-		if d.valid != nil {
-			d.valid[i/64] &^= 1 << uint(i%64)
-		}
+		d.valid[i/64] &^= 1 << uint(i%64)
 		d.stats.ParityFaults++
-		d.pushResult(p, Response{Kind: RespFault, Tag: tag})
+		d.pushResult(p, Response{Kind: RespFault, Tag: c.tag})
 	}
 }
 
@@ -597,39 +590,14 @@ func (d *Device) armDrainChunk() {
 }
 
 // holesAboveLowestValid counts the empty cells above the lowest valid
-// cell — a lower bound on the compaction cycles remaining, computable in
-// one O(cells) pass.
+// cell — a lower bound on the compaction cycles remaining: (cells above
+// the lowest valid one) − (valid cells above it) = n − lowest − popcount.
 func (d *Device) holesAboveLowestValid() int {
-	if d.valid != nil {
-		// Equals (cells above the lowest valid one) − (valid cells above
-		// it): n − lowest − popcount.
-		pop, lowest := 0, -1
-		for w, v := range d.valid {
-			if v == 0 {
-				continue
-			}
-			if lowest < 0 {
-				lowest = w*64 + bits.TrailingZeros64(v)
-			}
-			pop += bits.OnesCount64(v)
-		}
-		if lowest < 0 {
-			return 0
-		}
-		return d.cfg.Geometry.Cells - lowest - pop
+	lowest := d.nextValid(0)
+	if lowest == len(d.cells) {
+		return 0
 	}
-	lowest := -1
-	holes := 0
-	for i, c := range d.cells {
-		if c.valid {
-			if lowest < 0 {
-				lowest = i
-			}
-		} else if lowest >= 0 {
-			holes++
-		}
-	}
-	return holes
+	return len(d.cells) - lowest - d.Occupancy()
 }
 
 // insertLoop is insert mode: inserts are accepted, and matching continues
@@ -705,7 +673,7 @@ func (d *Device) doInsert(p *sim.Process, c Command) {
 		d.tick(p, d.cfg.InsertCycles)
 		return
 	}
-	for d.cells[0].valid {
+	for d.valid[0]&1 != 0 {
 		// Compaction will drain a hole down to cell 0 (one exists: free>0).
 		if d.cfg.PerCycle {
 			d.tick(p, 1)
@@ -713,11 +681,9 @@ func (d *Device) doInsert(p *sim.Process, c Command) {
 		}
 		d.tick(p, d.cyclesUntilCellZeroFree())
 	}
-	d.cells[0] = cell{valid: true, bits: c.Bits, mask: c.Mask, tag: c.Tag,
+	d.cells[0] = cell{bits: c.Bits, mask: c.Mask, tag: c.Tag,
 		par: cellParity(c.Bits, c.Mask, c.Tag)}
-	if d.valid != nil {
-		d.valid[0] |= 1
-	}
+	d.valid[0] |= 1
 	d.stats.Inserts++
 	if occ := d.Occupancy(); occ > d.stats.MaxOccupancy {
 		d.stats.MaxOccupancy = occ
@@ -769,13 +735,18 @@ func (d *Device) doMatch(p *sim.Process, probe Probe, inInsertMode bool) {
 
 // findMatch returns the index of the highest-priority (highest index,
 // oldest) matching valid cell, or -1. This is the priority mux tree of
-// §III-B collapsed into its functional result.
+// §III-B collapsed into its functional result; only valid cells are
+// compared, walked from the top of the bitmap down.
 func (d *Device) findMatch(probe Probe) int {
 	pm := probeMask(d.cfg.Variant, probe)
-	for i := len(d.cells) - 1; i >= 0; i-- {
-		c := d.cells[i]
-		if c.valid && match.Matches(c.bits, entryMask(d.cfg.Variant, c.mask), probe.Bits, pm) {
-			return i
+	for w := len(d.valid) - 1; w >= 0; w-- {
+		for v := d.valid[w]; v != 0; {
+			b := bits.Len64(v) - 1
+			c := &d.cells[w*64+b]
+			if match.Matches(c.bits, entryMask(d.cfg.Variant, c.mask), probe.Bits, pm) {
+				return w*64 + b
+			}
+			v &^= 1 << uint(b)
 		}
 	}
 	return -1
@@ -786,12 +757,8 @@ func (d *Device) findMatch(probe Probe) int {
 // (§III-B footnote 2).
 func (d *Device) deleteAt(idx int) {
 	copy(d.cells[1:idx+1], d.cells[0:idx])
-	d.cells[0] = cell{}
-	if d.valid == nil {
-		return
-	}
-	// Mirror in the bitmap: bits [0, idx] become the old bits [0, idx-1]
-	// shifted up one with a zero shifted in; bits above idx are unchanged.
+	// Bits [0, idx] become the old bits [0, idx-1] shifted up one with a
+	// zero shifted in; bits above idx are unchanged.
 	wEnd := idx / 64
 	carry := uint64(0)
 	for w := 0; w <= wEnd; w++ {
@@ -815,25 +782,17 @@ func (d *Device) deleteAt(idx int) {
 // cycle. No response is emitted: an absent tag means a match raced ahead
 // of the invalidate in the FIFOs and already consumed the copy.
 func (d *Device) invalidate(tag uint32) {
-	for i := range d.cells {
-		c := &d.cells[i]
-		if !c.valid || c.tag != tag {
-			continue
-		}
-		*c = cell{}
-		if d.valid != nil {
+	for i := d.nextValid(0); i < len(d.cells); i = d.nextValid(i + 1) {
+		if d.cells[i].tag == tag {
 			d.valid[i/64] &^= 1 << uint(i%64)
+			d.stats.Invalidates++
+			return
 		}
-		d.stats.Invalidates++
-		return
 	}
 }
 
-// reset clears all valid flags (the RESET command).
+// reset clears all valid bits (the RESET command).
 func (d *Device) reset() {
-	for i := range d.cells {
-		d.cells[i] = cell{}
-	}
 	for i := range d.valid {
 		d.valid[i] = 0
 	}
@@ -881,132 +840,23 @@ func (d *Device) tick(p *sim.Process, n int) {
 // materializeSteps applies up to n compaction cycles of state change
 // immediately, counting ShiftCycles exactly as per-cycle stepping would.
 // Cells change only through the device itself, so once one step moves
-// nothing, no later step in the burst can move either. The valid bitmap
-// is carried across the burst so each step scans bools, not cell
-// structs; only actual moves touch cells.
+// nothing, no later step in the burst can move either.
 func (d *Device) materializeSteps(n int) {
-	if n <= 0 {
-		return
-	}
-	if d.valid != nil {
-		for i := 0; i < n; i++ {
-			if !d.bitStep(d.valid, true) {
-				return
-			}
-			d.stats.ShiftCycles++
-		}
-		return
-	}
-	before, cur := d.scratch()
-	anyHole := false
-	for i, c := range d.cells {
-		cur[i] = c.valid
-		if !c.valid {
-			anyHole = true
-		}
-	}
-	if !anyHole {
-		return
-	}
-	move := func(i int) {
-		d.cells[i+1] = d.cells[i]
-		d.cells[i] = cell{}
-	}
 	for i := 0; i < n; i++ {
-		copy(before, cur)
-		if !d.stepValid(before, cur, move) {
+		if !d.shiftStep() {
 			return
 		}
 		d.stats.ShiftCycles++
 	}
 }
 
-// scratch returns the two lazily-allocated bitmap buffers.
-func (d *Device) scratch() (before, cur []bool) {
-	if d.validBuf == nil {
-		d.validBuf = make([]bool, len(d.cells))
-		d.curBuf = make([]bool, len(d.cells))
-	}
-	return d.validBuf, d.curBuf
-}
-
-// shiftStep performs one cycle of hole compaction. A cell's data moves up
-// one position when the cell is enabled under the "space available"
-// definition: an empty cell higher in its own block, or an empty lowest
-// cell of the next block (§III-B); CompactAnyBlock widens this to any
-// empty cell above. Enables are computed from the pre-cycle state, as the
-// hardware's registered control does.
-func (d *Device) shiftStep() bool {
-	if d.valid != nil {
-		return d.bitStep(d.valid, true)
-	}
-	before, cur := d.scratch()
-	anyHole := false
-	for i, c := range d.cells {
-		before[i] = c.valid
-		cur[i] = c.valid
-		if !c.valid {
-			anyHole = true
-		}
-	}
-	if !anyHole {
-		return false
-	}
-	return d.stepValid(before, cur, func(i int) {
-		d.cells[i+1] = d.cells[i]
-		d.cells[i] = cell{}
-	})
-}
-
-// stepValid advances a valid bitmap by one compaction cycle: enables come
-// from before (the pre-cycle state, left unchanged), moves are applied to
-// cur (which must start equal to before), and move(i) — when non-nil — is
-// invoked for every cell whose data shifts up. Data movement depends only
-// on the valid bits, so the same routine drives both the real cell array
-// (via the move callback) and the analytic cycles-to-quiescence counting.
-// One descending O(cells) pass: moves apply top-down so a contiguous
-// enabled run shifts by one as a group, and the running suffix scans
-// replace the per-cell inner block loop.
-func (d *Device) stepValid(before, cur []bool, move func(i int)) bool {
-	n := len(before)
-	moved := false
-	if d.cfg.CompactAnyBlock {
-		holeAbove := !before[n-1] // empty cell at any j > i, pre-cycle
-		for i := n - 2; i >= 0; i-- {
-			if holeAbove && cur[i] && !cur[i+1] {
-				cur[i+1], cur[i] = true, false
-				if move != nil {
-					move(i)
-				}
-				moved = true
-			}
-			if !before[i] {
-				holeAbove = true
-			}
-		}
-		return moved
-	}
-	bs := d.cfg.Geometry.BlockSize
-	holeInBlock := !before[n-1] // empty cell above i within i's block
-	nextLow := false            // lowest cell of the block above is empty
-	for i := n - 2; i >= 0; i-- {
-		if i%bs == bs-1 { // i is the top cell of its block
-			holeInBlock = false
-			nextLow = !before[i+1]
-		}
-		if (holeInBlock || nextLow) && cur[i] && !cur[i+1] {
-			cur[i+1], cur[i] = true, false
-			if move != nil {
-				move(i)
-			}
-			moved = true
-		}
-		if !before[i] {
-			holeInBlock = true
-		}
-	}
-	return moved
-}
+// shiftStep performs one cycle of hole compaction on the device. A cell's
+// data moves up one position when the cell is enabled under the "space
+// available" definition: an empty cell higher in its own block, or an
+// empty lowest cell of the next block (§III-B); CompactAnyBlock makes the
+// whole array one block. Enables are computed from the pre-cycle state,
+// as the hardware's registered control does.
+func (d *Device) shiftStep() bool { return d.bitStep(d.valid, true) }
 
 // suffixOR64 ORs into every bit all bits above it: result bit i is the OR
 // of x's bits i..63.
@@ -1020,48 +870,25 @@ func suffixOR64(x uint64) uint64 {
 	return x
 }
 
-// bitStep is stepValid on the packed bitmap: one compaction cycle in a
-// few word ops per 64 cells. The per-bool scan's run-group behaviour
-// collapses to a closed form — a valid cell moves up exactly when its
-// space-available enable (from the pre-cycle state) holds, because a
-// valid cell directly above an enabled cell is itself enabled and vacates
-// the slot in the same cycle — so the move mask is just valid & enable
-// and the new bitmap is (valid &^ moves) | moves<<1 with cross-word
-// carry. When moveCells is set, the set bits of the move mask are applied
-// to the cell array top-down, as the scan would.
+// bitStep advances the valid bitmap v by one compaction cycle in a few
+// word ops per 64 cells. Run-group behaviour collapses to a closed form —
+// a valid cell moves up exactly when its space-available enable (from the
+// pre-cycle state) holds, because a valid cell directly above an enabled
+// cell is itself enabled and vacates the slot in the same cycle — so the
+// move mask is just valid & enable and the new bitmap is
+// (valid &^ moves) | moves<<1 with cross-word carry. When moveCells is
+// set, the set bits of the move mask are applied to the cell array
+// top-down. The enable is computed one of two ways, chosen by the
+// geometry at construction.
 func (d *Device) bitStep(v []uint64, moveCells bool) bool {
 	m := d.moveBuf
 	moved := false
-	if d.cfg.CompactAnyBlock {
-		// Enable: any empty cell anywhere above. Within a word that is the
-		// strict suffix OR of the hole bits; a hole in any higher word
-		// enables the whole word.
-		holeAbove := false
-		for w := len(v) - 1; w >= 0; w-- {
-			h := ^v[w]
-			if w == len(v)-1 {
-				h &= d.lastMask
-			}
-			e := suffixOR64(h) >> 1
-			if holeAbove {
-				e = ^uint64(0)
-			}
-			if mw := v[w] & e; mw != 0 {
-				m[w] = mw
-				moved = true
-			} else {
-				m[w] = 0
-			}
-			if h != 0 {
-				holeAbove = true
-			}
-		}
-	} else {
-		// Enable: an empty cell higher in the same block (in-block strict
-		// suffix OR of the holes, via masked doubling), or an empty lowest
-		// cell of the next block (each block-low hole bit shifted down one
-		// block and broadcast across it; the word's top block takes the
-		// carry from the word above).
+	if d.blockWords == 0 {
+		// Blocks inside a word. Enable: an empty cell higher in the same
+		// block (in-block strict suffix OR of the holes, via masked
+		// doubling), or an empty lowest cell of the next block (each
+		// block-low hole bit shifted down one block and broadcast across
+		// it; the word's top block takes the carry from the word above).
 		bs := uint(d.cfg.Geometry.BlockSize)
 		carryLow := uint64(0)
 		for w := len(v) - 1; w >= 0; w-- {
@@ -1083,6 +910,33 @@ func (d *Device) bitStep(v []uint64, moveCells bool) bool {
 				m[w] = 0
 			}
 		}
+	} else {
+		// Blocks of whole words. Enable: an empty cell higher in the
+		// same word (strict suffix OR); an empty cell in a higher word of
+		// the same block (the in-block hole carry, all ones once a hole
+		// is seen, reset at each block's top word); or an empty lowest
+		// cell of the next block (bit 0 of the word above the block's
+		// top word, which -aboveLow spreads to all ones).
+		inBlock, nextLow, aboveLow := uint64(0), uint64(0), uint64(0)
+		for w := len(v) - 1; w >= 0; w-- {
+			h := ^v[w]
+			if w == len(v)-1 {
+				h &= d.lastMask
+			}
+			if (w+1)%d.blockWords == 0 {
+				inBlock, nextLow = 0, -aboveLow
+			}
+			if mw := v[w] & (suffixOR64(h)>>1 | inBlock | nextLow); mw != 0 {
+				m[w] = mw
+				moved = true
+			} else {
+				m[w] = 0
+			}
+			if h != 0 {
+				inBlock = ^uint64(0)
+			}
+			aboveLow = h & 1
+		}
 	}
 	if !moved {
 		return false
@@ -1102,7 +956,6 @@ func (d *Device) bitStep(v []uint64, moveCells bool) bool {
 			b := bits.Len64(mw) - 1
 			i := w*64 + b
 			d.cells[i+1] = d.cells[i]
-			d.cells[i] = cell{}
 			mw &^= 1 << uint(b)
 		}
 	}
@@ -1110,30 +963,15 @@ func (d *Device) bitStep(v []uint64, moveCells bool) bool {
 }
 
 // cyclesUntilCellZeroFree counts the compaction cycles until cell 0 is
-// empty so an insert can land, stepping the valid bitmap analytically.
-// The caller must ensure a free cell exists; compaction then always
-// drains a hole down to cell 0, so the count is finite (and checked
-// before each step, matching a caller that re-tests per cycle).
+// empty so an insert can land, stepping a copy of the valid bitmap. The
+// caller must ensure a free cell exists; compaction then always drains a
+// hole down to cell 0, so the count is finite (and checked before each
+// step, matching a caller that re-tests per cycle).
 func (d *Device) cyclesUntilCellZeroFree() int {
-	if d.valid != nil {
-		copy(d.lookBuf, d.valid)
-		steps := 0
-		for d.lookBuf[0]&1 != 0 {
-			if !d.bitStep(d.lookBuf, false) {
-				break // cannot happen while a free cell exists
-			}
-			steps++
-		}
-		return steps
-	}
-	before, cur := d.scratch()
-	for i := range d.cells {
-		cur[i] = d.cells[i].valid
-	}
+	copy(d.lookBuf, d.valid)
 	steps := 0
-	for cur[0] {
-		copy(before, cur)
-		if !d.stepValid(before, cur, nil) {
+	for d.lookBuf[0]&1 != 0 {
+		if !d.bitStep(d.lookBuf, false) {
 			break // cannot happen while a free cell exists
 		}
 		steps++
@@ -1145,32 +983,21 @@ func (d *Device) cyclesUntilCellZeroFree() int {
 // above it (the valid cells are not yet a contiguous suffix at the
 // high-priority end). Holes below all data are the compacted steady state.
 func (d *Device) needsCompaction() bool {
-	if d.valid != nil {
-		seenHole := false
-		for w := len(d.valid) - 1; w >= 0; w-- {
-			v := d.valid[w]
-			h := ^v
-			if w == len(d.valid)-1 {
-				h &= d.lastMask
-			}
-			if seenHole && v != 0 {
-				return true
-			}
-			if suffixOR64(h)>>1&v != 0 {
-				return true
-			}
-			if h != 0 {
-				seenHole = true
-			}
+	seenHole := false
+	for w := len(d.valid) - 1; w >= 0; w-- {
+		v := d.valid[w]
+		h := ^v
+		if w == len(d.valid)-1 {
+			h &= d.lastMask
 		}
-		return false
-	}
-	seenEmpty := false
-	for i := len(d.cells) - 1; i >= 0; i-- {
-		if !d.cells[i].valid {
-			seenEmpty = true
-		} else if seenEmpty {
+		if seenHole && v != 0 {
 			return true
+		}
+		if suffixOR64(h)>>1&v != 0 {
+			return true
+		}
+		if h != 0 {
+			seenHole = true
 		}
 	}
 	return false

@@ -63,13 +63,12 @@ func microFill(d *Device, n int, withMatch bool) {
 	cells := len(d.cells)
 	for i := 0; i < n; i++ {
 		idx := cells - n + i
-		c := cell{valid: true, bits: missBits, mask: missMask, tag: uint32(i)}
+		c := cell{bits: missBits, mask: missMask, tag: uint32(i)}
 		if withMatch && i == 0 {
 			c.bits, c.mask = hitBits, hitMask
 		}
-		d.cells[idx] = c
+		placeCell(d, idx, c)
 	}
-	d.rebuildBits()
 }
 
 func microProbe() Probe {
@@ -122,6 +121,7 @@ func microSearch(b *testing.B, g Geometry, hit bool) {
 	depth := g.Cells / 2
 	microFill(d, depth, hit)
 	snapshot := append([]cell(nil), d.cells...)
+	validSnap := append([]uint64(nil), d.valid...)
 	probe := microProbe()
 	eng.Spawn("drv", func(p *sim.Process) {
 		b.ReportAllocs()
@@ -135,7 +135,7 @@ func microSearch(b *testing.B, g Geometry, hit bool) {
 					b.Fatalf("want hit, got %v", r.Kind)
 				}
 				copy(d.cells, snapshot)
-				d.rebuildBits()
+				copy(d.valid, validSnap)
 			} else if r.Kind != RespMatchFailure {
 				b.Fatalf("want miss, got %v", r.Kind)
 			}
@@ -152,14 +152,14 @@ func microCompactDrain(b *testing.B, g Geometry) {
 	d := MustDevice(sim.NewEngine(), "bench", microConfig(g))
 	microFill(d, g.Cells/2, false)
 	bits, mask := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
-	d.cells[0] = cell{valid: true, bits: bits, mask: mask, tag: 99}
-	d.rebuildBits()
+	placeCell(d, 0, cell{bits: bits, mask: mask, tag: 99})
 	template := append([]cell(nil), d.cells...)
+	validTemplate := append([]uint64(nil), d.valid...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(d.cells, template)
-		d.rebuildBits()
+		copy(d.valid, validTemplate)
 		for d.shiftStep() {
 		}
 	}

@@ -83,10 +83,10 @@ func (d *Device) MatchLocation(probe Probe) (bool, uint32, int) {
 		for i := 0; i < bs; i++ {
 			c := d.cells[b*bs+i]
 			// The leaf match bit is the AND of the compare output and the
-			// valid flag (§III-A: "invalid data cannot produce a valid
+			// valid bit (§III-A: "invalid data cannot produce a valid
 			// match").
 			leaves[i] = prioIn{
-				match: c.valid && match0(c, d.cfg.Variant, probe.Bits, pm),
+				match: d.isValid(b*bs+i) && match0(c, d.cfg.Variant, probe.Bits, pm),
 				tag:   c.tag,
 			}
 		}

@@ -19,9 +19,8 @@ func fillDevice(cells, block int, occupied map[int]uint32) *Device {
 	})
 	b, m := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
 	for idx, tag := range occupied {
-		d.cells[idx] = cell{valid: true, bits: b, mask: m, tag: tag}
+		placeCell(d, idx, cell{bits: b, mask: m, tag: tag})
 	}
-	d.rebuildBits()
 	return d
 }
 
@@ -78,7 +77,7 @@ func TestPrioTreeEquivalentToFindMatch(t *testing.T) {
 		// cells' stored bits.
 		other := match.Pack(match.Header{Context: 2, Source: 2, Tag: 2})
 		for i := range d.cells {
-			if d.cells[i].valid && rng.Intn(2) == 0 {
+			if d.isValid(i) && rng.Intn(2) == 0 {
 				d.cells[i].bits = other
 			}
 		}

@@ -106,7 +106,7 @@ func TestReferenceTagsOrder(t *testing.T) {
 }
 
 func TestGeometryValidate(t *testing.T) {
-	good := []Geometry{{128, 8}, {256, 32}, {64, 16}, {8, 8}}
+	good := []Geometry{{128, 8}, {256, 32}, {64, 16}, {8, 8}, {64, 64}, {256, 128}, {256, 256}}
 	for _, g := range good {
 		if err := g.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v", g, err)

@@ -31,18 +31,19 @@ import (
 	"alpusim/internal/sim"
 )
 
-// Recovery-policy defaults (overridable through Config).
+// Recovery-policy defaults (the first three overridable through Config).
 const (
-	defaultStrikeLimit    = 5
-	defaultResultTimeout  = 10 * sim.Microsecond
-	defaultRetryBase      = 20 * sim.Microsecond
-	defaultRetryCap       = 320 * sim.Microsecond
-	defaultFwRestartDelay = 10 * sim.Microsecond
+	defaultStrikeLimit   = 5
+	defaultResultTimeout = 10 * sim.Microsecond
+	defaultRetryBase     = 20 * sim.Microsecond
+	defaultRetryCap      = 320 * sim.Microsecond
+	// fwRestartDelay is the modelled reboot time of the embedded processor.
+	fwRestartDelay = 10 * sim.Microsecond
 )
 
 // FirmwareCrash is the typed panic value a crash-injected firmware raises.
 // The firmware supervisor recovers exactly this type, restarts the loop
-// after FwRestartDelay, and replays device state from the shadow queues;
+// after fwRestartDelay, and replays device state from the shadow queues;
 // any other panic keeps propagating.
 type FirmwareCrash struct {
 	NIC int
@@ -385,14 +386,6 @@ func (n *NIC) maybeCrash() {
 		n.cfg.Log.Warn("firmware crash injected", "nic", n.cfg.ID)
 	}
 	panic(&FirmwareCrash{NIC: n.cfg.ID, At: n.eng.Now()})
-}
-
-// fwRestartDelay is the modelled reboot time of the embedded processor.
-func (n *NIC) fwRestartDelay() sim.Time {
-	if n.cfg.FwRestartDelay > 0 {
-		return n.cfg.FwRestartDelay
-	}
-	return defaultFwRestartDelay
 }
 
 // recoverFirmware is the post-crash state replay: every live ALPU mirror

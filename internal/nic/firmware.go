@@ -19,7 +19,7 @@ import (
 // (injection fires before anything is popped).
 func (n *NIC) firmware(p *sim.Process) {
 	for n.fwSession(p) {
-		p.Sleep(n.fwRestartDelay())
+		p.Sleep(fwRestartDelay)
 		n.recoverFirmware()
 	}
 }
@@ -477,7 +477,8 @@ func (n *NIC) searchRemoveList(e *proc.Engine, q *mirrorQueue, bits, mask match.
 // failure was generated (the §IV-C race); the unit then holds a stale
 // copy, which the firmware purges by re-probing: the stale entry is the
 // unit's highest-priority match for this probe, so the purge consumes
-// exactly it.
+// exactly it — unless a later header's probe consumed the copy first,
+// which resyncs the unit.
 func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, bits, mask match.Bits, from int) *match.Entry {
 	if from > q.inALPU {
 		from = q.inALPU
@@ -496,7 +497,6 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, b
 	}
 	q.depths.Add(idx)
 	entry := q.list.At(idx)
-	inOver := idx >= q.inALPU
 	if idx < q.inALPU {
 		n.stats.ALPUPurges++
 		key := n.nextPurgeKey()
@@ -508,6 +508,21 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, b
 		switch {
 		case !ok:
 			n.deviceFault(e, q, "purge-timeout", "no response to purge probe")
+		case r.Kind == alpu.RespMatchSuccess && q.tags[r.Tag] == entry:
+			delete(q.tags, r.Tag)
+			q.inALPU--
+		case q.consumedByLaterProbe(entry):
+			// The other half of the §IV-C race: while the unit was in
+			// insert mode, a later header's probe matched the freshly
+			// loaded copy before this purge reached the unit. Its stashed
+			// MATCH SUCCESS names this entry, which the firmware order
+			// gives to the earlier header, and the purge probe then took
+			// the next match (or missed), which the shadow list still
+			// holds. The device has lost an entry the mirror keeps, and
+			// the later header's verdict is void: rebuild the unit from
+			// the shadow, which also drops the stashed verdict, so the
+			// later header resolves in software.
+			n.resyncALPU(e, q)
 		case r.Kind != alpu.RespMatchSuccess:
 			if !n.devFaultsOn() {
 				panic(fmt.Sprintf("nic%d: %s purge probe missed the stale entry", n.cfg.ID, q.name))
@@ -515,22 +530,19 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, b
 			// The stale copy vanished from the device (quarantined by the
 			// scrubber): the mirror is off by at least one entry — resync.
 			n.deviceFault(e, q, "purge-miss", "purge probe found no stale copy")
-		case q.tags[r.Tag] != entry:
+		default:
 			if !n.devFaultsOn() {
 				panic(fmt.Sprintf("nic%d: %s purge consumed tag %d, not the stale entry", n.cfg.ID, q.name, r.Tag))
 			}
 			delete(q.tags, r.Tag)
 			n.deviceFault(e, q, "purge-mismatch", "purge probe consumed a different entry")
-		default:
-			delete(q.tags, r.Tag)
-			q.inALPU--
 		}
 	}
 	e.Cycles(8)
 	q.removeAt(idx)
-	if inOver {
-		q.dropOverflow(entry)
-	}
+	// A fabric shard's overflow hash holds the entry if it lay past the
+	// prefix, or if a resync above demoted the whole prefix into it.
+	q.dropOverflow(entry)
 	if q.alpuDead && q.hash != nil {
 		// A failover during the purge rebuilt the hash shadow from the list
 		// with this entry still in it; keep the shadow exact.

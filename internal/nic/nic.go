@@ -108,7 +108,7 @@ type Config struct {
 	ShardFaults []*alpu.FaultModel
 	// FwCrashProb is the per-pending-work-item probability of an injected
 	// firmware crash at the loop top. The crashed firmware restarts after
-	// FwRestartDelay and replays device state from the shadow queues.
+	// a 10µs reboot and replays device state from the shadow queues.
 	FwCrashProb float64
 	// FwCrashSeed seeds the crash stream (0 = derived from ID).
 	FwCrashSeed uint64
@@ -122,8 +122,6 @@ type Config struct {
 	// FaultRetryBase is the base re-engagement backoff after a strike
 	// (0 = 20µs), exponential in the strike count, capped.
 	FaultRetryBase sim.Time
-	// FwRestartDelay is the modelled firmware reboot time (0 = 10µs).
-	FwRestartDelay sim.Time
 
 	// UseHashList switches the software queues to the hash organisation
 	// of §II (the abl-hash ablation baseline). Mutually exclusive with
@@ -140,12 +138,6 @@ type Config struct {
 	// the matching queues assume when the network runs a fault model. The
 	// MPI layer forces it on whenever faults are configured.
 	Reliable bool
-	// RelWindow is the go-back-N window: unacknowledged packets allowed in
-	// flight per peer (0 = 64).
-	RelWindow int
-	// RelTimeout is the initial retransmit timeout (0 = derived from the
-	// network's wire latency).
-	RelTimeout sim.Time
 	// MaxUnexpected bounds the unexpected queue under the reliability
 	// protocol: an in-order EAGER/RTS that would grow it past the bound is
 	// refused with a receiver-not-ready NACK instead of growing the queue
@@ -262,6 +254,18 @@ func (q *mirrorQueue) removeAt(idx int) {
 			q.pending[i].from--
 		}
 	}
+}
+
+// consumedByLaterProbe reports whether a stashed MATCH SUCCESS names
+// entry: a probe the firmware has not processed yet already consumed the
+// unit's copy of it.
+func (q *mirrorQueue) consumedByLaterProbe(entry *match.Entry) bool {
+	for _, st := range q.pending {
+		if st.r.Kind == alpu.RespMatchSuccess && q.tags[st.r.Tag] == entry {
+			return true
+		}
+	}
+	return false
 }
 
 type sendState struct {

@@ -39,6 +39,10 @@ import (
 // so the matching queues observe exactly the traffic a reliable network
 // would have produced.
 
+// relWindow is the go-back-N window: unacknowledged packets allowed in
+// flight per peer.
+const relWindow = 64
+
 // RelStats is a snapshot of the reliability-engine activity counters for
 // the chaos reports. The live counters reside in the telemetry registry
 // under "nic<ID>/rel/..."; Rel() reconstructs this struct from them.
@@ -118,16 +122,10 @@ func (n *NIC) relInit() {
 		gapDrops:    n.reg.Counter(pre + "gap_drops"),
 		recoveries:  n.reg.Counter(pre + "recoveries"),
 	}
-	n.rtoInit = n.cfg.RelTimeout
-	if n.rtoInit <= 0 {
-		// Initial RTO: a round trip (two wire crossings) plus generous
-		// slack for transmit serialisation and firmware turnaround.
-		n.rtoInit = 4*n.net.Wire() + 8*sim.Microsecond
-	}
+	// Initial RTO: a round trip (two wire crossings) plus generous slack
+	// for transmit serialisation and firmware turnaround.
+	n.rtoInit = 4*n.net.Wire() + 8*sim.Microsecond
 	n.rtoMax = 64 * n.rtoInit
-	if n.cfg.RelWindow <= 0 {
-		n.cfg.RelWindow = 64
-	}
 	n.ep.Ingress = n.relIngress
 }
 
@@ -155,7 +153,7 @@ func (n *NIC) send(pkt network.Packet) {
 	pr.nextSeq++
 	pkt.Seal()
 	n.rel.dataSent.Inc()
-	if len(pr.unacked) >= n.cfg.RelWindow {
+	if len(pr.unacked) >= relWindow {
 		pr.sendQ = append(pr.sendQ, pkt)
 		return
 	}
@@ -335,7 +333,7 @@ func (n *NIC) handleAck(pr *relPeer, seq uint64) {
 	pr.rto = n.rtoInit
 	pr.paused = false
 	// Refill the window from the software send queue.
-	for len(pr.sendQ) > 0 && len(pr.unacked) < n.cfg.RelWindow {
+	for len(pr.sendQ) > 0 && len(pr.unacked) < relWindow {
 		pkt := pr.sendQ[0]
 		pr.sendQ = pr.sendQ[1:]
 		n.txData(pr, pkt)

@@ -103,6 +103,11 @@ type Report struct {
 	Recoveries     uint64
 	ProtocolErrors uint64
 
+	// Received holds, per rank, the completion status of every receive
+	// in posting order. Only Irregular records it: its wildcard receives
+	// make the matching outcome the thing faults must not change.
+	Received [][]mpi.Status
+
 	// Telemetry is the world's harvested metrics snapshot; every world
 	// owns a registry (WithTelemetry substitutes an external one), so
 	// this is populated on every run.
@@ -345,7 +350,8 @@ func Irregular(nicCfg nic.Config, ranks, rounds, degree, msgSize int, seed int64
 			}
 		}
 	}
-	return run(name, nicCfg, ranks, func(r *mpi.Rank) {
+	received := make([][]mpi.Status, ranks)
+	rep := run(name, nicCfg, ranks, func(r *mpi.Rank) {
 		c := r.Comm()
 		me := c.Rank()
 		for rd := 0; rd < rounds; rd++ {
@@ -359,7 +365,12 @@ func Irregular(nicCfg nic.Config, ranks, rounds, degree, msgSize int, seed int64
 				c.Send(dst, rd, msgSize)
 			}
 			r.Waitall(reqs...)
+			for _, req := range reqs {
+				received[me] = append(received[me], req.Status())
+			}
 			c.Barrier()
 		}
 	}, opts)
+	rep.Received = received
+	return rep
 }

@@ -3,12 +3,12 @@
 # event-queue and partition-runner micro-benchmarks, the process Sleep
 # micro-benchmarks, the ALPU device micro-benchmarks, the matching-fabric
 # dispatch/overflow and dispatch-cache micro-benchmarks, and the quick
-# Fig. 5 sweep cuts — and appends
+# Fig. 5 sweep cuts — and writes
 # the raw `go test -bench` output to the given file (default
-# BENCH_CURRENT.txt). CI compares that output against the committed
-# BENCH_BASELINE.txt with cmd/benchgate; regenerate the baseline by
-# running this script with BENCH_BASELINE.txt as the argument on the
-# reference machine and committing the result.
+# BENCH_CURRENT.txt). CI runs it on the parent commit (a git worktree)
+# and on the change, back to back in alternating order on the same host,
+# and compares the two outputs with cmd/benchgate, so the gate measures
+# the change rather than the host.
 #
 # -count 3 runs every benchmark three times; the gate keeps the minimum,
 # which is the least-noise estimate of true cost.
