@@ -28,17 +28,22 @@ type Config struct {
 	Policy   Policy
 }
 
+// line is one way's state in 16 bytes. stamp is the tick of the line's
+// last use (larger = more recently used) and zero for an invalid line,
+// since ticks start at 1; its top bit is the dirty flag.
 type line struct {
 	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
+	stamp uint64
 }
 
-// Cache is a single level of set-associative cache.
+const dirtyBit = uint64(1) << 63
+
+// Cache is a single level of set-associative cache. Its line state is
+// allocated on the first Access, so a cache nothing touches costs only
+// its header; until then every line reads as invalid.
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	lines   []line // numSets*Assoc ways, set-major; nil until the first Access
 	numSets int
 	ticks   uint64
 	rng     uint64 // xorshift state for Random replacement (deterministic)
@@ -49,23 +54,25 @@ type Cache struct {
 	writebacks uint64
 }
 
-// New returns an empty cache. It panics on a geometry that does not divide
-// evenly, since that is a configuration bug.
+// New returns an empty cache. It panics on a geometry it cannot model —
+// a non-positive field, a line size that is not a power of two, or a
+// size that does not divide into whole sets — since that is a
+// configuration bug.
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
+	}
+	if cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineSize))
+	}
+	if cfg.Size%cfg.LineSize != 0 {
+		panic(fmt.Sprintf("cache: size %d not divisible by line size %d", cfg.Size, cfg.LineSize))
 	}
 	lines := cfg.Size / cfg.LineSize
 	if lines%cfg.Assoc != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by assoc %d", lines, cfg.Assoc))
 	}
-	numSets := lines / cfg.Assoc
-	sets := make([][]line, numSets)
-	backing := make([]line, lines)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
-	return &Cache{cfg: cfg, sets: sets, numSets: numSets, rng: 0x9e3779b97f4a7c15}
+	return &Cache{cfg: cfg, numSets: lines / cfg.Assoc, rng: 0x9e3779b97f4a7c15}
 }
 
 // nextRand is a deterministic xorshift64 step.
@@ -90,30 +97,39 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(lineAddr % uint64(c.numSets)), lineAddr / uint64(c.numSets)
 }
 
+// set returns the ways of set s; the cache must be backed.
+func (c *Cache) set(s int) []line {
+	a := c.cfg.Assoc
+	return c.lines[s*a : s*a+a : s*a+a]
+}
+
 // Access looks up addr, allocating on miss, and returns what happened.
 func (c *Cache) Access(addr uint64, write bool) Result {
+	if c.lines == nil {
+		c.lines = make([]line, c.numSets*c.cfg.Assoc)
+	}
 	c.accesses++
 	c.ticks++
 	setIdx, tag := c.index(addr)
-	set := c.sets[setIdx]
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.hits++
-			set[i].lru = c.ticks
-			if write {
-				set[i].dirty = true
-			}
-			return Result{Hit: true}
-		}
+	set := c.set(setIdx)
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
 	}
 
-	// Miss: pick the invalid way, else the policy's victim.
+	// A miss fills the first invalid way and no line is ever invalidated,
+	// so a set's valid ways are a prefix: the scan for a hit ends at the
+	// first invalid way, which is also the victim.
 	victim := -1
 	for i := range set {
-		if !set[i].valid {
+		if set[i].stamp == 0 {
 			victim = i
 			break
+		}
+		if set[i].tag == tag {
+			c.hits++
+			set[i].stamp = c.ticks | set[i].stamp&dirtyBit | dirty
+			return Result{Hit: true}
 		}
 	}
 	if victim < 0 {
@@ -122,27 +138,30 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		} else {
 			victim = 0
 			for i := range set {
-				if set[i].lru < set[victim].lru {
+				if set[i].stamp&^dirtyBit < set[victim].stamp&^dirtyBit {
 					victim = i
 				}
 			}
 		}
 	}
 	res := Result{}
-	if set[victim].valid && set[victim].dirty {
+	if set[victim].stamp&dirtyBit != 0 {
 		res.Writeback = true
 		res.Victim = c.victimAddr(setIdx, set[victim].tag)
 		c.writebacks++
 	}
-	set[victim] = line{tag: tag, valid: true, dirty: write, lru: c.ticks}
+	set[victim] = line{tag: tag, stamp: c.ticks | dirty}
 	return res
 }
 
 // Probe reports whether addr is present without touching LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
+	if c.lines == nil {
+		return false
+	}
 	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
+	for _, l := range c.set(setIdx) {
+		if l.stamp != 0 && l.tag == tag {
 			return true
 		}
 	}
@@ -153,30 +172,6 @@ func (c *Cache) Probe(addr uint64) bool {
 func (c *Cache) victimAddr(set int, tag uint64) uint64 {
 	return (tag*uint64(c.numSets) + uint64(set)) * uint64(c.cfg.LineSize)
 }
-
-// Touch loads every line of [addr, addr+size), as the firmware does when it
-// builds a queue entry; it is Access in a loop, provided for convenience.
-func (c *Cache) Touch(addr uint64, size int, write bool) (misses int) {
-	ls := uint64(c.cfg.LineSize)
-	for a := addr &^ (ls - 1); a < addr+uint64(size); a += ls {
-		if r := c.Access(a, write); !r.Hit {
-			misses++
-		}
-	}
-	return misses
-}
-
-// Flush invalidates everything (statistics are preserved).
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-}
-
-// LineSize returns the configured line size in bytes.
-func (c *Cache) LineSize() int { return c.cfg.LineSize }
 
 // Accesses reports the total number of lookups.
 func (c *Cache) Accesses() uint64 { return c.accesses }

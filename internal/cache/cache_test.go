@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache {
@@ -93,29 +96,6 @@ func TestVictimAddrRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTouchSpansLines(t *testing.T) {
-	c := small()
-	if m := c.Touch(0x10, 64, false); m != 3 {
-		// 0x10..0x4f spans lines 0x00, 0x20, 0x40.
-		t.Fatalf("Touch misses = %d, want 3", m)
-	}
-	if m := c.Touch(0x10, 64, false); m != 0 {
-		t.Fatalf("warm Touch misses = %d, want 0", m)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := small()
-	c.Access(0x40, false)
-	c.Flush()
-	if c.Probe(0x40) {
-		t.Fatal("line survived Flush")
-	}
-	if r := c.Access(0x40, false); r.Hit {
-		t.Fatal("access after Flush hit")
-	}
-}
-
 func TestWorkingSetFitsThenThrashes(t *testing.T) {
 	// The phenomenon behind the paper's Fig. 5/6 knees: a working set that
 	// fits is all hits on re-traversal; one that exceeds capacity with an
@@ -161,12 +141,26 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with zero line size did not panic")
-		}
-	}()
-	New(Config{Size: 1024, Assoc: 2, LineSize: 0})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero line size", Config{Size: 1024, Assoc: 2, LineSize: 0}},
+		{"zero assoc", Config{Size: 1024, Assoc: 0, LineSize: 32}},
+		{"zero size", Config{Size: 0, Assoc: 2, LineSize: 32}},
+		{"line size not a power of two", Config{Size: 960, Assoc: 2, LineSize: 48}},
+		{"size not whole lines", Config{Size: 1040, Assoc: 2, LineSize: 32}},
+		{"lines not whole sets", Config{Size: 96, Assoc: 2, LineSize: 32}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%+v) did not panic", tc.cfg)
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
 }
 
 // Property: the cache never holds more distinct lines than its capacity,
@@ -216,4 +210,210 @@ func TestLRUShadowModelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refCache is the eager cache model the lazily backed Cache replaced: every
+// line allocated up front at 24 bytes, with separate valid and dirty flags
+// and an LRU stamp, and a full-set hit scan. It is kept as the oracle for
+// TestCacheMatchesReference.
+type refCache struct {
+	cfg     Config
+	sets    [][]refLine
+	numSets int
+	ticks   uint64
+	rng     uint64
+
+	accesses   uint64
+	hits       uint64
+	writebacks uint64
+}
+
+type refLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	lru   uint64
+}
+
+func newRef(cfg Config) *refCache {
+	lines := cfg.Size / cfg.LineSize
+	numSets := lines / cfg.Assoc
+	sets := make([][]refLine, numSets)
+	backing := make([]refLine, lines)
+	for i := range sets {
+		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
+	}
+	return &refCache{cfg: cfg, sets: sets, numSets: numSets, rng: 0x9e3779b97f4a7c15}
+}
+
+func (c *refCache) nextRand() uint64 {
+	c.rng ^= c.rng << 13
+	c.rng ^= c.rng >> 7
+	c.rng ^= c.rng << 17
+	return c.rng
+}
+
+func (c *refCache) index(addr uint64) (set int, tag uint64) {
+	lineAddr := addr / uint64(c.cfg.LineSize)
+	return int(lineAddr % uint64(c.numSets)), lineAddr / uint64(c.numSets)
+}
+
+func (c *refCache) access(addr uint64, write bool) Result {
+	c.accesses++
+	c.ticks++
+	setIdx, tag := c.index(addr)
+	set := c.sets[setIdx]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			c.hits++
+			set[i].lru = c.ticks
+			if write {
+				set[i].dirty = true
+			}
+			return Result{Hit: true}
+		}
+	}
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		if c.cfg.Policy == Random {
+			victim = int(c.nextRand() % uint64(len(set)))
+		} else {
+			victim = 0
+			for i := range set {
+				if set[i].lru < set[victim].lru {
+					victim = i
+				}
+			}
+		}
+	}
+	res := Result{}
+	if set[victim].valid && set[victim].dirty {
+		res.Writeback = true
+		res.Victim = (set[victim].tag*uint64(c.numSets) + uint64(setIdx)) * uint64(c.cfg.LineSize)
+		c.writebacks++
+	}
+	set[victim] = refLine{tag: tag, valid: true, dirty: write, lru: c.ticks}
+	return res
+}
+
+func (c *refCache) probe(addr uint64) bool {
+	setIdx, tag := c.index(addr)
+	for _, l := range c.sets[setIdx] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// Every geometry the simulator builds: the host L1 and L2 and the NIC L1
+// of params.HostCPU/NICCPU, and the fabric's dispatch cache.
+var geometries = []struct {
+	name string
+	cfg  Config
+}{
+	{"host-l1", Config{Size: 64 << 10, Assoc: 2, LineSize: 64, Policy: LRU}},
+	{"host-l2", Config{Size: 512 << 10, Assoc: 8, LineSize: 64, Policy: LRU}},
+	{"nic-l1", Config{Size: 32 << 10, Assoc: 64, LineSize: 32, Policy: Random}},
+	{"dispatch", Config{Size: 512, Assoc: 4, LineSize: 8, Policy: LRU}},
+}
+
+// TestCacheMatchesReference replays seeded random read/write streams on the
+// Cache and on refCache side by side. Every Result, the stats and Probe over
+// the whole address range must agree, before the first access as well as
+// during and after the stream. Half the accesses fall in a hot range that
+// fits in the cache, half anywhere in three times its capacity, so the
+// streams mix hits, clean and dirty evictions and (for Random) victim draws.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range geometries {
+		t.Run(g.name, func(t *testing.T) {
+			lines := g.cfg.Size / g.cfg.LineSize
+			span := 3 * lines
+			ls := uint64(g.cfg.LineSize)
+			for seed := int64(1); seed <= 3; seed++ {
+				c, ref := New(g.cfg), newRef(g.cfg)
+				check := func(when string) {
+					t.Helper()
+					if c.Accesses() != ref.accesses || c.Hits() != ref.hits || c.Writebacks() != ref.writebacks {
+						t.Fatalf("seed %d %s: stats %d/%d/%d, reference %d/%d/%d", seed, when,
+							c.Accesses(), c.Hits(), c.Writebacks(), ref.accesses, ref.hits, ref.writebacks)
+					}
+					for l := 0; l < span; l++ {
+						a := uint64(l) * ls
+						if c.Probe(a) != ref.probe(a) {
+							t.Fatalf("seed %d %s: Probe(%#x) = %v, reference %v", seed, when, a, c.Probe(a), ref.probe(a))
+						}
+					}
+				}
+				check("before the first access")
+				if c.lines != nil {
+					t.Fatalf("seed %d: Probe and stats backed the cache", seed)
+				}
+				if c.HitRate() != 1 {
+					t.Fatalf("seed %d: HitRate before the first access = %v, want 1", seed, c.HitRate())
+				}
+				rng := rand.New(rand.NewSource(seed))
+				n := 4 * lines
+				for i := 0; i < n; i++ {
+					l := rng.Intn(span)
+					if rng.Intn(2) == 0 {
+						l = rng.Intn(lines / 2)
+					}
+					addr := uint64(l)*ls + uint64(rng.Intn(g.cfg.LineSize))
+					write := rng.Intn(3) == 0
+					if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+						t.Fatalf("seed %d access %d (%#x, write %v): %+v, reference %+v", seed, i, addr, write, got, want)
+					}
+					if i == n/2 {
+						check("mid-stream")
+					}
+				}
+				check("after the stream")
+				if ref.writebacks == 0 || ref.hits == 0 || ref.hits == ref.accesses {
+					t.Fatalf("seed %d: stream exercised too little: %d hits, %d writebacks of %d accesses",
+						seed, ref.hits, ref.writebacks, ref.accesses)
+				}
+			}
+		})
+	}
+}
+
+// TestBackedOnFirstAccess pins what a cache costs: the host L2 allocates
+// under 1 KB until its first Access, which backs it at 16 bytes a line.
+func TestBackedOnFirstAccess(t *testing.T) {
+	if sz := unsafe.Sizeof(line{}); sz != 16 {
+		t.Fatalf("line is %d bytes, want 16", sz)
+	}
+	cfg := geometries[1].cfg
+	lines := uint64(cfg.Size / cfg.LineSize)
+	if d := allocated(func() {
+		c := New(cfg)
+		c.Probe(0x1000)
+		_ = c.HitRate() + float64(c.Accesses()+c.Hits()+c.Misses()+c.Writebacks())
+	}); d >= 1024 {
+		t.Fatalf("New and reads of an untouched host L2 allocated %d bytes, want < 1024", d)
+	}
+	if d := allocated(func() { New(cfg).Access(0x1000, false) }); d < 16*lines || d >= 24*lines {
+		t.Fatalf("New and a first Access allocated %d bytes, want [%d, %d)", d, 16*lines, 24*lines)
+	}
+}
+
+// allocated reports the fewest bytes f allocated over five runs: other
+// goroutines in the test binary can only add to a run's count.
+func allocated(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }

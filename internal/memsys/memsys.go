@@ -149,11 +149,3 @@ func (h *Hierarchy) Prefetch(now sim.Time, addr uint64, size int, write bool) {
 		h.lineLatency(now, a, write)
 	}
 }
-
-// FlushCaches empties every level (used between benchmark configurations).
-func (h *Hierarchy) FlushCaches() {
-	h.l1.Flush()
-	if h.l2 != nil {
-		h.l2.Flush()
-	}
-}

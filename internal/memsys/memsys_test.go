@@ -115,16 +115,6 @@ func TestZeroSizeAccess(t *testing.T) {
 	}
 }
 
-func TestFlushCaches(t *testing.T) {
-	h := hostHier()
-	h.Read(0, 0x9000, 4)
-	h.FlushCaches()
-	a := h.Read(sim.Microsecond, 0x9000, 4)
-	if a.L1Hit || a.L2Hit {
-		t.Fatal("caches not flushed")
-	}
-}
-
 // The calibration check behind the paper's §VI-B numbers: traversing a
 // queue that fits in the 32K NIC L1 costs ~15 ns/entry; one that has been
 // evicted costs ~60-75 ns/entry.

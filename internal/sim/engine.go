@@ -27,13 +27,20 @@ const maxTime = Time(math.MaxInt64)
 const deliveryClass = uint64(1) << 32
 
 type event struct {
-	at   Time
-	k1   uint64 // 0 for ordinary events; deliveryClass|src for deliveries
-	k2   uint64 // schedule seq (ordinary) or per-source delivery seq
-	fn   func()
-	id   EventID // non-zero only for cancellable events
-	idx  int     // index in heap, -1 when popped or cancelled
-	poll bool    // housekeeping observer, excluded from LastModel
+	at  Time
+	k1  uint64 // 0 for ordinary events; deliveryClass|src for deliveries
+	k2  uint64 // schedule seq (ordinary) or per-source delivery seq
+	fn  func()
+	id  EventID // non-zero only for cancellable events
+	idx int     // index in heap, -1 when popped or cancelled
+
+	// A process wake carries its target instead of fn (see wake): proc
+	// resumes from the park whose generation is gen.
+	proc   *Process
+	gen    uint64
+	signal bool
+
+	poll bool // housekeeping observer, excluded from LastModel
 }
 
 func eventLess(a, b *event) bool {
@@ -167,9 +174,17 @@ func (e *Engine) push(t Time, fn func()) *event {
 	return ev
 }
 
+// wake schedules an ordinary event after delay d that resumes p from its
+// current park. It takes the schedule sequence number Schedule would, and
+// allocates nothing: the event object itself carries p and its generation.
+func (e *Engine) wake(d Time, p *Process, signal bool) {
+	ev := e.push(e.now+d, nil)
+	ev.proc, ev.gen, ev.signal = p, p.gen, signal
+}
+
 // recycle returns a popped or cancelled event object to the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.fn, ev.proc = nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -338,11 +353,19 @@ func (e *Engine) Step() bool {
 		e.lastModel = ev.at
 	}
 	e.executed++
-	// Recycle before running fn: fn may schedule new events, which can
-	// legitimately reuse this object, while the local fn value stays valid.
-	fn := ev.fn
+	// Recycle before running the event: it may schedule new events, which
+	// can legitimately reuse this object, while the locals stay valid.
+	fn, p, gen, signal := ev.fn, ev.proc, ev.gen, ev.signal
 	e.recycle(ev)
-	fn()
+	// A signal wake is dropped while its process sleeps: a waiter list can
+	// hold a process that has since moved on (WaitCondAny leaves it on the
+	// signal that did not fire), and that wake must not cut a Sleep short.
+	switch {
+	case p == nil:
+		fn()
+	case !signal || !p.asleep:
+		p.run(gen)
+	}
 	return true
 }
 

@@ -82,3 +82,27 @@ func BenchmarkProcessSleep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcessWait measures one WaitSignal/Raise round trip between two
+// processes: each raises the signal the other waits on, so every op is two
+// signal wakes through the queue and two goroutine handoffs.
+func BenchmarkProcessWait(b *testing.B) {
+	e := NewEngine()
+	ping, pong := NewSignal(e), NewSignal(e)
+	n := b.N
+	e.Spawn("pinger", func(p *Process) {
+		for j := 0; j < n; j++ {
+			ping.Raise()
+			p.WaitSignal(pong)
+		}
+	})
+	e.Spawn("ponger", func(p *Process) {
+		for j := 0; j < n; j++ {
+			p.WaitSignal(ping)
+			pong.Raise()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

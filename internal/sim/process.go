@@ -67,34 +67,16 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 		}()
 		fn(p)
 	}()
-	e.Schedule(0, p.wakeFn())
+	e.wake(0, p, false)
 	return p
 }
 
-// wakeFn returns an event body that resumes the process from its *current*
-// park. If the process has been woken by some other event in the meantime
-// (its generation advanced), the wake is stale and must be dropped — a
-// process may be the target of both a timer and a signal broadcast.
-func (p *Process) wakeFn() func() {
-	gen := p.gen
-	return func() { p.run(gen) }
-}
-
-// signalWakeFn is wakeFn for a signal waiter. A waiter list can hold a
-// process that has since moved on (WaitCondAny leaves it on the signal
-// that did not fire); if that process is asleep when the wake fires, the
-// wake is not its own and is dropped, so a Sleep is never cut short.
-func (p *Process) signalWakeFn() func() {
-	gen := p.gen
-	return func() {
-		if !p.asleep {
-			p.run(gen)
-		}
-	}
-}
-
 // run hands control to the process and waits for it to park or finish.
-// It must only be called from an engine event.
+// It must only be called from an engine event: a wake (see Engine.wake)
+// for the park whose generation is gen. If the process has been woken by
+// some other event in the meantime (its generation advanced), the wake is
+// stale and is dropped — a process may be the target of both a timer and
+// a signal broadcast.
 func (p *Process) run(gen uint64) {
 	if p.done || !p.parked || p.gen != gen {
 		return // stale wake
@@ -150,7 +132,7 @@ func (p *Process) Sleep(d Time) {
 	// The park below is what the scheduled wake resumes: stamp the wake
 	// with the post-park generation.
 	p.parked, p.asleep = true, true
-	p.eng.Schedule(d, p.wakeFn())
+	p.eng.wake(d, p, false)
 	p.yield <- struct{}{}
 	<-p.resume
 	p.asleep = false
@@ -237,14 +219,11 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 // at the current instant.
 func (s *Signal) Raise() {
 	s.raised = true
-	if len(s.waiters) == 0 {
-		return
+	for _, p := range s.waiters {
+		s.eng.wake(0, p, true)
 	}
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
-		s.eng.Schedule(0, p.signalWakeFn())
-	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // TestClear reports whether the signal was raised, clearing it.

@@ -300,3 +300,53 @@ func TestFIFOProducerConsumerProcesses(t *testing.T) {
 		t.Fatalf("FIFO exceeded capacity: depth %d", f.MaxDepth())
 	}
 }
+
+// TestParkAllocatesNothing: once warm, a park and the wake that resumes it
+// allocate nothing — the wake rides a pooled event object, and a signal
+// keeps its waiter list's backing array across raises.
+func TestParkAllocatesNothing(t *testing.T) {
+	const loops = 1000
+	t.Run("contended-sleep", func(t *testing.T) {
+		// Under a bare Step every wake goes through the queue, and the
+		// rival sleeper's wake is always pending: each Step is one resume
+		// and one park.
+		e := NewEngine()
+		for i := 0; i < 2; i++ {
+			e.Spawn("sleeper", func(p *Process) {
+				for j := 0; j < loops; j++ {
+					p.Sleep(Nanosecond)
+				}
+			})
+		}
+		for i := 0; i < 16; i++ {
+			e.Step()
+		}
+		if a := testing.AllocsPerRun(100, func() { e.Step() }); a != 0 {
+			t.Fatalf("contended Sleep: %v allocations per park, want 0", a)
+		}
+		e.Run()
+	})
+	t.Run("signal-round-trip", func(t *testing.T) {
+		e := NewEngine()
+		s := NewSignal(e)
+		w := e.Spawn("waiter", func(p *Process) {
+			for j := 0; j < loops; j++ {
+				p.WaitSignal(s)
+			}
+		})
+		roundTrip := func() {
+			s.Raise()
+			e.Step()
+		}
+		e.Step()
+		for i := 0; i < 16; i++ {
+			roundTrip()
+		}
+		if a := testing.AllocsPerRun(100, roundTrip); a != 0 {
+			t.Fatalf("WaitSignal/Raise: %v allocations per park, want 0", a)
+		}
+		for !w.Done() {
+			roundTrip()
+		}
+	})
+}

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Runs the bench-gate benchmark set — the engine event loop, the
-# event-queue and partition-runner micro-benchmarks, the process Sleep
-# micro-benchmarks, the ALPU device micro-benchmarks, the matching-fabric
-# dispatch/overflow and dispatch-cache micro-benchmarks, and the quick
-# Fig. 5 sweep cuts — and writes
+# event-queue and partition-runner micro-benchmarks, the process Sleep and
+# signal-wait micro-benchmarks, the ALPU device micro-benchmarks, the
+# matching-fabric dispatch/overflow and dispatch-cache micro-benchmarks,
+# the 2-rank world build, and the quick Fig. 5 sweep cuts — and writes
 # the raw `go test -bench` output to the given file (default
 # BENCH_CURRENT.txt). CI runs it on the parent commit (a git worktree)
 # and on the change, back to back in alternating order on the same host,
@@ -23,9 +23,16 @@ go test -run '^$' -bench 'BenchmarkQueueMicro/' -benchtime 0.2s -count 3 ./inter
 # Process Sleep: the inline wake (alone) and the goroutine handoff
 # (contended), tens to hundreds of ns each.
 go test -run '^$' -bench 'BenchmarkProcessSleep/' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
+# Signal wait: a WaitSignal/Raise round trip, the park every firmware and
+# rank wait takes; its wake must stay a pooled event, not a closure.
+go test -run '^$' -bench 'BenchmarkProcessWait$' -benchtime 0.2s -count 3 ./internal/sim | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkMicro/' -benchtime 2000x -count 3 ./internal/alpu | tee -a "$out"
 # Fabric hot paths: shard routing + overflow promote/demote are a few ns
 # to ~100 ns each, so time-based benchtime again.
 go test -run '^$' -bench 'BenchmarkFabric' -benchtime 0.2s -count 3 ./internal/match | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
+# World build: the setup every sweep cell pays, dominated by model state
+# (cache lines are backed on first access). A fixed count, because worlds
+# are not torn down and each keeps its parked processes.
+go test -run '^$' -bench 'BenchmarkWorldBuild$' -benchtime 500x -benchmem -count 3 ./internal/mpi | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
