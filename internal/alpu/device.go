@@ -666,7 +666,12 @@ func (d *Device) insertLoop(p *sim.Process) {
 func (d *Device) doInsert(p *sim.Process, c Command) {
 	if t := d.cfg.Tracer; t != nil {
 		start := p.Now()
-		defer func() { t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "insert", start, p.Now()) }()
+		defer func() {
+			// Teardown (sim.Engine.Close) records nothing.
+			if !p.Killed() {
+				t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "insert", start, p.Now())
+			}
+		}()
 	}
 	if d.free() == 0 {
 		d.stats.LostInserts++

@@ -418,9 +418,16 @@ func (w *World) surfaceFailures() {
 
 // RunSim drives the built world to completion — the partition
 // coordinator in partitioned mode, the single engine's event loop
-// otherwise — and folds the recorder bundles into the world's recorders
-// when it returns, panic included.
+// otherwise — and, when it returns, panic included, folds the recorder
+// bundles into the world's recorders and then tears the world down
+// (Close).
 func (w *World) RunSim() {
+	defer w.Close()
+	w.run()
+}
+
+// run is RunSim without the teardown.
+func (w *World) run() {
 	defer w.absorbShards()
 	if w.ps != nil {
 		w.ps.Run()
@@ -428,6 +435,19 @@ func (w *World) RunSim() {
 	}
 	w.Eng.Run()
 	w.surfaceFailures()
+}
+
+// Close tears the world down: every process still parked on its engines
+// — the NIC firmware loops, the ALPU devices and any rank left blocked —
+// is unwound without recording anything (sim.Engine.Close), so a
+// finished world holds no goroutine and is garbage once the caller drops
+// it. Results, recorders and statistics stay readable. RunSim calls it
+// on every exit; call it directly only for a world that is built but
+// never run. Idempotent.
+func (w *World) Close() {
+	for _, e := range w.Engines {
+		e.Close()
+	}
 }
 
 // absorbShards folds the recorder bundles into the world-level recorders

@@ -72,7 +72,11 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 	if n.tracer != nil {
 		start := e.Now()
 		defer func() {
-			n.tracer.Span(n.cfg.ID, tidFirmware, "fw", "pkt "+pkt.Kind.String(), start, e.Now())
+			// A torn-down world (sim.Engine.Close) unwinds mid-packet;
+			// the packet never finished, so it records no span.
+			if !e.P.Killed() {
+				n.tracer.Span(n.cfg.ID, tidFirmware, "fw", "pkt "+pkt.Kind.String(), start, e.Now())
+			}
 		}()
 	}
 	switch pkt.Kind {
@@ -178,7 +182,9 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 	if n.tracer != nil {
 		start := e.Now()
 		defer func() {
-			n.tracer.Span(n.cfg.ID, tidFirmware, "fw", reqSpanNames[req.Kind], start, e.Now())
+			if !e.P.Killed() {
+				n.tracer.Span(n.cfg.ID, tidFirmware, "fw", reqSpanNames[req.Kind], start, e.Now())
+			}
 		}()
 	}
 	switch req.Kind {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -53,28 +52,85 @@ func eventLess(a, b *event) bool {
 	return a.k2 < b.k2
 }
 
+// eventHeap is a binary min-heap on eventLess. Every event records its
+// slot in idx (-1 once popped or removed) so Cancel can remove it in
+// O(log n). Every key is unique — seq is unique for ordinary events,
+// (src, dseq) for deliveries, and at most one front poll is pending per
+// instant — so the order in which events pop is a function of the keys
+// alone, never of the heap layout. The sift loops follow container/heap's
+// comparisons move for move; TestEventHeapMatchesContainerHeap replays
+// mixes of every scheduling path against it.
 type eventHeap []*event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
+// push inserts ev.
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// pop removes and returns the earliest event. The heap must not be empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	*h = q[:n]
+	if n > 0 {
+		h.down(0, last)
+	}
+	top.idx = -1
+	return top
+}
+
+// remove deletes the event in slot i.
+func (h *eventHeap) remove(i int) {
+	q := *h
+	n := len(q) - 1
+	ev, last := q[i], q[n]
+	q[n] = nil
+	*h = q[:n]
+	if i < n && !h.down(i, last) {
+		h.up(i, last)
+	}
 	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+}
+
+// up places ev, whose slot is i, on the path from i to the root: each
+// parent that sorts after it moves down one level.
+func (h eventHeap) up(i int, ev *event) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		pe := h[parent]
+		if !eventLess(ev, pe) {
+			break
+		}
+		h[i], pe.idx = pe, i
+		i = parent
+	}
+	h[i], ev.idx = ev, i
+}
+
+// down places ev, whose slot is i, below i: the earlier child moves up
+// while it sorts before ev. It reports whether ev left slot i.
+func (h eventHeap) down(i int, ev *event) bool {
+	i0, n := i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && eventLess(h[r], h[c]) {
+			c = r
+		}
+		ce := h[c]
+		if !eventLess(ce, ev) {
+			break
+		}
+		h[i], ce.idx = ce, i
+		i = c
+	}
+	h[i], ev.idx = ev, i
+	return i > i0
 }
 
 // arenaBlock is how many event objects one arena allocation holds. Blocks
@@ -89,7 +145,8 @@ const arenaBlock = 256
 // goroutines (see internal/sweep) and a single world may be split across
 // per-partition engines (see PartitionSet).
 //
-// The event queue is a container/heap ordered by the composite key above.
+// The event queue is a typed binary heap (eventHeap) ordered by the
+// composite key above.
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -170,7 +227,7 @@ func (e *Engine) push(t Time, fn func()) *event {
 	ev := e.alloc()
 	e.seq++
 	ev.at, ev.k1, ev.k2, ev.fn, ev.id, ev.poll = t, 0, e.seq, fn, 0, false
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -216,7 +273,7 @@ func (e *Engine) AtDelivery(t Time, src uint32, dseq uint64, fn func()) {
 	}
 	ev := e.alloc()
 	ev.at, ev.k1, ev.k2, ev.fn, ev.id, ev.poll = t, deliveryClass|uint64(src), dseq, fn, 0, false
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // ScheduleCancellable is Schedule for events that may later be revoked with
@@ -250,7 +307,7 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	delete(e.byID, id)
 	if ev.idx >= 0 {
-		heap.Remove(&e.events, ev.idx)
+		e.events.remove(ev.idx)
 	}
 	e.recycle(ev)
 	return true
@@ -321,7 +378,7 @@ func (e *Engine) AtPollFront(t Time, fn func()) {
 		e.pollers--
 		fn()
 	}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // LastModel reports the timestamp of the latest executed modelled event
@@ -341,7 +398,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events.pop()
 	if ev.id != 0 {
 		delete(e.byID, ev.id)
 	}
@@ -426,3 +483,26 @@ func (e *Engine) endRun() { e.horizon = 0 }
 
 // Stop makes Run/RunBefore return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Close unwinds every process that is not done, so a finished world
+// keeps no parked goroutine and nothing it references reachable. Each
+// process is resumed with its kill mark set: a parked one exits its park
+// through runtime.Goexit, running its deferred calls, and one that never
+// started exits without running its function. Close must be called with
+// the engine quiescent (no Run, RunBefore or Step in progress). It
+// counts no switches and leaves the clock, the counters and the queue
+// as they were; a panic raised during the unwinding is dropped, so a
+// Close deferred behind a failing run never replaces its panic.
+// Idempotent.
+func (e *Engine) Close() {
+	for _, p := range e.procs {
+		if p.done || !p.parked {
+			continue
+		}
+		p.killed = true
+		p.resume <- struct{}{}
+		<-p.yield
+	}
+	e.procs = nil
+	e.procFailure = nil
+}

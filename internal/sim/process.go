@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 )
 
@@ -36,6 +37,7 @@ type Process struct {
 	resume chan struct{}
 	yield  chan struct{}
 	done   bool
+	killed bool   // resumed by Engine.Close: unwind instead of running on
 	parked bool   // true while suspended awaiting a wake event
 	asleep bool   // parked in Sleep: only its own timer may resume it
 	gen    uint64 // increments on every wake; stale wake events are dropped
@@ -55,9 +57,10 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 		<-p.resume
 		// The final yield runs via defer so that the engine is released
 		// even if fn unwinds via runtime.Goexit (e.g. t.Fatal inside a
-		// test-driver process). A panic is captured here and re-raised on
-		// the engine goroutine (see ProcessPanic); recover returns nil for
-		// Goexit, preserving the old behaviour for that path.
+		// test-driver process, or Engine.Close). A panic is captured here
+		// and re-raised on the engine goroutine (see ProcessPanic);
+		// recover returns nil for Goexit, preserving the old behaviour for
+		// that path.
 		defer func() {
 			if r := recover(); r != nil {
 				p.eng.procFailure = &ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
@@ -65,7 +68,10 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 			p.done = true
 			p.yield <- struct{}{}
 		}()
-		fn(p)
+		// A process closed before its first wake never starts.
+		if !p.killed {
+			fn(p)
+		}
 	}()
 	e.wake(0, p, false)
 	return p
@@ -96,8 +102,18 @@ func (p *Process) run(gen uint64) {
 // It must only be called from inside the process goroutine.
 func (p *Process) park() {
 	p.parked = true
+	p.handoff()
+}
+
+// handoff yields to the engine and blocks until it resumes the process.
+// A resume from Engine.Close unwinds the process with runtime.Goexit:
+// its deferred calls run, and Spawn's deferred yield returns control.
+func (p *Process) handoff() {
 	p.yield <- struct{}{}
 	<-p.resume
+	if p.killed {
+		runtime.Goexit()
+	}
 }
 
 // Name returns the name given at Spawn.
@@ -109,8 +125,14 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.eng.Now() }
 
-// Done reports whether the process function has returned.
+// Done reports whether the process has finished: its function returned
+// or unwound, or Engine.Close ended it.
 func (p *Process) Done() bool { return p.done }
+
+// Killed reports whether Engine.Close is unwinding the process. Deferred
+// calls that record model activity (trace spans) check it, so a torn-down
+// process leaves every recorder as the run left it.
+func (p *Process) Killed() bool { return p.killed }
 
 // Sleep advances the process's local time by d, yielding to the simulation.
 // Sleep(0) yields without advancing time (other events at the same instant
@@ -133,8 +155,7 @@ func (p *Process) Sleep(d Time) {
 	// with the post-park generation.
 	p.parked, p.asleep = true, true
 	p.eng.wake(d, p, false)
-	p.yield <- struct{}{}
-	<-p.resume
+	p.handoff()
 	p.asleep = false
 }
 

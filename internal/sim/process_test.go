@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcessSleepAdvancesTime(t *testing.T) {
 	e := NewEngine()
@@ -349,4 +354,84 @@ func TestParkAllocatesNothing(t *testing.T) {
 			roundTrip()
 		}
 	})
+}
+
+// settleGoroutines waits until runtime.NumGoroutine is back to want: a
+// process goroutine yields to the engine a moment before it exits. It
+// fails only on a surplus — an earlier test's exiting goroutine may have
+// been counted in want.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > want {
+		t.Fatalf("%d goroutines left, want %d", n, want)
+	}
+}
+
+// TestCloseUnwindsProcesses: Close ends every process that is not done —
+// parked in Sleep, parked in a signal wait, or never started — running
+// the deferred calls of the started ones under the kill mark, and leaves
+// the clock, the counters and the queue as the run left them.
+func TestCloseUnwindsProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	s := NewSignal(e)
+	var unwound []string
+	spawnParked := func(name string, wait func(p *Process)) {
+		e.Spawn(name, func(p *Process) {
+			defer func() {
+				if p.Killed() {
+					unwound = append(unwound, name)
+				}
+			}()
+			wait(p)
+			t.Errorf("%s ran past its park", name)
+		})
+	}
+	spawnParked("sleeper", func(p *Process) { p.Sleep(Second) })
+	spawnParked("waiter", func(p *Process) { p.WaitSignal(s) })
+	e.Spawn("panicker", func(p *Process) {
+		defer panic("teardown panic") // dropped: Close must not raise it
+		p.WaitSignal(s)
+	})
+	e.Spawn("finished", func(p *Process) {})
+	e.Schedule(5*Nanosecond, func() {
+		// Stop fires with this spawn's first wake still queued.
+		e.Spawn("late", func(p *Process) { t.Error("late process started") })
+		e.Stop()
+	})
+	e.Run()
+	now, executed, switches, pending := e.Now(), e.Executed(), e.Switches(), e.Pending()
+	if parked := e.ParkedProcs(); parked != 4 {
+		t.Fatalf("%d parked processes before Close, want 4", parked)
+	}
+	e.Close()
+	if want := []string{"sleeper", "waiter"}; fmt.Sprint(unwound) != fmt.Sprint(want) {
+		t.Errorf("unwound %v under the kill mark, want %v", unwound, want)
+	}
+	if e.Now() != now || e.Executed() != executed || e.Switches() != switches || e.Pending() != pending {
+		t.Errorf("Close moved the engine: now %v executed %d switches %d pending %d, want %v %d %d %d",
+			e.Now(), e.Executed(), e.Switches(), e.Pending(), now, executed, switches, pending)
+	}
+	if parked := e.ParkedProcs(); parked != 0 {
+		t.Errorf("%d parked processes after Close", parked)
+	}
+	e.Close()
+	settleGoroutines(t, base)
+}
+
+// TestCloseNeverStartedProcess: a process spawned on an engine that never
+// runs exits on Close without running its function.
+func TestCloseNeverStartedProcess(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	p := e.Spawn("idle", func(p *Process) { t.Error("never-run process started") })
+	e.Close()
+	if !p.Done() || e.Switches() != 0 || e.Executed() != 0 {
+		t.Errorf("done %v switches %d executed %d, want true 0 0", p.Done(), e.Switches(), e.Executed())
+	}
+	settleGoroutines(t, base)
 }

@@ -3,12 +3,12 @@
 # event-queue and partition-runner micro-benchmarks, the process Sleep and
 # signal-wait micro-benchmarks, the ALPU device micro-benchmarks, the
 # matching-fabric dispatch/overflow and dispatch-cache micro-benchmarks,
-# the 2-rank world build, and the quick Fig. 5 sweep cuts — and writes
-# the raw `go test -bench` output to the given file (default
-# BENCH_CURRENT.txt). CI runs it on the parent commit (a git worktree)
-# and on the change, back to back in alternating order on the same host,
-# and compares the two outputs with cmd/benchgate, so the gate measures
-# the change rather than the host.
+# the 2-rank world build and whole world lifecycle, and the quick Fig. 5
+# sweep cuts — and writes the raw `go test -bench` output to the given
+# file (default BENCH_CURRENT.txt). CI runs it on the parent commit (a
+# git worktree) and on the change, back to back in alternating order on
+# the same host, and compares the two outputs with cmd/benchgate, so the
+# gate measures the change rather than the host.
 #
 # -count 3 runs every benchmark three times; the gate keeps the minimum,
 # which is the least-noise estimate of true cost.
@@ -31,8 +31,9 @@ go test -run '^$' -bench 'BenchmarkMicro/' -benchtime 2000x -count 3 ./internal/
 # to ~100 ns each, so time-based benchtime again.
 go test -run '^$' -bench 'BenchmarkFabric' -benchtime 0.2s -count 3 ./internal/match | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
-# World build: the setup every sweep cell pays, dominated by model state
-# (cache lines are backed on first access). A fixed count, because worlds
-# are not torn down and each keeps its parked processes.
-go test -run '^$' -bench 'BenchmarkWorldBuild$' -benchtime 500x -benchmem -count 3 ./internal/mpi | tee -a "$out"
+# World build (closed again at once) and world run (build, RunSim and
+# teardown of one 2-rank Fig. 5 cell): the setup and the per-world
+# lifecycle every sweep cell pays, dominated by model state (cache lines
+# are backed on first access) and process goroutines.
+go test -run '^$' -bench 'BenchmarkWorld(Build|Run)$' -benchtime 0.2s -benchmem -count 3 ./internal/mpi | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
