@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
+	"os"
+	osexec "os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -49,4 +55,86 @@ func TestFlagSurface(t *testing.T) {
 	if s := strings.Join(got, " "); s != want {
 		t.Errorf("flags:\n got %s\nwant %s", s, want)
 	}
+}
+
+// update rewrites the testdata goldens from the current build: go test
+// ./cmd/alpusim -update. TestMain takes the flag off the command line
+// itself, so it never joins the flag set TestFlagSurface pins.
+var update bool
+
+// TestMain doubles as the alpusim binary: with ALPUSIM_MAIN set, the test
+// executable runs main with its own arguments, so a test can drive the
+// command end to end in a fresh process (the flags are package globals).
+func TestMain(m *testing.M) {
+	if os.Getenv("ALPUSIM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	args := os.Args[:1]
+	for _, a := range os.Args[1:] {
+		if a == "-update" || a == "--update" {
+			update = true
+			continue
+		}
+		args = append(args, a)
+	}
+	os.Args = args
+	os.Exit(m.Run())
+}
+
+// TestQuickAllGolden pins the stdout of -quick -experiment all byte for
+// byte. -par 1 and -par 2 share one golden; -par 0 (the serial engine)
+// schedules differently and has its own. go test ./cmd/alpusim -update
+// rewrites the files.
+func TestQuickAllGolden(t *testing.T) {
+	for _, c := range []struct {
+		par    int
+		golden string
+	}{
+		{0, "all-quick-par0.golden"},
+		{1, "all-quick.golden"},
+		{2, "all-quick.golden"},
+	} {
+		t.Run(fmt.Sprintf("par%d", c.par), func(t *testing.T) {
+			cmd := osexec.Command(os.Args[0], "-quick", "-experiment", "all", "-jobs", "2", "-par", strconv.Itoa(c.par))
+			cmd.Env = append(os.Environ(), "ALPUSIM_MAIN=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("alpusim %v: %v", cmd.Args[1:], err)
+			}
+			path := filepath.Join("testdata", c.golden)
+			if update && c.par != 2 {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout differs from %s:\n%s", path, lineDiff(want, got))
+			}
+		})
+	}
+}
+
+// lineDiff lists the lines that differ between want and got, by line
+// number, for a readable golden failure.
+func lineDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	var b strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n  want %q\n   got %q\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }
