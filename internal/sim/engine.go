@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // EventID identifies a cancellable scheduled event (see ScheduleCancellable).
@@ -139,11 +140,21 @@ func (h eventHeap) down(i int, ev *event) bool {
 const arenaBlock = 256
 
 // Engine is the discrete event simulation kernel. It is not safe for
-// concurrent use; co-simulated processes (see Process) hand control back and
-// forth so that exactly one goroutine touches the Engine at a time. Distinct
-// Engines are fully independent, so whole worlds may run on parallel
-// goroutines (see internal/sweep) and a single world may be split across
-// per-partition engines (see PartitionSet).
+// concurrent use: exactly one goroutine holds the engine (the "baton") at
+// a time, and that goroutine pops and runs its events. The holder is the
+// goroutine that called Run, RunBefore, Step or Close (its "home") or a
+// co-simulated process (see Process) that has parked. A holder runs
+// ordinary events inline, keeps running when the next wake is its own,
+// and hands the baton straight to the process a wake resumes — one
+// channel send. When the loop ends (Stop, an empty queue, the RunBefore
+// horizon, or after the one event of a bare Step) the baton returns home
+// through the home channel, and a failure raised on a process goroutine
+// travels with it and is re-raised there. Which goroutine runs an event
+// never changes the order in which events pop.
+//
+// Distinct Engines are fully independent, so whole worlds may run on
+// parallel goroutines (see internal/sweep) and a single world may be split
+// across per-partition engines (see PartitionSet).
 //
 // The event queue is a typed binary heap (eventHeap) ordered by the
 // composite key above.
@@ -157,17 +168,28 @@ type Engine struct {
 	arena   []event            // current arena block feeding the free path
 	stopped bool
 
-	// horizon bounds inline wakes (see inlineWake): maxTime under Run, t
-	// under RunBefore(t), zero when no run loop is active.
-	horizon Time
+	// last is the latest event time the active loop may pop: maxTime
+	// under Run, t-1 under RunBefore(t), -1 when no loop is active (a
+	// bare Step pops its one event itself). It also bounds inline wakes
+	// (see inlineWake).
+	last Time
 
-	// procFailure holds a panic captured from a co-simulated process
-	// goroutine, re-raised on the engine goroutine by Process.run.
-	procFailure *ProcessPanic
+	// home carries the baton back to the goroutine that called Run,
+	// RunBefore, Step or Close.
+	home chan struct{}
+
+	// failure is a panic value that ended the loop on a process
+	// goroutine — a *ProcessPanic, or the raw value of a failing event
+	// function — or goexit{} for an event function that called
+	// runtime.Goexit. It travels home with the baton and is re-raised
+	// there.
+	failure any
 
 	// Stats.
 	executed uint64
-	switches uint64 // goroutine handoffs into co-simulated processes
+	switches uint64 // resumes of co-simulated processes
+	handoffs uint64 // baton transfers between goroutines
+	inlined  uint64 // Sleep wakes taken inline (see inlineWake)
 
 	// pollers counts pending housekeeping events scheduled with
 	// SchedulePoll — watchdog checks, telemetry samplers. They are
@@ -187,7 +209,7 @@ type Engine struct {
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{last: -1, home: make(chan struct{})}
 }
 
 // Now returns the current simulated time.
@@ -197,10 +219,17 @@ func (e *Engine) Now() Time { return e.now }
 // inline counts as the event it stands for.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Switches reports how many times the engine has handed control to a
-// co-simulated process: each start and each resume from a park. A Sleep
-// wake taken inline costs none.
+// Switches reports how many times a co-simulated process has been
+// resumed: each start and each wake that ends a park, whether it runs on
+// the process's own goroutine or is handed to it. A Sleep wake taken
+// inline costs none.
 func (e *Engine) Switches() uint64 { return e.switches }
+
+// Handoffs reports how many times the baton has moved between goroutines:
+// to a process whose wake was popped elsewhere, or back home when a loop
+// ends. A resume popped by the process itself costs none. Close's
+// teardown is not counted.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // alloc takes an event object off the free list, refilling it from the
 // arena when empty.
@@ -393,11 +422,22 @@ func (e *Engine) LastModel() Time { return e.lastModel }
 func (e *Engine) Alive() int { return e.Pending() - e.pollers }
 
 // Step executes the single earliest event. It reports false when no events
-// remain.
+// remain. If the event resumes a process, the baton returns home the
+// moment that process parks again.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
+	if p := e.fire(); p != nil {
+		e.await(p)
+	}
+	return true
+}
+
+// fire pops the earliest event and executes it on the calling goroutine:
+// it runs an ordinary event's function, or takes a wake and returns the
+// process it resumes. A stale wake is dropped and returns nil.
+func (e *Engine) fire() *Process {
 	ev := e.events.pop()
 	if ev.id != 0 {
 		delete(e.byID, ev.id)
@@ -414,26 +454,119 @@ func (e *Engine) Step() bool {
 	// can legitimately reuse this object, while the locals stay valid.
 	fn, p, gen, signal := ev.fn, ev.proc, ev.gen, ev.signal
 	e.recycle(ev)
-	// A signal wake is dropped while its process sleeps: a waiter list can
-	// hold a process that has since moved on (WaitCondAny leaves it on the
-	// signal that did not fire), and that wake must not cut a Sleep short.
-	switch {
-	case p == nil:
+	if p == nil {
 		fn()
-	case !signal || !p.asleep:
-		p.run(gen)
+		return nil
 	}
-	return true
+	// A wake is stale once its process has finished or been woken by
+	// another event (its generation advanced) — a process may be the
+	// target of both a timer and a signal broadcast. A signal wake is also
+	// dropped while its process sleeps: a waiter list can hold a process
+	// that has since moved on (WaitCondAny leaves it on the signal that did
+	// not fire), and that wake must not cut a Sleep short.
+	if p.done || !p.parked || p.gen != gen || signal && p.asleep {
+		return nil
+	}
+	p.parked = false
+	p.gen++
+	e.switches++
+	return p
+}
+
+// next runs events on the calling goroutine, in queue order, until a wake
+// resumes a process, which it returns, or the active loop ends — Stop, an
+// empty queue or a head past last — when it returns nil.
+func (e *Engine) next() *Process {
+	for !e.stopped && len(e.events) > 0 && e.events[0].at <= e.last {
+		if p := e.fire(); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// await hands the baton from home to p and blocks until it comes back,
+// re-raising the failure that came with it, if any.
+func (e *Engine) await(p *Process) {
+	e.handoffs++
+	p.resume <- struct{}{}
+	<-e.home
+	if f := e.failure; f != nil {
+		e.failure = nil
+		if _, ok := f.(goexit); ok {
+			runtime.Goexit()
+		}
+		panic(f)
+	}
+}
+
+// goexit marks a failure raised by runtime.Goexit in an event function
+// that ran on a process goroutine: home calls runtime.Goexit in turn, as
+// the event would have if it had run there.
+type goexit struct{}
+
+// pass runs the loop on self's goroutine, which holds the baton because
+// self has parked or finished. It returns when self's own wake is taken:
+// at once if that is the next wake, or else once the baton, handed on to
+// another process or home, comes back with it. A finished self returns as
+// soon as the baton has left. An event function that fails here is
+// forwarded home (see fail) instead of unwinding self.
+func (e *Engine) pass(self *Process) {
+	handed := false
+	defer func() {
+		if !handed {
+			e.fail(self, recover())
+		}
+	}()
+	q := e.next()
+	handed = true
+	if q == self {
+		return
+	}
+	done := self.done
+	e.handoffs++
+	if q == nil {
+		e.home <- struct{}{}
+	} else {
+		q.resume <- struct{}{}
+	}
+	if !done {
+		<-self.resume
+	}
+}
+
+// fail sends home the failure r (nil for runtime.Goexit) of an event
+// function that ran in pass on self's goroutine. A recovered panic leaves
+// self parked, as if the event had run at home: self blocks until a later
+// wake or Close resumes it. Goexit cannot be stopped, so a parked self
+// unwinds under the kill mark, and its exit (Process.finish) hands the
+// baton home.
+func (e *Engine) fail(self *Process, r any) {
+	e.handoffs++
+	done := self.done
+	if r != nil {
+		e.failure = r
+	} else {
+		e.failure = goexit{}
+		if !done {
+			self.killed = true
+			return
+		}
+	}
+	e.home <- struct{}{}
+	if !done {
+		<-self.resume
+	}
 }
 
 // inlineWake reports whether an ordinary event scheduled now for t would
 // be the next one the active run loop pops, and if so advances exactly
-// what push and Step would have (sequence, clock, LastModel, Executed)
-// without touching the queue. That holds when t is below the run loop's
-// horizon, Stop has not been called, and no pending event sorts before
+// what push and fire would have (sequence, clock, LastModel, Executed)
+// without touching the queue. That holds when t is within the loop's
+// bound, Stop has not been called, and no pending event sorts before
 // (t, 0, seq+1): the head is later than t, or a delivery at t.
 func (e *Engine) inlineWake(t Time) bool {
-	if t >= e.horizon || e.stopped {
+	if t > e.last || e.stopped {
 		return false
 	}
 	if len(e.events) > 0 {
@@ -444,6 +577,7 @@ func (e *Engine) inlineWake(t Time) bool {
 	e.seq++
 	e.now, e.lastModel = t, t
 	e.executed++
+	e.inlined++
 	return true
 }
 
@@ -451,11 +585,7 @@ func (e *Engine) inlineWake(t Time) bool {
 // a process's Sleep whose wake is the next event continues inline (see
 // Process.Sleep); the order of events is the one Step alone produces.
 func (e *Engine) Run() {
-	e.stopped = false
-	e.horizon = maxTime
-	defer e.endRun()
-	for !e.stopped && e.Step() {
-	}
+	e.run(maxTime)
 }
 
 // RunBefore executes events with timestamps strictly below t and returns.
@@ -465,21 +595,23 @@ func (e *Engine) Run() {
 // guaranteed to land at or after it) remain schedulable. t is also the
 // bound below which Sleep wakes may be taken inline.
 func (e *Engine) RunBefore(t Time) {
+	e.run(t - 1)
+}
+
+// run is the loop of Run and RunBefore: it pops every event up to last
+// and returns when the baton is home again.
+func (e *Engine) run(last Time) {
 	e.stopped = false
-	e.horizon = t
+	e.last = last
 	defer e.endRun()
-	for !e.stopped {
-		at, ok := e.PeekTime()
-		if !ok || at >= t {
-			return
-		}
-		e.Step()
+	if p := e.next(); p != nil {
+		e.await(p)
 	}
 }
 
-// endRun clears the horizon on every exit from Run and RunBefore, panics
-// included, so a bare Step never takes a wake inline.
-func (e *Engine) endRun() { e.horizon = 0 }
+// endRun ends the active loop on every exit from Run and RunBefore, panics
+// included, so a bare Step pops one event and never takes a wake inline.
+func (e *Engine) endRun() { e.last = -1 }
 
 // Stop makes Run/RunBefore return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -488,9 +620,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // keeps no parked goroutine and nothing it references reachable. Each
 // process is resumed with its kill mark set: a parked one exits its park
 // through runtime.Goexit, running its deferred calls, and one that never
-// started exits without running its function. Close must be called with
-// the engine quiescent (no Run, RunBefore or Step in progress). It
-// counts no switches and leaves the clock, the counters and the queue
+// started exits without running its function; either hands the baton
+// back home as its goroutine ends. Close must be called with the engine
+// quiescent (no Run, RunBefore or Step in progress). It counts no
+// switches or handoffs and leaves the clock, the counters and the queue
 // as they were; a panic raised during the unwinding is dropped, so a
 // Close deferred behind a failing run never replaces its panic.
 // Idempotent.
@@ -501,8 +634,8 @@ func (e *Engine) Close() {
 		}
 		p.killed = true
 		p.resume <- struct{}{}
-		<-p.yield
+		<-e.home
 	}
 	e.procs = nil
-	e.procFailure = nil
+	e.failure = nil
 }

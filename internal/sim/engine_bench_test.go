@@ -58,9 +58,9 @@ func BenchmarkQueueMicro(b *testing.B) {
 // BenchmarkProcessSleep measures one Sleep of a co-simulated process under
 // Run. alone: the wake is always the next event, so Sleep takes it inline
 // with no goroutine handoff. contended: a rival sleeper's wake is always
-// pending first, so every Sleep parks and is resumed through the queue —
-// two channel handoffs plus a heap push and pop. One op there is one Sleep
-// of each of the two processes.
+// pending first, so every Sleep parks, pops the rival's wake and hands it
+// the baton — one channel handoff plus a heap push and pop. One op there is
+// one Sleep of each of the two processes.
 func BenchmarkProcessSleep(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -81,6 +81,26 @@ func BenchmarkProcessSleep(b *testing.B) {
 			e.Run()
 		})
 	}
+}
+
+// BenchmarkProcessHandoff measures a resume handed from one process to
+// another in a crowd: 48 processes sleep 1 ns in turn, so every wake a
+// parked process pops belongs to the next process, and each Sleep costs
+// a heap push and pop and one channel handoff. One op is one Sleep.
+func BenchmarkProcessHandoff(b *testing.B) {
+	const procs = 48
+	e := NewEngine()
+	n := (b.N + procs - 1) / procs
+	for i := 0; i < procs; i++ {
+		e.Spawn("sleeper", func(p *Process) {
+			for j := 0; j < n; j++ {
+				p.Sleep(Nanosecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkProcessWait measures one WaitSignal/Raise round trip between two

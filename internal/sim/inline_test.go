@@ -25,6 +25,9 @@ func TestStaleSignalWakeDoesNotCutSleepShort(t *testing.T) {
 	}
 }
 
+// TestSwitchesInlineSleep pins the resumes (Switches) and the goroutine
+// transfers (Handoffs) of one sleeper alone and of two sleepers that
+// always find the rival's wake pending first, under each driver.
 func TestSwitchesInlineSleep(t *testing.T) {
 	const n = 1000
 	sleeper := func(p *Process) {
@@ -32,30 +35,42 @@ func TestSwitchesInlineSleep(t *testing.T) {
 			p.Sleep(Nanosecond)
 		}
 	}
+	run := (*Engine).Run
+	runBefore := func(e *Engine) { e.RunBefore(maxTime) }
+	step := func(e *Engine) {
+		for e.Step() {
+		}
+	}
 	for _, c := range []struct {
-		name  string
-		procs int
-		drive func(e *Engine)
-		want  uint64
+		name               string
+		procs              int
+		drive              func(e *Engine)
+		switches, handoffs uint64
 	}{
-		// The start is the only handoff; every wake is taken inline.
-		{"alone/Run", 1, (*Engine).Run, 1},
-		{"alone/RunBefore", 1, func(e *Engine) { e.RunBefore(maxTime) }, 1},
-		// A bare Step sets no horizon, so it never inlines.
-		{"alone/Step", 1, func(e *Engine) {
-			for e.Step() {
-			}
-		}, n + 1},
-		// The rival's wake is always pending first: one handoff per Sleep.
-		{"contended/Run", 2, (*Engine).Run, 2 * (n + 1)},
+		// The start is the only resume, and every wake is taken inline:
+		// one handoff out, and one home when the process ends.
+		{"alone/Run", 1, run, 1, 2},
+		{"alone/RunBefore", 1, runBefore, 1, 2},
+		// A bare Step sets no loop bound, so it never inlines, and the
+		// baton goes home at every park: two handoffs per resume.
+		{"alone/Step", 1, step, n + 1, 2 * (n + 1)},
+		// The rival's wake is always pending first: every Sleep parks, and
+		// the parked process hands the baton straight to the rival — one
+		// handoff per resume, and one home at the end.
+		{"contended/Run", 2, run, 2 * (n + 1), 2*(n+1) + 1},
+		{"contended/RunBefore", 2, runBefore, 2 * (n + 1), 2*(n+1) + 1},
+		{"contended/Step", 2, step, 2 * (n + 1), 4 * (n + 1)},
 	} {
 		e := NewEngine()
 		for i := 0; i < c.procs; i++ {
 			e.Spawn(fmt.Sprint("p", i), sleeper)
 		}
 		c.drive(e)
-		if got := e.Switches(); got != c.want {
-			t.Errorf("%s: %d switches, want %d", c.name, got, c.want)
+		if got := e.Switches(); got != c.switches {
+			t.Errorf("%s: %d switches, want %d", c.name, got, c.switches)
+		}
+		if got := e.Handoffs(); got != c.handoffs {
+			t.Errorf("%s: %d handoffs, want %d", c.name, got, c.handoffs)
 		}
 		if got, want := e.Executed(), uint64(c.procs*(n+1)); got != want {
 			t.Errorf("%s: executed %d, want %d", c.name, got, want)
@@ -99,10 +114,13 @@ func TestRunHorizonClearedOnPanic(t *testing.T) {
 	}
 }
 
-// Differential test of inline wakes: seeded random process programs run
-// once under bare Step (the reference, which never inlines), then under Run
-// and under RunBefore windows of random width. Every run must produce the
-// reference's model trace, Executed, LastModel and end time.
+// Differential test of the run loops: seeded random process programs run
+// once under bare Step — the reference: it never inlines a wake, and the
+// baton returns home at every park — then under Run and under RunBefore
+// windows of random width, where parked processes pass the baton among
+// themselves and Sleep wakes may be taken inline. Every run must produce
+// the reference's model trace, Executed, LastModel and end time, and its
+// resumes plus its inline wakes must equal the reference's resumes.
 
 const (
 	opSleep = iota
@@ -287,41 +305,53 @@ func (w *diffWorld) checkStop(t *testing.T, name string) {
 }
 
 func TestInlineWakeDifferential(t *testing.T) {
+	// Each driver returns how many times it started a run loop.
 	drivers := []struct {
 		name  string
-		drive func(t *testing.T, w *diffWorld, rng *rand.Rand)
+		drive func(t *testing.T, w *diffWorld, rng *rand.Rand) uint64
 	}{
-		{"Run", func(t *testing.T, w *diffWorld, _ *rand.Rand) {
+		{"Run", func(t *testing.T, w *diffWorld, _ *rand.Rand) uint64 {
+			var loops uint64
 			for w.e.Pending() > 0 {
 				w.e.Run()
+				loops++
 				w.checkStop(t, "Run")
 			}
+			return loops
 		}},
-		{"RunBefore", func(t *testing.T, w *diffWorld, rng *rand.Rand) {
+		{"RunBefore", func(t *testing.T, w *diffWorld, rng *rand.Rand) uint64 {
+			var loops uint64
 			maxWidth := 1 + rng.Intn(200)
 			var h Time
 			for w.e.Pending() > 0 {
 				h += Time(1 + rng.Intn(maxWidth))
 				w.e.RunBefore(h)
+				loops++
 				if w.e.Now() >= h {
 					t.Errorf("RunBefore(%v) returned at %v", h, w.e.Now())
 				}
 				w.checkStop(t, "RunBefore")
 			}
+			return loops
 		}},
 	}
 	const seeds = 300
-	var refSwitches, fastSwitches uint64
+	var refSwitches, fastSwitches, fastHandoffs uint64
 	for seed := int64(1); seed <= seeds; seed++ {
 		ref := buildDiffWorld(seed)
 		for ref.e.Step() {
 		}
 		refSwitches += ref.e.Switches()
+		if ref.e.inlined != 0 || ref.e.Handoffs() != 2*ref.e.Switches() {
+			t.Fatalf("seed %d, bare Step: %d inline wakes, %d handoffs for %d switches; want none and two per switch",
+				seed, ref.e.inlined, ref.e.Handoffs(), ref.e.Switches())
+		}
 		for _, d := range drivers {
 			w := buildDiffWorld(seed)
-			d.drive(t, w, rand.New(rand.NewSource(-seed)))
+			loops := d.drive(t, w, rand.New(rand.NewSource(-seed)))
 			if d.name == "Run" {
 				fastSwitches += w.e.Switches()
+				fastHandoffs += w.e.Handoffs()
 			}
 			where := fmt.Sprintf("seed %d, %s", seed, d.name)
 			if len(w.trace) != len(ref.trace) {
@@ -336,6 +366,14 @@ func TestInlineWakeDifferential(t *testing.T) {
 				t.Fatalf("%s: executed %d, last model %v, now %v; reference %d, %v, %v", where,
 					w.e.Executed(), w.e.LastModel(), w.e.Now(), ref.e.Executed(), ref.e.LastModel(), ref.e.Now())
 			}
+			if got := w.e.Switches() + w.e.inlined; got != ref.e.Switches() {
+				t.Fatalf("%s: %d switches + %d inline wakes, reference has %d switches", where,
+					w.e.Switches(), w.e.inlined, ref.e.Switches())
+			}
+			// Every handoff either resumes a process or ends a loop.
+			if h, max := w.e.Handoffs(), w.e.Switches()+loops; h > max {
+				t.Fatalf("%s: %d handoffs for %d switches over %d loops", where, h, w.e.Switches(), loops)
+			}
 			if n := w.e.ParkedProcs(); n != 0 {
 				t.Fatalf("%s: %d processes still parked", where, n)
 			}
@@ -345,5 +383,6 @@ func TestInlineWakeDifferential(t *testing.T) {
 	if fastSwitches >= refSwitches {
 		t.Fatalf("Run made %d switches over %d seeds, bare Step %d: no wake was taken inline", fastSwitches, seeds, refSwitches)
 	}
-	t.Logf("switches over %d seeds: bare Step %d, Run %d", seeds, refSwitches, fastSwitches)
+	t.Logf("over %d seeds: bare Step %d switches, %d handoffs; Run %d switches, %d handoffs",
+		seeds, refSwitches, 2*refSwitches, fastSwitches, fastHandoffs)
 }

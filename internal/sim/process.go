@@ -6,11 +6,14 @@ import (
 	"runtime/debug"
 )
 
-// ProcessPanic is the value re-raised on the engine goroutine when a
-// co-simulated process panics. Without this hand-off the panic would unwind
-// a bare goroutine and abort the whole program — with it, the panic
-// propagates out of Engine.Run on the caller's goroutine, where a sweep
-// worker (internal/sweep) can recover it and fail just that world.
+// ProcessPanic is the value re-raised on the home goroutine (the caller of
+// Run, RunBefore or Step) when a co-simulated process panics. Without this
+// hand-off the panic would unwind a bare goroutine and abort the whole
+// program — with it, the panic propagates out of Engine.Run on the
+// caller's goroutine, where a sweep worker (internal/sweep) can recover it
+// and fail just that world. A panic in an event function that a parked
+// process happened to run is not a ProcessPanic: it reaches the caller
+// with its own value (see Engine).
 type ProcessPanic struct {
 	Proc  string // name of the process that panicked
 	Value any    // the original panic value
@@ -27,15 +30,14 @@ func (pp *ProcessPanic) Error() string {
 // lets them be written as straight-line code instead of hand-built state
 // machines while staying deterministic.
 //
-// The handshake guarantees that exactly one of {engine, one process} runs at
-// any instant: when the engine resumes a process it blocks on the process's
-// yield channel until the process parks again (in Sleep or WaitSignal) or
-// returns.
+// Exactly one goroutine holds the engine at any instant. A process holds
+// it from its resume until it parks (in Sleep or a signal wait) or
+// returns; it then runs the event loop itself until the baton moves on
+// (see Engine), and blocks on its resume channel until a wake resumes it.
 type Process struct {
 	eng    *Engine
 	name   string
 	resume chan struct{}
-	yield  chan struct{}
 	done   bool
 	killed bool   // resumed by Engine.Close: unwind instead of running on
 	parked bool   // true while suspended awaiting a wake event
@@ -49,25 +51,15 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 		eng:    e,
 		name:   name,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 		parked: true,
 	}
 	e.procs = append(e.procs, p)
 	go func() {
 		<-p.resume
-		// The final yield runs via defer so that the engine is released
-		// even if fn unwinds via runtime.Goexit (e.g. t.Fatal inside a
-		// test-driver process, or Engine.Close). A panic is captured here
-		// and re-raised on the engine goroutine (see ProcessPanic);
-		// recover returns nil for Goexit, preserving the old behaviour for
-		// that path.
-		defer func() {
-			if r := recover(); r != nil {
-				p.eng.procFailure = &ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			p.done = true
-			p.yield <- struct{}{}
-		}()
+		// finish runs via defer so that the baton moves on even if fn
+		// unwinds via runtime.Goexit (e.g. t.Fatal inside a test-driver
+		// process, or Engine.Close).
+		defer p.finish()
 		// A process closed before its first wake never starts.
 		if !p.killed {
 			fn(p)
@@ -77,40 +69,35 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	return p
 }
 
-// run hands control to the process and waits for it to park or finish.
-// It must only be called from an engine event: a wake (see Engine.wake)
-// for the park whose generation is gen. If the process has been woken by
-// some other event in the meantime (its generation advanced), the wake is
-// stale and is dropped — a process may be the target of both a timer and
-// a signal broadcast.
-func (p *Process) run(gen uint64) {
-	if p.done || !p.parked || p.gen != gen {
-		return // stale wake
-	}
-	p.parked = false
-	p.gen++
-	p.eng.switches++
-	p.resume <- struct{}{}
-	<-p.yield
-	if f := p.eng.procFailure; f != nil {
-		p.eng.procFailure = nil
-		panic(f)
+// finish is the exit path of a process goroutine. A process killed by
+// Close hands the baton straight home; a panic is captured and sent home
+// as a ProcessPanic; otherwise (fn returned, or unwound through Goexit —
+// recover returns nil for that) the finished process runs the loop until
+// the baton leaves it.
+func (p *Process) finish() {
+	r := recover()
+	p.done = true
+	e := p.eng
+	switch {
+	case p.killed:
+		e.home <- struct{}{}
+	case r != nil:
+		e.failure = &ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		e.handoffs++
+		e.home <- struct{}{}
+	default:
+		e.pass(p)
 	}
 }
 
-// park suspends the process until some engine event calls run again.
-// It must only be called from inside the process goroutine.
+// park suspends the process until a wake for its current generation is
+// taken. It must only be called from inside the process goroutine. The
+// process runs the event loop meanwhile (see Engine.pass). A resume from
+// Engine.Close unwinds the process with runtime.Goexit: its deferred calls
+// run, and finish returns the baton home.
 func (p *Process) park() {
 	p.parked = true
-	p.handoff()
-}
-
-// handoff yields to the engine and blocks until it resumes the process.
-// A resume from Engine.Close unwinds the process with runtime.Goexit:
-// its deferred calls run, and Spawn's deferred yield returns control.
-func (p *Process) handoff() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.eng.pass(p)
 	if p.killed {
 		runtime.Goexit()
 	}
@@ -141,8 +128,8 @@ func (p *Process) Killed() bool { return p.killed }
 // When the wake would be the very next event the active Run or RunBefore
 // pops, nothing can run in between, so Sleep takes it inline: the clock,
 // counters and generation advance as the real wake would advance them, and
-// the process keeps running without a goroutine handoff. Under a bare
-// Step, or once Stop is called, every wake goes through the queue.
+// the process keeps running without touching the queue. Under a bare Step,
+// or once Stop is called, every wake goes through the queue.
 func (p *Process) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: %s: negative sleep %v", p.name, d))
@@ -151,11 +138,9 @@ func (p *Process) Sleep(d Time) {
 		p.gen++
 		return
 	}
-	// The park below is what the scheduled wake resumes: stamp the wake
-	// with the post-park generation.
-	p.parked, p.asleep = true, true
+	p.asleep = true
 	p.eng.wake(d, p, false)
-	p.handoff()
+	p.park()
 	p.asleep = false
 }
 

@@ -357,7 +357,7 @@ func TestParkAllocatesNothing(t *testing.T) {
 }
 
 // settleGoroutines waits until runtime.NumGoroutine is back to want: a
-// process goroutine yields to the engine a moment before it exits. It
+// process goroutine hands the baton on a moment before it exits. It
 // fails only on a surplus — an earlier test's exiting goroutine may have
 // been counted in want.
 func settleGoroutines(t *testing.T, want int) {
