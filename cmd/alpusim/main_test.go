@@ -113,28 +113,8 @@ func TestQuickAllGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("stdout differs from %s:\n%s", path, lineDiff(want, got))
+				t.Errorf("stdout differs from %s:\n%s", path, got)
 			}
 		})
 	}
-}
-
-// lineDiff lists the lines that differ between want and got, by line
-// number, for a readable golden failure.
-func lineDiff(want, got []byte) string {
-	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
-	var b strings.Builder
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			fmt.Fprintf(&b, "line %d:\n  want %q\n   got %q\n", i+1, wl, gl)
-		}
-	}
-	return b.String()
 }
