@@ -1,15 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"flag"
-	"fmt"
-	"os"
-	osexec "os/exec"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+
+	"alpusim/internal/clitest"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -57,64 +53,32 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// update rewrites the testdata goldens from the current build: go test
-// ./cmd/alpusim -update. TestMain takes the flag off the command line
-// itself, so it never joins the flag set TestFlagSurface pins.
-var update bool
+// TestMain doubles as the alpusim binary (ALPUSIM_MAIN set), so the
+// goldens drive the command end to end in a fresh process.
+func TestMain(m *testing.M) { clitest.Main(m, "ALPUSIM_MAIN", main) }
 
-// TestMain doubles as the alpusim binary: with ALPUSIM_MAIN set, the test
-// executable runs main with its own arguments, so a test can drive the
-// command end to end in a fresh process (the flags are package globals).
-func TestMain(m *testing.M) {
-	if os.Getenv("ALPUSIM_MAIN") != "" {
-		main()
-		os.Exit(0)
-	}
-	args := os.Args[:1]
-	for _, a := range os.Args[1:] {
-		if a == "-update" || a == "--update" {
-			update = true
-			continue
-		}
-		args = append(args, a)
-	}
-	os.Args = args
-	os.Exit(m.Run())
-}
-
-// TestQuickAllGolden pins the stdout of -quick -experiment all byte for
-// byte. -par 1 and -par 2 share one golden; -par 0 (the serial engine)
-// schedules differently and has its own. go test ./cmd/alpusim -update
-// rewrites the files.
+// TestQuickAllGolden pins the stdout, and the files the output flags
+// write, of every deterministic experiment byte for byte at every
+// clitest.Variants setting. go test ./cmd/alpusim -update rewrites the
+// goldens.
 func TestQuickAllGolden(t *testing.T) {
-	for _, c := range []struct {
-		par    int
-		golden string
-	}{
-		{0, "all-quick-par0.golden"},
-		{1, "all-quick.golden"},
-		{2, "all-quick.golden"},
-	} {
-		t.Run(fmt.Sprintf("par%d", c.par), func(t *testing.T) {
-			cmd := osexec.Command(os.Args[0], "-quick", "-experiment", "all", "-jobs", "2", "-par", strconv.Itoa(c.par))
-			cmd.Env = append(os.Environ(), "ALPUSIM_MAIN=1")
-			got, err := cmd.Output()
-			if err != nil {
-				t.Fatalf("alpusim %v: %v", cmd.Args[1:], err)
-			}
-			path := filepath.Join("testdata", c.golden)
-			if update && c.par != 2 {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("stdout differs from %s:\n%s", path, got)
-			}
-		})
-	}
+	seed := []string{"-seed", "42"}
+	clitest.New("ALPUSIM_MAIN").Run(t, []clitest.Case{
+		{Name: "all-quick", Args: []string{"-quick", "-experiment", "all"}},
+		// Full size: the quick grids do not expose every cost constant
+		// (ALPUMatchCycles among them).
+		{Name: "all", Args: []string{"-experiment", "all"}},
+		{Name: "chaos", Args: append([]string{"-experiment", "chaos"}, seed...)},
+		{Name: "devchaos", Args: append([]string{"-experiment", "devchaos"}, seed...)},
+		{Name: "tenancy", Args: append([]string{"-quick", "-experiment", "tenancy"}, seed...)},
+		// The receive outcomes are the same at every fabric width.
+		{Name: "tenancy-shards1", Golden: "tenancy-outcomes", Args: append([]string{"-quick", "-experiment", "tenancy", "-shards", "1"}, seed...)},
+		{Name: "tenancy-shards4", Golden: "tenancy-outcomes", Args: append([]string{"-quick", "-experiment", "tenancy", "-shards", "4"}, seed...)},
+		{Name: "tenancy-shards8", Golden: "tenancy-outcomes", Args: append([]string{"-quick", "-experiment", "tenancy", "-shards", "8"}, seed...)},
+		{Name: "critpath", Args: append([]string{"-quick", "-experiment", "critpath"}, seed...), Files: []string{"metrics"}},
+		{Name: "critpath-faults", Args: append([]string{"-quick", "-experiment", "critpath", "-faults", "drop=0.02,corrupt=0.01,alpubitflip=0.01"}, seed...),
+			Files: []string{"metrics"}},
+		{Name: "phases-faults", Args: append([]string{"-quick", "-experiment", "phases", "-faults", "0.02"}, seed...),
+			Files: []string{"trace", "metrics", "timeseries", "simprof"}},
+	})
 }

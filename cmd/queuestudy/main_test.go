@@ -4,6 +4,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"alpusim/internal/clitest"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -49,4 +51,23 @@ func TestFlagSurface(t *testing.T) {
 	if s := strings.Join(got, " "); s != want {
 		t.Errorf("flags:\n got %s\nwant %s", s, want)
 	}
+}
+
+// TestMain doubles as the queuestudy binary (QUEUESTUDY_MAIN set), so
+// the goldens drive the command end to end in a fresh process.
+func TestMain(m *testing.M) { clitest.Main(m, "QUEUESTUDY_MAIN", main) }
+
+// TestGolden pins the study tables, and the files the output flags write,
+// byte for byte at every clitest.Variants setting. go test
+// ./cmd/queuestudy -update rewrites the goldens.
+func TestGolden(t *testing.T) {
+	clitest.New("QUEUESTUDY_MAIN").Run(t, []clitest.Case{
+		{Name: "default"},
+		// The -breakdown table moves with the partition count above 1:
+		// the lifecycle recorder keys messages by (source, tag), which
+		// these workloads reuse, so which message's stamps win depends on
+		// how the recorder is sharded. Replayed at -par 0 and 1 only.
+		{Name: "faults", Args: []string{"-faults", "0.02", "-shards", "4", "-ranks", "4,8", "-breakdown"},
+			Files: []string{"trace", "metrics"}, MaxPar: 1},
+	})
 }
