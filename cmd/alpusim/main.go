@@ -31,7 +31,7 @@
 //	               cache hit rate, per-shard occupancy, overflow churn
 //	               and match-latency quantiles; -shards N instead dumps
 //	               that one configuration's receive outcomes line by
-//	               line (the CI byte-diff format)
+//	               line (one golden pins it at every width)
 //	scale          conservative-PDES scaling study: a large halo-exchange
 //	               world run on the serial engine and again split across
 //	               -par partitions, with wall-clock speedup
@@ -50,9 +50,9 @@
 // over N per-rank partitions (mpi.Config.Partitions): per-partition event
 // engines synchronized by the wire-latency lookahead. Output is
 // byte-identical for every -par N >= 1 — including chaos runs, phase
-// tables, traces and metrics — so the determinism CI diffs -par 1 against
-// -par 8. -par 0 (default) keeps the classic serial engine; a negative
-// -par exits 2.
+// tables, traces and metrics — so the goldens of TestQuickAllGolden are
+// replayed at -par 1, 2 and 8. -par 0 (default) keeps the classic serial
+// engine; a negative -par exits 2.
 //
 // Fault injection: -faults installs a fault model for experiments that
 // support one (chaos, devchaos, phases, critpath): either one probability
@@ -305,6 +305,10 @@ func stallExp() {
 	w.RunSim()
 }
 
+// pointWorld is the world configuration of every figure and anchor
+// point beyond its two ranks and NIC.
+func pointWorld() mpi.Config { return mpi.Config{Partitions: *par} }
+
 func queueLens() []int {
 	if *quick {
 		return []int{0, 50, 100, 200, 300, 400, 500}
@@ -368,12 +372,12 @@ func fig5(kind bench.NICKind) {
 	ob.Progress.SetLabel(fmt.Sprintf("fig5-%s", kind))
 	fmt.Printf("Fig. 5 surface: %s NIC, %d-byte messages (one-way latency, ns)\n", kind, *msgSize)
 	pts := bench.RunPreposted(bench.PrepostedConfig{
-		NIC:        bench.NICConfig(kind),
-		QueueLens:  queueLens(),
-		Fracs:      fracs(),
-		MsgSize:    *msgSize,
-		Jobs:       *jobs,
-		Partitions: *par,
+		NIC:       bench.NICConfig(kind),
+		QueueLens: queueLens(),
+		Fracs:     fracs(),
+		MsgSize:   *msgSize,
+		Jobs:      *jobs,
+		World:     pointWorld(),
 	})
 	if *format == "csv" {
 		rows := make([][]any, 0, len(pts))
@@ -435,11 +439,11 @@ func fig6() {
 	series := map[bench.NICKind]map[int]bench.UnexpectedPoint{}
 	for _, k := range kinds {
 		series[k] = unexpectedByQ(bench.RunUnexpected(bench.UnexpectedConfig{
-			NIC:        bench.NICConfig(k),
-			QueueLens:  unexpLens(),
-			MsgSize:    *msgSize,
-			Jobs:       *jobs,
-			Partitions: *par,
+			NIC:       bench.NICConfig(k),
+			QueueLens: unexpLens(),
+			MsgSize:   *msgSize,
+			Jobs:      *jobs,
+			World:     pointWorld(),
 		}))
 	}
 	if *format == "csv" {
@@ -537,14 +541,14 @@ func scaleExp() {
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
-	nicCfg := bench.NICConfig(bench.ALPU128)
-	run := func(opts ...workloads.Option) (workloads.Report, float64) {
+	run := func(partitions int) (workloads.Report, float64) {
+		cfg := mpi.Config{Ranks: ranks, NIC: bench.NICConfig(bench.ALPU128), Partitions: partitions}
 		t0 := time.Now()
-		rep := workloads.Halo(nicCfg, ranks, iters, 1024, 8, opts...)
+		rep := workloads.Halo(cfg, iters, 1024, 8)
 		return rep, time.Since(t0).Seconds()
 	}
-	serialRep, serialSec := run()
-	parRep, parSec := run(workloads.WithPartitions(parts))
+	serialRep, serialSec := run(0)
+	parRep, parSec := run(parts)
 	fmt.Printf("Scaling study: halo exchange, %d ranks x %d iters, alpu-128 NIC\n", ranks, iters)
 	tb := stats.NewTable("engine", "wall-clock s", "simulated time")
 	tb.AddRow("serial", fmt.Sprintf("%.3f", serialSec), serialRep.Elapsed.String())
@@ -557,13 +561,15 @@ func scaleExp() {
 	fmt.Println()
 }
 
-// phasesLens is smaller than the figure sweeps: the breakdown is about
-// where the cycles go at representative depths, not the full surface.
-func phasesLens() []int {
+// cellGrid is the phases and critpath grid. Its queue lengths are fewer
+// than the figure sweeps': the breakdown is about where the cycles go at
+// representative depths, not the full surface.
+func cellGrid() bench.CellGrid {
+	lens := []int{0, 32, 128, 512}
 	if *quick {
-		return []int{0, 32, 128}
+		lens = lens[:3]
 	}
-	return []int{0, 32, 128, 512}
+	return bench.CellGrid{QueueLens: lens, MsgSize: *msgSize, Jobs: *jobs, Partitions: *par, Faults: faults}
 }
 
 // phasesExp decomposes the Fig. 5 end-to-end latency into pipeline
@@ -578,13 +584,9 @@ func phasesExp() {
 	// time-series sampler; the sim-time profile rides on the tracer.
 	wantReport := ob.WantReport()
 	pts := bench.RunPhases(bench.PhasesConfig{
-		QueueLens:  phasesLens(),
-		MsgSize:    *msgSize,
-		Jobs:       *jobs,
-		Partitions: *par,
-		Faults:     faults,
-		Trace:      ob.Want(obs.FlagTrace | obs.FlagSimProf),
-		Series:     wantReport,
+		CellGrid: cellGrid(),
+		Trace:    ob.Want(obs.FlagTrace | obs.FlagSimProf),
+		Series:   wantReport,
 	})
 	if *format == "csv" {
 		header := []string{"nic", "queue_len"}
@@ -646,13 +648,7 @@ func phasesExp() {
 // output is byte-identical at any -jobs / -par setting.
 func critpathExp() {
 	ob.Progress.SetLabel("critpath")
-	pts := bench.RunCritPath(bench.CritPathConfig{
-		QueueLens:  phasesLens(),
-		MsgSize:    *msgSize,
-		Jobs:       *jobs,
-		Partitions: *par,
-		Faults:     faults,
-	})
+	pts := bench.RunCritPath(bench.CritPathConfig{CellGrid: cellGrid()})
 	if ob.Server != nil {
 		for _, pt := range pts {
 			ob.Server.AddCritPath(pt.Label(), pt.Report)
@@ -723,8 +719,8 @@ func tenancyCfg() bench.TenancyBenchConfig {
 // tenancyExp runs the heavy-tenancy matching sweep behind the sharded
 // fabric: software list vs single ALPU vs 2/4/8-shard fabric over the
 // identical Zipf plan, every row digest-verified. With -shards N it
-// instead dumps that one configuration's receive outcomes — the format
-// the determinism CI byte-diffs across shard counts and -par settings.
+// instead dumps that one configuration's receive outcomes — identical
+// bytes at every shard count and -par setting, pinned by one golden.
 func tenancyExp() {
 	ob.Progress.SetLabel("tenancy")
 	cfg := tenancyCfg()
@@ -753,16 +749,16 @@ func anchors() {
 	fmt.Println("Measured vs published anchors (§VI-B, §VI-C)")
 	qls := []int{0, 5, 25, 50, 100, 150, 200, 350, 400, 450, 500}
 	base := bench.RunPreposted(bench.PrepostedConfig{
-		NIC: bench.NICConfig(bench.Baseline), QueueLens: qls, Fracs: []float64{0.8, 1.0}, Jobs: *jobs, Partitions: *par,
+		NIC: bench.NICConfig(bench.Baseline), QueueLens: qls, Fracs: []float64{0.8, 1.0}, Jobs: *jobs, World: pointWorld(),
 	})
 	al := bench.RunPreposted(bench.PrepostedConfig{
-		NIC: bench.NICConfig(bench.ALPU256), QueueLens: qls, Fracs: []float64{1.0}, Jobs: *jobs, Partitions: *par,
+		NIC: bench.NICConfig(bench.ALPU256), QueueLens: qls, Fracs: []float64{1.0}, Jobs: *jobs, World: pointWorld(),
 	})
 	a5 := bench.ExtractFig5(base, al, 256)
 
 	uls := []int{0, 25, 50, 60, 70, 80, 90, 100, 150}
-	b6 := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.Baseline), QueueLens: uls, Jobs: *jobs, Partitions: *par})
-	a6x := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.ALPU256), QueueLens: uls, Jobs: *jobs, Partitions: *par})
+	b6 := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.Baseline), QueueLens: uls, Jobs: *jobs, World: pointWorld()})
+	a6x := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.ALPU256), QueueLens: uls, Jobs: *jobs, World: pointWorld()})
 	a6 := bench.ExtractFig6(b6, a6x)
 
 	tb := stats.NewTable("Anchor", "Paper", "Measured")

@@ -59,8 +59,7 @@ func TestMain(m *testing.M) { clitest.Main(m, "ALPUSIM_MAIN", main) }
 
 // TestQuickAllGolden pins the stdout, and the files the output flags
 // write, of every deterministic experiment byte for byte at every
-// clitest.Variants setting. go test ./cmd/alpusim -update rewrites the
-// goldens.
+// clitest variant. go test ./cmd/alpusim -update rewrites the goldens.
 func TestQuickAllGolden(t *testing.T) {
 	seed := []string{"-seed", "42"}
 	clitest.New("ALPUSIM_MAIN").Run(t, []clitest.Case{

@@ -48,9 +48,12 @@ import (
 	"strconv"
 	"strings"
 
+	"alpusim/internal/alpu"
+	"alpusim/internal/mpi"
 	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
+	"alpusim/internal/params"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
 	"alpusim/internal/sweep"
@@ -80,34 +83,26 @@ const faultyWatchdog = 500 * sim.Millisecond
 
 type runner struct {
 	name string
-	run  func(cfg nic.Config, ranks int, opts ...workloads.Option) workloads.Report
+	run  func(cfg mpi.Config) workloads.Report
 }
 
 func runners() []runner {
 	return []runner{
-		{"halo", func(cfg nic.Config, n int, opts ...workloads.Option) workloads.Report {
-			return workloads.Halo(cfg, n, 10, 1024, 5, opts...)
-		}},
-		{"master", func(cfg nic.Config, n int, opts ...workloads.Option) workloads.Report {
-			return workloads.MasterWorker(cfg, n, 4, 256, 3, opts...)
-		}},
-		{"storm", func(cfg nic.Config, n int, opts ...workloads.Option) workloads.Report {
-			return workloads.UnexpectedStorm(cfg, n, 30, 64, opts...)
-		}},
-		{"sweep", func(cfg nic.Config, n int, opts ...workloads.Option) workloads.Report {
-			return workloads.Sweep(cfg, n, 4, 512, opts...)
-		}},
-		{"irregular", func(cfg nic.Config, n int, opts ...workloads.Option) workloads.Report {
-			return workloads.Irregular(cfg, n, 4, 3, 128, 7, opts...)
-		}},
+		{"halo", func(cfg mpi.Config) workloads.Report { return workloads.Halo(cfg, 10, 1024, 5) }},
+		{"master", func(cfg mpi.Config) workloads.Report { return workloads.MasterWorker(cfg, 4, 256, 3) }},
+		{"storm", func(cfg mpi.Config) workloads.Report { return workloads.UnexpectedStorm(cfg, 30, 64) }},
+		{"sweep", func(cfg mpi.Config) workloads.Report { return workloads.Sweep(cfg, 4, 512) }},
+		{"irregular", func(cfg mpi.Config) workloads.Report { return workloads.Irregular(cfg, 4, 3, 128, 7) }},
 	}
 }
 
 // checkFlags rejects flag values no study can run with and returns the
 // parsed -ranks list and -faults model (nil without -faults).
 func checkFlags(cells, par int, ranksSpec, faultSpec string, seed int64) ([]int, *network.FaultModel, error) {
-	if cells < 0 {
-		return nil, nil, fmt.Errorf("-cells %d: ALPU cell count must not be negative", cells)
+	if cells != 0 {
+		if err := (alpu.Geometry{Cells: cells, BlockSize: params.ALPUDefaultBlockSize}).Validate(); err != nil {
+			return nil, nil, fmt.Errorf("-cells %d: %w", cells, err)
+		}
 	}
 	if par < 0 {
 		return nil, nil, fmt.Errorf("-par %d: partition count must not be negative", par)
@@ -136,15 +131,9 @@ func main() {
 	if *jobsFlag < 1 {
 		*jobsFlag = runtime.GOMAXPROCS(0)
 	}
-	var opts []workloads.Option
+	world := mpi.Config{Partitions: *parFlag, FlightEvents: *flightSize}
 	if fm != nil {
-		opts = []workloads.Option{workloads.WithFaults(fm), workloads.WithWatchdog(faultyWatchdog)}
-	}
-	if *parFlag > 0 {
-		opts = append(opts, workloads.WithPartitions(*parFlag))
-	}
-	if *flightSize != 0 {
-		opts = append(opts, workloads.WithFlightEvents(*flightSize))
+		world.Faults, world.WatchdogLimit = fm, faultyWatchdog
 	}
 
 	fmt.Printf("Application queue study (refs [8]/[9] methodology), ALPU cells=%d\n", *cells)
@@ -173,7 +162,7 @@ func main() {
 	var tracers []*telemetry.Tracer
 	var samplers []*telemetry.Sampler
 	var runLabels []string
-	addRun := func(cfg nic.Config, n int, r runner, label string) {
+	addRun := func(nc nic.Config, n int, r runner, label string) {
 		var p *telemetry.Causal
 		var tr *telemetry.Tracer
 		var sa *telemetry.Sampler
@@ -190,9 +179,10 @@ func main() {
 		tracers = append(tracers, tr)
 		samplers = append(samplers, sa)
 		runLabels = append(runLabels, fmt.Sprintf("%s/r%d/%s/", r.name, n, label))
-		ro := append(append([]workloads.Option{}, opts...),
-			workloads.WithCausal(p), workloads.WithTracer(tr), workloads.WithSeries(sa))
-		runs = append(runs, func() workloads.Report { return r.run(cfg, n, ro...) })
+		cfg := world
+		cfg.Ranks, cfg.NIC = n, nc
+		cfg.Causal, cfg.Tracer, cfg.Series = p, tr, sa
+		runs = append(runs, func() workloads.Report { return r.run(cfg) })
 	}
 	for _, r := range runners() {
 		if *workload != "all" && *workload != r.name {

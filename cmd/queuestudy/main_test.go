@@ -25,6 +25,10 @@ func TestCheckFlags(t *testing.T) {
 		{128, 0, "1", "", false},
 		{128, 0, "", "", false},
 		{128, 0, "4", "garbage", false},
+		{100, 0, "4", "", false}, // not a whole number of 16-cell blocks
+		{3, 0, "4", "", false},
+		{1, 0, "4", "", false},
+		{16, 0, "4", "", true},
 	} {
 		ranks, fm, err := checkFlags(c.cells, c.par, c.ranks, c.faults, 1)
 		if (err == nil) != c.ok {
@@ -58,7 +62,7 @@ func TestFlagSurface(t *testing.T) {
 func TestMain(m *testing.M) { clitest.Main(m, "QUEUESTUDY_MAIN", main) }
 
 // TestGolden pins the study tables, and the files the output flags write,
-// byte for byte at every clitest.Variants setting. go test
+// byte for byte at every clitest variant. go test
 // ./cmd/queuestudy -update rewrites the goldens.
 func TestGolden(t *testing.T) {
 	clitest.New("QUEUESTUDY_MAIN").Run(t, []clitest.Case{

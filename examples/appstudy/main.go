@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/stats"
 	"alpusim/internal/workloads"
@@ -17,6 +18,7 @@ import (
 func main() {
 	base := nic.Config{}
 	alpu := nic.Config{UseALPU: true, Cells: 128}
+	world := func(nc nic.Config, n int) mpi.Config { return mpi.Config{Ranks: n, NIC: nc} }
 
 	fmt.Println("Queue behaviour by application pattern (baseline NIC):")
 	tb := stats.NewTable("pattern", "ranks", "peak posted", "peak unexpected", "match depths")
@@ -27,9 +29,9 @@ func main() {
 	var rows []entry
 	for _, n := range []int{4, 8, 16} {
 		rows = append(rows,
-			entry{"halo-1d", workloads.Halo(base, n, 8, 1024, 4)},
-			entry{"master-worker", workloads.MasterWorker(base, n, 4, 256, 3)},
-			entry{"unexpected-storm", workloads.UnexpectedStorm(base, n, 20, 64)},
+			entry{"halo-1d", workloads.Halo(world(base, n), 8, 1024, 4)},
+			entry{"master-worker", workloads.MasterWorker(world(base, n), 4, 256, 3)},
+			entry{"unexpected-storm", workloads.UnexpectedStorm(world(base, n), 20, 64)},
 		)
 	}
 	for _, e := range rows {
@@ -47,14 +49,14 @@ func main() {
 	for _, n := range []int{8, 16} {
 		for _, p := range []struct {
 			name string
-			run  func(nic.Config) workloads.Report
+			run  func(mpi.Config) workloads.Report
 		}{
-			{"halo-1d", func(c nic.Config) workloads.Report { return workloads.Halo(c, n, 8, 1024, 4) }},
-			{"master-worker", func(c nic.Config) workloads.Report { return workloads.MasterWorker(c, n, 4, 256, 3) }},
-			{"unexpected-storm", func(c nic.Config) workloads.Report { return workloads.UnexpectedStorm(c, n, 20, 64) }},
+			{"halo-1d", func(c mpi.Config) workloads.Report { return workloads.Halo(c, 8, 1024, 4) }},
+			{"master-worker", func(c mpi.Config) workloads.Report { return workloads.MasterWorker(c, 4, 256, 3) }},
+			{"unexpected-storm", func(c mpi.Config) workloads.Report { return workloads.UnexpectedStorm(c, 20, 64) }},
 		} {
-			b := p.run(base)
-			a := p.run(alpu)
+			b := p.run(world(base, n))
+			a := p.run(world(alpu, n))
 			tb2.AddRow(p.name, n,
 				fmt.Sprintf("%.1fus", b.Elapsed.Microseconds()),
 				fmt.Sprintf("%.1fus", a.Elapsed.Microseconds()),

@@ -7,7 +7,6 @@ package bench
 
 import (
 	"alpusim/internal/mpi"
-	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/sweep"
@@ -101,24 +100,19 @@ type PrepostedConfig struct {
 	// is an independent world, so results are identical at any setting).
 	// 0 or 1 runs sequentially; < 0 selects runtime.GOMAXPROCS(0).
 	Jobs int
+	// World is the rest of each point's world configuration: partitions,
+	// faults, watchdog, recorders. Every point runs two ranks on NIC, so
+	// World.Ranks and World.NIC are ignored. A world must own its
+	// recorders, so set Telemetry, Tracer, Causal or Series only when the
+	// config describes a single point (the phases, chaos and critpath
+	// harnesses build a config per cell).
+	World mpi.Config
+}
 
-	// Partitions runs each point's world under conservative parallel
-	// simulation (mpi.Config.Partitions); 0 keeps the serial engine.
-	Partitions int
-
-	// Faults, when non-nil, runs each point's world over a faulty network
-	// (the NIC reliability protocol is forced on); Watchdog bounds the
-	// simulated time of such worlds (0 = none). Used by the chaos harness.
-	Faults   *network.FaultModel
-	Watchdog sim.Time
-
-	// Telemetry / Tracer / Causal / Series instrument the point's world. Each world must own its recorders, so these only make sense
-	// when the config describes a single point (the phases, chaos and
-	// critpath harnesses build a fresh config per cell).
-	Telemetry *telemetry.Registry
-	Tracer    *telemetry.Tracer
-	Causal    *telemetry.Causal
-	Series    *telemetry.Sampler
+// pointWorld is the two-rank world of one benchmark point on nc.
+func pointWorld(world mpi.Config, nc nic.Config) mpi.Config {
+	world.Ranks, world.NIC = 2, nc
+	return world
 }
 
 // jobs maps the config's zero value to the historical sequential run.
@@ -188,6 +182,7 @@ func RunPreposted(cfg PrepostedConfig) []PrepostedPoint {
 // the drained world for stats extraction (chaos harness).
 func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 	iters := cfg.iters()
+	causal := cfg.World.Causal
 	sendStart := make([]sim.Time, iters)
 	recvDone := make([]sim.Time, iters)
 
@@ -203,15 +198,15 @@ func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 			for k := 0; k < iters; k++ {
 				key := mpi.MsgKey(0, matchBase+k)
 				sendStart[k] = r.Now()
-				cfg.Causal.Stamp(key, telemetry.StampInject, r.Now())
+				causal.Stamp(key, telemetry.StampInject, r.Now())
 				// Rank 0 alone records the cause links — it owns the static
 				// dependency structure of this workload: the ack exists
 				// because the probe matched, and the next probe is posted
 				// only once the ack completed. Single-writer, so the links
 				// are identical at any partition count.
-				cfg.Causal.Cause(mpi.MsgKey(1, ackBase+k), key)
+				causal.Cause(mpi.MsgKey(1, ackBase+k), key)
 				if k > 0 {
-					cfg.Causal.Cause(key, mpi.MsgKey(1, ackBase+k-1))
+					causal.Cause(key, mpi.MsgKey(1, ackBase+k-1))
 				}
 				r.Send(1, matchBase+k, cfg.MsgSize)
 				r.Wait(acks[k])
@@ -238,13 +233,7 @@ func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 			}
 		},
 	}
-	w := mpi.RunPrograms(mpi.Config{
-		Ranks: 2, NIC: cfg.NIC, Partitions: cfg.Partitions,
-		Faults: cfg.Faults, WatchdogLimit: cfg.Watchdog,
-		Telemetry: cfg.Telemetry, Tracer: cfg.Tracer, Causal: cfg.Causal,
-		Series: cfg.Series,
-	}, progs)
-
+	w := mpi.RunPrograms(pointWorld(cfg.World, cfg.NIC), progs)
 	observeWorld(w)
 	// Report the final iteration: cache and ALPU state have reached the
 	// steady state the paper's repeated-iteration benchmark measures.
@@ -264,19 +253,9 @@ type UnexpectedConfig struct {
 	NIC       nic.Config
 	QueueLens []int
 	MsgSize   int
-	// Jobs: parallel worlds, as in PrepostedConfig.
-	Jobs int
-	// Partitions: conservative parallel simulation, as in PrepostedConfig.
-	Partitions int
-
-	// Faults / Watchdog: as in PrepostedConfig (chaos harness).
-	Faults   *network.FaultModel
-	Watchdog sim.Time
-
-	// Telemetry / Tracer / Causal: as in PrepostedConfig (single point only).
-	Telemetry *telemetry.Registry
-	Tracer    *telemetry.Tracer
-	Causal    *telemetry.Causal
+	// Jobs and World: as in PrepostedConfig.
+	Jobs  int
+	World mpi.Config
 }
 
 // RunUnexpected measures latency — including the time to post the
@@ -308,7 +287,7 @@ func unexpectedPoint(cfg UnexpectedConfig, u int) (sim.Time, *mpi.World) {
 			}
 			r.Send(1, doneTag, 0)
 			r.Wait(goReq)
-			cfg.Causal.Stamp(mpi.MsgKey(0, matchBase), telemetry.StampInject, r.Now())
+			cfg.World.Causal.Stamp(mpi.MsgKey(0, matchBase), telemetry.StampInject, r.Now())
 			r.Send(1, matchBase, cfg.MsgSize)
 		},
 		// Rank 1: waits until the flood has fully arrived (DONE is
@@ -325,11 +304,7 @@ func unexpectedPoint(cfg UnexpectedConfig, u int) (sim.Time, *mpi.World) {
 			t1 = req.DoneAt()
 		},
 	}
-	w := mpi.RunPrograms(mpi.Config{
-		Ranks: 2, NIC: cfg.NIC, Partitions: cfg.Partitions,
-		Faults: cfg.Faults, WatchdogLimit: cfg.Watchdog,
-		Telemetry: cfg.Telemetry, Tracer: cfg.Tracer, Causal: cfg.Causal,
-	}, progs)
+	w := mpi.RunPrograms(pointWorld(cfg.World, cfg.NIC), progs)
 	observeWorld(w)
 	return t1 - t0, w
 }

@@ -53,8 +53,8 @@ type ChaosConfig struct {
 	MsgSize  int
 	// Jobs: parallel worlds, as in the figure benchmarks.
 	Jobs int
-	// Partitions: conservative parallel simulation per cell world, as in
-	// PrepostedConfig. The report is identical at any setting >= 1.
+	// Partitions: conservative parallel simulation per cell world
+	// (mpi.Config.Partitions). The report is identical at any setting >= 1.
 	Partitions int
 }
 
@@ -122,6 +122,7 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 	}
 	return sweep.Map(normJobs(cfg.Jobs), len(cells), func(i int) ChaosResult {
 		c := cells[i]
+		world := mpi.Config{Partitions: cfg.Partitions, Faults: c.fm, WatchdogLimit: chaosWatchdogLimit}
 		var lat sim.Time
 		var w *mpi.World
 		switch c.workload {
@@ -129,17 +130,10 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 			// Many probe iterations: the figure run needs only the cache
 			// steady state, but the chaos run needs enough transmissions for
 			// percent-level fault rates to fire.
-			lat, w = prepostedPoint(PrepostedConfig{
-				NIC: cfg.NIC, MsgSize: cfg.MsgSize, Iters: 40,
-				Faults: c.fm, Watchdog: chaosWatchdogLimit,
-				Partitions: cfg.Partitions,
-			}, cfg.QueueLen, cfg.QueueLen)
+			lat, w = prepostedPoint(PrepostedConfig{NIC: cfg.NIC, MsgSize: cfg.MsgSize, Iters: 40, World: world},
+				cfg.QueueLen, cfg.QueueLen)
 		default:
-			lat, w = unexpectedPoint(UnexpectedConfig{
-				NIC: cfg.NIC, MsgSize: cfg.MsgSize,
-				Faults: c.fm, Watchdog: chaosWatchdogLimit,
-				Partitions: cfg.Partitions,
-			}, cfg.QueueLen)
+			lat, w = unexpectedPoint(UnexpectedConfig{NIC: cfg.NIC, MsgSize: cfg.MsgSize, World: world}, cfg.QueueLen)
 		}
 		rel, errs := worldTotals(w)
 		return ChaosResult{
@@ -151,7 +145,7 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 
 // RenderChaos writes the chaos report as an aligned table. Output is a
 // pure function of the config and seed (no wall-clock content), so two
-// runs with the same seed diff empty — the CI determinism check.
+// runs with the same seed diff empty (alpusim's goldens pin it).
 func RenderChaos(out io.Writer, results []ChaosResult) {
 	tb := stats.NewTable("workload", "mix", "latency",
 		"injected(d/D/r/c)", "retx", "timeouts", "nacks", "rnr",

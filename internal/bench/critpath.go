@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"alpusim/internal/network"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
-	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
 )
 
@@ -22,22 +20,10 @@ import (
 // message chains. Every number is a pure function of the simulation, so
 // the rendered report is byte-identical at any -jobs / -par setting.
 
-// CritPathConfig parameterises the causal critical-path experiment: one
-// cell per (NIC kind, queue length), each cell a fresh two-rank world
-// with the posted queue traversed end to end.
+// CritPathConfig parameterises the causal critical-path experiment over
+// the shared cell grid.
 type CritPathConfig struct {
-	Kinds     []NICKind // nil = baseline, alpu-128, alpu-256
-	QueueLens []int     // nil = {0, 32, 128, 512}
-	MsgSize   int
-	Iters     int
-	// Jobs: parallel worlds, as in the figure benchmarks.
-	Jobs int
-	// Partitions: conservative parallel simulation per cell world.
-	Partitions int
-	// Faults runs the cells over a faulty network/device mix (reliability
-	// forced on), so retransmit recovery and resync windows appear as
-	// recovery/resync blame.
-	Faults *network.FaultModel
+	CellGrid
 	// TopK is the number of slowest chains kept per cell (default 3).
 	TopK int
 }
@@ -58,20 +44,6 @@ func (p CritPathPoint) Label() string {
 	return fmt.Sprintf("%s q=%d", p.Kind.String(), p.QueueLen)
 }
 
-func (c CritPathConfig) kinds() []NICKind {
-	if len(c.Kinds) == 0 {
-		return []NICKind{Baseline, ALPU128, ALPU256}
-	}
-	return c.Kinds
-}
-
-func (c CritPathConfig) queueLens() []int {
-	if len(c.QueueLens) == 0 {
-		return []int{0, 32, 128, 512}
-	}
-	return c.QueueLens
-}
-
 func (c CritPathConfig) topK() int {
 	if c.TopK <= 0 {
 		return 3
@@ -79,36 +51,14 @@ func (c CritPathConfig) topK() int {
 	return c.TopK
 }
 
-// RunCritPath measures every (kind, queue length) cell. Cells are
-// independent worlds with private recorders and run on cfg.Jobs workers;
-// the result order is the enumeration order regardless of parallelism.
+// RunCritPath measures every cell of the grid. Cells are independent
+// worlds with private recorders and run on cfg.Jobs workers; the result
+// order is the enumeration order regardless of parallelism.
 func RunCritPath(cfg CritPathConfig) []CritPathPoint {
-	type cell struct {
-		kind NICKind
-		q    int
-	}
-	var cells []cell
-	for _, k := range cfg.kinds() {
-		for _, q := range cfg.queueLens() {
-			cells = append(cells, cell{k, q})
-		}
-	}
-	return sweep.Map(normJobs(cfg.Jobs), len(cells), func(i int) CritPathPoint {
-		c := cells[i]
-		pc := PrepostedConfig{
-			NIC: NICConfig(c.kind), MsgSize: cfg.MsgSize, Iters: cfg.Iters,
-			Partitions: cfg.Partitions,
-			Telemetry:  telemetry.NewRegistry(),
-			Causal:     telemetry.NewCausal(),
-		}
-		if cfg.Faults != nil {
-			fm := *cfg.Faults
-			pc.Faults = &fm
-			pc.Watchdog = chaosWatchdogLimit
-		}
-		lat, _ := prepostedPoint(pc, c.q, c.q)
-		rep, _ := pc.Causal.Analyze(cfg.topK())
-		return CritPathPoint{Kind: c.kind, QueueLen: c.q, Latency: lat, Report: rep}
+	return mapGrid(cfg.CellGrid, func(kind NICKind, q int, pc PrepostedConfig) CritPathPoint {
+		lat, _ := prepostedPoint(pc, q, q)
+		rep, _ := pc.World.Causal.Analyze(cfg.topK())
+		return CritPathPoint{Kind: kind, QueueLen: q, Latency: lat, Report: rep}
 	})
 }
 

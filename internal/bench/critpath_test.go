@@ -13,7 +13,7 @@ import (
 // the critical path covers every single-message makespan component (no
 // chain is longer than the path that by construction extends it).
 func TestCritPathBlameInvariants(t *testing.T) {
-	pts := RunCritPath(CritPathConfig{QueueLens: []int{0, 64}, Jobs: -1})
+	pts := RunCritPath(CritPathConfig{CellGrid: CellGrid{QueueLens: []int{0, 64}, Jobs: -1}})
 	if len(pts) != 6 {
 		t.Fatalf("got %d points, want 6 (3 kinds x 2 queue lens)", len(pts))
 	}
@@ -62,7 +62,7 @@ func TestCritPathBlameInvariants(t *testing.T) {
 // far more than the ALPU world's, because the ALPU already removed the
 // linear traversal from the path.
 func TestCritPathWhatIfFig5Ordering(t *testing.T) {
-	pts := RunCritPath(CritPathConfig{QueueLens: []int{128}, Jobs: -1})
+	pts := RunCritPath(CritPathConfig{CellGrid: CellGrid{QueueLens: []int{128}, Jobs: -1}})
 	speedup := func(kind NICKind) float64 {
 		for _, pt := range pts {
 			if pt.Kind != kind {
@@ -93,12 +93,14 @@ func TestCritPathWhatIfFig5Ordering(t *testing.T) {
 func TestCritPathDeterministic(t *testing.T) {
 	run := func(jobs, par int) (string, string) {
 		pts := RunCritPath(CritPathConfig{
-			Kinds:      []NICKind{Baseline, ALPU128},
-			QueueLens:  []int{8, 64},
-			Jobs:       jobs,
-			Partitions: par,
-			Faults: &network.FaultModel{
-				Seed: 42, DropProb: 0.05, ALPUBitFlipProb: 0.02,
+			CellGrid: CellGrid{
+				Kinds:      []NICKind{Baseline, ALPU128},
+				QueueLens:  []int{8, 64},
+				Jobs:       jobs,
+				Partitions: par,
+				Faults: &network.FaultModel{
+					Seed: 42, DropProb: 0.05, ALPUBitFlipProb: 0.02,
+				},
 			},
 		})
 		var table, doc bytes.Buffer
@@ -141,7 +143,11 @@ func TestCritPathResyncBlameUnderDeviceFaults(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			fm := sc.fm
 			pts := RunCritPath(CritPathConfig{
-				Kinds: []NICKind{ALPU128}, QueueLens: []int{64}, Faults: &fm,
+				CellGrid: CellGrid{
+					Kinds:     []NICKind{ALPU128},
+					QueueLens: []int{64},
+					Faults:    &fm,
+				},
 			})
 			rep := pts[0].Report
 			if rep.Messages == 0 {
@@ -162,7 +168,10 @@ func TestCritPathResyncBlameUnderDeviceFaults(t *testing.T) {
 			// Fault recovery must not leak into the delivery edge: compare
 			// against a clean run of the same cell.
 			clean := RunCritPath(CritPathConfig{
-				Kinds: []NICKind{ALPU128}, QueueLens: []int{64},
+				CellGrid: CellGrid{
+					Kinds:     []NICKind{ALPU128},
+					QueueLens: []int{64},
+				},
 			})[0].Report
 			var cleanDeliver sim.Time
 			for _, b := range clean.Blame {

@@ -228,7 +228,7 @@ func RunDevChaos(cfg DevChaosConfig) []DevChaosResult {
 
 // RenderDevChaos writes the campaign report as an aligned table. Output
 // is a pure function of the config and seed, so two runs with the same
-// seed diff empty at any partition count — the CI determinism check.
+// seed diff empty at any partition count (alpusim's goldens pin it).
 func RenderDevChaos(out io.Writer, results []DevChaosResult) {
 	tb := stats.NewTable("scenario", "verdict", "digest", "latency",
 		"flips/quar", "drops", "stuck", "dead-disc",

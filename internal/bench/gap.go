@@ -28,7 +28,7 @@ type GapConfig struct {
 	MsgSize int
 	// Jobs: parallel worlds, as in PrepostedConfig.
 	Jobs int
-	// Partitions: conservative parallel simulation, as in PrepostedConfig.
+	// Partitions: conservative parallel simulation (mpi.Config.Partitions).
 	Partitions int
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"alpusim/internal/alpu"
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/telemetry"
 )
@@ -15,12 +16,17 @@ import (
 // alpu.Stats counters (including ShiftCycles and ResultStalls, which
 // count simulated cycles the batching coalesces), and the telemetry
 // metrics JSON — must be bit-identical between the default batched model
-// and the per-cycle reference model (nic.Config.PerCycleALPU). See
+// and the per-cycle reference model (alpu.Config.PerCycle). See
 // DESIGN.md "model performance" for why this holds by construction.
 
 func oracleNIC(k NICKind, perCycle bool) nic.Config {
 	c := NICConfig(k)
-	c.PerCycleALPU = perCycle
+	if perCycle {
+		// Variant and cells are filled in per unit.
+		dev := alpu.DefaultConfig(alpu.PostedReceives, 0)
+		dev.PerCycle = true
+		c.ALPUConfig = &dev
+	}
 	return c
 }
 
@@ -63,7 +69,7 @@ func TestOracleFastPathMatchesPerCycle(t *testing.T) {
 			deep := func(pc bool) ([]deviceStats, string) {
 				reg := telemetry.NewRegistry()
 				_, w := prepostedPoint(PrepostedConfig{
-					NIC: oracleNIC(k, pc), Telemetry: reg,
+					NIC: oracleNIC(k, pc), World: mpi.Config{Telemetry: reg},
 				}, 120, 120)
 				var stats []deviceStats
 				for _, n := range w.NICs {

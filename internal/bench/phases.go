@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"alpusim/internal/mpi"
-	"alpusim/internal/network"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
-	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
 )
 
@@ -19,23 +17,10 @@ import (
 // end-to-end latency — which is the cross-check RenderPhases exposes as
 // its last two columns.
 
-// PhasesConfig parameterises the phase-breakdown experiment: one cell
-// per (NIC kind, queue length), each cell a fresh fully-instrumented
-// two-rank world with the posted queue traversed end to end (the Fig. 5
-// frac-1.0 diagonal).
+// PhasesConfig parameterises the phase-breakdown experiment over the
+// shared cell grid; every cell world is fully instrumented.
 type PhasesConfig struct {
-	Kinds     []NICKind // nil = baseline, alpu-128, alpu-256
-	QueueLens []int     // nil = {0, 32, 128, 512}
-	MsgSize   int
-	Iters     int
-	// Jobs: parallel worlds, as in the figure benchmarks.
-	Jobs int
-	// Partitions: conservative parallel simulation per cell world, as in
-	// PrepostedConfig.
-	Partitions int
-	// Faults runs the cells over a faulty network (reliability forced
-	// on), so retransmit recovery shows up in the recovery column.
-	Faults *network.FaultModel
+	CellGrid
 	// Trace additionally collects a Chrome trace per cell
 	// (PhasePoint.Tracer), ready for telemetry.WriteTrace.
 	Trace bool
@@ -66,61 +51,24 @@ type PhasePoint struct {
 	Series  *telemetry.Sampler
 }
 
-func (c PhasesConfig) kinds() []NICKind {
-	if len(c.Kinds) == 0 {
-		return []NICKind{Baseline, ALPU128, ALPU256}
-	}
-	return c.Kinds
-}
-
-func (c PhasesConfig) queueLens() []int {
-	if len(c.QueueLens) == 0 {
-		return []int{0, 32, 128, 512}
-	}
-	return c.QueueLens
-}
-
-// RunPhases measures every (kind, queue length) cell. Cells are
-// independent worlds with private recorders and run on cfg.Jobs workers;
-// the result order is the enumeration order regardless of parallelism.
+// RunPhases measures every cell of the grid. Cells are independent
+// worlds with private recorders and run on cfg.Jobs workers; the result
+// order is the enumeration order regardless of parallelism.
 func RunPhases(cfg PhasesConfig) []PhasePoint {
-	type cell struct {
-		kind NICKind
-		q    int
-	}
-	var cells []cell
-	for _, k := range cfg.kinds() {
-		for _, q := range cfg.queueLens() {
-			cells = append(cells, cell{k, q})
-		}
-	}
-	iters := PrepostedConfig{Iters: cfg.Iters}.iters()
-	return sweep.Map(normJobs(cfg.Jobs), len(cells), func(i int) PhasePoint {
-		c := cells[i]
-		pc := PrepostedConfig{
-			NIC: NICConfig(c.kind), MsgSize: cfg.MsgSize, Iters: iters,
-			Partitions: cfg.Partitions,
-			Telemetry:  telemetry.NewRegistry(),
-			Causal:     telemetry.NewCausal(),
-		}
-		if cfg.Faults != nil {
-			fm := *cfg.Faults
-			pc.Faults = &fm
-			pc.Watchdog = chaosWatchdogLimit
-		}
+	return mapGrid(cfg.CellGrid, func(kind NICKind, q int, pc PrepostedConfig) PhasePoint {
 		if cfg.Trace {
-			pc.Tracer = telemetry.NewTracer()
+			pc.World.Tracer = telemetry.NewTracer()
 		}
 		if cfg.Series {
-			pc.Series = telemetry.NewSampler(0, 0)
+			pc.World.Series = telemetry.NewSampler(0, 0)
 		}
-		lat, w := prepostedPoint(pc, c.q, c.q)
-		bd, _ := pc.Causal.Breakdown(mpi.MsgKey(0, matchBase+iters-1))
+		lat, w := prepostedPoint(pc, q, q)
+		bd, _ := pc.World.Causal.Breakdown(mpi.MsgKey(0, matchBase+pc.iters()-1))
 		return PhasePoint{
-			Kind: c.kind, QueueLen: c.q, Latency: lat,
-			Breakdown: bd, Totals: pc.Causal.Totals(),
-			Metrics: w.TelemetrySnapshot(), Tracer: pc.Tracer,
-			Series: pc.Series,
+			Kind: kind, QueueLen: q, Latency: lat,
+			Breakdown: bd, Totals: pc.World.Causal.Totals(),
+			Metrics: w.TelemetrySnapshot(), Tracer: pc.World.Tracer,
+			Series: pc.World.Series,
 		}
 	})
 }

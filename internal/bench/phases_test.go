@@ -15,7 +15,7 @@ import (
 // phase columns telescope to the message's own total, and that total IS
 // the independently measured Fig. 5 end-to-end latency.
 func TestPhasesSumToEndToEnd(t *testing.T) {
-	pts := RunPhases(PhasesConfig{QueueLens: []int{0, 64}, Jobs: -1})
+	pts := RunPhases(PhasesConfig{CellGrid: CellGrid{QueueLens: []int{0, 64}, Jobs: -1}})
 	if len(pts) != 6 {
 		t.Fatalf("got %d points, want 6 (3 kinds x 2 queue lens)", len(pts))
 	}
@@ -59,12 +59,14 @@ func TestPhasesSumToEndToEnd(t *testing.T) {
 func TestPhasesDeterministic(t *testing.T) {
 	run := func(jobs int) (string, string, string) {
 		pts := RunPhases(PhasesConfig{
-			Kinds:     []NICKind{Baseline, ALPU128},
-			QueueLens: []int{8, 32},
-			Iters:     6,
-			Jobs:      jobs,
-			Faults:    &network.FaultModel{DropProb: 0.05, Seed: 42},
-			Trace:     true,
+			CellGrid: CellGrid{
+				Kinds:     []NICKind{Baseline, ALPU128},
+				QueueLens: []int{8, 32},
+				Iters:     6,
+				Jobs:      jobs,
+				Faults:    &network.FaultModel{DropProb: 0.05, Seed: 42},
+			},
+			Trace: true,
 		})
 		var table, metrics, tr bytes.Buffer
 		RenderPhases(&table, pts)
@@ -97,11 +99,13 @@ func TestPhasesDeterministic(t *testing.T) {
 // track.
 func TestTraceShowsSearchAndRetransmits(t *testing.T) {
 	pts := RunPhases(PhasesConfig{
-		Kinds:     []NICKind{ALPU128},
-		QueueLens: []int{16},
-		Iters:     30,
-		Faults:    &network.FaultModel{DropProb: 0.1, Seed: 7},
-		Trace:     true,
+		CellGrid: CellGrid{
+			Kinds:     []NICKind{ALPU128},
+			QueueLens: []int{16},
+			Iters:     30,
+			Faults:    &network.FaultModel{DropProb: 0.1, Seed: 7},
+		},
+		Trace: true,
 	})
 	p := pts[0]
 	if p.Metrics.Sum("rel/retransmits") == 0 {
@@ -122,7 +126,7 @@ func TestTraceShowsSearchAndRetransmits(t *testing.T) {
 // Fault-free cells publish zeroed reliability counters only when the
 // reliability engine is on; a clean run's error counters stay zero.
 func TestPhasesCleanMetrics(t *testing.T) {
-	pts := RunPhases(PhasesConfig{Kinds: []NICKind{Baseline}, QueueLens: []int{4}})
+	pts := RunPhases(PhasesConfig{CellGrid: CellGrid{Kinds: []NICKind{Baseline}, QueueLens: []int{4}}})
 	s := pts[0].Metrics
 	if s.Sum("err") != 0 {
 		t.Errorf("clean run recorded %d protocol errors", s.Sum("err"))
@@ -141,7 +145,7 @@ func TestPhasesCleanMetrics(t *testing.T) {
 // (match -> completion write), which is fault-free by construction — and
 // the columns still telescope to the measured end-to-end latency.
 func TestPhasesDeviceFaultsLandBeforeDeliver(t *testing.T) {
-	clean := RunPhases(PhasesConfig{Kinds: []NICKind{ALPU128}, QueueLens: []int{64}})[0]
+	clean := RunPhases(PhasesConfig{CellGrid: CellGrid{Kinds: []NICKind{ALPU128}, QueueLens: []int{64}}})[0]
 	cleanPerMsg := func(p telemetry.Phase) sim.Time {
 		return clean.Totals.Durs[p] / sim.Time(clean.Totals.Messages)
 	}
@@ -156,7 +160,11 @@ func TestPhasesDeviceFaultsLandBeforeDeliver(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			fm := sc.fm
 			p := RunPhases(PhasesConfig{
-				Kinds: []NICKind{ALPU128}, QueueLens: []int{64}, Faults: &fm,
+				CellGrid: CellGrid{
+					Kinds:     []NICKind{ALPU128},
+					QueueLens: []int{64},
+					Faults:    &fm,
+				},
 			})[0]
 			if p.Totals.Messages == 0 {
 				t.Fatal("no completed messages under device faults")
@@ -202,7 +210,7 @@ func TestPhasesDeviceFaultsLandBeforeDeliver(t *testing.T) {
 // histogram, so the snapshot table and the Prometheus quantile gauges
 // can report p50/p95/p99 search latency per unit.
 func TestALPUSearchCyclesHistogramPublished(t *testing.T) {
-	p := RunPhases(PhasesConfig{Kinds: []NICKind{ALPU128}, QueueLens: []int{32}})[0]
+	p := RunPhases(PhasesConfig{CellGrid: CellGrid{Kinds: []NICKind{ALPU128}, QueueLens: []int{32}}})[0]
 	populated := 0
 	for name, h := range p.Metrics.Hists {
 		if !strings.HasSuffix(name, "/search_cycles") || h.N() == 0 {

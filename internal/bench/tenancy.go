@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
@@ -58,6 +59,16 @@ func (c *TenancyBenchConfig) norm() {
 	}
 }
 
+// world is one configuration's world on nc.
+func (c *TenancyBenchConfig) world(nc nic.Config) mpi.Config {
+	return mpi.Config{Ranks: c.Ranks, NIC: nc, Partitions: c.Partitions}
+}
+
+// params is the plan every configuration of the sweep runs.
+func (c *TenancyBenchConfig) params() workloads.TenancyParams {
+	return workloads.TenancyParams{Comms: c.Comms, Msgs: c.Msgs, Seed: c.Seed}
+}
+
 // TenancyRow is one configuration row of the report.
 type TenancyRow struct {
 	Config  string
@@ -106,25 +117,18 @@ func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) Te
 	if shards > 1 {
 		nc.MatchShards = shards
 	}
-	var opts []workloads.Option
-	if cfg.Partitions > 0 {
-		opts = append(opts, workloads.WithPartitions(cfg.Partitions))
-	}
-	var sa *telemetry.Sampler
+	world := cfg.world(nc)
 	if cfg.Series {
-		sa = telemetry.NewSampler(0, 0)
-		opts = append(opts, workloads.WithSeries(sa))
+		world.Series = telemetry.NewSampler(0, 0)
 	}
-	rep := workloads.Tenancy(nc, workloads.TenancyParams{
-		Ranks: cfg.Ranks, Comms: cfg.Comms, Msgs: cfg.Msgs, Seed: cfg.Seed,
-	}, opts...)
+	rep := workloads.Tenancy(world, cfg.params())
 	row := TenancyRow{
 		Config: name, Shards: nc.MatchShards, Digest: rep.Digest,
 		Elapsed: rep.Elapsed, PeakPosted: rep.PeakPosted,
 		P50:    matchLatNs(rep.Report, 0.5),
 		P95:    matchLatNs(rep.Report, 0.95),
 		P99:    matchLatNs(rep.Report, 0.99),
-		Series: sa,
+		Series: world.Series,
 	}
 	if nc.MatchShards > 1 {
 		snap := rep.Telemetry
@@ -233,11 +237,11 @@ func MergedTenancySeries(rows []TenancyRow) *telemetry.Sampler {
 }
 
 // WriteTenancyOutcomes dumps one configuration's receive outcomes in
-// posting order plus the digest — the CI byte-diff format. Any two
+// posting order plus the digest — the shard-invariance format. Any two
 // matching configurations (any shard count, any -par) must produce the
 // identical bytes: timing never appears here.
 func WriteTenancyOutcomes(out io.Writer, p workloads.TenancyParams, rep workloads.TenancyReport) {
-	fmt.Fprintf(out, "tenancy ranks=%d comms=%d msgs=%d seed=%d\n", p.Ranks, p.Comms, p.Msgs, p.Seed)
+	fmt.Fprintf(out, "tenancy ranks=%d comms=%d msgs=%d seed=%d\n", rep.Ranks, p.Comms, p.Msgs, p.Seed)
 	for i, st := range rep.Statuses {
 		fmt.Fprintf(out, "recv %4d src=%d tag=%d size=%d\n", i, st.Source, st.Tag, st.Size)
 	}
@@ -253,10 +257,6 @@ func TenancyOutcomes(cfg TenancyBenchConfig, shards int) (workloads.TenancyParam
 	if shards > 1 {
 		nc.MatchShards = shards
 	}
-	var opts []workloads.Option
-	if cfg.Partitions > 0 {
-		opts = append(opts, workloads.WithPartitions(cfg.Partitions))
-	}
-	p := workloads.TenancyParams{Ranks: cfg.Ranks, Comms: cfg.Comms, Msgs: cfg.Msgs, Seed: cfg.Seed}
-	return p, workloads.Tenancy(nc, p, opts...)
+	p := cfg.params()
+	return p, workloads.Tenancy(cfg.world(nc), p)
 }

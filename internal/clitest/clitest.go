@@ -4,7 +4,7 @@
 // flags write, with goldens under testdata.
 //
 // Every golden is replayed at several partition and worker counts
-// (Variants): the outputs must not depend on either. -par 0 runs the
+// (variants): the outputs must not depend on either. -par 0 runs the
 // serial engine, which schedules differently; where its output differs it
 // has its own golden, named <stem>-par0. go test -update rewrites the
 // goldens from the current build, writing a -par0 golden only where the
@@ -45,17 +45,17 @@ func Main(m *testing.M, env string, cmdMain func()) {
 	os.Exit(m.Run())
 }
 
-// Variant is one -par/-jobs setting a golden is replayed at.
-type Variant struct {
-	Name      string
-	Par, Jobs int
+// variant is one -par/-jobs setting a golden is replayed at.
+type variant struct {
+	name      string
+	par, jobs int
 }
 
-// Variants lists the settings every golden is replayed at. The
+// variants lists the settings every golden is replayed at. The
 // partitioned runs come first, so -update writes each golden from a
 // partitioned run before the serial runs decide whether they need their
 // own.
-var Variants = []Variant{
+var variants = []variant{
 	{"par1", 1, 1},
 	{"par2", 2, 2},
 	{"par8", 8, 8},
@@ -85,10 +85,10 @@ func New(env string) *Goldens { return &Goldens{env: env, written: map[string]bo
 // Run replays every case at every variant it admits, as subtests
 // <variant>/<case>.
 func (g *Goldens) Run(t *testing.T, cases []Case) {
-	for _, v := range Variants {
-		t.Run(v.Name, func(t *testing.T) {
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
 			for _, c := range cases {
-				if c.MaxPar > 0 && v.Par > c.MaxPar {
+				if c.MaxPar > 0 && v.par > c.MaxPar {
 					continue
 				}
 				t.Run(c.Name, func(t *testing.T) { g.check(t, c, v) })
@@ -97,9 +97,9 @@ func (g *Goldens) Run(t *testing.T, cases []Case) {
 	}
 }
 
-func (g *Goldens) check(t *testing.T, c Case, v Variant) {
+func (g *Goldens) check(t *testing.T, c Case, v variant) {
 	dir := t.TempDir()
-	args := append(append([]string{}, c.Args...), "-par", strconv.Itoa(v.Par), "-jobs", strconv.Itoa(v.Jobs))
+	args := append(append([]string{}, c.Args...), "-par", strconv.Itoa(v.par), "-jobs", strconv.Itoa(v.jobs))
 	for _, f := range c.Files {
 		args = append(args, "-"+f, filepath.Join(dir, f))
 	}
@@ -113,13 +113,13 @@ func (g *Goldens) check(t *testing.T, c Case, v Variant) {
 	if stem == "" {
 		stem = c.Name
 	}
-	g.compare(t, stem, "", v.Par == 0, stdout)
+	g.compare(t, stem, "", v.par == 0, stdout)
 	for _, f := range c.Files {
 		got, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.compare(t, stem, "."+f, v.Par == 0, got)
+		g.compare(t, stem, "."+f, v.par == 0, got)
 	}
 }
 

@@ -46,10 +46,6 @@ type Config struct {
 	Ranks int
 	// NIC is the per-node NIC configuration (ID is filled in per node).
 	NIC nic.Config
-	// WireLatency / LinkBandwidthBpns override the network (0 = Table III
-	// defaults).
-	WireLatency       sim.Time
-	LinkBandwidthBpns int
 
 	// Partitions > 0 runs the world as a conservative parallel simulation:
 	// ranks are split into that many contiguous partitions, each with its
@@ -255,14 +251,10 @@ func NewWorld(cfg Config) *World {
 	var net *network.Network
 	var ps *sim.PartitionSet
 	if serial {
-		net = network.New(engines[0], cfg.Ranks, cfg.WireLatency, cfg.LinkBandwidthBpns)
+		net = network.New(engines[0], cfg.Ranks)
 	} else {
-		wire := cfg.WireLatency
-		if wire <= 0 {
-			wire = params.WireLatency
-		}
-		ps = sim.NewPartitionSet(engines, wire)
-		net = network.NewPartitioned(ps, partOf, cfg.WireLatency, cfg.LinkBandwidthBpns)
+		ps = sim.NewPartitionSet(engines, params.WireLatency)
+		net = network.NewPartitioned(ps, partOf)
 	}
 	if cfg.Faults.WireActive() {
 		// Wire classes go to the network; the reliability protocol restores
@@ -777,15 +769,11 @@ func (w *World) SpawnRank(id int, prog Program) {
 // Run builds a world, runs prog on every rank, and simulates to
 // completion.
 func Run(cfg Config, prog Program) *World {
-	w := NewWorld(cfg)
-	for i := 0; i < cfg.Ranks; i++ {
-		w.SpawnRank(i, prog)
+	progs := make([]Program, cfg.Ranks)
+	for i := range progs {
+		progs[i] = prog
 	}
-	w.RunSim()
-	if n := w.ranksLive.Load(); n != 0 {
-		panic(fmt.Sprintf("mpi: deadlock — %d ranks still blocked when the event queue drained", n))
-	}
-	return w
+	return RunPrograms(cfg, progs)
 }
 
 // RunPrograms runs a distinct program per rank.

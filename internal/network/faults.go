@@ -380,10 +380,10 @@ func (n *Network) inject(p Packet, dst *Endpoint, delay sim.Time) {
 	dup := r.float64() < f.DupProb
 	var jitter, dupJitter sim.Time
 	if reorder {
-		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(n.wire))))
+		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
 	}
 	if dup {
-		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(n.wire))))
+		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
 	}
 
 	if drop {
@@ -427,10 +427,10 @@ func (n *Network) injectPartitioned(p Packet, src, dst *Endpoint, at sim.Time) {
 	dup := r.float64() < f.DupProb
 	var jitter, dupJitter sim.Time
 	if reorder {
-		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(n.wire))))
+		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
 	}
 	if dup {
-		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(n.wire))))
+		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
 	}
 
 	if drop {

@@ -21,7 +21,7 @@ func sendN(net *Network, n int) {
 // behaviour the reliability engine exists to prevent.
 func TestBoundedRxQDropsWhenUnreliable(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	ep := net.Endpoint(1)
 	ep.RxQ = sim.NewFIFO[Packet](eng, "bounded", 3)
 	sendN(net, 10) // nobody drains
@@ -38,7 +38,7 @@ func TestBoundedRxQDropsWhenUnreliable(t *testing.T) {
 // packet before the OnDeliver replication and the FIFO see it.
 func TestIngressConsumesBeforeQueue(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	ep := net.Endpoint(1)
 	delivered := 0
 	ep.OnDeliver = func(Packet) { delivered++ }
@@ -62,7 +62,7 @@ func TestIngressConsumesBeforeQueue(t *testing.T) {
 func TestFaultInjectionDeterministic(t *testing.T) {
 	run := func(seed int64) FaultStats {
 		eng := sim.NewEngine()
-		net := New(eng, 2, 0, 0)
+		net := New(eng, 2)
 		net.SetFaults(&FaultModel{Seed: seed, DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, CorruptProb: 0.1})
 		sendN(net, 400)
 		eng.Run()
@@ -84,7 +84,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 // checksum — the fault model flips bits only in checksummed content.
 func TestCorruptionAlwaysDetectable(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	net.SetFaults(&FaultModel{Seed: 3, CorruptProb: 1})
 	sendN(net, 50)
 	eng.Run()
@@ -110,7 +110,7 @@ func TestCorruptionAlwaysDetectable(t *testing.T) {
 // probability-1 duplication delivers everything twice.
 func TestDropAndDupExtremes(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	net.SetFaults(&FaultModel{Seed: 1, DropProb: 1})
 	sendN(net, 20)
 	eng.Run()
@@ -119,7 +119,7 @@ func TestDropAndDupExtremes(t *testing.T) {
 	}
 
 	eng = sim.NewEngine()
-	net = New(eng, 2, 0, 0)
+	net = New(eng, 2)
 	net.SetFaults(&FaultModel{Seed: 1, DupProb: 1})
 	sendN(net, 20)
 	eng.Run()
@@ -263,7 +263,7 @@ func TestLinkFlap(t *testing.T) {
 	}
 
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	net.SetFaults(&FaultModel{Seed: 1, LinkFlapFrac: 1})
 	sendN(net, 20)
 	eng.Run()

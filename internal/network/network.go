@@ -194,8 +194,6 @@ func (ep *Endpoint) stampWireTx(pkt Packet, now sim.Time) {
 // Network connects a fixed set of endpoints.
 type Network struct {
 	eng       *sim.Engine
-	wire      sim.Time
-	bwBpns    int
 	endpoints []*Endpoint
 	seq       uint64
 
@@ -225,23 +223,12 @@ type srcLink struct {
 	stats FaultStats
 }
 
-// New builds a network of n endpoints with the calibrated wire latency and
-// bandwidth; zero values select the Table III defaults.
-func New(eng *sim.Engine, n int, wire sim.Time, bwBpns int) *Network {
-	if wire == 0 {
-		wire = params.WireLatency
-	}
-	if bwBpns == 0 {
-		bwBpns = params.LinkBandwidthBpns
-	}
-	net := &Network{eng: eng, wire: wire, bwBpns: bwBpns}
+// New builds a network of n endpoints on eng with the Table III wire
+// latency and link bandwidth.
+func New(eng *sim.Engine, n int) *Network {
+	net := &Network{eng: eng}
 	for i := 0; i < n; i++ {
-		net.endpoints = append(net.endpoints, &Endpoint{
-			ID:      i,
-			RxQ:     sim.NewFIFO[Packet](eng, fmt.Sprintf("net%d.rx", i), 0),
-			Arrived: sim.NewSignal(eng),
-			eng:     eng,
-		})
+		net.addEndpoint(eng)
 	}
 	return net
 }
@@ -249,34 +236,28 @@ func New(eng *sim.Engine, n int, wire sim.Time, bwBpns int) *Network {
 // NewPartitioned builds a network whose endpoints live on the per-partition
 // engines of ps: endpoint i runs on ps.Engines()[partOf[i]]. The wire
 // latency doubles as the conservative lookahead — every delivery lands at
-// least wire after the event that sent it — so ps must have been built
-// with lookahead <= wire. Zero wire/bandwidth select the Table III
-// defaults, as in New.
-func NewPartitioned(ps *sim.PartitionSet, partOf []int, wire sim.Time, bwBpns int) *Network {
-	if wire == 0 {
-		wire = params.WireLatency
+// least the wire latency after the event that sent it — so ps must have
+// been built with a lookahead no larger.
+func NewPartitioned(ps *sim.PartitionSet, partOf []int) *Network {
+	if ps.Lookahead() > params.WireLatency {
+		panic(fmt.Sprintf("network: partition lookahead %v exceeds wire latency %v", ps.Lookahead(), params.WireLatency))
 	}
-	if bwBpns == 0 {
-		bwBpns = params.LinkBandwidthBpns
-	}
-	if ps.Lookahead() > wire {
-		panic(fmt.Sprintf("network: partition lookahead %v exceeds wire latency %v", ps.Lookahead(), wire))
-	}
-	engines := ps.Engines()
-	net := &Network{
-		wire: wire, bwBpns: bwBpns,
-		ps: ps, partOf: partOf, links: make([]srcLink, len(partOf)),
-	}
-	for i, p := range partOf {
-		eng := engines[p]
-		net.endpoints = append(net.endpoints, &Endpoint{
-			ID:      i,
-			RxQ:     sim.NewFIFO[Packet](eng, fmt.Sprintf("net%d.rx", i), 0),
-			Arrived: sim.NewSignal(eng),
-			eng:     eng,
-		})
+	net := &Network{ps: ps, partOf: partOf, links: make([]srcLink, len(partOf))}
+	for _, p := range partOf {
+		net.addEndpoint(ps.Engines()[p])
 	}
 	return net
+}
+
+// addEndpoint appends the next endpoint, driven by eng.
+func (n *Network) addEndpoint(eng *sim.Engine) {
+	i := len(n.endpoints)
+	n.endpoints = append(n.endpoints, &Endpoint{
+		ID:      i,
+		RxQ:     sim.NewFIFO[Packet](eng, fmt.Sprintf("net%d.rx", i), 0),
+		Arrived: sim.NewSignal(eng),
+		eng:     eng,
+	})
 }
 
 // Endpoint returns endpoint i.
@@ -285,9 +266,9 @@ func (n *Network) Endpoint(i int) *Endpoint { return n.endpoints[i] }
 // Size returns the number of endpoints.
 func (n *Network) Size() int { return len(n.endpoints) }
 
-// Wire returns the configured wire latency (the NIC reliability protocol
-// derives its initial retransmit timeout from it).
-func (n *Network) Wire() sim.Time { return n.wire }
+// Wire returns the wire latency (the NIC reliability protocol derives its
+// initial retransmit timeout from it).
+func (n *Network) Wire() sim.Time { return params.WireLatency }
 
 // Send transmits pkt from its Src endpoint at the current time. The
 // source link serialises transmissions; the packet arrives at Dst after
@@ -308,12 +289,12 @@ func (n *Network) Send(pkt Packet) {
 	if src.txBusyUntil > start {
 		start = src.txBusyUntil
 	}
-	txTime := sim.Time((HeaderBytes+max(pkt.Size, 0))/n.bwBpns) * sim.Nanosecond
+	txTime := sim.Time((HeaderBytes+max(pkt.Size, 0))/params.LinkBandwidthBpns) * sim.Nanosecond
 	src.txBusyUntil = start + txTime
 	src.txBytes += uint64(HeaderBytes + max(pkt.Size, 0))
 	src.txPackets++
 
-	deliver := src.txBusyUntil + n.wire - now
+	deliver := src.txBusyUntil + params.WireLatency - now
 	p := pkt
 	if n.faults.Active() {
 		n.inject(p, dst, deliver)
@@ -342,14 +323,14 @@ func (n *Network) sendPartitioned(pkt Packet) {
 	if src.txBusyUntil > start {
 		start = src.txBusyUntil
 	}
-	txTime := sim.Time((HeaderBytes+max(pkt.Size, 0))/n.bwBpns) * sim.Nanosecond
+	txTime := sim.Time((HeaderBytes+max(pkt.Size, 0))/params.LinkBandwidthBpns) * sim.Nanosecond
 	src.txBusyUntil = start + txTime
 	src.txBytes += uint64(HeaderBytes + max(pkt.Size, 0))
 	src.txPackets++
 
 	// Absolute delivery time: at least wire (= the lookahead) after now,
 	// which is what licenses the conservative horizon.
-	at := src.txBusyUntil + n.wire
+	at := src.txBusyUntil + params.WireLatency
 	if n.faults.Active() {
 		n.injectPartitioned(pkt, src, dst, at)
 		return

@@ -9,7 +9,7 @@ import (
 
 func TestWireLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 200*sim.Nanosecond, 2)
+	net := New(eng, 2)
 	var arrived sim.Time
 	net.Send(Packet{Kind: Eager, Src: 0, Dst: 1, Size: 0})
 	eng.Spawn("rx", func(p *sim.Process) {
@@ -25,7 +25,7 @@ func TestWireLatency(t *testing.T) {
 
 func TestInOrderDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	for i := 0; i < 10; i++ {
 		net.Send(Packet{Kind: Eager, Src: 0, Dst: 1, Hdr: match.Header{Tag: int32(i)}})
 	}
@@ -52,7 +52,7 @@ func TestInOrderDelivery(t *testing.T) {
 
 func TestTxSerialisation(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 200*sim.Nanosecond, 2)
+	net := New(eng, 2)
 	// Two large packets back to back: second is delayed by the first's
 	// transmit occupancy.
 	net.Send(Packet{Kind: Data, Src: 0, Dst: 1, Size: 2016}) // (32+2016)/2 = 1024ns tx
@@ -80,7 +80,7 @@ func TestTxSerialisation(t *testing.T) {
 
 func TestOnDeliverHookRunsBeforeQueue(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 2, 0, 0)
+	net := New(eng, 2)
 	hookSawEmptyQueue := false
 	net.Endpoint(1).OnDeliver = func(p Packet) {
 		hookSawEmptyQueue = net.Endpoint(1).RxQ.Len() == 0
@@ -97,7 +97,7 @@ func TestOnDeliverHookRunsBeforeQueue(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, 3, 0, 0)
+	net := New(eng, 3)
 	net.Send(Packet{Src: 0, Dst: 1, Size: 100})
 	net.Send(Packet{Src: 0, Dst: 2, Size: 50})
 	eng.Run()

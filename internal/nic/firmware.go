@@ -447,14 +447,7 @@ func (n *NIC) searchList(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, 
 func (n *NIC) peekUnexpected(e *proc.Engine, bits, mask match.Bits) *match.Entry {
 	q := &n.unexp
 	if q.hash != nil {
-		before := q.hash.SearchSteps
-		entry := q.hash.FindFirst(bits, mask)
-		steps := q.hash.SearchSteps - before
-		for s := uint64(0); s < steps; s++ {
-			e.Cycles(4)
-			e.Load(hashBucketAddr(bits+match.Bits(s)), 8)
-		}
-		n.stats.EntriesTraversed += steps
+		entry, _ := n.findHash(e, q, bits, mask)
 		return entry
 	}
 	if idx := n.searchList(e, q, bits, mask, 0); idx >= 0 {
@@ -572,17 +565,24 @@ func hashBucketAddr(bits match.Bits) uint64 {
 	return hashRegionBase + uint64(bits%4096)*8
 }
 
-// searchRemoveHash is the §II hash-organisation search path (ablation).
-func (n *NIC) searchRemoveHash(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) *match.Entry {
+// findHash finds the first match in q's hash organisation without
+// unlinking it, charging each search step as a bucket-head probe (hash
+// compute + load), and returns the match with its step count.
+func (n *NIC) findHash(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) (*match.Entry, uint64) {
 	before := q.hash.SearchSteps
 	entry := q.hash.FindFirst(bits, mask)
 	steps := q.hash.SearchSteps - before
-	// Each search step is a bucket-head probe: hash compute + load.
 	for s := uint64(0); s < steps; s++ {
 		e.Cycles(4)
 		e.Load(hashBucketAddr(bits+match.Bits(s)), 8)
 	}
 	n.stats.EntriesTraversed += steps
+	return entry, steps
+}
+
+// searchRemoveHash is the §II hash-organisation search path (ablation).
+func (n *NIC) searchRemoveHash(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) *match.Entry {
+	entry, steps := n.findHash(e, q, bits, mask)
 	if entry == nil {
 		return nil
 	}

@@ -79,11 +79,6 @@ type Config struct {
 	// ALPUConfig optionally overrides the device configuration (geometry,
 	// pipeline). Variant and cells are filled in per unit.
 	ALPUConfig *alpu.Config
-	// PerCycleALPU forces the reference per-cycle device stepping model
-	// instead of the batched fast path (see alpu.Config.PerCycle). The two
-	// are bit-identical in observable behaviour; the equivalence oracle in
-	// internal/bench runs both.
-	PerCycleALPU bool
 	// MatchShards, when > 1 with UseALPU, replaces the single
 	// posted-receive unit with a sharded matching fabric of that many ALPU
 	// instances: posted receives hash by (context, source) across the
@@ -567,9 +562,6 @@ func (n *NIC) alpuConfig(v alpu.Variant, tid int) alpu.Config {
 		if c.Geometry.Cells == 0 {
 			c.Geometry.Cells = n.cfg.Cells
 		}
-	}
-	if n.cfg.PerCycleALPU {
-		c.PerCycle = true
 	}
 	if n.cfg.ALPUFaults.Active() {
 		f := *n.cfg.ALPUFaults

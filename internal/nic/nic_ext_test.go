@@ -359,7 +359,7 @@ func TestBoundedRxQReliableRecovers(t *testing.T) {
 // and dropped — the firmware used to panic here.
 func TestStaleCTSCountedNotFatal(t *testing.T) {
 	eng := sim.NewEngine()
-	net := network.New(eng, 2, 0, 0)
+	net := network.New(eng, 2)
 	n := nic.New(eng, nic.Config{ID: 1}, net)
 	net.Send(network.Packet{Kind: network.CTS, Src: 0, Dst: 1, SenderReq: 42})
 	eng.Run()

@@ -181,58 +181,3 @@ func (h *Histogram) CumBuckets() []CumBucket {
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Series records a time series of (time, value) samples with bounded
-// memory (it keeps every k-th sample once full).
-type Series struct {
-	Times  []int64
-	Values []int
-	limit  int
-	stride int
-	skip   int
-}
-
-// NewSeries returns a series keeping at most limit samples (0 = 4096).
-func NewSeries(limit int) *Series {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &Series{limit: limit, stride: 1}
-}
-
-// Add appends a sample, decimating once the limit is reached.
-func (s *Series) Add(t int64, v int) {
-	if s.skip > 0 {
-		s.skip--
-		return
-	}
-	if len(s.Times) >= s.limit {
-		// Halve resolution: drop every other retained sample.
-		keep := 0
-		for i := 0; i < len(s.Times); i += 2 {
-			s.Times[keep] = s.Times[i]
-			s.Values[keep] = s.Values[i]
-			keep++
-		}
-		s.Times = s.Times[:keep]
-		s.Values = s.Values[:keep]
-		s.stride *= 2
-	}
-	s.Times = append(s.Times, t)
-	s.Values = append(s.Values, v)
-	s.skip = s.stride - 1
-}
-
-// Len returns the retained sample count.
-func (s *Series) Len() int { return len(s.Times) }
-
-// MaxValue returns the largest retained value.
-func (s *Series) MaxValue() int {
-	m := 0
-	for _, v := range s.Values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

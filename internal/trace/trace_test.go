@@ -104,37 +104,6 @@ func TestHistogramInvariants(t *testing.T) {
 	}
 }
 
-func TestSeriesDecimation(t *testing.T) {
-	s := NewSeries(64)
-	for i := 0; i < 10_000; i++ {
-		s.Add(int64(i), i)
-	}
-	if s.Len() > 64 {
-		t.Fatalf("series exceeded limit: %d", s.Len())
-	}
-	if s.Len() < 16 {
-		t.Fatalf("series over-decimated: %d", s.Len())
-	}
-	// Samples stay time-ordered after decimation.
-	for i := 1; i < s.Len(); i++ {
-		if s.Times[i] <= s.Times[i-1] {
-			t.Fatal("series not monotone after decimation")
-		}
-	}
-	if s.MaxValue() == 0 {
-		t.Fatal("MaxValue lost all data")
-	}
-}
-
-func TestSeriesSmall(t *testing.T) {
-	s := NewSeries(0) // default limit
-	s.Add(1, 10)
-	s.Add(2, 20)
-	if s.Len() != 2 || s.MaxValue() != 20 {
-		t.Fatalf("Len=%d Max=%d", s.Len(), s.MaxValue())
-	}
-}
-
 // Every bucket edge is the inclusive upper bound of its own bucket:
 // adding the edge value twice stays in one bucket, and edge+1 spills
 // into the next (4096+1 into the overflow bucket).

@@ -48,22 +48,19 @@ func TestIrregularPurgeRaceMatchesSoftwareList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := nic.Config{UseALPU: true, Cells: 128, MatchShards: 4}
 	for _, c := range []struct {
-		name  string
-		cfg   nic.Config
-		ranks int
-		opts  []Option
+		name string
+		cfg  mpi.Config
 	}{
-		{"alpu-faults", ac, 16, []Option{WithFaults(fm), WithWatchdog(500 * sim.Millisecond)}},
-		{"fabric-4", fabric, 4, nil},
+		{"alpu-faults", mpi.Config{Ranks: 16, NIC: ac, Faults: fm, WatchdogLimit: 500 * sim.Millisecond}},
+		{"fabric-4", world(nic.Config{UseALPU: true, Cells: 128, MatchShards: 4}, 4)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ref := Irregular(base, c.ranks, 4, 3, 128, 7)
-			got := Irregular(c.cfg, c.ranks, 4, 3, 128, 7, c.opts...)
+			ref := Irregular(world(base, c.cfg.Ranks), 4, 3, 128, 7)
+			got := Irregular(c.cfg, 4, 3, 128, 7)
 			want, have := receivedDigest(ref), receivedDigest(got)
-			if len(want) != c.ranks || len(have) != c.ranks {
-				t.Fatalf("received %d/%d ranks, want %d", len(want), len(have), c.ranks)
+			if len(want) != c.cfg.Ranks || len(have) != c.cfg.Ranks {
+				t.Fatalf("received %d/%d ranks, want %d", len(want), len(have), c.cfg.Ranks)
 			}
 			for rank := range want {
 				if want[rank] == "[]" {

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 )
 
@@ -12,10 +13,10 @@ import (
 func TestPartitionsInvariant(t *testing.T) {
 	cases := map[string]func(parts int) Report{
 		"halo": func(parts int) Report {
-			return Halo(nic.Config{UseALPU: true, Cells: 64}, 12, 4, 1024, 2, WithPartitions(parts))
+			return Halo(mpi.Config{Ranks: 12, NIC: nic.Config{UseALPU: true, Cells: 64}, Partitions: parts}, 4, 1024, 2)
 		},
 		"storm": func(parts int) Report {
-			return UnexpectedStorm(nic.Config{}, 8, 6, 256, WithPartitions(parts))
+			return UnexpectedStorm(mpi.Config{Ranks: 8, Partitions: parts}, 6, 256)
 		},
 	}
 	for name, make := range cases {

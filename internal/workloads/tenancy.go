@@ -5,12 +5,11 @@ import (
 	"math/rand"
 
 	"alpusim/internal/mpi"
-	"alpusim/internal/nic"
 )
 
-// TenancyParams sizes the heavy-tenancy workload.
+// TenancyParams sizes the heavy-tenancy workload; the world size is the
+// config's Ranks, with rank 0 the receiver.
 type TenancyParams struct {
-	Ranks int // world size; rank 0 is the receiver
 	Comms int // communicators (tenants), each a Dup of the world comm
 	Msgs  int // total messages, all addressed to rank 0
 	Seed  int64
@@ -37,19 +36,19 @@ type tenancyPlan struct {
 	perSender [][]int
 }
 
-func makeTenancyPlan(p TenancyParams) tenancyPlan {
+func makeTenancyPlan(ranks int, p TenancyParams) tenancyPlan {
 	rng := rand.New(rand.NewSource(p.Seed))
 	// Zipf-skewed tenancy: a few (communicator, source) pairs dominate the
 	// traffic — the regime the fabric's hot-entry dispatch cache targets —
 	// with a long tail spreading entries across every shard.
 	zc := rand.NewZipf(rng, 1.25, 1, uint64(p.Comms-1))
-	zs := rand.NewZipf(rng, 1.25, 1, uint64(p.Ranks-2))
+	zs := rand.NewZipf(rng, 1.25, 1, uint64(ranks-2))
 	pl := tenancyPlan{
 		comm:      make([]int, p.Msgs),
 		src:       make([]int, p.Msgs),
 		size:      make([]int, p.Msgs),
 		wild:      make([]bool, p.Msgs),
-		perSender: make([][]int, p.Ranks),
+		perSender: make([][]int, ranks),
 	}
 	for i := 0; i < p.Msgs; i++ {
 		pl.comm[i] = int(zc.Uint64())
@@ -74,14 +73,14 @@ func makeTenancyPlan(p TenancyParams) tenancyPlan {
 // Zipf-scheduled messages. Matching is entirely posted-side and the
 // receive set spans many (context, source) keys — single-unit overflow
 // thrash for a lone ALPU, near-ideal spread for the fabric.
-func Tenancy(nicCfg nic.Config, p TenancyParams, opts ...Option) TenancyReport {
-	if p.Ranks < 3 || p.Comms < 1 || p.Msgs < 1 {
-		panic(fmt.Sprintf("workloads: bad tenancy params %+v", p))
+func Tenancy(cfg mpi.Config, p TenancyParams) TenancyReport {
+	if cfg.Ranks < 3 || p.Comms < 1 || p.Msgs < 1 {
+		panic(fmt.Sprintf("workloads: bad tenancy params ranks=%d %+v", cfg.Ranks, p))
 	}
-	pl := makeTenancyPlan(p)
-	name := fmt.Sprintf("tenancy(ranks=%d comms=%d msgs=%d)", p.Ranks, p.Comms, p.Msgs)
+	pl := makeTenancyPlan(cfg.Ranks, p)
+	name := fmt.Sprintf("tenancy(ranks=%d comms=%d msgs=%d)", cfg.Ranks, p.Comms, p.Msgs)
 	statuses := make([]mpi.Status, p.Msgs)
-	rep := run(name, nicCfg, p.Ranks, func(r *mpi.Rank) {
+	rep := run(name, cfg, func(r *mpi.Rank) {
 		world := r.Comm()
 		// Collective: every rank dups the same K communicators in the same
 		// order, so the contexts agree deterministically.
@@ -113,7 +112,7 @@ func Tenancy(nicCfg nic.Config, p TenancyParams, opts ...Option) TenancyReport {
 		}
 		r.Waitall(reqs...)
 		world.Barrier()
-	}, opts)
+	})
 	return TenancyReport{Report: rep, Statuses: statuses, Digest: TenancyDigest(statuses)}
 }
 

@@ -3,17 +3,18 @@ package workloads
 import (
 	"testing"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 )
 
-func tenancyNIC(alpuOn bool, shards int) nic.Config {
-	return nic.Config{UseALPU: alpuOn, Cells: 64, MatchShards: shards}
+func tenancyNIC(alpuOn bool, shards int) mpi.Config {
+	return world(nic.Config{UseALPU: alpuOn, Cells: 64, MatchShards: shards}, 4)
 }
 
 // The tenancy digest is the fabric's correctness fingerprint: every
 // configuration must produce byte-identical receive outcomes.
 func TestTenancySmokeFabric(t *testing.T) {
-	p := TenancyParams{Ranks: 4, Comms: 4, Msgs: 200, Seed: 7}
+	p := TenancyParams{Comms: 4, Msgs: 200, Seed: 7}
 	sw := Tenancy(tenancyNIC(false, 0), p)
 	a1 := Tenancy(tenancyNIC(true, 0), p)
 	f2 := Tenancy(tenancyNIC(true, 2), p)

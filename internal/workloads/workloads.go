@@ -6,6 +6,10 @@
 // count and uses MPI_ANY_SOURCE heavily, and loosely synchronised codes
 // that build deep unexpected queues. Each run reports queue depths, match
 // depths and completion time, for baseline and ALPU NICs alike.
+//
+// Every workload takes the world's whole configuration as one mpi.Config
+// (Ranks and NIC set; partitions, faults, watchdog and recorders as
+// wanted) followed by the pattern's own parameters.
 package workloads
 
 import (
@@ -13,70 +17,10 @@ import (
 	"math/rand"
 
 	"alpusim/internal/mpi"
-	"alpusim/internal/network"
-	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/telemetry"
 	"alpusim/internal/trace"
 )
-
-// Option adjusts the mpi.Config a workload runs under. Options compose
-// with any workload; the zero set reproduces the historical clean runs.
-type Option func(*mpi.Config)
-
-// WithFaults runs the workload over a faulty network (the NIC reliability
-// protocol is forced on by mpi.NewWorld).
-func WithFaults(fm *network.FaultModel) Option {
-	return func(cfg *mpi.Config) { cfg.Faults = fm }
-}
-
-// WithWatchdog bounds the workload's simulated time; a stalled world
-// panics with a diagnostic dump instead of hanging.
-func WithWatchdog(limit sim.Time) Option {
-	return func(cfg *mpi.Config) { cfg.WatchdogLimit = limit }
-}
-
-// WithFlightEvents sizes the flight-recorder ring per world (events
-// kept for the post-mortem dump on watchdog expiry); 0 keeps the
-// default when a watchdog is armed, n < 0 disables the recorder.
-func WithFlightEvents(n int) Option {
-	return func(cfg *mpi.Config) { cfg.FlightEvents = n }
-}
-
-// WithTelemetry runs the workload against an externally owned metrics
-// registry (one per world — see telemetry.Registry).
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(cfg *mpi.Config) { cfg.Telemetry = reg }
-}
-
-// WithTracer records the workload's run as Chrome trace events.
-func WithTracer(t *telemetry.Tracer) Option {
-	return func(cfg *mpi.Config) { cfg.Tracer = t }
-}
-
-// WithCausal records per-message lifecycle stamps (the phase breakdown)
-// and causal context.
-func WithCausal(c *telemetry.Causal) Option {
-	return func(cfg *mpi.Config) { cfg.Causal = c }
-}
-
-// WithSeries samples per-NIC time series (queue depths, FIFO occupancy,
-// go-back-N window, fabric balance, match-latency p99) into the given
-// sampler at its interval (one sampler per world, like the registry).
-func WithSeries(s *telemetry.Sampler) Option {
-	return func(cfg *mpi.Config) { cfg.Series = s }
-}
-
-// WithPartitions runs the workload's world as a conservative parallel
-// simulation over n per-partition engines (see mpi.Config.Partitions);
-// n <= 0 keeps the serial engine.
-func WithPartitions(n int) Option {
-	return func(cfg *mpi.Config) {
-		if n > 0 {
-			cfg.Partitions = n
-		}
-	}
-}
 
 // Report summarises one workload run.
 type Report struct {
@@ -95,7 +39,7 @@ type Report struct {
 	ALPUHits         uint64
 	ALPUMisses       uint64
 
-	// Reliability aggregates, nonzero only under WithFaults.
+	// Reliability aggregates, nonzero only under Config.Faults.
 	FaultsInjected uint64
 	Retransmits    uint64
 	NacksSent      uint64
@@ -109,7 +53,7 @@ type Report struct {
 	Received [][]mpi.Status
 
 	// Telemetry is the world's harvested metrics snapshot; every world
-	// owns a registry (WithTelemetry substitutes an external one), so
+	// owns a registry (Config.Telemetry substitutes an external one), so
 	// this is populated on every run.
 	Telemetry telemetry.Snapshot
 }
@@ -149,14 +93,10 @@ func gather(name string, w *mpi.World, elapsed sim.Time) Report {
 }
 
 // run executes prog on a fresh cluster and reports.
-func run(name string, nicCfg nic.Config, ranks int, prog mpi.Program, opts []Option) Report {
-	cfg := mpi.Config{Ranks: ranks, NIC: nicCfg}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func run(name string, cfg mpi.Config, prog mpi.Program) Report {
 	// Per-rank finish times, folded after the run: rank goroutines on
 	// different partitions finish concurrently, so a shared max would race.
-	finished := make([]sim.Time, ranks)
+	finished := make([]sim.Time, cfg.Ranks)
 	w := mpi.Run(cfg, func(r *mpi.Rank) {
 		prog(r)
 		finished[r.Rank()] = r.Now()
@@ -175,12 +115,12 @@ func run(name string, nicCfg nic.Config, ranks int, prog mpi.Program, opts []Opt
 // reduceEvery iterations the ranks Allreduce 8 bytes. Queues stay short;
 // this is the regime where the paper expects the ALPU to cost (a little)
 // rather than pay.
-func Halo(nicCfg nic.Config, ranks, iters, msgSize, reduceEvery int, opts ...Option) Report {
+func Halo(cfg mpi.Config, iters, msgSize, reduceEvery int) Report {
 	if reduceEvery <= 0 {
 		reduceEvery = 10
 	}
-	name := fmt.Sprintf("halo-1d(ranks=%d iters=%d size=%d)", ranks, iters, msgSize)
-	return run(name, nicCfg, ranks, func(r *mpi.Rank) {
+	name := fmt.Sprintf("halo-1d(ranks=%d iters=%d size=%d)", cfg.Ranks, iters, msgSize)
+	return run(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		n := c.Size()
 		left := (c.Rank() - 1 + n) % n
@@ -194,7 +134,7 @@ func Halo(nicCfg nic.Config, ranks, iters, msgSize, reduceEvery int, opts ...Opt
 				c.Allreduce(8) // convergence check
 			}
 		}
-	}, opts)
+	})
 }
 
 // MasterWorker runs a manager/worker pattern: the master keeps a window
@@ -202,16 +142,16 @@ func Halo(nicCfg nic.Config, ranks, iters, msgSize, reduceEvery int, opts ...Opt
 // use "is most prevalent") plus one explicit-source result receive per
 // worker in flight, so its posted receive queue grows with the number of
 // workers — the refs [8]/[9] scaling behaviour the ALPU targets.
-func MasterWorker(nicCfg nic.Config, ranks, tasksPerWorker, taskSize, window int, opts ...Option) Report {
+func MasterWorker(cfg mpi.Config, tasksPerWorker, taskSize, window int) Report {
 	if window <= 0 {
 		window = 2
 	}
-	name := fmt.Sprintf("master-worker(ranks=%d tasks=%d size=%d)", ranks, tasksPerWorker, taskSize)
+	name := fmt.Sprintf("master-worker(ranks=%d tasks=%d size=%d)", cfg.Ranks, tasksPerWorker, taskSize)
 	const (
 		tagTask   = 1
 		tagResult = 2
 	)
-	return run(name, nicCfg, ranks, func(r *mpi.Rank) {
+	return run(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		workers := c.Size() - 1
 		if workers == 0 {
@@ -280,7 +220,7 @@ func MasterWorker(nicCfg nic.Config, ranks, tasksPerWorker, taskSize, window int
 			}
 			c.Recv(0, tagTask+1, 0)
 		}
-	}, opts)
+	})
 }
 
 // UnexpectedStorm runs a loosely synchronised pattern: every rank blasts
@@ -291,9 +231,9 @@ func MasterWorker(nicCfg nic.Config, ranks, tasksPerWorker, taskSize, window int
 // scenario: "Each receive would take progressively longer and would
 // impact the application execution time directly. In such a case, the
 // ALPU would offer a much greater benefit."
-func UnexpectedStorm(nicCfg nic.Config, ranks, msgsPerRank, msgSize int, opts ...Option) Report {
-	name := fmt.Sprintf("unexpected-storm(ranks=%d msgs=%d size=%d)", ranks, msgsPerRank, msgSize)
-	return run(name, nicCfg, ranks, func(r *mpi.Rank) {
+func UnexpectedStorm(cfg mpi.Config, msgsPerRank, msgSize int) Report {
+	name := fmt.Sprintf("unexpected-storm(ranks=%d msgs=%d size=%d)", cfg.Ranks, msgsPerRank, msgSize)
+	return run(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		if c.Rank() != 0 {
 			for i := 0; i < msgsPerRank; i++ {
@@ -310,27 +250,28 @@ func UnexpectedStorm(nicCfg nic.Config, ranks, msgsPerRank, msgSize int, opts ..
 			}
 		}
 		r.Waitall(reqs...)
-	}, opts)
+	})
 }
 
 // Sweep runs an all-to-all-dominated pattern (spectral/transpose codes):
 // iters rounds of Alltoall plus a reduction.
-func Sweep(nicCfg nic.Config, ranks, iters, msgSize int, opts ...Option) Report {
-	name := fmt.Sprintf("sweep-alltoall(ranks=%d iters=%d size=%d)", ranks, iters, msgSize)
-	return run(name, nicCfg, ranks, func(r *mpi.Rank) {
+func Sweep(cfg mpi.Config, iters, msgSize int) Report {
+	name := fmt.Sprintf("sweep-alltoall(ranks=%d iters=%d size=%d)", cfg.Ranks, iters, msgSize)
+	return run(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		for it := 0; it < iters; it++ {
 			c.Alltoall(msgSize)
 			c.Allreduce(8)
 		}
-	}, opts)
+	})
 }
 
 // Irregular runs a randomised sparse communication pattern: each rank
 // sends to a few random peers per round (deterministic per seed), with
 // receivers posting wildcard receives per round. Mixes unexpected
 // arrivals with posted matching at varying depths.
-func Irregular(nicCfg nic.Config, ranks, rounds, degree, msgSize int, seed int64, opts ...Option) Report {
+func Irregular(cfg mpi.Config, rounds, degree, msgSize int, seed int64) Report {
+	ranks := cfg.Ranks
 	name := fmt.Sprintf("irregular(ranks=%d rounds=%d deg=%d)", ranks, rounds, degree)
 	// Precompute the traffic matrix so every rank agrees on counts.
 	rng := rand.New(rand.NewSource(seed))
@@ -351,7 +292,7 @@ func Irregular(nicCfg nic.Config, ranks, rounds, degree, msgSize int, seed int64
 		}
 	}
 	received := make([][]mpi.Status, ranks)
-	rep := run(name, nicCfg, ranks, func(r *mpi.Rank) {
+	rep := run(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		me := c.Rank()
 		for rd := 0; rd < rounds; rd++ {
@@ -370,7 +311,7 @@ func Irregular(nicCfg nic.Config, ranks, rounds, degree, msgSize int, seed int64
 			}
 			c.Barrier()
 		}
-	}, opts)
+	})
 	rep.Received = received
 	return rep
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 )
 
@@ -12,8 +13,11 @@ var (
 	ac   = nic.Config{UseALPU: true, Cells: 128}
 )
 
+// world configures a clean world of n ranks on nc.
+func world(nc nic.Config, n int) mpi.Config { return mpi.Config{Ranks: n, NIC: nc} }
+
 func TestHaloShortQueues(t *testing.T) {
-	rep := Halo(base, 8, 10, 1024, 5)
+	rep := Halo(world(base, 8), 10, 1024, 5)
 	if rep.Elapsed <= 0 {
 		t.Fatal("no elapsed time")
 	}
@@ -28,8 +32,8 @@ func TestHaloShortQueues(t *testing.T) {
 }
 
 func TestHaloALPUNearNeutral(t *testing.T) {
-	b := Halo(base, 4, 8, 512, 4)
-	a := Halo(ac, 4, 8, 512, 4)
+	b := Halo(world(base, 4), 8, 512, 4)
+	a := Halo(world(ac, 4), 8, 512, 4)
 	// Short queues: the ALPU must not help much, and must not hurt more
 	// than its small per-message interface cost.
 	ratio := float64(a.Elapsed) / float64(b.Elapsed)
@@ -39,8 +43,8 @@ func TestHaloALPUNearNeutral(t *testing.T) {
 }
 
 func TestMasterWorkerQueueScalesWithRanks(t *testing.T) {
-	small := MasterWorker(base, 5, 4, 256, 2)  // 4 workers
-	large := MasterWorker(base, 17, 4, 256, 2) // 16 workers
+	small := MasterWorker(world(base, 5), 4, 256, 2)  // 4 workers
+	large := MasterWorker(world(base, 17), 4, 256, 2) // 16 workers
 	if small.PeakPosted >= large.PeakPosted {
 		t.Errorf("posted queue did not grow with workers: %d (4w) vs %d (16w)",
 			small.PeakPosted, large.PeakPosted)
@@ -56,8 +60,8 @@ func TestMasterWorkerQueueScalesWithRanks(t *testing.T) {
 
 func TestMasterWorkerALPUHelps(t *testing.T) {
 	// Enough workers that the master's queue makes traversal visible.
-	b := MasterWorker(base, 25, 3, 64, 3) // 24 workers x window 3 = 72 entries
-	a := MasterWorker(ac, 25, 3, 64, 3)
+	b := MasterWorker(world(base, 25), 3, 64, 3) // 24 workers x window 3 = 72 entries
+	a := MasterWorker(world(ac, 25), 3, 64, 3)
 	if a.ALPUHits == 0 {
 		t.Fatal("ALPU never hit in the master-worker pattern")
 	}
@@ -72,7 +76,7 @@ func TestMasterWorkerALPUHelps(t *testing.T) {
 }
 
 func TestUnexpectedStormBuildsDeepQueue(t *testing.T) {
-	rep := UnexpectedStorm(base, 5, 30, 0) // 4 senders x 30 = 120 unexpected
+	rep := UnexpectedStorm(world(base, 5), 30, 0) // 4 senders x 30 = 120 unexpected
 	if rep.PeakUnexp < 100 {
 		t.Errorf("peak unexpected queue = %d, want ~120", rep.PeakUnexp)
 	}
@@ -82,27 +86,27 @@ func TestUnexpectedStormBuildsDeepQueue(t *testing.T) {
 }
 
 func TestUnexpectedStormALPUHelps(t *testing.T) {
-	b := UnexpectedStorm(base, 5, 40, 0)
-	a := UnexpectedStorm(ac, 5, 40, 0)
+	b := UnexpectedStorm(world(base, 5), 40, 0)
+	a := UnexpectedStorm(world(ac, 5), 40, 0)
 	if a.Elapsed >= b.Elapsed {
 		t.Errorf("ALPU did not help the storm: %v vs baseline %v", a.Elapsed, b.Elapsed)
 	}
 }
 
 func TestSweepRuns(t *testing.T) {
-	rep := Sweep(base, 6, 3, 256)
+	rep := Sweep(world(base, 6), 3, 256)
 	if rep.Elapsed <= 0 || rep.PostedDepths.N() == 0 {
 		t.Fatalf("sweep report empty: %+v", rep)
 	}
 }
 
 func TestIrregularDeterministicPerSeed(t *testing.T) {
-	a := Irregular(base, 6, 3, 2, 128, 42)
-	b := Irregular(base, 6, 3, 2, 128, 42)
+	a := Irregular(world(base, 6), 3, 2, 128, 42)
+	b := Irregular(world(base, 6), 3, 2, 128, 42)
 	if a.Elapsed != b.Elapsed {
 		t.Errorf("same seed, different elapsed: %v vs %v", a.Elapsed, b.Elapsed)
 	}
-	c := Irregular(base, 6, 3, 2, 128, 43)
+	c := Irregular(world(base, 6), 3, 2, 128, 43)
 	if c.Elapsed == a.Elapsed {
 		t.Log("different seeds coincided (allowed but unlikely)")
 	}
@@ -112,7 +116,7 @@ func TestIrregularDeterministicPerSeed(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep := Halo(base, 2, 2, 64, 2)
+	rep := Halo(world(base, 2), 2, 64, 2)
 	s := rep.String()
 	for _, frag := range []string{"halo-1d", "ranks=2", "peakPosted"} {
 		if !strings.Contains(s, frag) {
