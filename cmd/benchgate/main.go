@@ -1,6 +1,9 @@
 // Command benchgate compares two `go test -bench` outputs and fails when
 // any benchmark present in both regressed by more than a threshold on
-// ns/op. It is the CI regression gate for the simulator's performance
+// ns/op, or, where both outputs carry -benchmem columns, on allocs/op.
+// An allocation count does not move with host noise, so its allowed rise
+// is the same fraction of the baseline rounded up to at least one
+// allocation. It is the CI regression gate for the simulator's performance
 // work: CI runs scripts/benchgate.sh on the parent commit and on the
 // change, back to back on the same host, and compares the parent's
 // output (the baseline) with the change's, like benchstat would but with
@@ -20,6 +23,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -27,7 +31,7 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op regression before failing")
+	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op and allocs/op regression before failing")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchgate [-threshold f] baseline.txt current.txt")
@@ -55,7 +59,7 @@ func main() {
 // on success and failure, so CI logs always show the perf trajectory —
 // and returns it with the gate verdict. All output is deterministic:
 // compared benchmarks sort by name, as do NEW/MISSING entries.
-func report(base, cur map[string]float64, threshold float64) (string, bool) {
+func report(base, cur map[string]bench, threshold float64) (string, bool) {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -74,17 +78,23 @@ func report(base, cur map[string]float64, threshold float64) (string, bool) {
 			continue
 		}
 		compared++
-		ratio := c / old
+		ratio := c.ns / old.ns
+		allocsGated := old.allocs >= 0 && c.allocs >= 0
 		status := "ok"
 		switch {
-		case ratio > 1+threshold:
+		case ratio > 1+threshold,
+			allocsGated && c.allocs-old.allocs > max(math.Ceil(old.allocs*threshold), 1):
 			regressed++
 			status = "FAIL"
 		case ratio < 1-threshold:
 			faster++
 			status = "faster"
 		}
-		fmt.Fprintf(&b, "%-8s %-60s %12.1f -> %12.1f  %+.1f%%\n", status, name, old, c, (ratio-1)*100)
+		fmt.Fprintf(&b, "%-8s %-60s %12.1f -> %12.1f  %+.1f%%", status, name, old.ns, c.ns, (ratio-1)*100)
+		if allocsGated {
+			fmt.Fprintf(&b, "  allocs/op %.0f -> %.0f", old.allocs, c.allocs)
+		}
+		b.WriteString("\n")
 	}
 	var added []string
 	for name := range cur {
@@ -106,7 +116,7 @@ func report(base, cur map[string]float64, threshold float64) (string, bool) {
 	return b.String(), false
 }
 
-func parseFile(path string) (map[string]float64, error) {
+func parseFile(path string) (map[string]bench, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -122,13 +132,18 @@ func parseFile(path string) (map[string]float64, error) {
 	return out, nil
 }
 
-// parse extracts name -> ns/op from `go test -bench` output. A result
-// line is "BenchmarkName[-P] <iters> <value> ns/op [...]"; the -P
-// GOMAXPROCS suffix is stripped so baselines transfer across -cpu
-// settings. Duplicate names (e.g. -count > 1) keep the minimum, the
-// least-noise estimate of the benchmark's true cost.
-func parse(sc *bufio.Scanner) (map[string]float64, error) {
-	out := map[string]float64{}
+// bench is one benchmark's result: ns/op and allocs/op, the latter -1
+// when the output has no -benchmem columns for it.
+type bench struct{ ns, allocs float64 }
+
+// parse extracts name -> ns/op and allocs/op from `go test -bench`
+// output. A result line is "BenchmarkName[-P] <iters> <value> ns/op
+// [...]"; the -P GOMAXPROCS suffix is stripped so baselines transfer
+// across -cpu settings. Duplicate names (e.g. -count > 1) keep the
+// minimum of each, the least-noise estimate of the benchmark's true
+// cost.
+func parse(sc *bufio.Scanner) (map[string]bench, error) {
+	out := map[string]bench{}
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -140,19 +155,32 @@ func parse(sc *bufio.Scanner) (map[string]float64, error) {
 				name = name[:i]
 			}
 		}
+		r := bench{ns: -1, allocs: -1}
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] != "ns/op" {
+			unit := fields[i+1]
+			if unit != "ns/op" && unit != "allocs/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+				return nil, fmt.Errorf("bad %s in %q: %w", unit, sc.Text(), err)
 			}
-			if prev, ok := out[name]; !ok || v < prev {
-				out[name] = v
+			if unit == "ns/op" {
+				r.ns = v
+			} else {
+				r.allocs = v
 			}
-			break
 		}
+		if r.ns < 0 {
+			continue
+		}
+		if prev, ok := out[name]; ok {
+			r.ns = min(r.ns, prev.ns)
+			if prev.allocs >= 0 && (r.allocs < 0 || prev.allocs < r.allocs) {
+				r.allocs = prev.allocs
+			}
+		}
+		out[name] = r
 	}
 	return out, sc.Err()
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func parseString(t *testing.T, s string) map[string]float64 {
+func parseString(t *testing.T, s string) map[string]bench {
 	t.Helper()
 	out, err := parse(bufio.NewScanner(strings.NewReader(s)))
 	if err != nil {
@@ -32,9 +32,15 @@ PASS
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(out), len(want), out)
 	}
 	for name, v := range want {
-		if out[name] != v {
-			t.Errorf("%s = %v, want %v", name, out[name], v)
+		if out[name].ns != v {
+			t.Errorf("%s = %v, want %v", name, out[name].ns, v)
 		}
+	}
+	if a := out["BenchmarkMicro/insert/cells=128/block=8"].allocs; a != 3 {
+		t.Errorf("allocs/op = %v, want 3", a)
+	}
+	if a := out["BenchmarkEngineScheduleStep"].allocs; a != -1 {
+		t.Errorf("allocs/op without -benchmem = %v, want -1", a)
 	}
 }
 
@@ -44,8 +50,8 @@ BenchmarkX-8   10   200 ns/op
 BenchmarkX-8   10   150 ns/op
 BenchmarkX-8   10   180 ns/op
 `)
-	if out["BenchmarkX"] != 150 {
-		t.Fatalf("duplicate handling: got %v, want 150", out["BenchmarkX"])
+	if out["BenchmarkX"].ns != 150 {
+		t.Fatalf("duplicate handling: got %v, want 150", out["BenchmarkX"].ns)
 	}
 }
 
@@ -59,7 +65,7 @@ func TestParseSkipsNonResultLines(t *testing.T) {
 func TestReportPasses(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}
 	cur := map[string]float64{"BenchmarkA": 110, "BenchmarkB": 150}
-	out, failed := report(base, cur, 0.15)
+	out, failed := report(nsOnly(base), nsOnly(cur), 0.15)
 	if failed {
 		t.Fatalf("gate failed without a regression:\n%s", out)
 	}
@@ -78,7 +84,7 @@ func TestReportPasses(t *testing.T) {
 func TestReportFailsOnRegression(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100}
 	cur := map[string]float64{"BenchmarkA": 130, "BenchmarkB": 101}
-	out, failed := report(base, cur, 0.15)
+	out, failed := report(nsOnly(base), nsOnly(cur), 0.15)
 	if !failed {
 		t.Fatalf("30%% regression passed the 15%% gate:\n%s", out)
 	}
@@ -98,7 +104,7 @@ func TestReportFailsOnRegression(t *testing.T) {
 func TestReportNewAndMissingAreSortedAndHarmless(t *testing.T) {
 	base := map[string]float64{"BenchmarkGone": 50}
 	cur := map[string]float64{"BenchmarkZeta": 1, "BenchmarkAlpha": 2, "BenchmarkMu": 3}
-	out, failed := report(base, cur, 0.15)
+	out, failed := report(nsOnly(base), nsOnly(cur), 0.15)
 	if failed {
 		t.Fatalf("renames must not fail the gate:\n%s", out)
 	}
@@ -119,11 +125,77 @@ func TestReportNewAndMissingAreSortedAndHarmless(t *testing.T) {
 func TestReportDeterministic(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 1, "BenchmarkB": 2, "BenchmarkC": 3}
 	cur := map[string]float64{"BenchmarkB": 2, "BenchmarkD": 4, "BenchmarkE": 5}
-	first, _ := report(base, cur, 0.15)
+	first, _ := report(nsOnly(base), nsOnly(cur), 0.15)
 	for i := 0; i < 20; i++ {
-		again, _ := report(base, cur, 0.15)
+		again, _ := report(nsOnly(base), nsOnly(cur), 0.15)
 		if again != first {
 			t.Fatalf("report output varies across calls:\n%s\nvs\n%s", first, again)
 		}
+	}
+}
+
+// nsOnly is a benchmark set without -benchmem columns.
+func nsOnly(ns map[string]float64) map[string]bench {
+	out := make(map[string]bench, len(ns))
+	for name, v := range ns {
+		out[name] = bench{ns: v, allocs: -1}
+	}
+	return out
+}
+
+func TestParseKeepsMinimumAllocsOfDuplicates(t *testing.T) {
+	out := parseString(t, `
+BenchmarkX-8   10   200 ns/op   64 B/op   7 allocs/op
+BenchmarkX-8   10   150 ns/op   80 B/op   9 allocs/op
+BenchmarkX-8   10   180 ns/op   64 B/op   6 allocs/op
+`)
+	if got := out["BenchmarkX"]; got != (bench{ns: 150, allocs: 6}) {
+		t.Fatalf("duplicate handling: got %+v, want ns 150 and allocs 6", got)
+	}
+}
+
+// The allocs/op gate allows the ns/op threshold's fraction of the
+// baseline, rounded up to at least one allocation, and applies only
+// when both outputs carry allocs/op.
+func TestReportGatesAllocs(t *testing.T) {
+	base := map[string]bench{
+		"BenchmarkFew":    {ns: 100, allocs: 1},
+		"BenchmarkFewBad": {ns: 100, allocs: 1},
+		"BenchmarkMany":   {ns: 100, allocs: 100},
+		"BenchmarkBad":    {ns: 100, allocs: 100},
+		"BenchmarkZero":   {ns: 100, allocs: 0},
+		"BenchmarkNoMem":  {ns: 100, allocs: -1},
+		"BenchmarkFaster": {ns: 100, allocs: 10},
+	}
+	cur := map[string]bench{
+		"BenchmarkFew":    {ns: 100, allocs: 2},   // +1: the one-alloc floor
+		"BenchmarkFewBad": {ns: 100, allocs: 3},   // +2
+		"BenchmarkMany":   {ns: 100, allocs: 115}, // +15%
+		"BenchmarkBad":    {ns: 100, allocs: 116}, // +16%
+		"BenchmarkZero":   {ns: 100, allocs: 1},
+		"BenchmarkNoMem":  {ns: 100, allocs: 500},
+		"BenchmarkFaster": {ns: 50, allocs: 0},
+	}
+	out, failed := report(base, cur, 0.15)
+	if !failed {
+		t.Fatalf("allocs/op regressions passed the gate:\n%s", out)
+	}
+	for _, want := range []string{
+		"ok       BenchmarkFew ",
+		"FAIL     BenchmarkFewBad ",
+		"ok       BenchmarkMany ",
+		"FAIL     BenchmarkBad ",
+		"ok       BenchmarkZero ",
+		"ok       BenchmarkNoMem ",
+		"faster   BenchmarkFaster ",
+		"allocs/op 100 -> 116",
+		"benchgate: 7 compared (1 faster, 2 regressed), 0 new, 0 missing",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "-> 500") {
+		t.Errorf("allocs/op gated without a baseline count:\n%s", out)
 	}
 }

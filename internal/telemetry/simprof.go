@@ -1,10 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"compress/gzip"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"alpusim/internal/sim"
@@ -35,24 +36,81 @@ type stackSample struct {
 	ps     sim.Time
 }
 
+// stackNode is one node of the stack trie: a frame name under a parent
+// node. A folded span adds its self time to its node, so the spans of a
+// stack that recurs thousands of times cost a map lookup each and the
+// stack's frames are built once.
+type stackNode struct {
+	parent int32 // -1 for a root frame
+	depth  int32 // frames from the root, this one included
+	name   string
+	ps     sim.Time
+}
+
+// stackTrie interns stacks as (parent id, frame name) -> id nodes and
+// records the nodes that received self time in order of first receipt.
+type stackTrie struct {
+	nodes   []stackNode
+	ids     map[stackEdge]int32
+	emitted []int32
+	open    []openSpan // foldTrack's walk, reused across tracks
+}
+
+type stackEdge struct {
+	parent int32
+	name   string
+}
+
+// child returns the id of frame name under parent, adding the node on
+// first sight.
+func (st *stackTrie) child(parent int32, name string) int32 {
+	if id, ok := st.ids[stackEdge{parent, name}]; ok {
+		return id
+	}
+	depth := int32(1)
+	if parent >= 0 {
+		depth += st.nodes[parent].depth
+	}
+	id := int32(len(st.nodes))
+	st.nodes = append(st.nodes, stackNode{parent: parent, depth: depth, name: name})
+	st.ids[stackEdge{parent, name}] = id
+	return id
+}
+
+// add credits self time to a node.
+func (st *stackTrie) add(id int32, self sim.Time) {
+	if self <= 0 {
+		return
+	}
+	if st.nodes[id].ps == 0 {
+		st.emitted = append(st.emitted, id)
+	}
+	st.nodes[id].ps += self
+}
+
 // openSpan is a stack entry during the per-track nesting walk.
 type openSpan struct {
-	end    sim.Time
-	self   sim.Time
-	frames []string
+	end  sim.Time
+	self sim.Time
+	node int32
 }
 
 // simStacks folds every 'X' span of the tracers into self-time-weighted
-// stacks, merged by identical frame chains and sorted by chain — the
-// canonical order the encoder serialises. With several tracers each is
-// rooted under a "world<idx>" frame (argument order, as in WriteTrace).
+// stacks, merged by identical frame chains joined with ";" and sorted
+// by that joined string — the canonical order the encoder serialises.
+// Chains that join to the same string (["a;b"] and ["a", "b"]) merge
+// into one sample with the frames of the chain that was folded first.
+// With several tracers each is rooted under a "world<idx>" frame
+// (argument order, as in WriteTrace).
 func simStacks(tracers ...*Tracer) []stackSample {
-	type key struct{ pid, tid int }
-	agg := make(map[string]*stackSample)
+	st := stackTrie{ids: make(map[stackEdge]int32)}
+	var spans []tevent
+	var order []int32 // spans' indices in fold order
 	for idx, t := range tracers {
 		if t == nil {
 			continue
 		}
+		type key struct{ pid, tid int }
 		procs := make(map[int]string)
 		threads := make(map[key]string)
 		for _, n := range t.names {
@@ -62,93 +120,120 @@ func simStacks(tracers ...*Tracer) []stackSample {
 				threads[key{n.pid, n.tid}] = n.name
 			}
 		}
-		tracks := make(map[key][]tevent)
+		n := 0
+		for i := range t.events {
+			if t.events[i].ph == 'X' {
+				n++
+			}
+		}
+		spans, order = slices.Grow(spans[:0], n), slices.Grow(order[:0], n)
 		for i := 0; i < len(t.events); i++ {
-			e := t.eventAt(i)
-			if e.ph == 'X' {
-				k := key{e.pid, e.tid}
-				tracks[k] = append(tracks[k], e)
+			if e := t.eventAt(i); e.ph == 'X' {
+				order = append(order, int32(len(spans)))
+				spans = append(spans, e)
 			}
 		}
-		var keys []key
-		for k := range tracks {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].pid != keys[j].pid {
-				return keys[i].pid < keys[j].pid
+		// Tracks in (pid, tid) order; within a track (start asc,
+		// duration desc) puts each enclosing span before the spans it
+		// contains, record order breaking ties. Sorting indices moves
+		// no strings.
+		slices.SortFunc(order, func(i, j int32) int {
+			a, b := &spans[i], &spans[j]
+			switch {
+			case a.pid != b.pid:
+				return cmp.Compare(a.pid, b.pid)
+			case a.tid != b.tid:
+				return cmp.Compare(a.tid, b.tid)
+			case a.ts != b.ts:
+				return cmp.Compare(a.ts, b.ts)
+			case a.dur != b.dur:
+				return cmp.Compare(b.dur, a.dur)
 			}
-			return keys[i].tid < keys[j].tid
+			return cmp.Compare(i, j)
 		})
-		for _, k := range keys {
-			var root []string
-			if len(tracers) > 1 {
-				root = append(root, fmt.Sprintf("world%d", idx))
+		world := int32(-1)
+		if len(tracers) > 1 {
+			world = st.child(-1, "world"+strconv.Itoa(idx))
+		}
+		for lo := 0; lo < len(order); {
+			k := key{spans[order[lo]].pid, spans[order[lo]].tid}
+			hi := lo + 1
+			for hi < len(order) && spans[order[hi]].pid == k.pid && spans[order[hi]].tid == k.tid {
+				hi++
 			}
 			pname := procs[k.pid]
 			if pname == "" {
-				pname = fmt.Sprintf("pid%d", k.pid)
+				pname = "pid" + strconv.Itoa(k.pid)
 			}
 			tname := threads[k]
 			if tname == "" {
-				tname = fmt.Sprintf("tid%d", k.tid)
+				tname = "tid" + strconv.Itoa(k.tid)
 			}
-			root = append(root, pname, tname)
-			foldTrack(tracks[k], root, agg)
+			root := st.child(st.child(world, pname), tname)
+			st.foldTrack(spans, order[lo:hi], root)
+			lo = hi
 		}
 	}
-	out := make([]stackSample, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
+
+	// Build each distinct stack's frames and joined key once, then sort
+	// by key (first fold breaking ties) and merge equal keys.
+	type keyed struct {
+		key string
+		stackSample
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].frames, ";") < strings.Join(out[j].frames, ";")
-	})
-	return out
+	depths := 0
+	for _, id := range st.emitted {
+		depths += int(st.nodes[id].depth)
+	}
+	backing := make([]string, depths)
+	out := make([]keyed, len(st.emitted))
+	for i, id := range st.emitted {
+		n := &st.nodes[id]
+		frames := backing[:n.depth:n.depth]
+		backing = backing[n.depth:]
+		for j := id; j >= 0; j = st.nodes[j].parent {
+			frames[st.nodes[j].depth-1] = st.nodes[j].name
+		}
+		out[i] = keyed{strings.Join(frames, ";"), stackSample{frames, n.ps}}
+	}
+	slices.SortStableFunc(out, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	stacks := make([]stackSample, 0, len(out))
+	for i, s := range out {
+		if i > 0 && s.key == out[i-1].key {
+			stacks[len(stacks)-1].ps += s.ps
+			continue
+		}
+		stacks = append(stacks, s.stackSample)
+	}
+	return stacks
 }
 
-// foldTrack recovers span nesting on one (pid, tid) track and
-// accumulates self times into agg. Sorting by (start asc, duration
-// desc) puts each enclosing span before the spans it contains, so a
-// simple stack walk rebuilds the call tree.
-func foldTrack(spans []tevent, root []string, agg map[string]*stackSample) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].ts != spans[j].ts {
-			return spans[i].ts < spans[j].ts
-		}
-		return spans[i].dur > spans[j].dur
-	})
-	var stack []openSpan
-	emit := func(o openSpan) {
-		if o.self <= 0 {
-			return
-		}
-		k := strings.Join(o.frames, ";")
-		if s, ok := agg[k]; ok {
-			s.ps += o.self
-		} else {
-			agg[k] = &stackSample{frames: o.frames, ps: o.self}
-		}
-	}
-	for _, sp := range spans {
+// foldTrack recovers span nesting on one (pid, tid) track, the spans
+// at indices track, ordered so that each enclosing span precedes the
+// spans it contains, and credits every span's self time to its stack
+// under root.
+func (st *stackTrie) foldTrack(spans []tevent, track []int32, root int32) {
+	stack := st.open[:0]
+	for _, i := range track {
+		sp := &spans[i]
 		for len(stack) > 0 && stack[len(stack)-1].end <= sp.ts {
-			emit(stack[len(stack)-1])
+			top := stack[len(stack)-1]
+			st.add(top.node, top.self)
 			stack = stack[:len(stack)-1]
 		}
 		parent := root
 		if len(stack) > 0 {
 			stack[len(stack)-1].self -= sp.dur
-			parent = stack[len(stack)-1].frames
+			parent = stack[len(stack)-1].node
 		}
-		frames := make([]string, len(parent)+1)
-		copy(frames, parent)
-		frames[len(parent)] = sp.name
-		stack = append(stack, openSpan{end: sp.ts + sp.dur, self: sp.dur, frames: frames})
+		stack = append(stack, openSpan{end: sp.ts + sp.dur, self: sp.dur, node: st.child(parent, sp.name)})
 	}
 	for len(stack) > 0 {
-		emit(stack[len(stack)-1])
+		top := stack[len(stack)-1]
+		st.add(top.node, top.self)
 		stack = stack[:len(stack)-1]
 	}
+	st.open = stack
 }
 
 // pbuf is a minimal protobuf wire-format writer: varints and
@@ -182,12 +267,25 @@ func (p *pbuf) bytesField(f int, b []byte) {
 }
 
 // packed emits a packed repeated varint field.
-func (p *pbuf) packed(f int, vs []uint64) {
-	var inner pbuf
+func (p *pbuf) packed(f int, vs ...uint64) {
+	n := 0
 	for _, v := range vs {
-		inner.varint(v)
+		n += varintLen(v)
 	}
-	p.bytesField(f, inner.b)
+	p.tag(f, 2)
+	p.varint(uint64(n))
+	for _, v := range vs {
+		p.varint(v)
+	}
+}
+
+// varintLen is the encoded length of v in bytes.
+func varintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // profile.proto field numbers (google.golang.org/protobuf definition of
@@ -263,15 +361,18 @@ func WriteSimProfile(w io.Writer, tracers ...*Tracer) error {
 		locs = append(locs, frame)
 		return id
 	}
+	var sm pbuf
+	var ids []uint64
 	for _, s := range stacks {
-		var sm pbuf
-		ids := make([]uint64, len(s.frames))
+		// pprof stacks are leaf-first; location ids go to frames in
+		// root-first order of first appearance.
+		ids = slices.Grow(ids[:0], len(s.frames))[:len(s.frames)]
 		for i, f := range s.frames {
-			// pprof stacks are leaf-first.
 			ids[len(s.frames)-1-i] = locOf(f)
 		}
-		sm.packed(sampleLocationID, ids)
-		sm.packed(sampleValue, []uint64{uint64((s.ps + 500) / 1000)})
+		sm.b = sm.b[:0]
+		sm.packed(sampleLocationID, ids...)
+		sm.packed(sampleValue, uint64((s.ps+500)/1000))
 		prof.bytesField(profSample, sm.b)
 	}
 

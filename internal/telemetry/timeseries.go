@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"alpusim/internal/sim"
 )
@@ -301,42 +302,73 @@ func (sa *Sampler) Publish(reg *Registry) {
 	}
 }
 
-// seriesJSON is the wire form of one series.
-type seriesJSON struct {
-	Name    string  `json:"name"`
-	Every   uint64  `json:"every"`
-	Pushes  uint64  `json:"pushes"`
-	Samples []int64 `json:"samples"`
-}
-
-// timeseriesJSON is the wire form of a sampler dump.
-type timeseriesJSON struct {
-	IntervalPs sim.Time     `json:"interval_ps"`
-	Series     []seriesJSON `json:"series"`
-}
-
 // WriteJSON renders the sampler deterministically: series sorted by
 // name, sample j of a series standing for simulated time
 // (j*every+1)*interval_ps. Identical worlds produce identical bytes at
-// any -par/-jobs setting.
+// any -par/-jobs setting. The document is encoded straight into one
+// presized buffer, byte for byte what json.MarshalIndent with a
+// two-space indent makes of
+//
+//	{"interval_ps": …, "series": [{"name", "every", "pushes", "samples"}, …]}
+//
+// with a trailing newline.
 func (sa *Sampler) WriteJSON(w io.Writer) error {
-	doc := timeseriesJSON{Series: []seriesJSON{}}
+	var all []*Series
+	var dt sim.Time
 	if sa != nil {
-		doc.IntervalPs = sa.dt
-		for _, s := range sa.All() {
-			samples := s.vals
-			if samples == nil {
-				samples = []int64{}
+		all, dt = sa.All(), sa.dt
+	}
+	size := 64
+	for _, s := range all {
+		size += 128 + len(s.name) + 28*len(s.vals)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "{\n  \"interval_ps\": "...)
+	b = strconv.AppendInt(b, int64(dt), 10)
+	b = append(b, ",\n  \"series\": ["...)
+	for i, s := range all {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"name\": "...)
+		b = appendJSONString(b, s.name)
+		b = append(b, ",\n      \"every\": "...)
+		b = strconv.AppendUint(b, s.every, 10)
+		b = append(b, ",\n      \"pushes\": "...)
+		b = strconv.AppendUint(b, s.n, 10)
+		b = append(b, ",\n      \"samples\": ["...)
+		for j, v := range s.vals {
+			if j > 0 {
+				b = append(b, ',')
 			}
-			doc.Series = append(doc.Series, seriesJSON{
-				Name: s.name, Every: s.every, Pushes: s.n, Samples: samples,
-			})
+			b = append(b, "\n        "...)
+			b = strconv.AppendInt(b, v, 10)
+		}
+		if len(s.vals) > 0 {
+			b = append(b, "\n      "...)
+		}
+		b = append(b, "]\n    }"...)
+	}
+	if len(all) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "]\n}\n"...)
+	_, err := w.Write(b)
+	return err
+}
+
+// appendJSONString appends s as encoding/json quotes it. Printable ASCII
+// other than the quote, the backslash and the HTML-escaped <, > and &
+// is copied as is; any other string goes through json.Marshal, which
+// also replaces invalid UTF-8 and escapes U+2028 and U+2029.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -230,18 +229,24 @@ func (t *Tracer) WriteJSON(w io.Writer) error { return WriteTrace(w, t) }
 // independent worlds render as separate process groups; tracers merge in
 // argument order, so sweeps that collect per-world tracers in
 // enumeration order emit identical bytes at any parallelism.
+//
+// Every record is append-encoded straight into the writer's free buffer
+// (bufio.Writer.AvailableBuffer), so a trace of any length costs the one
+// bufio buffer and no allocation per event.
 func WriteTrace(w io.Writer, tracers ...*Tracer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("[")
-	first := true
-	emit := func(s string) {
-		if !first {
-			bw.WriteString(",\n")
-		} else {
-			bw.WriteString("\n")
-			first = false
+	sep := "\n"
+	// record returns the writer's free buffer holding the separator,
+	// flushing first when a typical record might not fit in it. A write
+	// error sticks in bw, and the final Flush returns it.
+	record := func() []byte {
+		if bw.Available() < 256 {
+			bw.Flush()
 		}
-		bw.WriteString(s)
+		b := append(bw.AvailableBuffer(), sep...)
+		sep = ",\n"
+		return b
 	}
 	for idx, t := range tracers {
 		if t == nil {
@@ -251,49 +256,84 @@ func WriteTrace(w io.Writer, tracers ...*Tracer) error {
 		// (idx 0) keeps its pids as recorded.
 		off := idx << 16
 		for _, n := range t.names {
-			kind := "thread_name"
-			tidField := fmt.Sprintf(`,"tid":%d`, n.tid)
+			kind := `{"name":"thread_name","ph":"M","pid":`
 			if n.process {
-				kind = "process_name"
-				tidField = ""
+				kind = `{"name":"process_name","ph":"M","pid":`
 			}
-			emit(fmt.Sprintf(`{"name":%q,"ph":"M","pid":%d%s,"args":{"name":%s}}`,
-				kind, n.pid+off, tidField, strconv.Quote(n.name)))
+			b := append(record(), kind...)
+			b = strconv.AppendInt(b, int64(n.pid+off), 10)
+			if !n.process {
+				b = append(b, `,"tid":`...)
+				b = strconv.AppendInt(b, int64(n.tid), 10)
+			}
+			b = append(b, `,"args":{"name":`...)
+			b = strconv.AppendQuote(b, n.name)
+			bw.Write(append(b, "}}"...))
 		}
 		for i := 0; i < len(t.events); i++ {
 			e := t.eventAt(i)
+			b := append(record(), `{"name":`...)
+			b = strconv.AppendQuote(b, e.name)
+			if e.ph != 'C' {
+				b = append(b, `,"cat":`...)
+				b = strconv.AppendQuote(b, e.cat)
+			}
 			switch e.ph {
 			case 'X':
-				emit(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d}`,
-					strconv.Quote(e.name), e.cat, usec(e.ts), usec(e.dur), e.pid+off, e.tid))
+				b = append(b, `,"ph":"X","ts":`...)
+				b = appendUsec(b, e.ts)
+				b = append(b, `,"dur":`...)
+				b = appendUsec(b, e.dur)
 			case 'i':
-				emit(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d}`,
-					strconv.Quote(e.name), e.cat, usec(e.ts), e.pid+off, e.tid))
+				b = append(b, `,"ph":"i","s":"t","ts":`...)
+				b = appendUsec(b, e.ts)
 			case 'C':
-				emit(fmt.Sprintf(`{"name":%s,"ph":"C","ts":%s,"pid":%d,"tid":%d,"args":{"v":%d}}`,
-					strconv.Quote(e.name), usec(e.ts), e.pid+off, e.tid, e.val))
-			case 's':
-				emit(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":"s","id":%d,"ts":%s,"pid":%d,"tid":%d}`,
-					strconv.Quote(e.name), e.cat, e.id, usec(e.ts), e.pid+off, e.tid))
-			case 'f':
-				// bp:"e" binds the arrow to the enclosing span's end, the
-				// Perfetto convention for flows landing mid-span.
-				emit(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":"f","bp":"e","id":%d,"ts":%s,"pid":%d,"tid":%d}`,
-					strconv.Quote(e.name), e.cat, e.id, usec(e.ts), e.pid+off, e.tid))
+				b = append(b, `,"ph":"C","ts":`...)
+				b = appendUsec(b, e.ts)
+			case 's', 'f':
+				if e.ph == 's' {
+					b = append(b, `,"ph":"s","id":`...)
+				} else {
+					// bp:"e" binds the arrow to the enclosing span's end,
+					// the Perfetto convention for flows landing mid-span.
+					b = append(b, `,"ph":"f","bp":"e","id":`...)
+				}
+				b = strconv.AppendUint(b, e.id, 10)
+				b = append(b, `,"ts":`...)
+				b = appendUsec(b, e.ts)
 			}
+			b = append(b, `,"pid":`...)
+			b = strconv.AppendInt(b, int64(e.pid+off), 10)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, int64(e.tid), 10)
+			if e.ph == 'C' {
+				b = append(b, `,"args":{"v":`...)
+				b = strconv.AppendInt(b, e.val, 10)
+				b = append(b, '}')
+			}
+			bw.Write(append(b, '}'))
 		}
 	}
 	bw.WriteString("\n]\n")
 	return bw.Flush()
 }
 
-// usec renders a picosecond simulated time as the trace format's
-// microsecond timestamp, exactly (6 decimal digits, no float rounding).
-func usec(t sim.Time) string {
+// appendUsec appends a picosecond simulated time as the trace format's
+// microsecond timestamp, exactly: whole microseconds, a point and six
+// zero-padded fractional digits, no float rounding. Negative times
+// render as 0.000000.
+func appendUsec(b []byte, t sim.Time) []byte {
 	if t < 0 {
 		t = 0
 	}
-	return fmt.Sprintf("%d.%06d", t/sim.Microsecond, t%sim.Microsecond)
+	b = strconv.AppendInt(b, int64(t/sim.Microsecond), 10)
+	frac := int64(t % sim.Microsecond)
+	b = append(b, '.', '0', '0', '0', '0', '0', '0')
+	for i := len(b) - 1; frac > 0; i-- {
+		b[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return b
 }
 
 // TraceEngine samples the engine's pending-event and executed-event

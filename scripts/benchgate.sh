@@ -3,15 +3,16 @@
 # event-queue and partition-runner micro-benchmarks, the process Sleep,
 # process-to-process handoff and signal-wait micro-benchmarks, the ALPU device micro-benchmarks, the
 # matching-fabric dispatch/overflow and dispatch-cache micro-benchmarks,
-# the 2-rank world build and whole world lifecycle, and the quick Fig. 5
-# sweep cuts — and writes the raw `go test -bench` output to the given
+# the 2-rank world build and whole world lifecycle, the quick Fig. 5
+# sweep cuts and the telemetry exporters — and writes the raw `go test -bench` output to the given
 # file (default BENCH_CURRENT.txt). CI runs it on the parent commit (a
 # git worktree) and on the change, back to back in alternating order on
 # the same host, and compares the two outputs with cmd/benchgate, so the
 # gate measures the change rather than the host.
 #
 # -count 3 runs every benchmark three times; the gate keeps the minimum,
-# which is the least-noise estimate of true cost.
+# which is the least-noise estimate of true cost. Benchmarks run with
+# -benchmem are gated on allocs/op as well.
 set -e
 out="${1:-BENCH_CURRENT.txt}"
 : > "$out"
@@ -42,3 +43,7 @@ go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./int
 # are backed on first access) and process goroutines.
 go test -run '^$' -bench 'BenchmarkWorld(Build|Run)$' -benchtime 0.2s -benchmem -count 3 ./internal/mpi | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
+# Exporters (Chrome trace, sim-time pprof profile, time series) of one
+# recorders-sized world, about 600 events: -benchmem lets the gate hold
+# their allocs/op, which must not grow with the event count.
+go test -run '^$' -bench 'Benchmark(WriteTrace|WriteSimProfile|SamplerWriteJSON)$' -benchtime 0.2s -benchmem -count 3 ./internal/telemetry | tee -a "$out"
