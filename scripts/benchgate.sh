@@ -3,7 +3,8 @@
 # event-queue and partition-runner micro-benchmarks, the process Sleep,
 # process-to-process handoff and signal-wait micro-benchmarks, the ALPU device micro-benchmarks, the
 # matching-fabric dispatch/overflow and dispatch-cache micro-benchmarks,
-# the 2-rank world build and whole world lifecycle, the quick Fig. 5
+# the firmware's software queue search, the 2-rank world build and whole
+# world lifecycle, the quick Fig. 5
 # sweep cuts and the telemetry exporters — and writes the raw `go test -bench` output to the given
 # file (default BENCH_CURRENT.txt). CI runs it on the parent commit (a
 # git worktree) and on the change, back to back in alternating order on
@@ -37,6 +38,10 @@ go test -run '^$' -bench 'BenchmarkMicro/' -benchtime 2000x -count 3 ./internal/
 # to ~100 ns each, so time-based benchtime again.
 go test -run '^$' -bench 'BenchmarkFabric' -benchtime 0.2s -count 3 ./internal/match | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
+# Firmware queue search with its cost accounting (a 256-entry list miss,
+# a shard prefix walk into the overflow hash, an exact hash probe): tens
+# of ns to tens of µs per search.
+go test -run '^$' -bench 'BenchmarkFirmwareFind' -benchtime 0.2s -count 3 ./internal/nic | tee -a "$out"
 # World build (closed again at once) and world run (build, RunSim and
 # teardown of one 2-rank Fig. 5 cell): the setup and the per-world
 # lifecycle every sweep cell pays, dominated by model state (cache lines
