@@ -132,72 +132,6 @@ func (n *NIC) appendShard(e *proc.Engine, q *mirrorQueue, b, m match.Bits, req a
 	return entry
 }
 
-// searchShard finds the oldest match in a fabric shard: a linear walk of
-// the device-mirrored prefix (cost-identical to searchList over the same
-// range), then the overflow hash. Prefix entries are strictly older than
-// overflow entries, so prefix-first preserves §II ordering. For queues
-// without an overflow hash this is exactly searchList.
-func (n *NIC) searchShard(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, from int) int {
-	if q.over == nil {
-		return n.searchList(e, q, bits, mask, from)
-	}
-	limit := q.inALPU
-	if l := q.list.Len(); limit > l {
-		limit = l
-	}
-	for i := from; i < limit; i++ {
-		entry := q.list.At(i)
-		e.LoadOverlapped(entry.Addr, params.QueueEntryBytes, params.TraverseCyclesPerEntry)
-		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
-		n.stats.EntriesTraversed++
-		if match.Matches(entry.Bits, entry.Mask, bits, mask) {
-			return i
-		}
-	}
-	before := q.over.SearchSteps
-	entry := q.over.FindFirst(bits, mask)
-	steps := q.over.SearchSteps - before
-	for s := uint64(0); s < steps; s++ {
-		e.Cycles(4)
-		e.Load(hashBucketAddr(bits+match.Bits(s)), 8)
-	}
-	n.stats.EntriesTraversed += steps
-	if entry == nil {
-		return -1
-	}
-	idx := q.list.IndexOf(entry)
-	return idx
-}
-
-// searchRemoveShard is searchShard plus unlinking, the fabric counterpart
-// of searchRemoveList (and exactly it when the queue has no overflow).
-func (n *NIC) searchRemoveShard(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) *match.Entry {
-	if q.over == nil {
-		return n.searchRemoveList(e, q, bits, mask, 0)
-	}
-	idx := n.searchShard(e, q, bits, mask, 0)
-	if idx < 0 {
-		return nil
-	}
-	q.depths.Add(idx)
-	entry := q.list.At(idx)
-	inOver := idx >= q.inALPU
-	e.Cycles(8)
-	q.removeAt(idx)
-	if inOver {
-		q.dropOverflow(entry)
-	}
-	return entry
-}
-
-// dropOverflow keeps a fabric shard's overflow hash exact after a list
-// removal of an overflow-resident entry; harmless no-op elsewhere.
-func (q *mirrorQueue) dropOverflow(entry *match.Entry) {
-	if q.over != nil {
-		q.over.Remove(entry)
-	}
-}
-
 // fabricResolve turns a matched posted entry into its receive record,
 // purging the sibling copies first when the entry is one of a wildcard
 // group's broadcasts. The sibling addrs are freed here; the matched
@@ -225,33 +159,26 @@ func (n *NIC) fabricResolve(e *proc.Engine, entry *match.Entry) *postedRecv {
 // device is quiet, because a match response generated before the
 // invalidate may still be in flight carrying that tag.
 func (n *NIC) purgeSibling(e *proc.Engine, q *mirrorQueue, c *match.Entry) {
-	if q.hash != nil {
-		// Failed-over shard: the hash shadow is the only live structure.
-		e.Cycles(12)
-		q.hash.Remove(c)
-		return
-	}
-	idx := q.list.IndexOf(c)
-	if idx < 0 {
-		panic(fmt.Sprintf("nic%d: %s lost a wildcard copy", n.cfg.ID, q.name))
-	}
-	if idx < q.inALPU {
-		for t, en := range q.tags {
-			if en == c {
-				delete(q.tags, t)
-				q.stale[t] = true
-				e.BusTransaction(params.ALPUCommandCycles)
-				n.pushCommand(e, q, alpu.Command{Op: alpu.OpInvalidate, Tag: t})
-				break
+	idx := -1 // a failed-over shard: the hash shadow is the only live structure
+	if q.hash == nil {
+		if idx = q.list.IndexOf(c); idx < 0 {
+			panic(fmt.Sprintf("nic%d: %s lost a wildcard copy", n.cfg.ID, q.name))
+		}
+		if idx >= q.inALPU {
+			e.Cycles(4) // overflow hash unlink
+		} else {
+			for t, en := range q.tags {
+				if en == c {
+					delete(q.tags, t)
+					q.stale[t] = true
+					e.BusTransaction(params.ALPUCommandCycles)
+					n.pushCommand(e, q, alpu.Command{Op: alpu.OpInvalidate, Tag: t})
+					break
+				}
 			}
 		}
-		q.inALPU--
-	} else {
-		q.dropOverflow(c)
-		e.Cycles(4)
 	}
-	e.Cycles(8)
-	q.removeAt(idx)
+	n.unlink(e, q, c, idx, -1, false)
 }
 
 // publishFabric harvests the fabric counters into the registry under

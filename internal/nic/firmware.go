@@ -81,7 +81,8 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 	}
 	switch pkt.Kind {
 	case network.Eager, network.RTS:
-		key := uint64(match.Pack(pkt.Hdr))
+		bits := match.Pack(pkt.Hdr)
+		key := uint64(bits)
 		n.causal.Stamp(key, telemetry.StampFwPop, e.Now())
 		if n.tracer != nil {
 			// Terminate the cross-rank flow arrow started at the sender's
@@ -96,8 +97,15 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 		}
 		e.Cycles(params.HeaderProcessCycles)
 		searchT0, faults0 := e.Now(), n.faultEvents
-		entry, mq := n.matchPosted(e, pkt)
-		n.annotateFaultSearch(mq, key, searchT0, faults0, e.Now())
+		q := &n.posted
+		if n.fab != nil {
+			// Every candidate for this header — its (context, source) exact
+			// receives and one copy of every wildcard — lives in the owner
+			// shard, in posting order, so the shard search is the whole search.
+			q = n.dispatchShard(e, bits)
+		}
+		entry := n.match(e, q, bits, match.FullMask, pkt.Seq)
+		n.annotateFaultSearch(q, key, searchT0, faults0, e.Now())
 		n.matchLat.Add(int((e.Now() - searchT0) / (64 * sim.Nanosecond)))
 		if entry != nil {
 			n.stats.PostedMatches++
@@ -221,7 +229,7 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 		// is fitted.
 		b, m := match.PackRecv(req.Recv)
 		st := CompletionStatus{}
-		if entry := n.peekUnexpected(e, b, m); entry != nil {
+		if entry, _, _ := n.find(e, &n.unexp, b, m, 0); entry != nil {
 			um := entry.Req.(*unexMsg)
 			st = statusOf(um.pkt.Hdr, um.pkt.Size)
 		}
@@ -233,10 +241,10 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 		// §II: the unexpected-queue search and the posting must be atomic;
 		// the single firmware thread guarantees it.
 		searchT0, faults0 := e.Now(), n.faultEvents
-		entry := n.matchUnexpected(e, req)
+		b, m := match.PackRecv(req.Recv)
+		entry := n.match(e, &n.unexp, b, m, req.ID)
 		if entry == nil {
 			pr := &postedRecv{req: req}
-			b, m := match.PackRecv(req.Recv)
 			if n.fab != nil {
 				n.fabricPost(e, b, m, pr)
 			} else {
@@ -267,91 +275,69 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 	}
 }
 
-// matchPosted finds and removes the posted receive matching an incoming
-// header, or returns nil (-> unexpected), along with the queue it was
-// resolved against (the owner shard under the fabric).
-func (n *NIC) matchPosted(e *proc.Engine, pkt network.Packet) (*match.Entry, *mirrorQueue) {
-	probe := match.Pack(pkt.Hdr)
-	q := &n.posted
-	if n.fab != nil {
-		// Every candidate for this header — its (context, source) exact
-		// receives and one copy of every wildcard — lives in the owner
-		// shard, in posting order, so the shard search is the whole search.
-		q = n.dispatchShard(e, probe)
-	}
+// match finds and unlinks q's oldest entry matching (bits, mask), or
+// returns nil. key correlates the search with the unit's response: an
+// incoming header's packet sequence number on a posted queue, a posted
+// receive's request id on the unexpected queue. While the unit is engaged
+// its response decides (§IV-B/D): MATCH SUCCESS names the entry by tag,
+// MATCH FAILURE leaves only the unloaded list suffix to search, and no
+// response at all strikes the unit and resolves the match in software.
+// Otherwise the whole software queue is searched.
+func (n *NIC) match(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, key uint64) *match.Entry {
 	if q.engaged {
-		// A packet can slip past the engagement point unprobed (it was
-		// already queued when the firmware engaged the unit mid-loop);
-		// the firmware then injects the probe itself over the bus.
-		if !q.probed[pkt.Seq] {
+		hits, misses, what := &n.stats.ALPUPostedHits, &n.stats.ALPUPostedMisses, "packet seq"
+		if q == &n.unexp {
+			hits, misses, what = &n.stats.ALPUUnexpHits, &n.stats.ALPUUnexpMisses, "request"
+		}
+		if !q.probed[key] {
+			// A header or receive can slip past the engagement point
+			// unprobed (it was already queued when the firmware engaged the
+			// unit mid-loop); the firmware then injects the probe itself
+			// over the bus.
 			e.BusTransaction(params.ALPUCommandCycles)
-			q.dev.PushProbe(alpu.Probe{Bits: probe, Meta: pkt.Seq})
-			q.probed[pkt.Seq] = true
+			q.dev.PushProbe(alpu.Probe{Bits: bits, Mask: mask, Meta: key})
+			q.probed[key] = true
 		}
-		r, from, ok := n.resultFor(e, q, pkt.Seq)
-		if !ok {
-			// The device never answered: strike, repair (resync or failover),
-			// and resolve this match entirely in software.
-			n.deviceFault(e, q, "result-timeout",
-				fmt.Sprintf("no response for packet seq %d", pkt.Seq))
-			return n.softwareMatch(e, q, probe, match.FullMask), q
-		}
-		if r.Kind == alpu.RespMatchSuccess {
-			if q.stale[r.Tag] {
-				// The success was generated before an INVALIDATE for this tag
-				// was processed: the device consumed a purged wildcard copy.
-				// The cell is gone either way (the pending INVALIDATE finds
-				// nothing and no-ops); resolve the probe against the list,
-				// which no longer holds the purged copy.
+		r, from, ok := n.resultFor(e, q, key)
+		if ok {
+			if r.Kind == alpu.RespMatchSuccess && !q.stale[r.Tag] {
+				*hits++
+				n.noteDeviceSuccess(q)
+				return n.consumeALPUMatch(e, q, r.Tag, bits, mask)
+			}
+			if r.Kind == alpu.RespMatchSuccess {
+				// A fabric shard's success generated before an INVALIDATE for
+				// this tag was processed: the device consumed a purged
+				// wildcard copy. The cell is gone either way (the pending
+				// INVALIDATE finds nothing and no-ops); resolve the probe
+				// against the list, which no longer holds the purged copy.
 				delete(q.stale, r.Tag)
 				n.fab.staleWildHits++
-				n.stats.ALPUPostedMisses++
-				return n.fallbackSearch(e, q, alpu.Probe{Bits: probe, Meta: pkt.Seq}, probe, match.FullMask, 0), q
+				from = 0
 			}
-			n.stats.ALPUPostedHits++
-			n.noteDeviceSuccess(q)
-			return n.consumeALPUMatch(e, q, r.Tag, probe, match.FullMask), q
+			*misses++
+			// §IV-D: on MATCH FAILURE, search only the portion of the list
+			// that had not been loaded into the ALPU when the failure was
+			// generated.
+			return n.fallbackSearch(e, q, bits, mask, from)
 		}
-		n.stats.ALPUPostedMisses++
-		// §IV-D: on MATCH FAILURE, search only the portion of the list
-		// that had not been loaded into the ALPU when the failure was
-		// generated.
-		return n.fallbackSearch(e, q, alpu.Probe{Bits: probe, Meta: pkt.Seq}, probe, match.FullMask, from), q
+		// The device never answered: strike and repair. The repair leaves
+		// the pointer at zero (resync) or the queue on its hash shadow
+		// (failover), so the software search below cannot leave a stale
+		// device copy behind.
+		n.deviceFault(e, q, "result-timeout", fmt.Sprintf("no response for %s %d", what, key))
 	}
-	if q.hash != nil {
-		return n.searchRemoveHash(e, q, probe, match.FullMask), q
+	entry, idx, depth := n.find(e, q, bits, mask, 0)
+	if entry == nil {
+		return nil
 	}
-	return n.searchRemoveShard(e, q, probe, match.FullMask), q
-}
-
-// matchUnexpected finds and removes the unexpected message matching a
-// receive being posted, or returns nil.
-func (n *NIC) matchUnexpected(e *proc.Engine, req HostRequest) *match.Entry {
-	b, m := match.PackRecv(req.Recv)
-	if n.unexp.engaged {
-		if !n.unexp.probed[req.ID] {
-			e.BusTransaction(params.ALPUCommandCycles)
-			n.unexp.dev.PushProbe(alpu.Probe{Bits: b, Mask: m, Meta: req.ID})
-			n.unexp.probed[req.ID] = true
-		}
-		r, from, ok := n.resultFor(e, &n.unexp, req.ID)
-		if !ok {
-			n.deviceFault(e, &n.unexp, "result-timeout",
-				fmt.Sprintf("no response for request %d", req.ID))
-			return n.softwareMatch(e, &n.unexp, b, m)
-		}
-		if r.Kind == alpu.RespMatchSuccess {
-			n.stats.ALPUUnexpHits++
-			n.noteDeviceSuccess(&n.unexp)
-			return n.consumeALPUMatch(e, &n.unexp, r.Tag, b, m)
-		}
-		n.stats.ALPUUnexpMisses++
-		return n.fallbackSearch(e, &n.unexp, alpu.Probe{Bits: b, Mask: m, Meta: req.ID}, b, m, from)
+	if idx < 0 {
+		// A hash bucket pointed at the entry; fetch it.
+		e.Load(entry.Addr, params.QueueEntryBytes)
+		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
 	}
-	if n.unexp.hash != nil {
-		return n.searchRemoveHash(e, &n.unexp, b, m)
-	}
-	return n.searchRemoveList(e, &n.unexp, b, m, 0)
+	n.unlink(e, q, entry, idx, depth, false)
+	return entry
 }
 
 // consumeALPUMatch resolves an ALPU MATCH SUCCESS tag to the shadow-list
@@ -361,37 +347,21 @@ func (n *NIC) matchUnexpected(e *proc.Engine, req HostRequest) *match.Entry {
 // so it is counted rather than fatal. bits/mask are the original probe,
 // needed for that software resolution.
 func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits, mask match.Bits) *match.Entry {
-	entry := q.tags[tag]
+	entry, idx := q.tags[tag], -1
 	if entry == nil {
 		n.noteError(&ProtocolError{NIC: n.cfg.ID, Op: "alpu-unknown-tag",
 			Detail: fmt.Sprintf("%s ALPU returned unknown tag %d", q.name, tag)})
-		idx := n.searchShard(e, q, bits, mask, 0)
-		if idx < 0 {
-			return nil
+	} else {
+		delete(q.tags, tag)
+		// Fetch the entry directly by pointer — no traversal (§VI-B: "the
+		// returned tag can be used to point directly to the matching list
+		// item").
+		e.Load(entry.Addr, params.QueueEntryBytes)
+		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
+		if idx = q.list.IndexOf(entry); idx >= 0 && idx < q.inALPU {
+			n.unlink(e, q, entry, idx, idx, true)
+			return entry
 		}
-		q.depths.Add(idx)
-		entry = q.list.At(idx)
-		inOver := idx >= q.inALPU
-		if !inOver {
-			// The entry was inside the mirrored prefix; keep the pointer
-			// consistent with the unit having consumed its copy.
-			q.inALPU--
-		}
-		e.Cycles(8)
-		q.removeAt(idx)
-		if inOver {
-			q.dropOverflow(entry)
-		}
-		return entry
-	}
-	delete(q.tags, tag)
-	// Fetch the entry directly by pointer — no traversal (§VI-B: "the
-	// returned tag can be used to point directly to the matching list
-	// item").
-	e.Load(entry.Addr, params.QueueEntryBytes)
-	e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
-	idx := q.list.IndexOf(entry)
-	if idx < 0 || idx >= q.inALPU {
 		if !n.devFaultsOn() {
 			panic(fmt.Sprintf("nic%d: %s ALPU matched entry outside the ALPU prefix (idx %d, inALPU %d)",
 				n.cfg.ID, q.name, idx, q.inALPU))
@@ -401,72 +371,94 @@ func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits,
 		// and schedule a resync to realign the device.
 		n.noteDeviceFault(q, "prefix-mismatch",
 			fmt.Sprintf("tag %d resolved to idx %d, inALPU %d", tag, idx, q.inALPU))
-		if idx < 0 {
-			idx = n.searchShard(e, q, bits, mask, 0)
-			if idx < 0 {
-				return nil
+	}
+	if idx < 0 {
+		if entry, idx, _ = n.find(e, q, bits, mask, 0); entry == nil {
+			return nil
+		}
+	}
+	n.unlink(e, q, entry, idx, idx, false)
+	return entry
+}
+
+// find returns q's oldest entry matching (bits, mask), charging the search
+// through the cost model, and unlinks nothing. The list is walked entry by
+// entry from index from — on a fabric shard only up to the end of its
+// device-mirrored prefix — and a hash costs one bucket probe per search
+// step: a shard's overflow hash past the prefix, or the §II hash
+// organisation, which holds the whole queue and ignores from. It returns
+// the entry's list index (-1 on the hash organisation) and its depth: the
+// list index, or the hash steps taken.
+func (n *NIC) find(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, from int) (entry *match.Entry, idx, depth int) {
+	h := q.hash
+	if h == nil {
+		limit := q.list.Len()
+		if h = q.over; h != nil {
+			limit = min(limit, q.inALPU)
+		}
+		for i := from; i < limit; i++ {
+			entry = q.list.At(i)
+			// The match line is the demand load; the rest of the entry is
+			// fetched under its miss (it still occupies the cache).
+			e.LoadOverlapped(entry.Addr, params.QueueEntryBytes, params.TraverseCyclesPerEntry)
+			e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
+			n.stats.EntriesTraversed++
+			if match.Matches(entry.Bits, entry.Mask, bits, mask) {
+				return entry, i, i
 			}
-			entry = q.list.At(idx)
 		}
-		q.depths.Add(idx)
-		inOver := idx >= q.inALPU
-		e.Cycles(8)
-		q.removeAt(idx)
-		if inOver {
-			q.dropOverflow(entry)
+		if h == nil {
+			return nil, -1, 0
 		}
-		return entry
 	}
-	q.depths.Add(idx)
+	before := h.SearchSteps
+	entry = h.FindFirst(bits, mask)
+	steps := h.SearchSteps - before
+	for s := uint64(0); s < steps; s++ {
+		e.Cycles(4)
+		e.Load(hashBucketAddr(bits+match.Bits(s)), 8)
+	}
+	n.stats.EntriesTraversed += steps
+	if entry == nil || h == q.hash {
+		return entry, -1, int(steps)
+	}
+	// Overflow entries are strictly younger than prefix entries, so the
+	// first overflow match is the oldest past the walk (§II ordering).
+	idx = q.list.IndexOf(entry)
+	return entry, idx, idx
+}
+
+// unlink removes a located entry from q: the list entry at idx — keeping
+// the not-in-ALPU pointer and a fabric shard's overflow hash exact — or,
+// on the hash organisation (idx < 0), the entry itself, and charges the
+// unlink bookkeeping. A match records depth in q's match-depth histogram;
+// a purge passes depth < 0 and records nothing. consumed marks an entry
+// the unit matched itself (MATCH SUCCESS): the shadow list drops it
+// before the bookkeeping is charged, where a searched entry is charged
+// first.
+func (n *NIC) unlink(e *proc.Engine, q *mirrorQueue, entry *match.Entry, idx, depth int, consumed bool) {
+	if depth >= 0 {
+		q.depths.Add(depth)
+	}
+	if idx < 0 {
+		e.Cycles(12) // bucket unlink is costlier than list unlink
+		q.hash.Remove(entry)
+		return
+	}
+	if !consumed {
+		e.Cycles(8) // list unlink bookkeeping
+	}
 	q.removeAt(idx)
-	q.inALPU--
-	e.Cycles(8) // list unlink bookkeeping
-	return entry
-}
-
-// searchList traverses the software list from index `from`, charging the
-// per-entry cost through the cache model, and returns the index of the
-// first match, or -1.
-func (n *NIC) searchList(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, from int) int {
-	for i := from; i < q.list.Len(); i++ {
-		entry := q.list.At(i)
-		// The match line is the demand load; the rest of the entry is
-		// fetched under its miss (it still occupies the cache).
-		e.LoadOverlapped(entry.Addr, params.QueueEntryBytes, params.TraverseCyclesPerEntry)
-		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
-		n.stats.EntriesTraversed++
-		if match.Matches(entry.Bits, entry.Mask, bits, mask) {
-			return i
-		}
+	if idx < q.inALPU {
+		// The entry was in the mirrored prefix, whose device copy is gone
+		// (consumed, purged or invalidated).
+		q.inALPU--
+	} else if q.over != nil {
+		q.over.Remove(entry)
 	}
-	return -1
-}
-
-// peekUnexpected finds the first matching unexpected message without
-// unlinking it (the MPI_Probe path), whatever the queue organisation.
-func (n *NIC) peekUnexpected(e *proc.Engine, bits, mask match.Bits) *match.Entry {
-	q := &n.unexp
-	if q.hash != nil {
-		entry, _ := n.findHash(e, q, bits, mask)
-		return entry
+	if consumed {
+		e.Cycles(8)
 	}
-	if idx := n.searchList(e, q, bits, mask, 0); idx >= 0 {
-		return q.list.At(idx)
-	}
-	return nil
-}
-
-// searchRemoveList is searchList plus unlinking of the match.
-func (n *NIC) searchRemoveList(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, from int) *match.Entry {
-	i := n.searchList(e, q, bits, mask, from)
-	if i < 0 {
-		return nil
-	}
-	q.depths.Add(i)
-	entry := q.list.At(i)
-	e.Cycles(8)
-	q.removeAt(i)
-	return entry
 }
 
 // fallbackSearch resolves a MATCH FAILURE in software. The failure
@@ -478,7 +470,7 @@ func (n *NIC) searchRemoveList(e *proc.Engine, q *mirrorQueue, bits, mask match.
 // unit's highest-priority match for this probe, so the purge consumes
 // exactly it — unless a later header's probe consumed the copy first,
 // which resyncs the unit.
-func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, bits, mask match.Bits, from int) *match.Entry {
+func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, from int) *match.Entry {
 	if from > q.inALPU {
 		from = q.inALPU
 	}
@@ -490,18 +482,15 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, b
 		// usual, which misses the vanished copy and feeds the resync.
 		from = 0
 	}
-	idx := n.searchShard(e, q, bits, mask, from)
-	if idx < 0 {
+	entry, idx, _ := n.find(e, q, bits, mask, from)
+	if entry == nil {
 		return nil
 	}
-	q.depths.Add(idx)
-	entry := q.list.At(idx)
 	if idx < q.inALPU {
 		n.stats.ALPUPurges++
 		key := n.nextPurgeKey()
-		probe.Meta = key
 		e.BusTransaction(params.ALPUCommandCycles)
-		q.dev.PushProbe(probe)
+		q.dev.PushProbe(alpu.Probe{Bits: bits, Mask: mask, Meta: key})
 		q.probed[key] = true
 		r, _, ok := n.resultFor(e, q, key)
 		switch {
@@ -509,7 +498,6 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, b
 			n.deviceFault(e, q, "purge-timeout", "no response to purge probe")
 		case r.Kind == alpu.RespMatchSuccess && q.tags[r.Tag] == entry:
 			delete(q.tags, r.Tag)
-			q.inALPU--
 		case q.consumedByLaterProbe(entry):
 			// The other half of the §IV-C race: while the unit was in
 			// insert mode, a later header's probe matched the freshly
@@ -537,11 +525,11 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, probe alpu.Probe, b
 			n.deviceFault(e, q, "purge-mismatch", "purge probe consumed a different entry")
 		}
 	}
-	e.Cycles(8)
-	q.removeAt(idx)
-	// A fabric shard's overflow hash holds the entry if it lay past the
-	// prefix, or if a resync above demoted the whole prefix into it.
-	q.dropOverflow(entry)
+	// After a clean purge the entry is still inside the prefix, so unlink
+	// steps the pointer back; a repair above left the pointer at zero, and
+	// a resync demoted the whole prefix, this entry included, into a
+	// fabric shard's overflow hash, from which unlink drops it.
+	n.unlink(e, q, entry, idx, idx, false)
 	if q.alpuDead && q.hash != nil {
 		// A failover during the purge rebuilt the hash shadow from the list
 		// with this entry still in it; keep the shadow exact.
@@ -563,35 +551,6 @@ const hashRegionBase = 0x800_0000
 
 func hashBucketAddr(bits match.Bits) uint64 {
 	return hashRegionBase + uint64(bits%4096)*8
-}
-
-// findHash finds the first match in q's hash organisation without
-// unlinking it, charging each search step as a bucket-head probe (hash
-// compute + load), and returns the match with its step count.
-func (n *NIC) findHash(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) (*match.Entry, uint64) {
-	before := q.hash.SearchSteps
-	entry := q.hash.FindFirst(bits, mask)
-	steps := q.hash.SearchSteps - before
-	for s := uint64(0); s < steps; s++ {
-		e.Cycles(4)
-		e.Load(hashBucketAddr(bits+match.Bits(s)), 8)
-	}
-	n.stats.EntriesTraversed += steps
-	return entry, steps
-}
-
-// searchRemoveHash is the §II hash-organisation search path (ablation).
-func (n *NIC) searchRemoveHash(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) *match.Entry {
-	entry, steps := n.findHash(e, q, bits, mask)
-	if entry == nil {
-		return nil
-	}
-	q.depths.Add(int(steps))
-	e.Load(entry.Addr, params.QueueEntryBytes)
-	e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
-	e.Cycles(12) // bucket unlink is costlier than list unlink
-	q.hash.Remove(entry)
-	return entry
 }
 
 // appendEntry creates a queue entry, charges its construction, and appends
@@ -848,16 +807,4 @@ func (n *NIC) annotateFaultSearch(q *mirrorQueue, key uint64, t0 sim.Time, fault
 	if n.faultEvents != faults0 || q.needResync || q.strikes > 0 || q.alpuDead {
 		n.causal.Annotate(key, telemetry.ResResync, now-t0)
 	}
-}
-
-// softwareMatch resolves a match entirely in software after the device
-// path failed: the hash shadow when the queue has failed over, else a
-// full list search. The immediately preceding repair left inALPU at zero
-// (resync) or the unit permanently disengaged (failover), so no stale
-// device copy can survive the removal.
-func (n *NIC) softwareMatch(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits) *match.Entry {
-	if q.hash != nil {
-		return n.searchRemoveHash(e, q, bits, mask)
-	}
-	return n.searchRemoveShard(e, q, bits, mask)
 }

@@ -68,15 +68,8 @@ func BenchmarkFirmwareFind(b *testing.B) {
 				e := proc.New(p, cpu, mem)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var hit bool
-					switch {
-					case c.q.hash != nil:
-						entry, _ := nc.findHash(e, c.q, c.bits, match.FullMask)
-						hit = entry != nil
-					default:
-						hit = nc.searchShard(e, c.q, c.bits, match.FullMask, 0) >= 0
-					}
-					if hit {
+					entry, _, _ := nc.find(e, c.q, c.bits, match.FullMask, 0)
+					if entry != nil {
 						found++
 					}
 				}

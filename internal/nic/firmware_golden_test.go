@@ -29,9 +29,10 @@ type goldenCell struct {
 
 // TestFirmwareGolden pins, byte for byte, the firmware paths no cmd golden
 // reaches: the EXPERIMENTS.md §5 ablation cells, a hash-list Fig. 6 cell,
-// an Iprobe-heavy program on every queue organisation, and a fabric whose
-// shard 1 dies mid-run (the failed-over hash shadow and the hash branch of
-// the wildcard sibling purge). Each line holds the cell's measured time
+// an Iprobe-heavy program on every queue organisation, the §IV-C
+// insert-race purge, and a 4-shard fabric whose shard 1 dies mid-run (the
+// failed-over hash shadow and the hash branch of the wildcard sibling
+// purge) or whose devices fault. Each line holds the cell's measured time
 // and the world's end time in ps, and per NIC the entries traversed, the
 // ALPU purges and the posted and unexpected match-depth histograms — so a
 // reordered or dropped cost charge anywhere in the queue search moves a

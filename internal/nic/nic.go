@@ -120,7 +120,7 @@ type Config struct {
 
 	// UseHashList switches the software queues to the hash organisation
 	// of §II (the abl-hash ablation baseline). Mutually exclusive with
-	// UseALPU in the evaluated configurations.
+	// UseALPU and with MatchShards: New panics on either combination.
 	UseHashList bool
 
 	// CPUProfile overrides the NIC processor model (nil = the Table III
