@@ -1,9 +1,6 @@
 package match
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestDispatchKeyIgnoresTag(t *testing.T) {
 	for src := int32(0); src < 32; src++ {
@@ -62,35 +59,6 @@ func TestWildcardSource(t *testing.T) {
 	}
 }
 
-// Ordered must return posting order however entries are spread over
-// buckets. The entries land in many distinct buckets, so any
-// implementation that walked the bucket map without sorting would emit a
-// random permutation — the map-order dependence this test exists to catch.
-func TestHashListOrderedSeqAscending(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := NewHashList()
-	var want []*Entry
-	for i := 0; i < 500; i++ {
-		e := &Entry{Mask: FullMask, Bits: Pack(Header{Context: uint16(rng.Intn(64)), Source: int32(rng.Intn(128)), Tag: int32(i)})}
-		if i%7 == 0 { // sprinkle wildcards into the side list too
-			e.Bits, e.Mask = PackRecv(Recv{Context: uint16(rng.Intn(64)), Source: AnySource, Tag: int32(i)})
-		}
-		h.Append(e)
-		want = append(want, e)
-	}
-	for run := 0; run < 3; run++ {
-		got := h.Ordered()
-		if len(got) != len(want) {
-			t.Fatalf("Ordered returned %d entries, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("run %d: Ordered()[%d] out of posting order (seq %d after %d)", run, i, got[i].Seq, got[i-1].Seq)
-			}
-		}
-	}
-}
-
 // InsertOrdered must honour an entry's existing Seq stamp: a demoted old
 // entry re-inserted behind a newer bucket-mate must still win FindFirst,
 // and the wildcard/bucket sequence merge must keep working.
@@ -124,24 +92,5 @@ func TestHashListInsertOrderedRestoresOrder(t *testing.T) {
 	h.Append(tail)
 	if tail.Seq <= newer.Seq {
 		t.Fatalf("Append after InsertOrdered stamped seq %d, not past %d", tail.Seq, newer.Seq)
-	}
-}
-
-func TestHashListDrain(t *testing.T) {
-	h := NewHashList()
-	for i := 0; i < 32; i++ {
-		h.Append(&Entry{Bits: Pack(Header{Context: uint16(i % 5), Source: int32(i % 3), Tag: int32(i)}), Mask: FullMask})
-	}
-	out := h.Drain()
-	if len(out) != 32 || h.Len() != 0 {
-		t.Fatalf("Drain returned %d entries, left %d queued", len(out), h.Len())
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Seq <= out[i-1].Seq {
-			t.Fatalf("Drain out of order at %d", i)
-		}
-	}
-	if h.FindFirst(out[0].Bits, FullMask) != nil {
-		t.Fatal("drained list still matches")
 	}
 }

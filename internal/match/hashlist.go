@@ -1,7 +1,5 @@
 package match
 
-import "sort"
-
 // HashList is the hash-table queue organisation the paper's §II discusses
 // and rejects: search cost drops for exact-match traffic, but insertion
 // cost rises (hash + bucket maintenance + ordering bookkeeping), wildcards
@@ -101,9 +99,10 @@ func (h *HashList) FindFirst(probeBits, probeMask Bits) *Entry {
 
 // InsertOrdered inserts e preserving its existing Seq stamp, keeping the
 // bucket (or the wildcard side list) in ascending-Seq order. Append stamps
-// a fresh sequence number and so may only grow the tail; shard overflow
-// demotion and failover rebuild re-insert entries that already carry their
-// posting-order stamp — possibly older than entries already present.
+// a fresh sequence number and so may only grow the tail; a fabric shard's
+// overflow hash takes entries that already carry their list posting-order
+// stamp, and resync demotion re-inserts ones possibly older than entries
+// already present.
 func (h *HashList) InsertOrdered(e *Entry) {
 	h.size++
 	h.InsertSteps += 3
@@ -129,31 +128,6 @@ func insertBySeq(s []*Entry, e *Entry) []*Entry {
 	copy(s[i+1:], s[i:])
 	s[i] = e
 	return s
-}
-
-// Ordered returns every queued entry in posting (Seq) order. The bucket
-// map iterates in random order, so the collected slice is explicitly
-// sorted — callers that rebuild another structure from a HashList (shard
-// failover, overflow demotion) must use this, never a raw map walk, or
-// the rebuilt order varies run to run.
-func (h *HashList) Ordered() []*Entry {
-	out := make([]*Entry, 0, h.size)
-	for _, b := range h.buckets {
-		out = append(out, b...)
-	}
-	out = append(out, h.wild...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// Drain returns every entry in posting order and empties the queue. The
-// cost-accounting counters survive: a drain is bookkeeping, not matching.
-func (h *HashList) Drain() []*Entry {
-	out := h.Ordered()
-	h.buckets = make(map[Bits][]*Entry)
-	h.wild = nil
-	h.size = 0
-	return out
 }
 
 // Remove deletes e from whichever structure holds it.
