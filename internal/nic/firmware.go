@@ -390,26 +390,26 @@ func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits,
 // the entry's list index (-1 on the hash organisation) and its depth: the
 // list index, or the hash steps taken.
 func (n *NIC) find(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, from int) (entry *match.Entry, idx, depth int) {
-	h := q.hash
+	h, limit := q.over, q.list.Len()
+	switch {
+	case q.hash != nil:
+		h, limit = q.hash, 0
+	case h != nil:
+		limit = min(limit, q.inALPU)
+	}
+	for i := from; i < limit; i++ {
+		entry = q.list.At(i)
+		// The match line is the demand load; the rest of the entry is
+		// fetched under its miss (it still occupies the cache).
+		e.LoadOverlapped(entry.Addr, params.QueueEntryBytes, params.TraverseCyclesPerEntry)
+		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
+		n.stats.EntriesTraversed++
+		if match.Matches(entry.Bits, entry.Mask, bits, mask) {
+			return entry, i, i
+		}
+	}
 	if h == nil {
-		limit := q.list.Len()
-		if h = q.over; h != nil {
-			limit = min(limit, q.inALPU)
-		}
-		for i := from; i < limit; i++ {
-			entry = q.list.At(i)
-			// The match line is the demand load; the rest of the entry is
-			// fetched under its miss (it still occupies the cache).
-			e.LoadOverlapped(entry.Addr, params.QueueEntryBytes, params.TraverseCyclesPerEntry)
-			e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
-			n.stats.EntriesTraversed++
-			if match.Matches(entry.Bits, entry.Mask, bits, mask) {
-				return entry, i, i
-			}
-		}
-		if h == nil {
-			return nil, -1, 0
-		}
+		return nil, -1, 0
 	}
 	before := h.SearchSteps
 	entry = h.FindFirst(bits, mask)
