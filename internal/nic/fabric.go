@@ -164,9 +164,7 @@ func (n *NIC) purgeSibling(e *proc.Engine, q *mirrorQueue, c *match.Entry) {
 		if idx = q.list.IndexOf(c); idx < 0 {
 			panic(fmt.Sprintf("nic%d: %s lost a wildcard copy", n.cfg.ID, q.name))
 		}
-		if idx >= q.inALPU {
-			e.Cycles(4) // overflow hash unlink
-		} else {
+		if idx < q.inALPU {
 			for t, en := range q.tags {
 				if en == c {
 					delete(q.tags, t)
@@ -176,6 +174,8 @@ func (n *NIC) purgeSibling(e *proc.Engine, q *mirrorQueue, c *match.Entry) {
 					break
 				}
 			}
+		} else {
+			e.Cycles(4) // overflow hash unlink
 		}
 	}
 	n.unlink(e, q, c, idx, -1, false)
