@@ -79,6 +79,14 @@ func (r *refArray) drain() (quiet, zeroFree int) {
 	}
 }
 
+// kernelGeometries spans every compaction kernel case: block sizes 1 to
+// 256, in-word and word-spanning blocks, and cell counts that are not
+// multiples of 64.
+var kernelGeometries = []Geometry{
+	{8, 1}, {64, 1}, {96, 2}, {64, 4}, {128, 8}, {64, 16}, {96, 32},
+	{64, 64}, {320, 64}, {128, 128}, {384, 128}, {256, 256}, {768, 256},
+}
+
 // TestCompactionKernelDifferential drives the word-parallel kernel and the
 // per-cell reference from the same random layouts, step by step to
 // quiescence, with random deletes, invalidates and cell-0 inserts mixed
@@ -86,11 +94,7 @@ func (r *refArray) drain() (quiet, zeroFree int) {
 // blocks), cell counts that are not multiples of 64, and CompactAnyBlock
 // on and off.
 func TestCompactionKernelDifferential(t *testing.T) {
-	geoms := []Geometry{
-		{8, 1}, {64, 1}, {96, 2}, {64, 4}, {128, 8}, {64, 16}, {96, 32},
-		{64, 64}, {320, 64}, {128, 128}, {384, 128}, {256, 256}, {768, 256},
-	}
-	for _, g := range geoms {
+	for _, g := range kernelGeometries {
 		for _, anyBlock := range []bool{false, true} {
 			g, anyBlock := g, anyBlock
 			t.Run(fmt.Sprintf("cells=%d/block=%d/any=%v", g.Cells, g.BlockSize, anyBlock), func(t *testing.T) {
@@ -210,6 +214,157 @@ func runKernelTrial(t *testing.T, rng *rand.Rand, g Geometry, anyBlock bool) {
 			if zeroFree > 0 {
 				zeroFree--
 			}
+		}
+	}
+}
+
+// TestMaterializeStepsDifferential applies bursts of compaction cycles
+// through materializeSteps, the batched path that tick and the idle drain
+// run, and checks every burst against as many steps of the per-cell
+// reference: the bitmap, the tags of the valid cells, and the ShiftCycles
+// delta against the reference steps that moved data. Each layout is
+// drained twice: by a burst of 1 and then bursts of random lengths, and
+// by one burst that runs past quiescence.
+func TestMaterializeStepsDifferential(t *testing.T) {
+	for _, g := range kernelGeometries {
+		for _, anyBlock := range []bool{false, true} {
+			g, anyBlock := g, anyBlock
+			t.Run(fmt.Sprintf("cells=%d/block=%d/any=%v", g.Cells, g.BlockSize, anyBlock), func(t *testing.T) {
+				d := MustDevice(sim.NewEngine(), "k", Config{
+					Variant: PostedReceives, Geometry: g, Clock: sim.MHz(500), CompactAnyBlock: anyBlock,
+				})
+				bs := g.BlockSize
+				if anyBlock {
+					bs = g.Cells
+				}
+				rng := rand.New(rand.NewSource(int64(g.Cells*1000 + g.BlockSize)))
+				for trial := 0; trial < 6; trial++ {
+					for _, l := range burstLayouts {
+						layout := l.gen(rng, g.Cells, bs)
+						for _, past := range []bool{false, true} {
+							runBursts(t, d, l.name, layout, bs, rng, past)
+							if t.Failed() {
+								return
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// glideLayout fills the top run [s, n) of a random length and, below it,
+// valid cells each with an empty cell directly above: the glide form.
+func glideLayout(rng *rand.Rand, n int) (v []bool, s int) {
+	v = make([]bool, n)
+	s = n - rng.Intn(n+1)
+	for i := s; i < n; i++ {
+		v[i] = true
+	}
+	maxGap := 1 + rng.Intn(n/2+1)
+	for i := s - 2 - rng.Intn(maxGap); i >= 0; i -= 2 + rng.Intn(maxGap) {
+		v[i] = true
+	}
+	return v, s
+}
+
+// burstLayouts are the starting layouts of TestMaterializeStepsDifferential
+// on n cells in blocks of bs: the glide form, and three kinds that are not
+// in it.
+var burstLayouts = []struct {
+	name string
+	gen  func(rng *rand.Rand, n, bs int) []bool
+}{
+	{"glide", func(rng *rand.Rand, n, bs int) []bool {
+		v, _ := glideLayout(rng, n)
+		return v
+	}},
+	{"random", func(rng *rand.Rand, n, bs int) []bool {
+		v := make([]bool, n)
+		density := rng.Float64()
+		for i := range v {
+			v[i] = rng.Float64() < density
+		}
+		return v
+	}},
+	// A glide layout plus two adjacent valid cells on either side of a
+	// block boundary with an empty cell above them: the lower cell waits
+	// a cycle while the upper one moves.
+	{"straddle", func(rng *rand.Rand, n, bs int) []bool {
+		v, _ := glideLayout(rng, n)
+		if n/bs < 2 {
+			return v
+		}
+		b := bs * (1 + rng.Intn(n/bs-1))
+		v[b-1], v[b] = true, true
+		if b+1 < n {
+			v[b+1] = false
+		}
+		return v
+	}},
+	// A glide layout with holes punched into its top run.
+	{"holey-top", func(rng *rand.Rand, n, bs int) []bool {
+		v, s := glideLayout(rng, n)
+		if s == n {
+			return v
+		}
+		for h := 1 + rng.Intn(3); h > 0; h-- {
+			v[s+rng.Intn(n-s)] = false
+		}
+		return v
+	}},
+}
+
+// runBursts loads layout into d and into a reference, then drains both
+// by bursts, comparing them after each. With past set the first burst
+// already runs past quiescence; otherwise bursts of 1 and then of random
+// lengths run until one outlasts the drain.
+func runBursts(t *testing.T, d *Device, kind string, layout []bool, bs int, rng *rand.Rand, past bool) {
+	t.Helper()
+	n := len(layout)
+	ref := &refArray{valid: append([]bool(nil), layout...), tag: make([]uint32, n), bs: bs}
+	for i := range d.valid {
+		d.valid[i] = 0
+	}
+	for i, v := range layout {
+		if v {
+			ref.tag[i] = uint32(i + 1)
+			placeCell(d, i, cell{tag: uint32(i + 1)})
+		}
+	}
+	quiet, _ := ref.drain()
+	for burst := 0; ; burst++ {
+		k := 1
+		switch {
+		case past:
+			k = quiet + 1 + rng.Intn(n)
+		case burst > 0:
+			k = 1 + rng.Intn(1+rng.Intn(n))
+		}
+		before := d.stats.ShiftCycles
+		d.materializeSteps(k)
+		moved := 0
+		for moved < k && ref.step() {
+			moved++
+		}
+		where := fmt.Sprintf("%s layout, past=%v, burst %d of %d cycles", kind, past, burst, k)
+		if d.valid[len(d.valid)-1]&^d.lastMask != 0 {
+			t.Fatalf("%s: bits beyond cell %d set: %#x", where, n, d.valid[len(d.valid)-1])
+		}
+		for i := 0; i < n; i++ {
+			if d.isValid(i) != ref.valid[i] {
+				t.Fatalf("%s: cell %d valid=%v, reference %v", where, i, d.isValid(i), ref.valid[i])
+			}
+			if ref.valid[i] && d.cells[i].tag != ref.tag[i] {
+				t.Fatalf("%s: cell %d tag %d, reference %d", where, i, d.cells[i].tag, ref.tag[i])
+			}
+		}
+		if got := d.stats.ShiftCycles - before; got != uint64(moved) {
+			t.Fatalf("%s: ShiftCycles grew %d, reference moved data on %d cycles", where, got, moved)
+		}
+		if moved < k {
+			return
 		}
 	}
 }

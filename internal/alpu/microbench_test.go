@@ -44,6 +44,7 @@ func MicroCases() []MicroCase {
 			MicroCase{"search-hit" + suffix, func(b *testing.B) { microSearch(b, g, true) }},
 			MicroCase{"search-miss" + suffix, func(b *testing.B) { microSearch(b, g, false) }},
 			MicroCase{"compact-drain" + suffix, func(b *testing.B) { microCompactDrain(b, g) }},
+			MicroCase{"compact-burst" + suffix, func(b *testing.B) { microCompactBurst(b, g) }},
 		)
 	}
 	return cases
@@ -145,22 +146,44 @@ func microSearch(b *testing.B, g Geometry, hit bool) {
 	eng.Run()
 }
 
-// microCompactDrain measures a full idle compaction: a fresh entry in
-// cell 0 below a compacted half-full suffix, stepped until quiescent.
-// This exercises the step kernel directly, without engine events.
-func microCompactDrain(b *testing.B, g Geometry) {
-	d := MustDevice(sim.NewEngine(), "bench", microConfig(g))
+// drainLayout builds the compaction benchmarks' layout: a fresh entry in
+// cell 0 below a compacted half-full suffix. It returns the device and
+// copies of its cells and bitmap to restore before each drain.
+func drainLayout(g Geometry) (d *Device, cells []cell, valid []uint64) {
+	d = MustDevice(sim.NewEngine(), "bench", microConfig(g))
 	microFill(d, g.Cells/2, false)
 	bits, mask := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
 	placeCell(d, 0, cell{bits: bits, mask: mask, tag: 99})
-	template := append([]cell(nil), d.cells...)
-	validTemplate := append([]uint64(nil), d.valid...)
+	return d, append([]cell(nil), d.cells...), append([]uint64(nil), d.valid...)
+}
+
+// microCompactDrain measures a full idle compaction of drainLayout,
+// stepped one cycle at a time until quiescent. This times the per-cycle
+// step kernel directly, without engine events.
+func microCompactDrain(b *testing.B, g Geometry) {
+	d, cells, valid := drainLayout(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(d.cells, template)
-		copy(d.valid, validTemplate)
+		copy(d.cells, cells)
+		copy(d.valid, valid)
 		for d.shiftStep() {
+		}
+	}
+}
+
+// microCompactBurst drains the same layout through materializeSteps in
+// the chunks the idle drain's timers cover (armDrainChunk), timing the
+// batched path the device runs.
+func microCompactBurst(b *testing.B, g Geometry) {
+	d, cells, valid := drainLayout(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(d.cells, cells)
+		copy(d.valid, valid)
+		for d.needsCompaction() {
+			d.materializeSteps(min(d.holesAboveLowestValid(), drainChunk))
 		}
 	}
 }
