@@ -845,14 +845,91 @@ func (d *Device) tick(p *sim.Process, n int) {
 // materializeSteps applies up to n compaction cycles of state change
 // immediately, counting ShiftCycles exactly as per-cycle stepping would.
 // Cells change only through the device itself, so once one step moves
-// nothing, no later step in the burst can move either.
+// nothing, no later step in the burst can move either. A layout in glide
+// form takes the rest of the burst in one closed-form step; any other
+// layout takes one shiftStep at a time until it reaches that form.
 func (d *Device) materializeSteps(n int) {
-	for i := 0; i < n; i++ {
+	for n > 0 {
+		if k, ok := d.glide(n); ok {
+			d.stats.ShiftCycles += uint64(k)
+			return
+		}
 		if !d.shiftStep() {
 			return
 		}
 		d.stats.ShiftCycles++
+		n--
 	}
+}
+
+// glide applies n compaction cycles in one step when the layout is in
+// glide form and returns how many of them move data; for any other
+// layout it reports !ok and changes nothing.
+//
+// Call the maximal run of valid cells that ends at the top cell the
+// settled run, s its lowest index (the cell count when the run is
+// empty), and the f valid cells below s free. In glide form every free
+// cell has an empty cell directly above it. That cell is in the free
+// cell's own block or is the lowest cell of the next block, so every free
+// cell is enabled and moves each cycle, and no settled cell is. The gaps
+// between free cells stay as they are, so the form holds; only the top
+// free cell's gap closes, when it joins the settled run. Numbering the
+// free cells j = 1..f from the top, cell j at p_j sits at
+// min(p_j+k, s−j) after k cycles, and data moves on the first s−f−p_f
+// cycles, which is holesAboveLowestValid in this form.
+func (d *Device) glide(n int) (moved int, ok bool) {
+	v := d.valid
+	w := len(v) - 1
+	top := v[w] | ^d.lastMask
+	for top == ^uint64(0) {
+		if w == 0 {
+			return 0, true // every cell is valid
+		}
+		w--
+		top = v[w]
+	}
+	hz := uint(63 - bits.LeadingZeros64(^top)) // cell s−1 is bit hz of word w
+	s := w*64 + int(hz) + 1
+	f, lowest := 0, 0
+	for i := w; i >= 0; i-- {
+		free, above := v[i], v[i]>>1
+		if i == w {
+			free &= 1<<hz - 1
+		}
+		if i+1 < len(v) {
+			above |= v[i+1] << 63
+		}
+		if free&above != 0 {
+			return 0, false
+		}
+		if free != 0 {
+			f += bits.OnesCount64(free)
+			lowest = i*64 + bits.TrailingZeros64(free)
+		}
+	}
+	if f == 0 {
+		return 0, true
+	}
+	moved = min(n, s-f-lowest)
+	// Top-down, each free cell lands above every free cell not yet moved.
+	j := 0
+	for i := w; i >= 0; i-- {
+		free := v[i]
+		if i == w {
+			free &= 1<<hz - 1
+		}
+		v[i] &^= free
+		for free != 0 {
+			b := bits.Len64(free) - 1
+			free &^= 1 << uint(b)
+			j++
+			from := i*64 + b
+			to := min(from+moved, s-j)
+			d.cells[to] = d.cells[from]
+			v[to/64] |= 1 << uint(to%64)
+		}
+	}
+	return moved, true
 }
 
 // shiftStep performs one cycle of hole compaction on the device. A cell's
