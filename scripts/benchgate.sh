@@ -3,7 +3,7 @@
 # event-queue and partition-runner micro-benchmarks, the process Sleep,
 # process-to-process handoff and signal-wait micro-benchmarks, the ALPU device micro-benchmarks, the
 # matching-fabric dispatch/overflow and dispatch-cache micro-benchmarks,
-# the firmware's software queue search, the 2-rank world build and whole
+# the firmware's software queue search, the network transmit path, the 2-rank world build and whole
 # world lifecycle, the quick Fig. 5
 # sweep cuts and the telemetry exporters — and writes the raw `go test -bench` output to the given
 # file (default BENCH_CURRENT.txt). CI runs it on the parent commit (a
@@ -42,6 +42,11 @@ go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./int
 # a shard prefix walk into the overflow hash, an exact hash probe): tens
 # of ns to tens of µs per search.
 go test -run '^$' -bench 'BenchmarkFirmwareFind' -benchtime 0.2s -count 3 ./internal/nic | tee -a "$out"
+# Network transmit path (serialisation, fault draws, delivery scheduling)
+# on a single-engine network, clean and faulty, and on a one-partition
+# network's canonical delivery route: a few hundred ns per send, with
+# -benchmem so the gate holds its allocs/op.
+go test -run '^$' -bench 'BenchmarkNetworkSend' -benchtime 0.2s -benchmem -count 3 ./internal/network | tee -a "$out"
 # World build (closed again at once) and world run (build, RunSim and
 # teardown of one 2-rank Fig. 5 cell): the setup and the per-world
 # lifecycle every sweep cell pays, dominated by model state (cache lines
