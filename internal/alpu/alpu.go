@@ -180,7 +180,11 @@ type Response struct {
 type Probe struct {
 	Bits match.Bits
 	Mask match.Bits
-	Meta any // model-level correlation handle, not part of the hardware
+	// Meta is a model-level correlation key, not part of the hardware:
+	// match responses echo it. Producers pass non-zero keys (sequences
+	// and request ids start at 1); START ACK and FAULT responses, which
+	// answer no probe, carry 0.
+	Meta uint64
 }
 
 // probeMask returns the effective compare mask for a probe under variant

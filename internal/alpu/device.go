@@ -172,7 +172,7 @@ type Device struct {
 
 	// frng is the device's private fault stream; nil when fault injection
 	// is off, which keeps every fault check a single nil test.
-	frng *devRand
+	frng *sim.Rand
 }
 
 // NewDevice creates and starts a Device on eng.
@@ -207,7 +207,8 @@ func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 	}
 	d.initBits()
 	if cfg.Faults.Active() {
-		d.frng = newDevRand(cfg.Faults.Seed, 1)
+		// The device's own stream: Seed mixed with stream index 1.
+		d.frng = sim.NewRand(cfg.Faults.Seed*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
 	}
 	eng.Spawn(name, d.run)
 	return d, nil
@@ -457,7 +458,7 @@ func (d *Device) faultHook(p *sim.Process) {
 // maybeFlip draws the bit-flip chance and, on a hit, flips one random bit
 // of one random valid cell's match bits, leaving its parity bit stale.
 func (d *Device) maybeFlip() {
-	if !d.frng.chance(d.cfg.Faults.BitFlipProb) {
+	if !d.frng.Chance(d.cfg.Faults.BitFlipProb) {
 		return
 	}
 	occ := d.Occupancy()
@@ -465,10 +466,10 @@ func (d *Device) maybeFlip() {
 		return
 	}
 	i := d.nextValid(0)
-	for k := d.frng.intn(occ); k > 0; k-- {
+	for k := d.frng.Intn(occ); k > 0; k-- {
 		i = d.nextValid(i + 1)
 	}
-	d.cells[i].bits ^= 1 << uint(d.frng.intn(64))
+	d.cells[i].bits ^= 1 << uint(d.frng.Intn(64))
 	d.stats.BitFlips++
 }
 
@@ -819,10 +820,10 @@ func (d *Device) tick(p *sim.Process, n int) {
 	per := d.cfg.Clock.Period
 	if d.cfg.PerCycle {
 		for i := 0; i < n; i++ {
-			if d.frng != nil && d.frng.chance(d.cfg.Faults.StuckProb) {
+			if d.frng != nil && d.frng.Chance(d.cfg.Faults.StuckProb) {
 				// Stuck compaction: the step machinery wedges for a short
 				// run of cycles in which time passes but nothing moves.
-				k := 1 + d.frng.intn(8)
+				k := 1 + d.frng.Intn(8)
 				d.stats.StuckCycles += uint64(k)
 				for j := 0; j < k; j++ {
 					p.Sleep(per)
@@ -1105,7 +1106,7 @@ func (d *Device) pushResult(p *sim.Process, r Response) {
 		}
 		d.stats.ResultStalls += uint64((p.Now() - start) / d.cfg.Clock.Period)
 	}
-	if d.frng != nil && d.frng.chance(d.cfg.Faults.ResultDropProb) {
+	if d.frng != nil && d.frng.Chance(d.cfg.Faults.ResultDropProb) {
 		d.stats.DroppedResults++
 		return
 	}

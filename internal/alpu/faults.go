@@ -13,9 +13,11 @@ import (
 // that simulated time: every FIFO interaction after the instant is silently
 // discarded, modelling a unit that stopped responding on the bus.
 //
-// All randomness comes from a private splitmix64 stream derived from Seed,
+// All randomness comes from a private sim.Rand stream derived from Seed,
 // so a fixed seed reproduces the exact fault schedule regardless of host
-// parallelism.
+// parallelism. One stream per device keeps fault draws independent of
+// everything else in the world — a precondition for byte-identical output
+// at any partition count.
 type FaultModel struct {
 	Seed           uint64
 	BitFlipProb    float64  // transient cell bit-flip per scrub opportunity
@@ -39,39 +41,4 @@ func (f *FaultModel) String() string {
 	}
 	return fmt.Sprintf("bitflip=%g resultdrop=%g stuck=%g death@%v seed=%d",
 		f.BitFlipProb, f.ResultDropProb, f.StuckProb, f.DeathAt, f.Seed)
-}
-
-// devRand is a splitmix64 PRNG (same generator the network fault layer
-// uses; duplicated here because that one is unexported and the packages
-// must not depend on each other). One stream per device keeps fault draws
-// independent of everything else in the world — a precondition for
-// byte-identical output at any partition count.
-type devRand struct{ state uint64 }
-
-func newDevRand(seed, stream uint64) *devRand {
-	return &devRand{state: seed*0x9e3779b97f4a7c15 + stream*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb}
-}
-
-func (r *devRand) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chance returns true with probability p.
-func (r *devRand) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(r.next()>>11)/(1<<53) < p
-}
-
-// intn returns a value in [0, n).
-func (r *devRand) intn(n int) int {
-	return int(r.next() % uint64(n))
 }

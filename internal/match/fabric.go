@@ -1,5 +1,7 @@
 package match
 
+import "alpusim/internal/sim"
+
 // Shard routing for the multi-ALPU matching fabric. A fabric hashes
 // posted receives across N ALPU instances by (context, source) — the tag
 // field is excluded so every probe for a given sender/communicator pair
@@ -13,22 +15,16 @@ package match
 func DispatchKey(b Bits) Bits { return b &^ tagMask }
 
 // ShardOf maps a match word to a shard index in [0, shards). The dispatch
-// key is mixed through a splitmix64-style finalizer so contexts and
-// sources spread over shards even when their low bits are clustered
-// (communicator ids and ranks are small dense integers). The function is
+// key is mixed through splitmix64's output function (sim.Mix64) so
+// contexts and sources spread over shards even when their low bits are
+// clustered (communicator ids and ranks are small dense integers). The function is
 // pure: routing never depends on simulation state, which is what keeps
 // fabric results identical at any partition count.
 func ShardOf(b Bits, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	x := uint64(DispatchKey(b))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(shards))
+	return int(sim.Mix64(uint64(DispatchKey(b))) % uint64(shards))
 }
 
 // WildcardSource reports whether a receive mask leaves the source field

@@ -98,6 +98,22 @@ func TestDevChaosMatchesSoftwareClean(t *testing.T) {
 			}
 		}
 	}
+
+	// Firmware crashes configured on the NIC alone, with no world fault
+	// model, must arm the same recovery and publish the same world-level
+	// failover rollups as the world's fwcrash class.
+	cfg := devChaosCfg(ranks, 64)
+	cfg.NIC.FwCrashProb, cfg.NIC.FwCrashSeed = 0.02, 42
+	cfg.WatchdogLimit = chaosWatchdog
+	got, w := soakMatchDigest(t, "dev/nic-fw-crash", cfg, plan, ranks)
+	if got != clean {
+		t.Errorf("nic-fw-crash: matching digest %#x != clean software %#x", got, clean)
+	}
+	snap := w.TelemetrySnapshot()
+	if crashes := snap.Sum("nic_failover/fw_crashes"); crashes == 0 || crashes != snap.Sum("nic_failover/fw_restarts") {
+		t.Errorf("nic-fw-crash: world rollup fw_crashes=%d fw_restarts=%d, want equal and non-zero",
+			crashes, snap.Sum("nic_failover/fw_restarts"))
+	}
 }
 
 // TestDevChaosPartitionInvariant pins the PDES contract under device

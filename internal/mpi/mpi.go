@@ -129,13 +129,6 @@ type World struct {
 	Causal *telemetry.Causal
 	Series *telemetry.Sampler
 
-	// Flight is the recorder the world's components trace into: the
-	// bounded flight ring when no full tracer was configured, or the
-	// full tracer itself. Nil when recording is off and in partitioned
-	// mode, where each partition records into its own bundle — use
-	// WriteFlight/FlightStats, which merge.
-	Flight *telemetry.Tracer
-
 	// Engines holds one engine per partition (one for a serial world).
 	Engines     []*sim.Engine
 	ps          *sim.PartitionSet    // nil for a serial world
@@ -174,21 +167,6 @@ type World struct {
 	// matchShards mirrors Config.NIC.MatchShards, gating the world-level
 	// match_fabric telemetry rollups.
 	matchShards int
-}
-
-// nicDeviceFaults reports whether the NIC config itself carries device
-// fault models (beyond the world fault model): the per-unit override or
-// any per-shard override.
-func nicDeviceFaults(nc nic.Config) bool {
-	if nc.ALPUFaults.Active() {
-		return true
-	}
-	for _, f := range nc.ShardFaults {
-		if f.Active() {
-			return true
-		}
-	}
-	return false
 }
 
 // applyDeviceFaults maps the device-level classes of the world fault
@@ -297,14 +275,11 @@ func NewWorld(cfg Config) *World {
 		log:         telemetry.SimLogger(cfg.Log, engines[0].Now),
 		faults:      cfg.Faults,
 		flightPath:  cfg.FlightDumpPath,
-		devFaults:   cfg.Faults.DeviceActive() || nicDeviceFaults(cfg.NIC),
+		devFaults:   cfg.Faults.DeviceActive() || cfg.NIC.DeviceFaults(),
 		matchShards: cfg.NIC.MatchShards,
 		nextCtx:     worldContext,
 		ctxTable:    make(map[string]uint16),
 		boards:      make(map[string][]any),
-	}
-	if serial {
-		w.Flight = parts[0].tracer
 	}
 	logs := make([]*slog.Logger, nparts)
 	for p := range logs {
@@ -570,8 +545,8 @@ func (w *World) stallDiag() string {
 // off). Each partition ring bounds its own history, so a partitioned
 // dump can retain up to Partitions x FlightEvents events.
 func (w *World) flightTracer() *telemetry.Tracer {
-	if w.Flight != nil || w.parts[0].tracer == nil {
-		return w.Flight
+	if w.ps == nil || w.parts[0].tracer == nil {
+		return w.parts[0].tracer
 	}
 	m := telemetry.NewTracer()
 	m.Absorb(w.tracers()...)

@@ -3,8 +3,8 @@
 // a perfect in-order network; the FaultModel lets the same worlds run over
 // a lossy one (drop, duplicate, reorder/delay-jitter, payload corruption)
 // so the NIC reliability protocol (internal/nic) can be exercised. All
-// randomness comes from a splitmix64 stream owned by the Network, so two
-// runs with the same seed inject byte-identical fault sequences.
+// randomness comes from seeded sim.Rand streams owned by the Network, so
+// two runs with the same seed inject byte-identical fault sequences.
 package network
 
 import (
@@ -116,11 +116,7 @@ func (f *FaultModel) linkDown(src int, t sim.Time) bool {
 		return false
 	}
 	w := uint64(t / flapWindow)
-	// One splitmix64 scramble of (seed, src, window).
-	z := uint64(f.Seed)*0x9E3779B97F4A7C15 + (uint64(src)+1)*0xD1B54A32D192ED03 + w*0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := sim.Mix64(uint64(f.Seed)*0x9E3779B97F4A7C15 + (uint64(src)+1)*0xD1B54A32D192ED03 + w*0xBF58476D1CE4E5B9)
 	return float64(z>>11)/(1<<53) < f.LinkFlapFrac
 }
 
@@ -248,47 +244,6 @@ func (s FaultStats) String() string {
 	return out
 }
 
-// frand is a splitmix64-based PRNG: tiny, fast, and bit-identical on every
-// platform and Go version (math/rand's stream is version-stable but this
-// removes the dependency on that promise for the determinism CI check).
-type frand struct{ state uint64 }
-
-func newFrand(seed int64) *frand {
-	// Avoid the all-zero state; splitmix64 escapes it anyway, but mixing
-	// the seed keeps nearby seeds decorrelated.
-	return &frand{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567890ABCDEF}
-}
-
-// newFrandSrc derives the per-source-endpoint stream of a partitioned
-// network: the base state advanced by a second odd constant per source,
-// so streams for (seed, src) and (seed, src+1) are decorrelated.
-func newFrandSrc(seed int64, src int) *frand {
-	r := newFrand(seed)
-	r.state += (uint64(src) + 1) * 0xD1B54A32D192ED03
-	return r
-}
-
-func (r *frand) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0, 1).
-func (r *frand) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
-// intn returns a uniform value in [0, n).
-func (r *frand) intn(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.next() % uint64(n))
-}
-
 // maxJitter resolves the configured or default reorder jitter bound.
 func (f *FaultModel) maxJitter(wire sim.Time) sim.Time {
 	if f.MaxJitter > 0 {
@@ -303,9 +258,9 @@ func (f *FaultModel) maxJitter(wire sim.Time) sim.Time {
 // corrupt flips one bit in a checksummed field of p. The destination is
 // left intact (routing is a physical port, not packet content), so the
 // corruption is always detectable by the receiver's checksum.
-func corrupt(r *frand, p Packet) Packet {
-	bit := uint32(1) << uint(r.intn(16))
-	switch r.intn(4) {
+func corrupt(r *sim.Rand, p Packet) Packet {
+	bit := uint32(1) << uint(r.Intn(16))
+	switch r.Intn(4) {
 	case 0:
 		p.Hdr.Tag ^= int32(bit)
 	case 1:
@@ -323,31 +278,35 @@ func corrupt(r *frand, p Packet) Packet {
 // A partitioned network derives one independent stream per source
 // endpoint from the seed, so concurrent partitions never share a PRNG;
 // the per-source sequences are a pure function of (seed, source), not of
-// the partition layout.
+// the partition layout. A single-engine network gives every source the
+// one network-wide stream, drawn in transmission order.
 func (n *Network) SetFaults(fm *FaultModel) {
 	n.faults = fm
-	if fm == nil {
-		n.frng = nil
-		for i := range n.links {
-			n.links[i].rng = nil
-		}
-		return
+	var shared *sim.Rand
+	if fm != nil && n.ps == nil {
+		shared = sim.NewRand(faultState(fm.Seed))
 	}
-	n.frng = newFrand(fm.Seed)
 	for i := range n.links {
-		n.links[i].rng = newFrandSrc(fm.Seed, i)
+		rng := shared
+		if fm != nil && n.ps != nil {
+			rng = sim.NewRand(faultState(fm.Seed) + (uint64(i)+1)*0xD1B54A32D192ED03)
+		}
+		n.links[i].rng = rng
 	}
+}
+
+// faultState is the network fault stream's starting state for seed;
+// mixing the seed keeps nearby seeds decorrelated.
+func faultState(seed int64) uint64 {
+	return uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567890ABCDEF
 }
 
 // Faults returns the installed fault model (nil = reliable).
 func (n *Network) Faults() *FaultModel { return n.faults }
 
-// FaultStats reports the faults injected so far. On a partitioned network
-// the per-source counters are summed in source order.
+// FaultStats reports the faults injected so far, the per-source counters
+// summed in source order.
 func (n *Network) FaultStats() FaultStats {
-	if n.links == nil {
-		return n.fstats
-	}
 	var total FaultStats
 	for i := range n.links {
 		s := n.links[i].stats
@@ -361,76 +320,33 @@ func (n *Network) FaultStats() FaultStats {
 }
 
 // inject applies the fault model to one transmission and schedules the
-// surviving deliveries. delay is the fault-free delivery delay from now.
-func (n *Network) inject(p Packet, dst *Endpoint, delay sim.Time) {
-	f, r := n.faults, n.frng
+// surviving deliveries through deliverAt. at is the fault-free absolute
+// delivery time; faults only ever add delay (or drop), so the
+// conservative lookahead bound survives injection.
+func (n *Network) inject(p Packet, src, dst *Endpoint, at sim.Time) {
+	f := n.faults
+	ln := &n.links[src.ID]
 	// Link flap is a pure function of (seed, source, window) — checked
 	// before any stream draw, so enabling it does not perturb the other
 	// classes' random sequences. The instant checked is the fault-free
-	// delivery time, matching the partitioned path.
-	if f.linkDown(p.Src, n.eng.Now()+delay) {
-		n.fstats.FlapDropped++
-		return
-	}
-	// Draw in a fixed order so the random stream is a pure function of the
-	// transmission sequence, whatever the probabilities.
-	drop := r.float64() < f.DropProb
-	corr := r.float64() < f.CorruptProb
-	reorder := r.float64() < f.ReorderProb
-	dup := r.float64() < f.DupProb
-	var jitter, dupJitter sim.Time
-	if reorder {
-		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
-	}
-	if dup {
-		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
-	}
-
-	if drop {
-		n.fstats.Dropped++
-		return
-	}
-	if corr {
-		n.fstats.Corrupted++
-		p = corrupt(r, p)
-	}
-	if reorder {
-		n.fstats.Reordered++
-	}
-	n.eng.Schedule(delay+jitter, func() { dst.deliverNow(p) })
-	if dup {
-		n.fstats.Duplicated++
-		q := p
-		n.eng.Schedule(delay+jitter+dupJitter, func() { dst.deliverNow(q) })
-	}
-}
-
-// injectPartitioned is inject for a partitioned network: the same draw
-// order against the source's own stream, counters on the source's own
-// stats, and deliveries routed through deliverAt. at is the fault-free
-// absolute delivery time; faults only ever add delay (or drop), so the
-// conservative lookahead bound survives injection.
-func (n *Network) injectPartitioned(p Packet, src, dst *Endpoint, at sim.Time) {
-	f := n.faults
-	ln := &n.links[src.ID]
-	// The flap instant is the fault-free delivery time: like everything
-	// else here it is a pure function of the transmission, independent of
-	// which partition evaluates it.
+	// delivery time, independent of which partition evaluates it.
 	if f.linkDown(src.ID, at) {
 		ln.stats.FlapDropped++
 		return
 	}
+	// Draw in a fixed order so the random stream is a pure function of the
+	// transmission sequence, whatever the probabilities.
 	r := ln.rng
-	drop := r.float64() < f.DropProb
-	corr := r.float64() < f.CorruptProb
-	reorder := r.float64() < f.ReorderProb
-	dup := r.float64() < f.DupProb
+	drop := r.Float64() < f.DropProb
+	corr := r.Float64() < f.CorruptProb
+	reorder := r.Float64() < f.ReorderProb
+	dup := r.Float64() < f.DupProb
 	var jitter, dupJitter sim.Time
 	if reorder {
-		jitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
+		jitter = sim.Time(1 + r.Intn(int(f.maxJitter(params.WireLatency))))
 	}
 	if dup {
-		dupJitter = sim.Time(1 + r.intn(int64(f.maxJitter(params.WireLatency))))
+		dupJitter = sim.Time(1 + r.Intn(int(f.maxJitter(params.WireLatency))))
 	}
 
 	if drop {
@@ -447,7 +363,6 @@ func (n *Network) injectPartitioned(p Packet, src, dst *Endpoint, at sim.Time) {
 	n.deliverAt(src, dst, at+jitter, p)
 	if dup {
 		ln.stats.Duplicated++
-		q := p
-		n.deliverAt(src, dst, at+jitter+dupJitter, q)
+		n.deliverAt(src, dst, at+jitter+dupJitter, p)
 	}
 }

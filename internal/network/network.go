@@ -71,7 +71,10 @@ type Packet struct {
 	// rendezvous control traffic back to its request state.
 	SenderReq uint64
 	RecvReq   uint64
-	Seq       uint64
+	// Seq numbers the packet per source, (Src+1)<<40 | n for the source's
+	// n-th transmission: unique across the network and increasing per
+	// source. It is only a correlation key (ALPU probes); Send sets it.
+	Seq uint64
 
 	// Reliability-protocol fields (internal/nic). RelSeq is the per
 	// (src, dst) link sequence number (1-based; 0 = protocol disabled for
@@ -193,40 +196,36 @@ func (ep *Endpoint) stampWireTx(pkt Packet, now sim.Time) {
 
 // Network connects a fixed set of endpoints.
 type Network struct {
-	eng       *sim.Engine
 	endpoints []*Endpoint
-	seq       uint64
 
 	// Fault injection (nil/zero = the reliable in-order default).
 	faults *FaultModel
-	frng   *frand
-	fstats FaultStats
 
-	// Partitioned mode (NewPartitioned): the world is split across
-	// per-partition engines under conservative synchronization, and all
-	// per-transmission network state must be owned by the sending
-	// endpoint, not the Network — links[src] holds the per-source packet
-	// sequence, delivery sequence, fault stream, and fault counters.
-	// Cross-partition deliveries detour through the PartitionSet outbox.
+	// All per-transmission state is owned by the sending endpoint:
+	// links[src] holds its packet and delivery sequences, fault stream
+	// and fault counters, so the partitions of a partitioned network
+	// (NewPartitioned) never contend on it. A single-engine network (New)
+	// has ps == nil: its deliveries are ordinary events and its sources
+	// share one fault stream. On a partitioned network, cross-partition
+	// deliveries detour through the PartitionSet outbox.
 	ps     *sim.PartitionSet
-	partOf []int     // endpoint -> partition
-	links  []srcLink // per source endpoint; nil in single-engine mode
+	partOf []int // endpoint -> partition
+	links  []srcLink
 }
 
-// srcLink is the per-source-endpoint transmission state of a partitioned
-// network. Everything here is touched only from the source endpoint's
-// partition, so windows never contend on it.
+// srcLink is the per-source-endpoint transmission state. Everything here
+// is touched only from the source endpoint's engine.
 type srcLink struct {
-	seq   uint64 // per-source packet sequence (Packet.Seq minor bits)
-	dseq  uint64 // per-source delivery sequence (canonical tie-break)
-	rng   *frand // per-source fault stream
+	seq   uint64    // per-source packet sequence (Packet.Seq minor bits)
+	dseq  uint64    // per-source delivery sequence (canonical tie-break)
+	rng   *sim.Rand // fault stream; shared by every source on a single engine
 	stats FaultStats
 }
 
 // New builds a network of n endpoints on eng with the Table III wire
 // latency and link bandwidth.
 func New(eng *sim.Engine, n int) *Network {
-	net := &Network{eng: eng}
+	net := &Network{links: make([]srcLink, n)}
 	for i := 0; i < n; i++ {
 		net.addEndpoint(eng)
 	}
@@ -272,45 +271,10 @@ func (n *Network) Wire() sim.Time { return params.WireLatency }
 
 // Send transmits pkt from its Src endpoint at the current time. The
 // source link serialises transmissions; the packet arrives at Dst after
-// the transmit time plus the wire latency.
+// the transmit time plus the wire latency. Send runs on the source
+// endpoint's engine and touches only per-source state, so concurrent
+// partition windows never contend.
 func (n *Network) Send(pkt Packet) {
-	if n.links != nil {
-		n.sendPartitioned(pkt)
-		return
-	}
-	src := n.endpoints[pkt.Src]
-	dst := n.endpoints[pkt.Dst]
-	n.seq++
-	pkt.Seq = n.seq
-
-	now := n.eng.Now()
-	src.stampWireTx(pkt, now)
-	start := now
-	if src.txBusyUntil > start {
-		start = src.txBusyUntil
-	}
-	txTime := sim.Time((HeaderBytes+max(pkt.Size, 0))/params.LinkBandwidthBpns) * sim.Nanosecond
-	src.txBusyUntil = start + txTime
-	src.txBytes += uint64(HeaderBytes + max(pkt.Size, 0))
-	src.txPackets++
-
-	deliver := src.txBusyUntil + params.WireLatency - now
-	p := pkt
-	if n.faults.Active() {
-		n.inject(p, dst, deliver)
-		return
-	}
-	n.eng.Schedule(deliver, func() { dst.deliverNow(p) })
-}
-
-// sendPartitioned is Send on a partitioned network. It runs on the source
-// endpoint's partition and uses only per-source state, so concurrent
-// windows never contend; Packet.Seq stays globally unique (it is a trace
-// correlation key) by carrying the source id in its top bits. The
-// delivery is scheduled directly when the destination shares the
-// partition and deferred to the barrier outbox otherwise — both paths
-// order by the same canonical (time, source, sequence) key.
-func (n *Network) sendPartitioned(pkt Packet) {
 	src := n.endpoints[pkt.Src]
 	dst := n.endpoints[pkt.Dst]
 	ln := &n.links[pkt.Src]
@@ -332,15 +296,21 @@ func (n *Network) sendPartitioned(pkt Packet) {
 	// which is what licenses the conservative horizon.
 	at := src.txBusyUntil + params.WireLatency
 	if n.faults.Active() {
-		n.injectPartitioned(pkt, src, dst, at)
+		n.inject(pkt, src, dst, at)
 		return
 	}
 	n.deliverAt(src, dst, at, pkt)
 }
 
-// deliverAt schedules one delivery on a partitioned network, directly on
-// the shared engine or via the barrier outbox.
+// deliverAt schedules one delivery at absolute time at: an ordinary event
+// on a single-engine network; on a partitioned one, a canonical
+// (time, source, sequence) delivery, directly on the shared engine or via
+// the barrier outbox.
 func (n *Network) deliverAt(src, dst *Endpoint, at sim.Time, p Packet) {
+	if n.ps == nil {
+		src.eng.At(at, func() { dst.deliverNow(p) })
+		return
+	}
 	ln := &n.links[src.ID]
 	ln.dseq++
 	sp, dp := n.partOf[src.ID], n.partOf[dst.ID]

@@ -54,35 +54,15 @@ func (c *FirmwareCrash) Error() string {
 	return fmt.Sprintf("nic%d: injected firmware crash at %v", c.NIC, c.At)
 }
 
-// fwRand is the firmware's private splitmix64 crash stream (the same
-// generator the network and alpu fault layers use; tiny enough to keep
-// per-package so the fault layers stay dependency-free).
-type fwRand struct{ state uint64 }
-
-func newFwRand(seed uint64) *fwRand {
-	return &fwRand{state: seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03}
-}
-
-func (r *fwRand) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11)/(1<<53) < p
-}
-
-// devFaultsOn reports whether any device-level fault class is configured —
-// the gate for response timeouts and the recovery machinery. Fault-free
-// worlds take exactly the pre-existing code paths.
-func (n *NIC) devFaultsOn() bool {
-	if n.cfg.ALPUFaults.Active() || n.cfg.FwCrashProb > 0 {
+// DeviceFaults reports whether any device-level fault class is configured
+// (ALPU or shard fault models, firmware crashes) — the gate for response
+// timeouts, the recovery machinery and the world's failover rollups.
+// Fault-free worlds take exactly the pre-existing code paths.
+func (c *Config) DeviceFaults() bool {
+	if c.ALPUFaults.Active() || c.FwCrashProb > 0 {
 		return true
 	}
-	for _, f := range n.cfg.ShardFaults {
+	for _, f := range c.ShardFaults {
 		if f.Active() {
 			return true
 		}
@@ -102,7 +82,7 @@ func (n *NIC) strikeLimit() int {
 // queue's strike count — each consecutive fault buys the device a longer
 // grace period before the next retry, capped.
 func (n *NIC) resultWait(q *mirrorQueue) sim.Time {
-	if !n.devFaultsOn() {
+	if !n.cfg.DeviceFaults() {
 		return 0
 	}
 	t := n.cfg.FaultResultTimeout
@@ -174,7 +154,7 @@ func (n *NIC) noteDeviceSuccess(q *mirrorQueue) {
 // resync marks left by fault detections inside protocol waits, and
 // health-check struck units whose retry gate has opened.
 func (n *NIC) maintainDevices(e *proc.Engine) {
-	if !n.cfg.UseALPU || !n.devFaultsOn() {
+	if !n.cfg.UseALPU || !n.cfg.DeviceFaults() {
 		return
 	}
 	for _, q := range n.alpuQueues {
@@ -378,7 +358,7 @@ func (n *NIC) failoverALPU(e *proc.Engine, q *mirrorQueue) {
 // applied — the queued work survives the crash and is replayed by the
 // restarted loop.
 func (n *NIC) maybeCrash() {
-	if n.crashRng == nil || !n.crashRng.chance(n.cfg.FwCrashProb) {
+	if n.crashRng == nil || !n.crashRng.Chance(n.cfg.FwCrashProb) {
 		return
 	}
 	n.failCounter("fw_crashes")

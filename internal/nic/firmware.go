@@ -362,7 +362,7 @@ func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits,
 			n.unlink(e, q, entry, idx, idx, true)
 			return entry
 		}
-		if !n.devFaultsOn() {
+		if !n.cfg.DeviceFaults() {
 			panic(fmt.Sprintf("nic%d: %s ALPU matched entry outside the ALPU prefix (idx %d, inALPU %d)",
 				n.cfg.ID, q.name, idx, q.inALPU))
 		}
@@ -511,14 +511,14 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, bits, mask match.Bi
 			// later header resolves in software.
 			n.resyncALPU(e, q)
 		case r.Kind != alpu.RespMatchSuccess:
-			if !n.devFaultsOn() {
+			if !n.cfg.DeviceFaults() {
 				panic(fmt.Sprintf("nic%d: %s purge probe missed the stale entry", n.cfg.ID, q.name))
 			}
 			// The stale copy vanished from the device (quarantined by the
 			// scrubber): the mirror is off by at least one entry — resync.
 			n.deviceFault(e, q, "purge-miss", "purge probe found no stale copy")
 		default:
-			if !n.devFaultsOn() {
+			if !n.cfg.DeviceFaults() {
 				panic(fmt.Sprintf("nic%d: %s purge consumed tag %d, not the stale entry", n.cfg.ID, q.name, r.Tag))
 			}
 			delete(q.tags, r.Tag)
@@ -597,7 +597,7 @@ func (n *NIC) updateALPUs(e *proc.Engine) bool {
 // inserted suffix: START INSERT, drain results until the acknowledge,
 // insert as many entries as fit, STOP INSERT (§IV-C, §V-C).
 func (n *NIC) updateALPU(e *proc.Engine, q *mirrorQueue) bool {
-	if q.alpuDead || (n.devFaultsOn() && n.eng.Now() < q.retryAt) {
+	if q.alpuDead || (n.cfg.DeviceFaults() && n.eng.Now() < q.retryAt) {
 		// Failed over, or backing off after a strike: no insert episodes.
 		return false
 	}
@@ -773,7 +773,7 @@ type stashedResp struct {
 func (n *NIC) resultFor(e *proc.Engine, q *mirrorQueue, key uint64) (alpu.Response, int, bool) {
 	delete(q.probed, key)
 	for i, st := range q.pending {
-		if meta, ok := st.r.Probe.Meta.(uint64); ok && meta == key {
+		if st.r.Probe.Meta == key {
 			q.pending = append(q.pending[:i], q.pending[i+1:]...)
 			e.Cycles(4)
 			return st.r, st.from, true
@@ -784,7 +784,7 @@ func (n *NIC) resultFor(e *proc.Engine, q *mirrorQueue, key uint64) (alpu.Respon
 		if !ok {
 			return alpu.Response{}, 0, false
 		}
-		if meta, ok := r.Probe.Meta.(uint64); ok && meta == key {
+		if r.Probe.Meta == key {
 			return r, q.inALPU, true
 		}
 		q.pending = append(q.pending, stashedResp{r: r, from: q.inALPU})

@@ -348,7 +348,7 @@ type NIC struct {
 
 	// crashRng drives firmware crash injection (devfault.go); nil when
 	// Config.FwCrashProb is zero.
-	crashRng *fwRand
+	crashRng *sim.Rand
 
 	// faultEvents counts device strikes (noteDeviceFault calls) — the
 	// causal recorder compares it across a match resolution to decide
@@ -422,7 +422,7 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 		if seed == 0 {
 			seed = uint64(cfg.ID) + 1
 		}
-		n.crashRng = newFwRand(seed)
+		n.crashRng = sim.NewRand(seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
 	}
 	if n.tracer != nil {
 		n.tracer.NameProcess(cfg.ID, fmt.Sprintf("nic%d", cfg.ID))
@@ -563,10 +563,8 @@ func (n *NIC) alpuConfig(v alpu.Variant, tid int) alpu.Config {
 			c.Geometry.Cells = n.cfg.Cells
 		}
 	}
-	if n.cfg.ALPUFaults.Active() {
-		f := *n.cfg.ALPUFaults
-		f.Seed = f.Seed + uint64(n.cfg.ID)*0x9E3779B9 + uint64(tid)*0x85EBCA6B
-		c.Faults = &f
+	if f := n.unitFaults(n.cfg.ALPUFaults, tid); f != nil {
+		c.Faults = f
 	}
 	c.Tracer = n.tracer
 	c.TracePID = n.cfg.ID
@@ -579,12 +577,24 @@ func (n *NIC) alpuConfig(v alpu.Variant, tid int) alpu.Config {
 // with Config.ShardFaults[i] overriding the fault model when set.
 func (n *NIC) shardConfig(i int) alpu.Config {
 	c := n.alpuConfig(alpu.PostedReceives, tidShardBase+i)
-	if i < len(n.cfg.ShardFaults) && n.cfg.ShardFaults[i].Active() {
-		f := *n.cfg.ShardFaults[i]
-		f.Seed = f.Seed + uint64(n.cfg.ID)*0x9E3779B9 + uint64(tidShardBase+i)*0x85EBCA6B
-		c.Faults = &f
+	if i < len(n.cfg.ShardFaults) {
+		if f := n.unitFaults(n.cfg.ShardFaults[i], tidShardBase+i); f != nil {
+			c.Faults = f
+		}
 	}
 	return c
+}
+
+// unitFaults returns a copy of f re-seeded for the device unit on trace
+// track tid of this NIC, so every unit in the world faults independently;
+// nil when f injects nothing.
+func (n *NIC) unitFaults(f *alpu.FaultModel, tid int) *alpu.FaultModel {
+	if !f.Active() {
+		return nil
+	}
+	g := *f
+	g.Seed += uint64(n.cfg.ID)*0x9E3779B9 + uint64(tid)*0x85EBCA6B
+	return &g
 }
 
 // Config returns the NIC configuration.
@@ -849,7 +859,7 @@ func (n *NIC) PublishTelemetry() {
 	if n.cfg.Reliable {
 		n.reg.Gauge(pre + "/rel/pending").Set(int64(n.RelPending()))
 	}
-	if n.devFaultsOn() {
+	if n.cfg.DeviceFaults() {
 		dead := int64(0)
 		for _, q := range n.alpuQueues {
 			if q.alpuDead {
