@@ -282,23 +282,19 @@ func corrupt(r *sim.Rand, p Packet) Packet {
 // one network-wide stream, drawn in transmission order.
 func (n *Network) SetFaults(fm *FaultModel) {
 	n.faults = fm
+	var base uint64
 	var shared *sim.Rand
-	if fm != nil && n.ps == nil {
-		shared = sim.NewRand(faultState(fm.Seed))
+	if fm != nil {
+		// Mixing the seed keeps nearby seeds decorrelated.
+		base = uint64(fm.Seed)*0x9E3779B97F4A7C15 + 0x1234567890ABCDEF
+		shared = sim.NewRand(base)
 	}
 	for i := range n.links {
-		rng := shared
+		n.links[i].rng = shared
 		if fm != nil && n.ps != nil {
-			rng = sim.NewRand(faultState(fm.Seed) + (uint64(i)+1)*0xD1B54A32D192ED03)
+			n.links[i].rng = sim.NewRand(base + (uint64(i)+1)*0xD1B54A32D192ED03)
 		}
-		n.links[i].rng = rng
 	}
-}
-
-// faultState is the network fault stream's starting state for seed;
-// mixing the seed keeps nearby seeds decorrelated.
-func faultState(seed int64) uint64 {
-	return uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567890ABCDEF
 }
 
 // Faults returns the installed fault model (nil = reliable).
