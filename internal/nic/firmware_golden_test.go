@@ -2,8 +2,10 @@ package nic_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"alpusim/internal/bench"
 	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
+	"alpusim/internal/params"
 	"alpusim/internal/sim"
 	"alpusim/internal/trace"
 )
@@ -21,10 +24,13 @@ var update = flag.Bool("update", false, "rewrite testdata/firmware.golden")
 
 // goldenCell is one world whose firmware cost accounting the golden pins:
 // run builds and drains it, returning the cell's own measured time (a
-// latency or a completion instant) and the world.
+// latency or a completion instant) and the world. A cell whose world logs
+// into log also pins the mirror-teardown records, one line each after
+// the cell's own.
 type goldenCell struct {
 	name string
 	run  func() (sim.Time, *mpi.World)
+	log  *teardownLog
 }
 
 // TestFirmwareGolden pins, byte for byte, the firmware paths no cmd golden
@@ -32,7 +38,9 @@ type goldenCell struct {
 // an Iprobe-heavy program on every queue organisation, the §IV-C
 // insert-race purge, and a 4-shard fabric whose shard 1 dies mid-run (the
 // failed-over hash shadow and the hash branch of the wildcard sibling
-// purge) or whose devices fault. Each line holds the cell's measured time
+// purge) or whose devices fault, rendezvous-size messages matched from
+// either queue, and the resync and failover log records of dying units.
+// Each line holds the cell's measured time
 // and the world's end time in ps, and per NIC the entries traversed, the
 // ALPU purges and the posted and unexpected match-depth histograms — so a
 // reordered or dropped cost charge anywhere in the queue search moves a
@@ -51,7 +59,7 @@ func TestFirmwareGolden(t *testing.T) {
 	}
 	for _, max := range []int{0, 1} {
 		cfg := nic.Config{UseALPU: true, Cells: 256, InsertBatchMax: max}
-		cells = append(cells, goldenCell{fmt.Sprintf("abl-insertbatch/max%d", max), func() (sim.Time, *mpi.World) {
+		cells = append(cells, goldenCell{name: fmt.Sprintf("abl-insertbatch/max%d", max), run: func() (sim.Time, *mpi.World) {
 			return insertBatchWorld(cfg)
 		}})
 	}
@@ -61,7 +69,7 @@ func TestFirmwareGolden(t *testing.T) {
 		cfg := nic.Config{UseALPU: true, Cells: 256, ALPUConfig: &acfg}
 		cells = append(cells, prepostedCell(fmt.Sprintf("abl-compaction/any%v/q100", anyBlock), cfg, 100))
 	}
-	cells = append(cells, goldenCell{"fig6-hash/u200", func() (sim.Time, *mpi.World) {
+	cells = append(cells, goldenCell{name: "fig6-hash/u200", run: func() (sim.Time, *mpi.World) {
 		var lat sim.Time
 		w := observe(func() {
 			lat = bench.RunUnexpected(bench.UnexpectedConfig{NIC: hash, QueueLens: []int{200}})[0].Latency
@@ -78,26 +86,57 @@ func TestFirmwareGolden(t *testing.T) {
 		{"fabric-4", nic.Config{UseALPU: true, Cells: 16, MatchShards: 4}},
 	} {
 		cfg := org.cfg
-		cells = append(cells, goldenCell{"iprobe/" + org.name, func() (sim.Time, *mpi.World) {
+		cells = append(cells, goldenCell{name: "iprobe/" + org.name, run: func() (sim.Time, *mpi.World) {
 			return iprobeWorld(cfg)
 		}})
 	}
-	cells = append(cells, goldenCell{"purge-race/alpu-128", purgeRaceWorld})
-	cells = append(cells, goldenCell{"shard1-death/fabric-4", func() (sim.Time, *mpi.World) {
+	cells = append(cells, goldenCell{name: "purge-race/alpu-128", run: purgeRaceWorld})
+	cells = append(cells, goldenCell{name: "shard1-death/fabric-4", run: func() (sim.Time, *mpi.World) {
 		cfg := fabricFaultCfg()
 		cfg.ShardFaults = make([]*alpu.FaultModel, 4)
 		cfg.ShardFaults[1] = &alpu.FaultModel{DeathAt: 20 * sim.Microsecond}
-		at, w := wildcardRoundsWorld(cfg)
+		at, w := wildcardRoundsWorld(cfg, nil)
 		if !w.NICs[0].ALPUDead("posted1") {
 			panic("shard-death golden: shard 1 never failed over")
 		}
 		return at, w
 	}})
-	cells = append(cells, goldenCell{"devchaos/fabric-4", func() (sim.Time, *mpi.World) {
+	cells = append(cells, goldenCell{name: "devchaos/fabric-4", run: func() (sim.Time, *mpi.World) {
 		cfg := fabricFaultCfg()
 		cfg.ALPUFaults = &alpu.FaultModel{Seed: 42, BitFlipProb: 0.02, ResultDropProb: 0.03}
-		return wildcardRoundsWorld(cfg)
+		return wildcardRoundsWorld(cfg, nil)
 	}})
+	for _, org := range []struct {
+		name string
+		cfg  nic.Config
+	}{
+		{"sw-list", nic.Config{}},
+		{"alpu-256", nic.Config{UseALPU: true, Cells: 256}},
+		{"fabric-4", nic.Config{UseALPU: true, Cells: 16, MatchShards: 4}},
+	} {
+		cfg := org.cfg
+		cells = append(cells, goldenCell{name: "rndv/" + org.name, run: func() (sim.Time, *mpi.World) {
+			return rndvWorld(cfg)
+		}})
+	}
+	for _, dying := range []struct {
+		name string
+		cfg  nic.Config
+	}{
+		{"alpu-16", nic.Config{UseALPU: true, Cells: 16, FaultStrikeLimit: 2,
+			FaultResultTimeout: sim.Microsecond, FaultRetryBase: 4 * sim.Microsecond}},
+		{"fabric-4", fabricFaultCfg()},
+	} {
+		cfg, log := dying.cfg, &teardownLog{}
+		cfg.ALPUFaults = &alpu.FaultModel{Seed: 7, ResultDropProb: 0.05, DeathAt: 60 * sim.Microsecond}
+		cells = append(cells, goldenCell{name: "death-log/" + dying.name, log: log, run: func() (sim.Time, *mpi.World) {
+			at, w := wildcardRoundsWorld(cfg, slog.New(log))
+			if w.NICs[0].FailoverCount("resyncs") == 0 || w.NICs[0].FailoverCount("deaths") == 0 {
+				panic("death-log golden: nic0 never resynced and failed over")
+			}
+			return at, w
+		}})
+	}
 
 	var out bytes.Buffer
 	for _, c := range cells {
@@ -109,6 +148,11 @@ func TestFirmwareGolden(t *testing.T) {
 				i, st.EntriesTraversed, st.ALPUPurges, histLine(n.PostedDepths()), histLine(n.UnexpDepths()))
 		}
 		out.WriteByte('\n')
+		if c.log != nil {
+			for _, rec := range c.log.records {
+				fmt.Fprintf(&out, "  log %s\n", rec)
+			}
+		}
 	}
 
 	path := filepath.Join("testdata", "firmware.golden")
@@ -167,7 +211,7 @@ func observe(run func()) *mpi.World {
 
 // prepostedCell is one full-traversal Fig. 5 cell at queue length q.
 func prepostedCell(name string, cfg nic.Config, q int) goldenCell {
-	return goldenCell{name, func() (sim.Time, *mpi.World) {
+	return goldenCell{name: name, run: func() (sim.Time, *mpi.World) {
 		var lat sim.Time
 		w := observe(func() {
 			lat = bench.RunPreposted(bench.PrepostedConfig{NIC: cfg, QueueLens: []int{q}, Fracs: []float64{1.0}})[0].Latency
@@ -299,8 +343,9 @@ func fabricFaultCfg() nic.Config {
 
 // wildcardRoundsWorld posts, round after round, ANY_SOURCE receives (one
 // broadcast copy per fabric shard) and exact receives from every sender
-// on rank 0, then lets the three senders match them, staggered.
-func wildcardRoundsWorld(cfg nic.Config) (sim.Time, *mpi.World) {
+// on rank 0, then lets the three senders match them, staggered. log, when
+// set, receives the world's diagnostics.
+func wildcardRoundsWorld(cfg nic.Config, log *slog.Logger) (sim.Time, *mpi.World) {
 	const ranks, rounds, per = 4, 12, 6
 	var done sim.Time
 	progs := []mpi.Program{func(r *mpi.Rank) {
@@ -333,6 +378,79 @@ func wildcardRoundsWorld(cfg nic.Config) (sim.Time, *mpi.World) {
 			}
 		})
 	}
+	w := mpi.RunPrograms(mpi.Config{Ranks: ranks, NIC: cfg, Log: log}, progs)
+	return done, w
+}
+
+// rndvWorld sends rendezvous-size messages (past params.EagerLimit) to
+// rank 0 from two senders. The first batch matches receives posted ahead,
+// exact and ANY_SOURCE, so each header's CTS leaves from the posted match;
+// the second batch arrives before its receives are posted and waits on
+// the unexpected queue, so each CTS leaves from the later receive.
+func rndvWorld(cfg nic.Config) (sim.Time, *mpi.World) {
+	const ranks, msgs, size = 3, 12, 2 * params.EagerLimit
+	var done sim.Time
+	progs := []mpi.Program{func(r *mpi.Rank) {
+		var reqs []*mpi.Request
+		for k := 0; k < msgs; k++ {
+			src := 1 + k%2
+			if k%3 == 0 {
+				src = mpi.AnySource
+			}
+			reqs = append(reqs, r.Irecv(src, k, size))
+		}
+		r.Barrier()
+		r.Waitall(reqs...)
+		r.Barrier()
+		r.Compute(20 * sim.Microsecond) // the second batch is queued by now
+		reqs = reqs[:0]
+		for k := msgs - 1; k >= 0; k-- {
+			src := 1 + k%2
+			if k%4 == 0 {
+				src = mpi.AnySource
+			}
+			reqs = append(reqs, r.Irecv(src, 100+k, size))
+		}
+		r.Waitall(reqs...)
+		done = r.Now()
+	}}
+	for s := 1; s < ranks; s++ {
+		progs = append(progs, func(r *mpi.Rank) {
+			var reqs []*mpi.Request
+			r.Barrier()
+			for k := r.Rank() - 1; k < msgs; k += 2 {
+				reqs = append(reqs, r.Isend(0, k, size))
+			}
+			r.Barrier()
+			for k := r.Rank() - 1; k < msgs; k += 2 {
+				reqs = append(reqs, r.Isend(0, 100+k, size))
+			}
+			r.Waitall(reqs...)
+		})
+	}
 	w := mpi.RunPrograms(mpi.Config{Ranks: ranks, NIC: cfg}, progs)
 	return done, w
 }
+
+// teardownLog is a slog handler that keeps, rendered, the records of the
+// ALPU mirror teardowns (resync and failover) and drops every other.
+type teardownLog struct{ records []string }
+
+func (l *teardownLog) Enabled(context.Context, slog.Level) bool { return true }
+
+func (l *teardownLog) Handle(_ context.Context, r slog.Record) error {
+	if !strings.HasPrefix(r.Message, "alpu ") {
+		return nil
+	}
+	var b strings.Builder
+	b.WriteString(r.Message)
+	r.Attrs(func(a slog.Attr) bool {
+		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
+		return true
+	})
+	l.records = append(l.records, b.String())
+	return nil
+}
+
+func (l *teardownLog) WithAttrs([]slog.Attr) slog.Handler { return l }
+func (l *teardownLog) WithGroup(string) slog.Handler      { return l }
