@@ -69,7 +69,7 @@ func TestQuickAllGolden(t *testing.T) {
 		{Name: "all", Args: []string{"-experiment", "all"}},
 		{Name: "chaos", Args: append([]string{"-experiment", "chaos"}, seed...)},
 		{Name: "devchaos", Args: append([]string{"-experiment", "devchaos"}, seed...)},
-		{Name: "tenancy", Args: append([]string{"-quick", "-experiment", "tenancy"}, seed...)},
+		{Name: "tenancy", Args: append([]string{"-quick", "-experiment", "tenancy"}, seed...), Files: []string{"report"}},
 		// The receive outcomes are the same at every fabric width.
 		{Name: "tenancy-shards1", Golden: "tenancy-outcomes", Args: append([]string{"-quick", "-experiment", "tenancy", "-shards", "1"}, seed...)},
 		{Name: "tenancy-shards4", Golden: "tenancy-outcomes", Args: append([]string{"-quick", "-experiment", "tenancy", "-shards", "4"}, seed...)},
@@ -78,6 +78,6 @@ func TestQuickAllGolden(t *testing.T) {
 		{Name: "critpath-faults", Args: append([]string{"-quick", "-experiment", "critpath", "-faults", "drop=0.02,corrupt=0.01,alpubitflip=0.01"}, seed...),
 			Files: []string{"metrics"}},
 		{Name: "phases-faults", Args: append([]string{"-quick", "-experiment", "phases", "-faults", "0.02"}, seed...),
-			Files: []string{"trace", "metrics", "timeseries", "simprof"}},
+			Files: []string{"trace", "metrics", "timeseries", "simprof", "report"}},
 	})
 }
