@@ -624,56 +624,42 @@ func (w *World) TelemetrySnapshot() telemetry.Snapshot {
 	if w.devFaults {
 		// World-level rollups of the device-fault and failover counters:
 		// these become the alpusim_alpu_faults_* / alpusim_nic_failover_*
-		// Prometheus families on the /metrics endpoint.
-		failSum := func(name string) (t uint64) {
-			for i := range w.NICs {
-				t += w.Tel.Counter(fmt.Sprintf("nic%d/failover/%s", i, name)).Get()
-			}
-			return
-		}
-		for _, name := range []string{
+		// Prometheus families on the /metrics endpoint. Fabric shard units
+		// publish per shard.
+		w.rollup("nic_failover", []string{"failover"},
 			"strikes", "resyncs", "deaths", "shadow_rebuilds",
-			"fw_crashes", "fw_restarts", "fault_responses",
-		} {
-			w.Tel.Counter("nic_failover/" + name).Set(failSum(name))
+			"fw_crashes", "fw_restarts", "fault_responses")
+		units := []string{"alpu/posted/faults", "alpu/unexp/faults"}
+		for s := 0; s < w.matchShards; s++ {
+			units = append(units, fmt.Sprintf("alpu/posted%d/faults", s))
 		}
-		devSum := func(name string) (t uint64) {
-			for i := range w.NICs {
-				for _, q := range []string{"posted", "unexp"} {
-					t += w.Tel.Counter(fmt.Sprintf("nic%d/alpu/%s/faults/%s", i, q, name)).Get()
-				}
-				// Fabric shard units publish per shard.
-				for s := 0; s < w.matchShards; s++ {
-					t += w.Tel.Counter(fmt.Sprintf("nic%d/alpu/posted%d/faults/%s", i, s, name)).Get()
-				}
-			}
-			return
-		}
-		for _, name := range []string{
+		w.rollup("alpu_faults", units,
 			"bit_flips", "parity_quarantines", "dropped_results",
-			"stuck_cycles", "dead_discards",
-		} {
-			w.Tel.Counter("alpu_faults/" + name).Set(devSum(name))
-		}
+			"stuck_cycles", "dead_discards")
 	}
 	if w.matchShards > 1 {
 		// World-level rollups of the matching-fabric counters: these
 		// become the alpusim_match_fabric_* Prometheus families on the
 		// /metrics endpoint.
-		fabSum := func(name string) (t uint64) {
-			for i := range w.NICs {
-				t += w.Tel.Counter(fmt.Sprintf("nic%d/fabric/%s", i, name)).Get()
-			}
-			return
-		}
-		for _, name := range []string{
+		w.rollup("match_fabric", []string{"fabric"},
 			"cache_hits", "cache_misses", "wild_broadcasts", "wild_purges",
-			"stale_wild_hits", "overflow_promotions", "overflow_demotions",
-		} {
-			w.Tel.Counter("match_fabric/" + name).Set(fabSum(name))
-		}
+			"stale_wild_hits", "overflow_promotions", "overflow_demotions")
 	}
 	return w.Tel.Snapshot()
+}
+
+// rollup sets the world counter group/name, for each name, to the sum
+// over every NIC i and unit path u of the counters nic<i>/<u>/<name>.
+func (w *World) rollup(group string, units []string, names ...string) {
+	for _, name := range names {
+		var t uint64
+		for i := range w.NICs {
+			for _, u := range units {
+				t += w.Tel.Counter(fmt.Sprintf("nic%d/%s/%s", i, u, name)).Get()
+			}
+		}
+		w.Tel.Counter(group + "/" + name).Set(t)
+	}
 }
 
 // MsgKey returns the latency-phase key of a COMM_WORLD message: the

@@ -154,7 +154,7 @@ func (n *NIC) noteDeviceSuccess(q *mirrorQueue) {
 // resync marks left by fault detections inside protocol waits, and
 // health-check struck units whose retry gate has opened.
 func (n *NIC) maintainDevices(e *proc.Engine) {
-	if !n.cfg.UseALPU || !n.cfg.DeviceFaults() {
+	if !n.cfg.DeviceFaults() {
 		return
 	}
 	for _, q := range n.alpuQueues {
@@ -174,20 +174,9 @@ func (n *NIC) maintainDevices(e *proc.Engine) {
 // firmware itself, at backoff intervals, independent of whether traffic
 // happens to re-engage it. A live one clears its strike count.
 func (n *NIC) healthCheckALPU(e *proc.Engine, q *mirrorQueue) {
-	e.BusTransaction(params.ALPUCommandCycles)
-	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStartInsert})
-	for {
-		r, ok := n.readResult(e, q)
-		if !ok {
-			n.deviceFault(e, q, "health-timeout", "health check never acknowledged")
-			return
-		}
-		if r.Kind == alpu.RespStartAck {
-			break
-		}
-		q.pending = append(q.pending, stashedResp{r: r, from: q.inALPU})
+	if _, ok := n.startInsert(e, q, "health-timeout", "health check never acknowledged"); !ok {
+		return
 	}
-	e.BusTransaction(params.ALPUCommandCycles)
 	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStopInsert})
 	n.noteDeviceSuccess(q)
 }
@@ -209,9 +198,8 @@ func (n *NIC) repairALPU(e *proc.Engine, q *mirrorQueue) {
 // resyncALPU discards the hardware mirror and rebuilds from the shadow:
 // the unit is disengaged (no new probes flow while it is being repaired),
 // told to exit any insert episode and RESET, and *quiesced* — every
-// response it still emits from old-era probes is discarded before the tag
-// table, probed set and pending responses are dropped and the not-in-ALPU
-// pointer returns to zero. Matching runs in pure software until the retry
+// response it still emits from old-era probes is discarded before the
+// mirror is dropped and the not-in-ALPU pointer returns to zero. Matching runs in pure software until the retry
 // gate opens and the next insert episode re-engages the unit and reloads
 // the list from the front.
 //
@@ -232,18 +220,9 @@ func (n *NIC) resyncALPU(e *proc.Engine, q *mirrorQueue) {
 	// STOP INSERT first: if the fault struck mid-episode the device is in
 	// insert mode, where RESET would be discarded (§III-C); out of insert
 	// mode the stray STOP is itself discarded. Then RESET clears the array.
-	e.BusTransaction(params.ALPUCommandCycles)
 	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStopInsert})
-	e.BusTransaction(params.ALPUCommandCycles)
 	n.pushCommand(e, q, alpu.Command{Op: alpu.OpReset})
 	n.quiesceDevice(e, q)
-	q.pending = q.pending[:0]
-	for k := range q.probed {
-		delete(q.probed, k)
-	}
-	for t := range q.tags {
-		delete(q.tags, t)
-	}
 	if q.over != nil {
 		// Fabric shard: with the pointer returning to zero the whole list
 		// becomes the unloaded suffix, so the formerly mirrored prefix
@@ -257,11 +236,8 @@ func (n *NIC) resyncALPU(e *proc.Engine, q *mirrorQueue) {
 			e.Cycles(4)
 			e.Store(hashBucketAddr(entry.Bits), 8)
 		}
-		for t := range q.stale {
-			delete(q.stale, t)
-		}
 	}
-	q.inALPU = 0
+	q.dropMirror()
 }
 
 // quiesceDevice waits until the unit has consumed every queued command
@@ -311,23 +287,10 @@ func (n *NIC) failoverALPU(e *proc.Engine, q *mirrorQueue) {
 	q.alpuDead = true
 	q.engaged = false
 	q.needResync = false
-	q.pending = nil
-	for k := range q.probed {
-		delete(q.probed, k)
-	}
-	for t := range q.tags {
-		delete(q.tags, t)
-	}
-	q.inALPU = 0
-	if q.over != nil {
-		// Fabric shard: the hash shadow built below takes over as the only
-		// live structure; the overflow mirror and stale quarantine retire
-		// with the device.
-		q.over = nil
-		for t := range q.stale {
-			delete(q.stale, t)
-		}
-	}
+	q.dropMirror()
+	// On a fabric shard the hash shadow built below takes over as the only
+	// live structure; the overflow mirror retires with the device.
+	q.over = nil
 	n.failCounter("deaths")
 	n.failCounter("shadow_rebuilds")
 	if n.cfg.Log != nil {
@@ -377,9 +340,6 @@ func (n *NIC) recoverFirmware() {
 	n.failCounter("fw_restarts")
 	if n.cfg.Log != nil {
 		n.cfg.Log.Warn("firmware restarted", "nic", n.cfg.ID)
-	}
-	if !n.cfg.UseALPU {
-		return
 	}
 	for _, q := range n.alpuQueues {
 		if !q.alpuDead && q.engaged {

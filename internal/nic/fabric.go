@@ -107,13 +107,7 @@ func (n *NIC) fabricPost(e *proc.Engine, b, m match.Bits, pr *postedRecv) {
 	} else {
 		n.appendShard(e, n.dispatchShard(e, b), b, m, pr)
 	}
-	total := 0
-	for _, q := range n.fab.shards {
-		total += n.queueLen(q)
-	}
-	if total > n.fab.peakPosted {
-		n.fab.peakPosted = total
-	}
+	n.fab.peakPosted = max(n.fab.peakPosted, n.PostedLen())
 }
 
 // appendShard is appendEntry plus the shard's overflow-hash mirror: a new
@@ -169,7 +163,6 @@ func (n *NIC) purgeSibling(e *proc.Engine, q *mirrorQueue, c *match.Entry) {
 				if en == c {
 					delete(q.tags, t)
 					q.stale[t] = true
-					e.BusTransaction(params.ALPUCommandCycles)
 					n.pushCommand(e, q, alpu.Command{Op: alpu.OpInvalidate, Tag: t})
 					break
 				}
@@ -221,14 +214,9 @@ func (n *NIC) publishFabric(pre string) {
 // exist, and the tags become safe to reallocate.
 func (n *NIC) fabricMaintain() {
 	for _, q := range n.fab.shards {
-		if len(q.stale) == 0 {
-			continue
-		}
-		if len(q.probed) == 0 && len(q.pending) == 0 &&
+		if len(q.stale) > 0 && len(q.probed) == 0 && len(q.pending) == 0 &&
 			q.dev.Headers.Len() == 0 && q.dev.Results.Len() == 0 {
-			for t := range q.stale {
-				delete(q.stale, t)
-			}
+			clear(q.stale)
 		}
 	}
 }

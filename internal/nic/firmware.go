@@ -112,7 +112,7 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 			n.causal.Stamp(key, telemetry.StampMatch, e.Now())
 			pr := n.fabricResolve(e, entry)
 			n.entryAlloc.put(entry.Addr)
-			n.deliverMatched(e, pkt, pr)
+			n.deliver(e, pkt, pr.req.ID)
 			return
 		}
 		n.stats.Unexpected++
@@ -149,35 +149,35 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 	}
 }
 
-// deliverMatched completes the receive side of a message that matched a
-// posted receive: eager data DMAs straight to the host buffer; a
-// rendezvous request gets a CTS.
-func (n *NIC) deliverMatched(e *proc.Engine, pkt network.Packet, pr *postedRecv) {
+// deliver completes receive reqID, matched to the arrived message pkt
+// from either side: a header that matched a posted receive, or a receive
+// that matched an unexpected message. Eager data DMAs to the host buffer
+// (from NIC memory when the message waited on the unexpected queue); a
+// rendezvous sender gets a CTS.
+func (n *NIC) deliver(e *proc.Engine, pkt network.Packet, reqID uint64) {
 	if pkt.Kind == network.Eager {
 		done := n.dmaRx.Transfer(e.Now(), pkt.Size)
 		e.Cycles(params.CompletionCycles)
 		n.stampCompletion(pkt.Hdr, done)
-		n.complete(pr.req.ID, done, statusOf(pkt.Hdr, pkt.Size))
+		n.complete(reqID, done, statusOf(pkt.Hdr, pkt.Size))
 		return
 	}
 	e.Cycles(params.CompletionCycles)
-	n.rndvStatus[pr.req.ID] = statusOf(pkt.Hdr, pkt.Size)
+	n.rndvStatus[reqID] = statusOf(pkt.Hdr, pkt.Size)
 	n.send(network.Packet{
 		Kind: network.CTS, Src: n.cfg.ID, Dst: pkt.Src,
-		SenderReq: pkt.SenderReq, RecvReq: pr.req.ID,
+		SenderReq: pkt.SenderReq, RecvReq: reqID,
 	})
 }
 
 // addUnexpected appends an arrived message to the unexpected queue (§V-C:
 // "entered on the unexpectedQ, to be matched against future receives").
 func (n *NIC) addUnexpected(e *proc.Engine, pkt network.Packet) {
-	um := &unexMsg{pkt: pkt}
 	if pkt.Kind == network.Eager && pkt.Size > 0 {
 		// Buffer the eager payload in NIC-attached memory.
 		n.dmaRx.Transfer(e.Now(), pkt.Size)
-		um.bufLen = pkt.Size
 	}
-	n.appendEntry(e, &n.unexp, match.Pack(pkt.Hdr), match.FullMask, um)
+	n.appendEntry(e, &n.unexp, match.Pack(pkt.Hdr), match.FullMask, &unexMsg{pkt: pkt})
 }
 
 var reqSpanNames = map[ReqKind]string{
@@ -258,20 +258,7 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 		n.annotateFaultSearch(&n.unexp, key, searchT0, faults0, e.Now())
 		n.causal.Stamp(key, telemetry.StampMatch, e.Now())
 		n.entryAlloc.put(entry.Addr)
-		if um.pkt.Kind == network.Eager {
-			// Copy the buffered payload to the host buffer.
-			done := n.dmaRx.Transfer(e.Now(), um.pkt.Size)
-			e.Cycles(params.CompletionCycles)
-			n.stampCompletion(um.pkt.Hdr, done)
-			n.complete(req.ID, done, statusOf(um.pkt.Hdr, um.pkt.Size))
-			return
-		}
-		e.Cycles(params.CompletionCycles)
-		n.rndvStatus[req.ID] = statusOf(um.pkt.Hdr, um.pkt.Size)
-		n.send(network.Packet{
-			Kind: network.CTS, Src: n.cfg.ID, Dst: um.pkt.Src,
-			SenderReq: um.pkt.SenderReq, RecvReq: req.ID,
-		})
+		n.deliver(e, um.pkt, req.ID)
 	}
 }
 
@@ -292,11 +279,8 @@ func (n *NIC) match(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, key u
 		if !q.probed[key] {
 			// A header or receive can slip past the engagement point
 			// unprobed (it was already queued when the firmware engaged the
-			// unit mid-loop); the firmware then injects the probe itself
-			// over the bus.
-			e.BusTransaction(params.ALPUCommandCycles)
-			q.dev.PushProbe(alpu.Probe{Bits: bits, Mask: mask, Meta: key})
-			q.probed[key] = true
+			// unit mid-loop); the firmware then injects the probe itself.
+			n.injectProbe(e, q, bits, mask, key)
 		}
 		r, from, ok := n.resultFor(e, q, key)
 		if ok {
@@ -333,8 +317,7 @@ func (n *NIC) match(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, key u
 	}
 	if idx < 0 {
 		// A hash bucket pointed at the entry; fetch it.
-		e.Load(entry.Addr, params.QueueEntryBytes)
-		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
+		fetchEntry(e, entry)
 	}
 	n.unlink(e, q, entry, idx, depth, false)
 	return entry
@@ -356,8 +339,7 @@ func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits,
 		// Fetch the entry directly by pointer — no traversal (§VI-B: "the
 		// returned tag can be used to point directly to the matching list
 		// item").
-		e.Load(entry.Addr, params.QueueEntryBytes)
-		e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
+		fetchEntry(e, entry)
 		if idx = q.list.IndexOf(entry); idx >= 0 && idx < q.inALPU {
 			n.unlink(e, q, entry, idx, idx, true)
 			return entry
@@ -379,6 +361,13 @@ func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits,
 	}
 	n.unlink(e, q, entry, idx, idx, false)
 	return entry
+}
+
+// fetchEntry charges a load of an entry reached by pointer: its match
+// line, and the rest of the entry under that line's miss.
+func fetchEntry(e *proc.Engine, entry *match.Entry) {
+	e.Load(entry.Addr, params.QueueEntryBytes)
+	e.Prefetch(entry.Addr+uint64(params.QueueEntryBytes), params.QueueEntryFullBytes-params.QueueEntryBytes, false)
 }
 
 // find returns q's oldest entry matching (bits, mask), charging the search
@@ -489,9 +478,7 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, bits, mask match.Bi
 	if idx < q.inALPU {
 		n.stats.ALPUPurges++
 		key := n.nextPurgeKey()
-		e.BusTransaction(params.ALPUCommandCycles)
-		q.dev.PushProbe(alpu.Probe{Bits: bits, Mask: mask, Meta: key})
-		q.probed[key] = true
+		n.injectProbe(e, q, bits, mask, key)
 		r, _, ok := n.resultFor(e, q, key)
 		switch {
 		case !ok:
@@ -538,6 +525,15 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, bits, mask match.Bi
 	return entry
 }
 
+// injectProbe writes a probe for (bits, mask), correlated by key, over the
+// bus into the unit's header FIFO, as the hardware does for a header it
+// replicates.
+func (n *NIC) injectProbe(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, key uint64) {
+	e.BusTransaction(params.ALPUCommandCycles)
+	q.dev.PushProbe(alpu.Probe{Bits: bits, Mask: mask, Meta: key})
+	q.probed[key] = true
+}
+
 // nextPurgeKey returns a correlation key that can never collide with a
 // packet sequence number or request id.
 func (n *NIC) nextPurgeKey() uint64 {
@@ -581,9 +577,6 @@ func (n *NIC) appendEntry(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits,
 // updateALPUs performs the per-iteration ALPU maintenance of §V-C,
 // returning whether any work was done.
 func (n *NIC) updateALPUs(e *proc.Engine) bool {
-	if !n.cfg.UseALPU {
-		return false
-	}
 	did := false
 	for _, q := range n.alpuQueues {
 		if n.updateALPU(e, q) {
@@ -617,28 +610,11 @@ func (n *NIC) updateALPU(e *proc.Engine, q *mirrorQueue) bool {
 		q.engaged = true
 	}
 
-	e.BusTransaction(params.ALPUCommandCycles)
-	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStartInsert})
 	n.stats.InsertEpisodes++
-
-	// Drain results until the START ACKNOWLEDGE; anything else is a match
-	// result for a header we have not processed yet (§IV-C).
-	var free int
-	for {
-		r, ok := n.readResult(e, q)
-		if !ok {
-			// The acknowledge never came: strike and abort the episode. The
-			// repair's STOP INSERT unwinds whatever state the device is in.
-			n.deviceFault(e, q, "ack-timeout", "START ACKNOWLEDGE timed out")
-			return true
-		}
-		if r.Kind == alpu.RespStartAck {
-			free = r.Free
-			break
-		}
-		q.pending = append(q.pending, stashedResp{r: r, from: q.inALPU})
+	free, ok := n.startInsert(e, q, "ack-timeout", "START ACKNOWLEDGE timed out")
+	if !ok {
+		return true
 	}
-
 	k := pend
 	if k > free {
 		k = free
@@ -656,7 +632,6 @@ func (n *NIC) updateALPU(e *proc.Engine, q *mirrorQueue) bool {
 			e.Cycles(4)
 		}
 		tag := n.allocTag(q, entry)
-		e.BusTransaction(params.ALPUCommandCycles)
 		n.pushCommand(e, q, alpu.Command{Op: alpu.OpInsert, Bits: entry.Bits, Mask: entry.Mask, Tag: tag})
 		n.stats.ALPUInserts++
 		// §IV-C: periodically clear the result FIFO of successful matches
@@ -665,11 +640,31 @@ func (n *NIC) updateALPU(e *proc.Engine, q *mirrorQueue) bool {
 			n.drainResults(e, q)
 		}
 	}
-	e.BusTransaction(params.ALPUCommandCycles)
 	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStopInsert})
 	q.inALPU += k
 	n.noteDeviceSuccess(q)
 	return k > 0
+}
+
+// startInsert opens an insert episode (§IV-C): START INSERT, then read
+// results until the START ACKNOWLEDGE, which reports the free cells; any
+// result ahead of it answers a header not processed yet and is stashed.
+// When the acknowledge never comes, the unit is struck under op and
+// repaired — the repair's STOP INSERT unwinds whatever state the device
+// is in — and ok is false.
+func (n *NIC) startInsert(e *proc.Engine, q *mirrorQueue, op, detail string) (free int, ok bool) {
+	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStartInsert})
+	for {
+		r, ok := n.readResult(e, q)
+		if !ok {
+			n.deviceFault(e, q, op, detail)
+			return 0, false
+		}
+		if r.Kind == alpu.RespStartAck {
+			return r.Free, true
+		}
+		q.stash(r)
+	}
 }
 
 // allocTag assigns a free 16-bit tag to an entry. Tags quarantined in
@@ -685,15 +680,15 @@ func (n *NIC) allocTag(q *mirrorQueue, entry *match.Entry) uint32 {
 	}
 }
 
-// pushCommand writes one command into the device command FIFO, respecting
-// backpressure (the bus write itself was already charged by the caller).
-// While the FIFO is full the result FIFO is drained into the pending
+// pushCommand charges the bus write of one command and writes it into the
+// device command FIFO, respecting backpressure. While the FIFO is full the result FIFO is drained into the pending
 // stash: header copies flow to the device in hardware, so it can be
 // blocked pushing a match result at the very moment the firmware needs
 // command space — each side waiting on the other's FIFO. Draining here is
 // the §IV-C mid-episode discipline applied to every backpressured
 // command, and breaks that cycle.
 func (n *NIC) pushCommand(e *proc.Engine, q *mirrorQueue, c alpu.Command) {
+	e.BusTransaction(params.ALPUCommandCycles)
 	for !q.dev.PushCommand(c) {
 		n.drainResults(e, q)
 		e.P.WaitCondAny(q.dev.Commands.NotFull, q.dev.Results.NotEmpty, func() bool {
@@ -751,7 +746,7 @@ func (n *NIC) drainResults(e *proc.Engine, q *mirrorQueue) {
 		if !ok {
 			return
 		}
-		q.pending = append(q.pending, stashedResp{r: r, from: q.inALPU})
+		q.stash(r)
 	}
 }
 
@@ -787,7 +782,7 @@ func (n *NIC) resultFor(e *proc.Engine, q *mirrorQueue, key uint64) (alpu.Respon
 		if r.Probe.Meta == key {
 			return r, q.inALPU, true
 		}
-		q.pending = append(q.pending, stashedResp{r: r, from: q.inALPU})
+		q.stash(r)
 	}
 }
 

@@ -62,13 +62,18 @@ type HostRequest struct {
 	RecvSize int
 }
 
+// DefaultCells is the ALPU capacity New fits when Config.Cells is 0: the
+// larger of the two units the paper evaluates.
+const DefaultCells = 256
+
 // Config selects a NIC build point.
 type Config struct {
 	ID int
 
 	// UseALPU enables the two matching units.
 	UseALPU bool
-	// Cells is the ALPU capacity (the paper evaluates 128 and 256).
+	// Cells is the ALPU capacity (the paper evaluates 128 and 256;
+	// 0 = DefaultCells).
 	Cells int
 	// Threshold is the §VI-B software heuristic: the ALPU is not engaged
 	// until the queue reaches this length.
@@ -251,6 +256,24 @@ func (q *mirrorQueue) removeAt(idx int) {
 	}
 }
 
+// stash keeps a result read ahead of the one the firmware waits for,
+// stamped with the current not-in-ALPU pointer.
+func (q *mirrorQueue) stash(r alpu.Response) {
+	q.pending = append(q.pending, stashedResp{r: r, from: q.inALPU})
+}
+
+// dropMirror forgets what the firmware knew of the unit's contents: the
+// stashed results, the outstanding probes, the tag table, the stale-tag
+// quarantine and the not-in-ALPU pointer. The resync and the failover
+// both end the mirror here.
+func (q *mirrorQueue) dropMirror() {
+	q.pending = q.pending[:0]
+	clear(q.probed)
+	clear(q.tags)
+	clear(q.stale)
+	q.inALPU = 0
+}
+
 // consumedByLaterProbe reports whether a stashed MATCH SUCCESS names
 // entry: a probe the firmware has not processed yet already consumed the
 // unit's copy of it.
@@ -270,8 +293,7 @@ type sendState struct {
 // unexMsg is the NIC-side record of an unexpected message (§V-C
 // unexpectedQ entry).
 type unexMsg struct {
-	pkt    network.Packet
-	bufLen int
+	pkt network.Packet
 }
 
 // postedRecv is the NIC-side record of a posted receive.
@@ -390,7 +412,7 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 		panic("nic: MatchShards requires UseALPU")
 	}
 	if cfg.UseALPU && cfg.Cells == 0 {
-		cfg.Cells = 256
+		cfg.Cells = DefaultCells
 	}
 	cpu := params.NICCPU()
 	if cfg.CPUProfile != nil {
@@ -624,17 +646,9 @@ func (n *NIC) LastError() error { return n.lastErr }
 // a fabric shard "posted0".."postedN") has been declared dead and failed
 // over to software matching.
 func (n *NIC) ALPUDead(name string) bool {
-	if name == "posted" {
-		return n.posted.alpuDead
-	}
-	if name == "unexp" {
-		return n.unexp.alpuDead
-	}
-	if n.fab != nil {
-		for _, q := range n.fab.shards {
-			if q.name == name {
-				return q.alpuDead
-			}
+	for _, q := range n.alpuQueues {
+		if q.name == name {
+			return q.alpuDead
 		}
 	}
 	return false
