@@ -18,13 +18,6 @@ type Engine struct {
 	P   *sim.Process
 	CPU params.CPU
 	Mem *memsys.Hierarchy
-
-	// Stats.
-	busy      sim.Time
-	loads     uint64
-	stores    uint64
-	l1Misses  uint64
-	cyclesRun int64
 }
 
 // New binds a timing engine to a process.
@@ -40,18 +33,12 @@ func (e *Engine) Cycles(n int64) {
 	if n <= 0 {
 		return
 	}
-	d := e.CPU.Clock.Cycles(n)
-	e.busy += d
-	e.cyclesRun += n
-	e.P.Sleep(d)
+	e.P.Sleep(e.CPU.Clock.Cycles(n))
 }
 
 // Load charges a read of size bytes at addr.
 func (e *Engine) Load(addr uint64, size int) memsys.Access {
 	a := e.Mem.Read(e.Now(), addr, size)
-	e.loads++
-	e.l1Misses += uint64(a.Misses)
-	e.busy += a.Latency
 	e.P.Sleep(a.Latency)
 	return a
 }
@@ -59,9 +46,6 @@ func (e *Engine) Load(addr uint64, size int) memsys.Access {
 // Store charges a write of size bytes at addr.
 func (e *Engine) Store(addr uint64, size int) memsys.Access {
 	a := e.Mem.Write(e.Now(), addr, size)
-	e.stores++
-	e.l1Misses += uint64(a.Misses)
-	e.busy += a.Latency
 	e.P.Sleep(a.Latency)
 	return a
 }
@@ -74,15 +58,11 @@ func (e *Engine) Store(addr uint64, size int) memsys.Access {
 // rather than a fully serialised compute+miss sum.
 func (e *Engine) LoadOverlapped(addr uint64, size int, computeCycles int64) memsys.Access {
 	a := e.Mem.Read(e.Now(), addr, size)
-	e.loads++
-	e.l1Misses += uint64(a.Misses)
 	compute := e.CPU.Clock.Cycles(computeCycles)
 	d := compute + a.Latency
 	if !a.L1Hit && a.Latency > compute {
 		d = a.Latency
 	}
-	e.busy += d
-	e.cyclesRun += computeCycles
 	e.P.Sleep(d)
 	return a
 }
@@ -98,21 +78,5 @@ func (e *Engine) Prefetch(addr uint64, size int, write bool) {
 // 20 ns bus delay (§V-B) plus cycles of processor work to issue it.
 func (e *Engine) BusTransaction(cycles int64) {
 	e.Cycles(cycles)
-	e.busy += params.NICBusDelay
 	e.P.Sleep(params.NICBusDelay)
 }
-
-// BusyTime reports the cumulative time this engine has charged.
-func (e *Engine) BusyTime() sim.Time { return e.busy }
-
-// Loads reports the number of Load/LoadOverlapped calls.
-func (e *Engine) Loads() uint64 { return e.loads }
-
-// Stores reports the number of Store calls.
-func (e *Engine) Stores() uint64 { return e.stores }
-
-// L1Misses reports demand misses charged so far.
-func (e *Engine) L1Misses() uint64 { return e.l1Misses }
-
-// CyclesRun reports total compute cycles charged.
-func (e *Engine) CyclesRun() int64 { return e.cyclesRun }

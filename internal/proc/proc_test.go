@@ -88,27 +88,6 @@ func TestBusTransaction(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	run(t, func(e *Engine) {
-		e.Cycles(5)
-		e.Load(0, 4)
-		e.Store(0x100, 4)
-		e.LoadOverlapped(0x200, 4, 3)
-		if e.Loads() != 2 || e.Stores() != 1 {
-			t.Errorf("Loads=%d Stores=%d, want 2,1", e.Loads(), e.Stores())
-		}
-		if e.CyclesRun() != 8 {
-			t.Errorf("CyclesRun=%d, want 8", e.CyclesRun())
-		}
-		if e.L1Misses() != 3 {
-			t.Errorf("L1Misses=%d, want 3 (all cold)", e.L1Misses())
-		}
-		if e.BusyTime() != e.Now() {
-			t.Errorf("BusyTime=%v Now=%v: engine was never idle", e.BusyTime(), e.Now())
-		}
-	})
-}
-
 func TestTwoEnginesShareDRAM(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dram.New(dram.DefaultConfig())
