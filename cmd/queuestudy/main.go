@@ -97,34 +97,37 @@ func runners() []runner {
 }
 
 // checkFlags rejects flag values no study can run with and returns the
-// parsed -ranks list and -faults model (nil without -faults).
-func checkFlags(cells, par int, ranksSpec, faultSpec string, seed int64) ([]int, *network.FaultModel, error) {
-	if cells != 0 {
-		if err := (alpu.Geometry{Cells: cells, BlockSize: params.ALPUDefaultBlockSize}).Validate(); err != nil {
-			return nil, nil, fmt.Errorf("-cells %d: %w", cells, err)
-		}
+// ALPU cell count the worlds are built with (-cells 0 selects the NIC's
+// default), the parsed -ranks list and the -faults model (nil without
+// -faults).
+func checkFlags(cells, par int, ranksSpec, faultSpec string, seed int64) (int, []int, *network.FaultModel, error) {
+	if cells == 0 {
+		cells = nic.DefaultCells
+	}
+	if err := (alpu.Geometry{Cells: cells, BlockSize: params.ALPUDefaultBlockSize}).Validate(); err != nil {
+		return 0, nil, nil, fmt.Errorf("-cells %d: %w", cells, err)
 	}
 	if par < 0 {
-		return nil, nil, fmt.Errorf("-par %d: partition count must not be negative", par)
+		return 0, nil, nil, fmt.Errorf("-par %d: partition count must not be negative", par)
 	}
 	var ranks []int
 	for _, part := range strings.Split(ranksSpec, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 2 {
-			return nil, nil, fmt.Errorf("-ranks %q: want comma-separated process counts of at least 2", ranksSpec)
+			return 0, nil, nil, fmt.Errorf("-ranks %q: want comma-separated process counts of at least 2", ranksSpec)
 		}
 		ranks = append(ranks, v)
 	}
 	fm, err := network.ParseFaults(faultSpec, seed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("-faults: %w", err)
+		return 0, nil, nil, fmt.Errorf("-faults: %w", err)
 	}
-	return ranks, fm, nil
+	return cells, ranks, fm, nil
 }
 
 func main() {
 	flag.Parse()
-	ranks, fm, err := checkFlags(*cells, *parFlag, *ranksFlag, *faultSpec, *faultSeed)
+	ncells, ranks, fm, err := checkFlags(*cells, *parFlag, *ranksFlag, *faultSpec, *faultSeed)
 	ob.Check(err, 2)
 	ob.Check(ob.Start(), 1)
 	ob.Progress.SetLabel("queuestudy")
@@ -136,7 +139,7 @@ func main() {
 		world.Faults, world.WatchdogLimit = fm, faultyWatchdog
 	}
 
-	fmt.Printf("Application queue study (refs [8]/[9] methodology), ALPU cells=%d\n", *cells)
+	fmt.Printf("Application queue study (refs [8]/[9] methodology), ALPU cells=%d\n", ncells)
 	if fm != nil {
 		fmt.Printf("fault injection: %s, seed %d\n", *faultSpec, *faultSeed)
 	}
@@ -192,7 +195,7 @@ func main() {
 			r, n := r, n
 			studies = append(studies, study{name: r.name, ranks: n})
 			addRun(nic.Config{}, n, r, "base")
-			accel := nic.Config{UseALPU: true, Cells: *cells}
+			accel := nic.Config{UseALPU: true, Cells: ncells}
 			if *shardsFlag > 1 {
 				accel.MatchShards = *shardsFlag
 			}
@@ -311,7 +314,7 @@ func main() {
 		for i, sa := range samplers {
 			series.AbsorbAs(runLabels[i], sa)
 		}
-		title := fmt.Sprintf("queuestudy %s, ranks %s, cells %d", *workload, *ranksFlag, *cells)
+		title := fmt.Sprintf("queuestudy %s, ranks %s, cells %d", *workload, *ranksFlag, ncells)
 		if fm != nil {
 			title += fmt.Sprintf(" (faults %s, seed %d)", *faultSpec, *faultSeed)
 		}

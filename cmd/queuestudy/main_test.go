@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"alpusim/internal/clitest"
+	"alpusim/internal/nic"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -30,13 +31,20 @@ func TestCheckFlags(t *testing.T) {
 		{1, 0, "4", "", false},
 		{16, 0, "4", "", true},
 	} {
-		ranks, fm, err := checkFlags(c.cells, c.par, c.ranks, c.faults, 1)
+		cells, ranks, fm, err := checkFlags(c.cells, c.par, c.ranks, c.faults, 1)
 		if (err == nil) != c.ok {
 			t.Errorf("checkFlags(-cells %d -par %d -ranks %q -faults %q) = %v, want ok=%v",
 				c.cells, c.par, c.ranks, c.faults, err, c.ok)
 		}
 		if err == nil && (len(ranks) == 0 || (fm != nil) != (c.faults != "")) {
 			t.Errorf("checkFlags(-ranks %q -faults %q) = %v, %v", c.ranks, c.faults, ranks, fm)
+		}
+		want := c.cells
+		if want == 0 {
+			want = nic.DefaultCells // the cell count nic.New fits, and the header prints
+		}
+		if err == nil && cells != want {
+			t.Errorf("checkFlags(-cells %d) = %d cells, want %d", c.cells, cells, want)
 		}
 	}
 }
