@@ -3,7 +3,10 @@
 // ns/op, or, where both outputs carry -benchmem columns, on allocs/op.
 // An allocation count does not move with host noise, so its allowed rise
 // is the same fraction of the baseline rounded up to at least one
-// allocation. It is the CI regression gate for the simulator's performance
+// allocation. A benchmark may also report exact counts of its own with
+// b.ReportMetric, in units ending in "/op" (events/op, switches/op): a
+// deterministic simulation repeats them exactly, so any rise in a count
+// both outputs report fails the gate. It is the CI regression gate for the simulator's performance
 // work: CI runs scripts/benchgate.sh on the parent commit and on the
 // change, back to back on the same host, and compares the parent's
 // output (the baseline) with the change's, like benchstat would but with
@@ -68,7 +71,7 @@ func report(base, cur map[string]bench, threshold float64) (string, bool) {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-60s %12s    %12s  %s\n", "", "benchmark", "old ns/op", "new ns/op", "delta")
-	var compared, faster, regressed, missing int
+	var compared, faster, regressed, missing, rose int
 	for _, name := range names {
 		old := base[name]
 		c, ok := cur[name]
@@ -80,9 +83,20 @@ func report(base, cur map[string]bench, threshold float64) (string, bool) {
 		compared++
 		ratio := c.ns / old.ns
 		allocsGated := old.allocs >= 0 && c.allocs >= 0
+		var counts strings.Builder
+		countRose := false
+		for _, unit := range sortedKeys(old.counts) {
+			if v, ok := c.counts[unit]; ok {
+				if v > old.counts[unit] {
+					countRose = true
+					rose++
+				}
+				fmt.Fprintf(&counts, "  %s %.0f -> %.0f", unit, old.counts[unit], v)
+			}
+		}
 		status := "ok"
 		switch {
-		case ratio > 1+threshold,
+		case ratio > 1+threshold, countRose,
 			allocsGated && c.allocs-old.allocs > max(math.Ceil(old.allocs*threshold), 1):
 			regressed++
 			status = "FAIL"
@@ -94,6 +108,7 @@ func report(base, cur map[string]bench, threshold float64) (string, bool) {
 		if allocsGated {
 			fmt.Fprintf(&b, "  allocs/op %.0f -> %.0f", old.allocs, c.allocs)
 		}
+		b.WriteString(counts.String())
 		b.WriteString("\n")
 	}
 	var added []string
@@ -108,6 +123,9 @@ func report(base, cur map[string]bench, threshold float64) (string, bool) {
 	}
 	fmt.Fprintf(&b, "benchgate: %d compared (%d faster, %d regressed), %d new, %d missing\n",
 		compared, faster, regressed, len(added), missing)
+	if rose > 0 {
+		fmt.Fprintf(&b, "benchgate: %d exact count(s) rose\n", rose)
+	}
 	if regressed > 0 {
 		fmt.Fprintf(&b, "benchgate: regression over %.0f%% threshold\n", threshold*100)
 		return b.String(), true
@@ -133,15 +151,28 @@ func parseFile(path string) (map[string]bench, error) {
 }
 
 // bench is one benchmark's result: ns/op and allocs/op, the latter -1
-// when the output has no -benchmem columns for it.
-type bench struct{ ns, allocs float64 }
+// when the output has no -benchmem columns for it, and the exact counts
+// it reports itself, by unit.
+type bench struct {
+	ns, allocs float64
+	counts     map[string]float64
+}
 
-// parse extracts name -> ns/op and allocs/op from `go test -bench`
-// output. A result line is "BenchmarkName[-P] <iters> <value> ns/op
-// [...]"; the -P GOMAXPROCS suffix is stripped so baselines transfer
-// across -cpu settings. Duplicate names (e.g. -count > 1) keep the
-// minimum of each, the least-noise estimate of the benchmark's true
-// cost.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// parse extracts name -> ns/op, allocs/op and the counts (units ending
+// in "/op" other than ns, B and allocs) from `go test -bench` output. A
+// result line is "BenchmarkName[-P] <iters> <value> ns/op [...]"; the -P
+// GOMAXPROCS suffix is stripped so baselines transfer across -cpu
+// settings. Duplicate names (e.g. -count > 1) keep the minimum of each,
+// the least-noise estimate of the benchmark's true cost.
 func parse(sc *bufio.Scanner) (map[string]bench, error) {
 	out := map[string]bench{}
 	for sc.Scan() {
@@ -158,17 +189,23 @@ func parse(sc *bufio.Scanner) (map[string]bench, error) {
 		r := bench{ns: -1, allocs: -1}
 		for i := 2; i+1 < len(fields); i += 2 {
 			unit := fields[i+1]
-			if unit != "ns/op" && unit != "allocs/op" {
+			if !strings.HasSuffix(unit, "/op") || unit == "B/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad %s in %q: %w", unit, sc.Text(), err)
 			}
-			if unit == "ns/op" {
+			switch unit {
+			case "ns/op":
 				r.ns = v
-			} else {
+			case "allocs/op":
 				r.allocs = v
+			default:
+				if r.counts == nil {
+					r.counts = map[string]float64{}
+				}
+				r.counts[unit] = v
 			}
 		}
 		if r.ns < 0 {
@@ -178,6 +215,14 @@ func parse(sc *bufio.Scanner) (map[string]bench, error) {
 			r.ns = min(r.ns, prev.ns)
 			if prev.allocs >= 0 && (r.allocs < 0 || prev.allocs < r.allocs) {
 				r.allocs = prev.allocs
+			}
+			for unit, v := range prev.counts {
+				if cur, ok := r.counts[unit]; !ok || v < cur {
+					if r.counts == nil {
+						r.counts = map[string]float64{}
+					}
+					r.counts[unit] = v
+				}
 			}
 		}
 		out[name] = r

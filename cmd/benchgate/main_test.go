@@ -149,7 +149,7 @@ BenchmarkX-8   10   200 ns/op   64 B/op   7 allocs/op
 BenchmarkX-8   10   150 ns/op   80 B/op   9 allocs/op
 BenchmarkX-8   10   180 ns/op   64 B/op   6 allocs/op
 `)
-	if got := out["BenchmarkX"]; got != (bench{ns: 150, allocs: 6}) {
+	if got := out["BenchmarkX"]; got.ns != 150 || got.allocs != 6 {
 		t.Fatalf("duplicate handling: got %+v, want ns 150 and allocs 6", got)
 	}
 }
@@ -197,5 +197,48 @@ func TestReportGatesAllocs(t *testing.T) {
 	}
 	if strings.Contains(out, "-> 500") {
 		t.Errorf("allocs/op gated without a baseline count:\n%s", out)
+	}
+}
+
+// A count a benchmark reports itself (a unit ending in "/op") fails the
+// gate on any rise when both outputs carry it, even with ns/op faster;
+// a count only one side reports is shown nowhere and gates nothing.
+func TestReportGatesCounts(t *testing.T) {
+	base := parseString(t, `
+BenchmarkWorldRun-2   100   9000 ns/op   12 B/op   3 allocs/op   1200 events/op   40 handoffs/op
+BenchmarkWorldRun-2   100   8000 ns/op   12 B/op   3 allocs/op   1200 events/op   40 handoffs/op
+BenchmarkSame-2       100   100 ns/op    7 events/op
+BenchmarkOneSide-2    100   100 ns/op
+`)
+	if got := base["BenchmarkWorldRun"]; got.counts["events/op"] != 1200 || got.counts["handoffs/op"] != 40 || got.ns != 8000 {
+		t.Fatalf("parsed %+v, want ns 8000, 1200 events/op and 40 handoffs/op", got)
+	}
+	cur := parseString(t, `
+BenchmarkWorldRun-2   100   4000 ns/op   12 B/op   3 allocs/op   1201 events/op   39 handoffs/op
+BenchmarkSame-2       100   100 ns/op    7 events/op
+BenchmarkOneSide-2    100   100 ns/op    9 events/op
+`)
+	out, failed := report(base, cur, 0.15)
+	if !failed {
+		t.Fatalf("a rise of one event/op passed the gate:\n%s", out)
+	}
+	for _, want := range []string{
+		"FAIL     BenchmarkWorldRun ",
+		"events/op 1200 -> 1201  handoffs/op 40 -> 39",
+		"ok       BenchmarkSame ",
+		"ok       BenchmarkOneSide ",
+		"benchgate: 3 compared (0 faster, 1 regressed), 0 new, 0 missing",
+		"benchgate: 1 exact count(s) rose",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "-> 9") {
+		t.Errorf("a count only one side reports was compared:\n%s", out)
+	}
+	base["BenchmarkWorldRun"].counts["events/op"] = 1201
+	if out, failed := report(base, cur, 0.15); failed {
+		t.Errorf("equal counts and a fall in handoffs/op failed the gate:\n%s", out)
 	}
 }

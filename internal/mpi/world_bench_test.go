@@ -39,10 +39,23 @@ var fig5Cell = []Program{
 }
 
 // BenchmarkWorldRun measures one world's whole lifecycle — build, RunSim
-// and teardown — on a 2-rank baseline-NIC Fig. 5 cell.
+// and teardown — on a 2-rank baseline-NIC Fig. 5 cell. It also reports
+// the world's events, process resumes and goroutine handoffs per op,
+// summed over its engines: exact counts that do not move with the host,
+// so cmd/benchgate fails any rise in them.
 func BenchmarkWorldRun(b *testing.B) {
 	b.ReportAllocs()
+	var events, switches, handoffs uint64
 	for i := 0; i < b.N; i++ {
 		builtWorld = RunPrograms(baseCfg(2), fig5Cell)
+		for _, e := range builtWorld.Engines {
+			events += e.Executed()
+			switches += e.Switches()
+			handoffs += e.Handoffs()
+		}
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(events)/n, "events/op")
+	b.ReportMetric(float64(switches)/n, "switches/op")
+	b.ReportMetric(float64(handoffs)/n, "handoffs/op")
 }

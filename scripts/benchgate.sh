@@ -50,7 +50,9 @@ go test -run '^$' -bench 'BenchmarkNetworkSend' -benchtime 0.2s -benchmem -count
 # World build (closed again at once) and world run (build, RunSim and
 # teardown of one 2-rank Fig. 5 cell): the setup and the per-world
 # lifecycle every sweep cell pays, dominated by model state (cache lines
-# are backed on first access) and process goroutines.
+# are backed on first access) and process goroutines. The world run also
+# reports its events, switches and handoffs per op, which the gate holds
+# exactly.
 go test -run '^$' -bench 'BenchmarkWorld(Build|Run)$' -benchtime 0.2s -benchmem -count 3 ./internal/mpi | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
 # Exporters (Chrome trace, sim-time pprof profile, time series) of one
