@@ -199,9 +199,9 @@ func (n *NIC) repairALPU(e *proc.Engine, q *mirrorQueue) {
 // the unit is disengaged (no new probes flow while it is being repaired),
 // told to exit any insert episode and RESET, and *quiesced* — every
 // response it still emits from old-era probes is discarded before the
-// mirror is dropped and the not-in-ALPU pointer returns to zero. Matching runs in pure software until the retry
-// gate opens and the next insert episode re-engages the unit and reloads
-// the list from the front.
+// mirror is dropped and the not-in-ALPU pointer returns to zero. Matching
+// runs in pure software until the retry gate opens and the next insert
+// episode re-engages the unit and reloads the list from the front.
 //
 // The quiesce is load-bearing: the RESET is asynchronous, so a probe
 // already queued in the device can be answered against pre-reset state

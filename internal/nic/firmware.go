@@ -130,14 +130,10 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 			return
 		}
 		delete(n.pendingSends, pkt.SenderReq)
-		done := n.dmaTx.Transfer(e.Now(), s.req.Size)
-		data := network.Packet{
+		n.sendPayload(e, network.Packet{
 			Kind: network.Data, Src: n.cfg.ID, Dst: pkt.Src,
 			Size: s.req.Size, RecvReq: pkt.RecvReq,
-		}
-		n.eng.At(done, func() { n.send(data) })
-		e.Cycles(params.CompletionCycles)
-		n.complete(s.req.ID, done, CompletionStatus{})
+		}, s.req.ID)
 
 	case network.Data:
 		e.Cycles(params.HeaderProcessCycles)
@@ -147,6 +143,17 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 		delete(n.rndvStatus, pkt.RecvReq)
 		n.complete(pkt.RecvReq, done, st)
 	}
+}
+
+// sendPayload DMAs a send's payload out of the host buffer, puts pkt on
+// the wire once the DMA is done, and completes send reqID: an eager
+// message, or a rendezvous DATA once its CTS came back. A send completes
+// locally once the data has left the host buffer.
+func (n *NIC) sendPayload(e *proc.Engine, pkt network.Packet, reqID uint64) {
+	done := n.dmaTx.Transfer(e.Now(), pkt.Size)
+	n.eng.At(done, func() { n.send(pkt) })
+	e.Cycles(params.CompletionCycles)
+	n.complete(reqID, done, CompletionStatus{})
 }
 
 // deliver completes receive reqID, matched to the arrived message pkt
@@ -204,16 +211,10 @@ func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 			n.tracer.FlowStart(n.cfg.ID, tidFirmware, "mpi", "msg", e.Now(), uint64(match.Pack(req.Hdr)))
 		}
 		if req.Size <= params.EagerLimit {
-			done := n.dmaTx.Transfer(e.Now(), req.Size)
-			pkt := network.Packet{
+			n.sendPayload(e, network.Packet{
 				Kind: network.Eager, Src: n.cfg.ID, Dst: req.Dst,
 				Hdr: req.Hdr, Size: req.Size,
-			}
-			n.eng.At(done, func() { n.send(pkt) })
-			e.Cycles(params.CompletionCycles)
-			// An eager send completes locally once the data has left the
-			// host buffer.
-			n.complete(req.ID, done, CompletionStatus{})
+			}, req.ID)
 			return
 		}
 		n.pendingSends[req.ID] = &sendState{req: req}
