@@ -6,11 +6,12 @@
 // allocation. A benchmark may also report exact counts of its own with
 // b.ReportMetric, in units ending in "/op" (events/op, switches/op): a
 // deterministic simulation repeats them exactly, so any rise in a count
-// both outputs report fails the gate. It is the CI regression gate for the simulator's performance
-// work: CI runs scripts/benchgate.sh on the parent commit and on the
-// change, back to back on the same host, and compares the parent's
-// output (the baseline) with the change's, like benchstat would but with
-// a pass/fail verdict and no external dependency.
+// both outputs report fails the gate. It is the CI regression gate for
+// the simulator's performance work: CI runs scripts/benchgate.sh on the
+// parent commit and on the change, back to back on the same host, and
+// compares the parent's output (the baseline) with the change's, like
+// benchstat would but with a pass/fail verdict and no external
+// dependency.
 //
 // Usage:
 //
@@ -186,7 +187,7 @@ func parse(sc *bufio.Scanner) (map[string]bench, error) {
 				name = name[:i]
 			}
 		}
-		r := bench{ns: -1, allocs: -1}
+		r := bench{ns: -1, allocs: -1, counts: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			unit := fields[i+1]
 			if !strings.HasSuffix(unit, "/op") || unit == "B/op" {
@@ -202,9 +203,6 @@ func parse(sc *bufio.Scanner) (map[string]bench, error) {
 			case "allocs/op":
 				r.allocs = v
 			default:
-				if r.counts == nil {
-					r.counts = map[string]float64{}
-				}
 				r.counts[unit] = v
 			}
 		}
@@ -218,9 +216,6 @@ func parse(sc *bufio.Scanner) (map[string]bench, error) {
 			}
 			for unit, v := range prev.counts {
 				if cur, ok := r.counts[unit]; !ok || v < cur {
-					if r.counts == nil {
-						r.counts = map[string]float64{}
-					}
 					r.counts[unit] = v
 				}
 			}
