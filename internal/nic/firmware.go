@@ -656,8 +656,8 @@ func (n *NIC) updateALPU(e *proc.Engine, q *mirrorQueue) bool {
 func (n *NIC) startInsert(e *proc.Engine, q *mirrorQueue, op, detail string) (free int, ok bool) {
 	n.pushCommand(e, q, alpu.Command{Op: alpu.OpStartInsert})
 	for {
-		r, ok := n.readResult(e, q)
-		if !ok {
+		r, read := n.readResult(e, q)
+		if !read {
 			n.deviceFault(e, q, op, detail)
 			return 0, false
 		}
@@ -682,12 +682,13 @@ func (n *NIC) allocTag(q *mirrorQueue, entry *match.Entry) uint32 {
 }
 
 // pushCommand charges the bus write of one command and writes it into the
-// device command FIFO, respecting backpressure. While the FIFO is full the result FIFO is drained into the pending
-// stash: header copies flow to the device in hardware, so it can be
-// blocked pushing a match result at the very moment the firmware needs
-// command space — each side waiting on the other's FIFO. Draining here is
-// the §IV-C mid-episode discipline applied to every backpressured
-// command, and breaks that cycle.
+// device command FIFO, respecting backpressure. While the FIFO is full
+// the result FIFO is drained into the pending stash: header copies flow
+// to the device in hardware, so it can be blocked pushing a match result
+// at the very moment the firmware needs command space — each side
+// waiting on the other's FIFO. Draining here is the §IV-C mid-episode
+// discipline applied to every backpressured command, and breaks that
+// cycle.
 func (n *NIC) pushCommand(e *proc.Engine, q *mirrorQueue, c alpu.Command) {
 	e.BusTransaction(params.ALPUCommandCycles)
 	for !q.dev.PushCommand(c) {
