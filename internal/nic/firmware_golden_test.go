@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,7 +19,7 @@ import (
 	"alpusim/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/firmware.golden")
+var update = flag.Bool("update", false, "rewrite the goldens in testdata")
 
 // goldenCell is one world whose firmware cost accounting the golden pins:
 // run builds and drains it, returning the cell's own measured time (a
@@ -90,12 +89,14 @@ func TestFirmwareGolden(t *testing.T) {
 			return iprobeWorld(cfg)
 		}})
 	}
-	cells = append(cells, goldenCell{name: "purge-race/alpu-128", run: purgeRaceWorld})
+	cells = append(cells, goldenCell{name: "purge-race/alpu-128", run: func() (sim.Time, *mpi.World) {
+		return purgeRaceWorld(0)
+	}})
 	cells = append(cells, goldenCell{name: "shard1-death/fabric-4", run: func() (sim.Time, *mpi.World) {
 		cfg := fabricFaultCfg()
 		cfg.ShardFaults = make([]*alpu.FaultModel, 4)
 		cfg.ShardFaults[1] = &alpu.FaultModel{DeathAt: 20 * sim.Microsecond}
-		at, w := wildcardRoundsWorld(cfg, nil)
+		at, w := wildcardRoundsWorld(mpi.Config{NIC: cfg})
 		if !w.NICs[0].ALPUDead("posted1") {
 			panic("shard-death golden: shard 1 never failed over")
 		}
@@ -104,7 +105,7 @@ func TestFirmwareGolden(t *testing.T) {
 	cells = append(cells, goldenCell{name: "devchaos/fabric-4", run: func() (sim.Time, *mpi.World) {
 		cfg := fabricFaultCfg()
 		cfg.ALPUFaults = &alpu.FaultModel{Seed: 42, BitFlipProb: 0.02, ResultDropProb: 0.03}
-		return wildcardRoundsWorld(cfg, nil)
+		return wildcardRoundsWorld(mpi.Config{NIC: cfg})
 	}})
 	for _, org := range []struct {
 		name string
@@ -130,7 +131,7 @@ func TestFirmwareGolden(t *testing.T) {
 		cfg, log := dying.cfg, &teardownLog{}
 		cfg.ALPUFaults = &alpu.FaultModel{Seed: 7, ResultDropProb: 0.05, DeathAt: 60 * sim.Microsecond}
 		cells = append(cells, goldenCell{name: "death-log/" + dying.name, log: log, run: func() (sim.Time, *mpi.World) {
-			at, w := wildcardRoundsWorld(cfg, slog.New(log))
+			at, w := wildcardRoundsWorld(mpi.Config{NIC: cfg, Log: slog.New(log)})
 			if w.NICs[0].FailoverCount("resyncs") == 0 || w.NICs[0].FailoverCount("deaths") == 0 {
 				panic("death-log golden: nic0 never resynced and failed over")
 			}
@@ -155,35 +156,7 @@ func TestFirmwareGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "firmware.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run go test ./internal/nic -update to create it)", err)
-	}
-	if got := out.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Errorf("line %d differs:\n got: %s\nwant: %s", i+1, g, w)
-			}
-		}
-	}
+	compareGolden(t, filepath.Join("testdata", "firmware.golden"), out.Bytes())
 }
 
 // histLine renders every field of a depth histogram.
@@ -304,11 +277,12 @@ func iprobeWorld(cfg nic.Config) (sim.Time, *mpi.World) {
 // purgeRaceWorld paces receive posts against a stream of headers so
 // that one header's MATCH FAILURE is generated just before the insert
 // episode that loads its receive (the §IV-C race): the firmware resolves
-// it in software and purges the stale device copy.
-func purgeRaceWorld() (sim.Time, *mpi.World) {
+// it in software and purges the stale device copy. The world runs on
+// parts partitions.
+func purgeRaceWorld(parts int) (sim.Time, *mpi.World) {
 	const msgs = 40
 	var done sim.Time
-	w := mpi.RunPrograms(mpi.Config{Ranks: 2, NIC: nic.Config{UseALPU: true, Cells: 128}}, []mpi.Program{
+	w := mpi.RunPrograms(mpi.Config{Ranks: 2, NIC: nic.Config{UseALPU: true, Cells: 128}, Partitions: parts}, []mpi.Program{
 		func(r *mpi.Rank) {
 			r.Barrier()
 			for k := 0; k < msgs; k++ {
@@ -343,9 +317,9 @@ func fabricFaultCfg() nic.Config {
 
 // wildcardRoundsWorld posts, round after round, ANY_SOURCE receives (one
 // broadcast copy per fabric shard) and exact receives from every sender
-// on rank 0, then lets the three senders match them, staggered. log, when
-// set, receives the world's diagnostics.
-func wildcardRoundsWorld(cfg nic.Config, log *slog.Logger) (sim.Time, *mpi.World) {
+// on rank 0, then lets the three senders match them, staggered. wc is
+// the rest of the world's configuration (NIC, partitions, log).
+func wildcardRoundsWorld(wc mpi.Config) (sim.Time, *mpi.World) {
 	const ranks, rounds, per = 4, 12, 6
 	var done sim.Time
 	progs := []mpi.Program{func(r *mpi.Rank) {
@@ -378,7 +352,8 @@ func wildcardRoundsWorld(cfg nic.Config, log *slog.Logger) (sim.Time, *mpi.World
 			}
 		})
 	}
-	w := mpi.RunPrograms(mpi.Config{Ranks: ranks, NIC: cfg, Log: log}, progs)
+	wc.Ranks = ranks
+	w := mpi.RunPrograms(wc, progs)
 	return done, w
 }
 
