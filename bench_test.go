@@ -13,6 +13,7 @@ package alpusim
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"alpusim/internal/alpu"
@@ -60,10 +61,40 @@ func BenchmarkTable5(b *testing.B) { benchmarkFPGATable(b, alpu.UnexpectedMessag
 // wall-clock ns/op changes.
 var benchJobs = runtime.GOMAXPROCS(0)
 
+// worldCounts sums the events, process resumes and goroutine handoffs
+// of every world a sweep runs, over each world's engines. The sweeps run
+// their worlds on parallel workers, so the sums are atomic.
+type worldCounts struct{ events, switches, handoffs atomic.Uint64 }
+
+// observe has bench.WorldObserver fold every drained world into c until
+// the returned function removes it.
+func (c *worldCounts) observe() (stop func()) {
+	bench.WorldObserver = func(w *mpi.World) {
+		for _, e := range w.Engines {
+			c.events.Add(e.Executed())
+			c.switches.Add(e.Switches())
+			c.handoffs.Add(e.Handoffs())
+		}
+	}
+	return func() { bench.WorldObserver = nil }
+}
+
+// report reports the sums per op: exact counts that do not move with the
+// host, so cmd/benchgate fails any rise in them.
+func (c *worldCounts) report(b *testing.B) {
+	n := float64(b.N)
+	b.ReportMetric(float64(c.events.Load())/n, "events/op")
+	b.ReportMetric(float64(c.switches.Load())/n, "switches/op")
+	b.ReportMetric(float64(c.handoffs.Load())/n, "handoffs/op")
+}
+
 // fig5Rep measures the representative cut of a Fig. 5 surface: base
 // latency, the in-ALPU (or in-cache) region, and the deep-queue region.
+// It also reports the sweep's events, switches and handoffs per op.
 func fig5Rep(b *testing.B, kind bench.NICKind) {
 	var base, mid, deep sim.Time
+	var counts worldCounts
+	defer counts.observe()()
 	for i := 0; i < b.N; i++ {
 		pts := bench.RunPreposted(bench.PrepostedConfig{
 			NIC:       bench.NICConfig(kind),
@@ -76,6 +107,7 @@ func fig5Rep(b *testing.B, kind bench.NICKind) {
 	b.ReportMetric(base.Nanoseconds(), "sim-ns-q0")
 	b.ReportMetric(mid.Nanoseconds(), "sim-ns-q200")
 	b.ReportMetric(deep.Nanoseconds(), "sim-ns-q400")
+	counts.report(b)
 }
 
 // BenchmarkFig5Baseline regenerates the Fig. 5(a,b) cut: baseline NIC.
@@ -89,8 +121,12 @@ func BenchmarkFig5ALPU256(b *testing.B) { fig5Rep(b, bench.ALPU256) }
 
 // --- Figure 6 --------------------------------------------------------
 
+// fig6Rep measures the representative cut of a Fig. 6 series and, like
+// fig5Rep, the sweep's events, switches and handoffs per op.
 func fig6Rep(b *testing.B, kind bench.NICKind) {
 	var short, mid, deep sim.Time
+	var counts worldCounts
+	defer counts.observe()()
 	for i := 0; i < b.N; i++ {
 		pts := bench.RunUnexpected(bench.UnexpectedConfig{
 			NIC:       bench.NICConfig(kind),
@@ -102,6 +138,7 @@ func fig6Rep(b *testing.B, kind bench.NICKind) {
 	b.ReportMetric(short.Nanoseconds(), "sim-ns-u0")
 	b.ReportMetric(mid.Nanoseconds(), "sim-ns-u100")
 	b.ReportMetric(deep.Nanoseconds(), "sim-ns-u300")
+	counts.report(b)
 }
 
 // BenchmarkFig6Baseline regenerates the Fig. 6 baseline series cut.

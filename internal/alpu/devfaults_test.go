@@ -1,6 +1,7 @@
 package alpu
 
 import (
+	"strings"
 	"testing"
 
 	"alpusim/internal/match"
@@ -211,4 +212,33 @@ func TestFaultDeterminism(t *testing.T) {
 	if a.BitFlips == 0 && a.DroppedResults == 0 && a.StuckCycles == 0 {
 		t.Fatalf("fault injection idle: %+v", a)
 	}
+}
+
+// TestDevicePanicReachesRun: a panic in a device step reaches the caller
+// of Run as its own value, naming the device, even when a parked
+// process's goroutine ran the step. The device is no process, so the
+// panic is no *sim.ProcessPanic. The step is forced into emit with a full
+// result FIFO, the one inconsistency the device checks for.
+func TestDevicePanicReachesRun(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := MustDevice(eng, "nic3.palpu", testConfig(PostedReceives, 32, 8))
+	full := sim.NewFIFO[Response](eng, "full", 1)
+	full.Push(Response{})
+	eng.Spawn("driver", func(p *sim.Process) {
+		p.Sleep(sim.Nanosecond) // the device has started and waits for work
+		dev.Results = full
+		dev.resume = func(d *Device) { d.emit(Response{Kind: RespMatchFailure}) }
+		dev.PushCommand(Command{Op: OpReset})
+		p.Sleep(sim.Nanosecond) // the driver's goroutine runs the device's step
+	})
+	defer func() {
+		r := recover()
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "nic3.palpu") || !strings.Contains(msg, "rejected push") {
+			t.Fatalf("Run raised %#v, want the device's own message naming nic3.palpu", r)
+		}
+		eng.Close()
+	}()
+	eng.Run()
+	t.Fatal("Run returned without the device's panic")
 }

@@ -118,9 +118,17 @@ type Stats struct {
 	SearchCycles trace.Histogram
 }
 
-// Device is the cycle-level ALPU model. It runs as its own co-simulated
-// process; the NIC interacts with it only through the three FIFOs, exactly
-// as in Fig. 1.
+// Device is the cycle-level ALPU model. Its control unit is a state
+// machine (Fig. 3: read a command, insert, match, push a result), and the
+// NIC interacts with it only through the three FIFOs, exactly as in
+// Fig. 1. Two things step the machine: a function waiter on its kick
+// signal (or on the result FIFO's not-full edge while a push stalls), and
+// its own step events at the clock edges where a cycle burst ends (see
+// sleep). Each state is a method that runs at one instant and names the
+// next state in next, or arranges a wake and leaves next nil; a state
+// that may run more than one way is entered through a small helper
+// (tick, pushResult, idle, doMatch, doInsert, faultHook) that records
+// where to continue afterwards.
 type Device struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -159,13 +167,14 @@ type Device struct {
 	sufShift   []uint   // doubling shifts for the in-block suffix OR
 	sufMask    []uint64 // matching masks keeping each shift inside its block
 
-	// Idle-drain state (see idle): a drain is the compaction the device
-	// runs while parked waiting for work, advanced by chunked timers
-	// instead of per-cycle wakes.
+	// Idle-drain state (see idleStep): a drain is the compaction the
+	// device runs while it waits for work, advanced by chunked timers
+	// instead of per-cycle steps.
 	drainStart sim.Time
 	drainSteps int // compaction cycles materialised since drainStart
 	drainDone  bool
 	drainTimer sim.EventID
+	drainChunk int // cycles the pending drain timer covers
 
 	insertMode bool
 	stats      Stats
@@ -173,9 +182,47 @@ type Device struct {
 	// frng is the device's private fault stream; nil when fault injection
 	// is off, which keeps every fault check a single nil test.
 	frng *sim.Rand
+
+	// The control machine. next is the state to run now (nil once the
+	// machine waits); resume is where a wake continues it; waitOn and
+	// waitCond are the signal wait in progress.
+	next, resume step
+	waitOn       *sim.Signal
+	waitCond     func() bool
+
+	// Callbacks bound once at construction, so that no event or wait
+	// allocates: the step event, the signal waiter, the drain timer and
+	// the wait conditions.
+	stepFn, signalFn, drainFn          func()
+	hasWorkFn, hasInsertWorkFn, roomFn func() bool
+
+	// Where each helper continues when it is done. Each helper is active
+	// at most once at a time (the deepest chain is insert mode → match →
+	// fault hook → push result → tick), so one field per helper is its
+	// whole return stack.
+	idleRet, tickRet, pushRet, scrubRet, matchRet, insertRet step
+
+	// State that lives across a wait: the helpers' locals.
+	idleReady   func() bool // idle: the work the device waits for
+	cmd         Command     // the command the Read Command cycle or doInsert serves
+	insertStart sim.Time    // doInsert: when the insert began
+	tickLeft    int         // per-cycle tick: cycles still to step
+	stuckLeft   int         // per-cycle tick: dead cycles still to wait
+	resp        Response    // pushResult: the response to push
+	stallStart  sim.Time    // pushResult: when the current stall began
+	scrubAt     int         // scrub: the cell just quarantined
+	probe       Probe       // doMatch: the probe in the pipeline
+	holdMiss    bool        // doMatch: hold a failure for retry (insert mode)
+	searchStart sim.Time    // doMatch: when the probe entered the pipeline
+	hitTag      uint32      // doMatch: the matched cell's tag
+	hit         bool        // doMatch: whether a cell matched
 }
 
-// NewDevice creates and starts a Device on eng.
+// step is one state of the device's control machine.
+type step func(d *Device)
+
+// NewDevice creates a Device on eng and schedules its start, as its own
+// step event at the current instant.
 func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
@@ -210,7 +257,10 @@ func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 		// The device's own stream: Seed mixed with stream index 1.
 		d.frng = sim.NewRand(cfg.Faults.Seed*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
 	}
-	eng.Spawn(name, d.run)
+	d.stepFn, d.signalFn, d.drainFn = d.wake, d.signalled, d.drainTick
+	d.hasWorkFn, d.hasInsertWorkFn, d.roomFn = d.hasWork, d.hasInsertWork, d.resultRoom
+	d.resume = (*Device).loop
+	eng.Schedule(0, d.stepFn)
 	return d, nil
 }
 
@@ -379,80 +429,149 @@ func (d *Device) Tags() []uint32 {
 	return out
 }
 
-// run is the controlling state machine (Fig. 3). The outer loop is the
-// Match state; a non-empty command FIFO at a match boundary enters the
-// Read Command state; START INSERT enters insert mode.
-func (d *Device) run(p *sim.Process) {
-	ready := func() bool {
-		return d.Commands.Len() > 0 || d.Headers.Len() > 0
-	}
-	for {
-		d.idle(p, ready)
-		if d.Dead() {
-			d.playDead(p)
-		}
-		d.faultHook(p)
-
-		// Read Command state: only RESET and START INSERT are valid here;
-		// everything else is discarded (§III-C footnote 3).
-		if c, ok := d.Commands.Pop(); ok {
-			d.tick(p, 1)
-			switch c.Op {
-			case OpReset:
-				d.reset()
-			case OpStartInsert:
-				d.insertLoop(p)
-			case OpInvalidate:
-				d.invalidate(c.Tag)
-			default:
-				d.stats.Discarded++
-			}
-			continue
-		}
-
-		if probe, ok := d.Headers.Pop(); ok {
-			d.doMatch(p, probe, false)
-		}
+// run steps the machine from next until a state waits.
+func (d *Device) run() {
+	for d.next != nil {
+		s := d.next
+		d.next = nil
+		s(d)
 	}
 }
 
-// playDead never returns: a hard-failed unit stops responding on the bus.
+// wake is the device's step event: it continues the machine where a
+// sleep left it.
+func (d *Device) wake() {
+	d.next = d.resume
+	d.run()
+}
+
+// signalled is the device's signal waiter. Like a process in WaitCond, it
+// re-tests the wait's condition and waits again while it is false.
+func (d *Device) signalled() {
+	if !d.waitCond() {
+		d.waitOn.Notify(d.signalFn)
+		return
+	}
+	d.next = d.resume
+	d.run()
+}
+
+// sleep continues at then after t: inline, when the step event would be
+// the next one the engine pops (sim.Engine.Advance), or else from that
+// event. Either way the event is scheduled, or stands in for, the very
+// wake a process's Sleep(t) would take here.
+func (d *Device) sleep(t sim.Time, then step) {
+	if d.eng.Advance(t, d.stepFn) {
+		d.next = then
+		return
+	}
+	d.resume = then
+}
+
+// wait continues at then once cond holds, re-tested each time s is
+// raised; a cond that already holds continues at once.
+func (d *Device) wait(s *sim.Signal, cond func() bool, then step) {
+	if cond() {
+		d.next = then
+		return
+	}
+	d.waitOn, d.waitCond, d.resume = s, cond, then
+	s.Notify(d.signalFn)
+}
+
+// hasWork reports a command or a probe waiting.
+func (d *Device) hasWork() bool { return d.Commands.Len() > 0 || d.Headers.Len() > 0 }
+
+// hasInsertWork reports the work insert mode takes: a command, or a probe
+// while no failed match is held.
+func (d *Device) hasInsertWork() bool {
+	return d.Commands.Len() > 0 || (d.held == nil && d.Headers.Len() > 0)
+}
+
+// resultRoom reports room in the result FIFO.
+func (d *Device) resultRoom() bool { return !d.Results.Full() }
+
+// loop is the top of the controlling state machine (Fig. 3), the Match
+// state: the device idles until a command or a probe waits.
+func (d *Device) loop() { d.idle(d.hasWorkFn, (*Device).serve) }
+
+// serve takes the work idle found. A dead unit plays dead; otherwise the
+// fault hook runs first.
+func (d *Device) serve() {
+	if d.Dead() {
+		d.next = (*Device).playDead
+		return
+	}
+	d.faultHook((*Device).dispatch)
+}
+
+// dispatch enters the Read Command state for a waiting command, which
+// costs one cycle, or else matches a waiting probe.
+func (d *Device) dispatch() {
+	if c, ok := d.Commands.Pop(); ok {
+		d.cmd = c
+		d.tick(1, (*Device).readCommand)
+		return
+	}
+	if probe, ok := d.Headers.Pop(); ok {
+		d.doMatch(probe, false, (*Device).loop)
+		return
+	}
+	d.next = (*Device).loop
+}
+
+// readCommand is the Read Command state: only RESET and START INSERT are
+// valid here; everything else is discarded (§III-C footnote 3).
+func (d *Device) readCommand() {
+	switch d.cmd.Op {
+	case OpReset:
+		d.reset()
+	case OpStartInsert:
+		d.startInsert()
+		return
+	case OpInvalidate:
+		d.invalidate(d.cmd.Tag)
+	default:
+		d.stats.Discarded++
+	}
+	d.next = (*Device).loop
+}
+
+// playDead never leaves: a hard-failed unit stops responding on the bus.
 // Anything already queued — and anything pushed later — is swallowed so the
 // producer-side FIFOs keep draining (a wedged command FIFO would park the
 // firmware's pushCommand forever); no response is ever emitted again. The
-// process parks between kicks, so a dead device never keeps the engine
-// alive and the world still drains to quiescence.
-func (d *Device) playDead(p *sim.Process) {
+// machine waits on its kick between pushes, so a dead device never keeps
+// the engine alive and the world still drains to quiescence.
+func (d *Device) playDead() {
 	for {
-		for {
-			if _, ok := d.Commands.Pop(); !ok {
-				break
-			}
-			d.stats.DeadDiscards++
+		if _, ok := d.Commands.Pop(); !ok {
+			break
 		}
-		for {
-			if _, ok := d.Headers.Pop(); !ok {
-				break
-			}
-			d.stats.DeadDiscards++
-		}
-		p.WaitCond(d.kick, func() bool {
-			return d.Commands.Len() > 0 || d.Headers.Len() > 0
-		})
+		d.stats.DeadDiscards++
 	}
+	for {
+		if _, ok := d.Headers.Pop(); !ok {
+			break
+		}
+		d.stats.DeadDiscards++
+	}
+	d.wait(d.kick, d.hasWorkFn, (*Device).playDead)
 }
 
 // faultHook is the per-opportunity fault point: possibly corrupt one cell,
-// then scrub. Scrubbing immediately after injection models parity checking
-// on the match/readout path — a corrupted cell is quarantined before any
-// probe can (mis)match against it, which is what lets the firmware repair
-// from its shadow copy with zero wrong matches.
-func (d *Device) faultHook(p *sim.Process) {
+// then scrub, then continue at then. Scrubbing immediately after injection
+// models parity checking on the match/readout path — a corrupted cell is
+// quarantined before any probe can (mis)match against it, which is what
+// lets the firmware repair from its shadow copy with zero wrong matches.
+func (d *Device) faultHook(then step) {
 	if d.frng == nil {
+		d.next = then
 		return
 	}
 	d.maybeFlip()
-	d.scrub(p)
+	d.scrubRet = then
+	d.scrub(d.nextValid(0))
 }
 
 // maybeFlip draws the bit-flip chance and, on a hit, flips one random bit
@@ -473,24 +592,30 @@ func (d *Device) maybeFlip() {
 	d.stats.BitFlips++
 }
 
-// scrub scans for parity-bad cells and quarantines each: the cell is
-// invalidated (leaving a hole for compaction) and a FAULT response carrying
-// the lost entry's tag tells the firmware which entry to repair from its
-// host-side shadow copy.
+// scrub scans the valid cells from i up for parity-bad ones and
+// quarantines each: the cell is invalidated (leaving a hole for
+// compaction) and a FAULT response carrying the lost entry's tag tells the
+// firmware which entry to repair from its host-side shadow copy.
 //
 // The scan re-reads the bitmap at every step: a full result FIFO stalls
 // pushResult on compaction cycles, which can move cells mid-scan.
-func (d *Device) scrub(p *sim.Process) {
-	for i := d.nextValid(0); i < len(d.cells); i = d.nextValid(i + 1) {
+func (d *Device) scrub(i int) {
+	for ; i < len(d.cells); i = d.nextValid(i + 1) {
 		c := &d.cells[i]
 		if cellParity(c.bits, c.mask, c.tag) == c.par {
 			continue
 		}
 		d.valid[i/64] &^= 1 << uint(i%64)
 		d.stats.ParityFaults++
-		d.pushResult(p, Response{Kind: RespFault, Tag: c.tag})
+		d.scrubAt = i
+		d.pushResult(Response{Kind: RespFault, Tag: c.tag}, (*Device).scrubNext)
+		return
 	}
+	d.next = d.scrubRet
 }
+
+// scrubNext resumes the scan above the cell just quarantined.
+func (d *Device) scrubNext() { d.scrub(d.nextValid(d.scrubAt + 1)) }
 
 // drainChunk is the number of idle cycles one drain timer covers. Bigger
 // chunks mean fewer engine events on a long drain; the chunk length never
@@ -500,62 +625,71 @@ func (d *Device) scrub(p *sim.Process) {
 const drainChunk = 64
 
 // idle runs the device's compaction-while-waiting behaviour until ready
-// reports work to do: each idle cycle performs one compaction step, and
-// once the array is quiescent the device parks on its kick signal.
-//
-// The fast path parks immediately and advances the drain with chunked
-// timers (armDrainChunk) instead of one engine event per cycle, paying
-// simulated-cycle cost only per state change. If work arrives mid-drain,
-// the pending timer is cancelled and exactly the cycles the per-cycle
-// model would have stepped by the next clock edge are materialised,
-// re-aligning to that edge. Intermediate layouts are unobservable from
-// outside the device (the FIFOs are the only interface and compaction
-// never reorders valid cells), so the two paths are bit-identical in
-// observable behaviour; see DESIGN.md "model performance" for the
-// argument and the producer-granularity assumption.
-func (d *Device) idle(p *sim.Process, ready func() bool) {
-	if d.cfg.PerCycle {
-		for !ready() {
-			if d.needsCompaction() {
-				d.tick(p, 1)
-				continue
-			}
-			p.WaitCond(d.kick, ready)
-		}
+// reports work to do, then continues at then: each idle cycle performs
+// one compaction step, and once the array is quiescent the device waits
+// on its kick signal.
+func (d *Device) idle(ready func() bool, then step) {
+	d.idleReady, d.idleRet = ready, then
+	d.next = (*Device).idleStep
+}
+
+// idleStep is one pass of idle's loop. The per-cycle model ticks one
+// cycle at a time. The fast path waits at once and advances the drain
+// with chunked timers (armDrainChunk) instead of one engine event per
+// cycle, paying simulated-cycle cost only per state change. If work
+// arrives mid-drain, drainCut cancels the pending timer and materialises
+// exactly the cycles the per-cycle model would have stepped by the next
+// clock edge, re-aligning to that edge. Intermediate layouts are
+// unobservable from outside the device (the FIFOs are the only interface
+// and compaction never reorders valid cells), so the two paths are
+// bit-identical in observable behaviour; see DESIGN.md "model
+// performance" for the argument and the producer-granularity assumption.
+func (d *Device) idleStep() {
+	if d.idleReady() {
+		d.next = d.idleRet
 		return
 	}
-	per := d.cfg.Clock.Period
-	for !ready() {
-		if !d.needsCompaction() {
-			p.WaitCond(d.kick, ready)
-			continue
-		}
-		d.drainStart = p.Now()
-		d.drainSteps = 0
-		d.drainDone = false
-		d.armDrainChunk()
-		p.WaitCond(d.kick, ready)
-		if d.drainDone {
-			continue // quiesced before the kick; the device was just parked
-		}
-		d.eng.Cancel(d.drainTimer)
-		// Work arrived mid-drain. The per-cycle model commits a step+sleep
-		// at every edge before it can observe anything, so it would react
-		// at the first clock edge at-or-after now (strictly after when the
-		// kick landed on the edge that started the drain), having stepped
-		// once per edge. Catch up to that edge.
-		elapsed := p.Now() - d.drainStart
-		k := int((elapsed + per - 1) / per)
-		if k == 0 {
-			k = 1
-		}
-		if want := k - d.drainSteps; want > 0 {
-			d.materializeSteps(want)
-		}
-		if align := sim.Time(k)*per - elapsed; align > 0 {
-			p.Sleep(align)
-		}
+	if !d.needsCompaction() {
+		d.wait(d.kick, d.idleReady, (*Device).idleStep)
+		return
 	}
+	if d.cfg.PerCycle {
+		d.tick(1, (*Device).idleStep)
+		return
+	}
+	d.drainStart = d.eng.Now()
+	d.drainSteps = 0
+	d.drainDone = false
+	d.armDrainChunk()
+	d.wait(d.kick, d.idleReady, (*Device).drainCut)
+}
+
+// drainCut runs when work ends an idle wait that armed a drain.
+func (d *Device) drainCut() {
+	if d.drainDone {
+		d.next = (*Device).idleStep // quiesced before the kick; the device was just waiting
+		return
+	}
+	d.eng.Cancel(d.drainTimer)
+	// Work arrived mid-drain. The per-cycle model commits a step+sleep
+	// at every edge before it can observe anything, so it would react
+	// at the first clock edge at-or-after now (strictly after when the
+	// kick landed on the edge that started the drain), having stepped
+	// once per edge. Catch up to that edge.
+	per := d.cfg.Clock.Period
+	elapsed := d.eng.Now() - d.drainStart
+	k := int((elapsed + per - 1) / per)
+	if k == 0 {
+		k = 1
+	}
+	if want := k - d.drainSteps; want > 0 {
+		d.materializeSteps(want)
+	}
+	if align := sim.Time(k)*per - elapsed; align > 0 {
+		d.sleep(align, (*Device).idleStep)
+		return
+	}
+	d.next = (*Device).idleStep
 }
 
 // armDrainChunk schedules the next slice of an idle drain. The pending
@@ -575,19 +709,20 @@ func (d *Device) armDrainChunk() {
 	// cycles-to-quiescence: the chunk whose materialisation reaches
 	// quiescence fires precisely when the per-cycle model's last wake
 	// would, with no lookahead ever simulated.
-	q := d.holesAboveLowestValid()
-	if q > drainChunk {
-		q = drainChunk
+	d.drainChunk = min(d.holesAboveLowestValid(), drainChunk)
+	d.drainTimer = d.eng.ScheduleCancellable(sim.Time(d.drainChunk)*d.cfg.Clock.Period, d.drainFn)
+}
+
+// drainTick is the drain timer: it materialises the chunk it covers and
+// arms the next, or marks the drain done.
+func (d *Device) drainTick() {
+	d.drainSteps += d.drainChunk
+	d.materializeSteps(d.drainChunk)
+	if d.needsCompaction() {
+		d.armDrainChunk()
+		return
 	}
-	d.drainTimer = d.eng.ScheduleCancellable(sim.Time(q)*d.cfg.Clock.Period, func() {
-		d.drainSteps += q
-		d.materializeSteps(q)
-		if d.needsCompaction() {
-			d.armDrainChunk()
-			return
-		}
-		d.drainDone = true
-	})
+	d.drainDone = true
 }
 
 // holesAboveLowestValid counts the empty cells above the lowest valid
@@ -601,92 +736,93 @@ func (d *Device) holesAboveLowestValid() int {
 	return len(d.cells) - lowest - d.Occupancy()
 }
 
-// insertLoop is insert mode: inserts are accepted, and matching continues
-// between inserts until a match fails; failed matches are held for retry
-// until insert mode exits (§III-C, §IV-C).
-func (d *Device) insertLoop(p *sim.Process) {
+// startInsert enters insert mode: inserts are accepted, and matching
+// continues between inserts until a match fails; failed matches are held
+// for retry until insert mode exits (§III-C, §IV-C).
+func (d *Device) startInsert() {
 	d.insertMode = true
 	d.stats.StartInserts++
-	d.pushResult(p, Response{Kind: RespStartAck, Free: d.free()})
+	d.pushResult(Response{Kind: RespStartAck, Free: d.free()}, (*Device).insertStep)
+}
 
-	ready := func() bool {
-		return d.Commands.Len() > 0 || (d.held == nil && d.Headers.Len() > 0)
+// insertStep is one pass of insert mode's loop.
+func (d *Device) insertStep() {
+	if d.Dead() {
+		// A unit that dies mid-insert-episode just stops; the firmware's
+		// response timeouts notice. Fall back to the outer loop, which
+		// plays dead.
+		d.insertMode = false
+		d.held = nil
+		d.next = (*Device).loop
+		return
 	}
-	for {
-		if d.Dead() {
-			// A unit that dies mid-insert-episode just stops; the firmware's
-			// response timeouts notice. Fall back to the outer loop, which
-			// parks the corpse.
+	if c, ok := d.Commands.Pop(); ok {
+		switch c.Op {
+		case OpInsert:
+			d.doInsert(c, (*Device).insertStep)
+			return
+		case OpStopInsert:
 			d.insertMode = false
+			if d.held == nil {
+				d.next = (*Device).loop
+				return
+			}
+			probe := *d.held
 			d.held = nil
+			// Retry the held match against the post-insert list.
+			d.doMatch(probe, false, (*Device).loop)
+			return
+		case OpInvalidate:
+			// Honored in insert mode too: commands stay strictly FIFO
+			// and always precede header processing, so a probe pushed
+			// after an INVALIDATE can never observe the cleared cell.
+			// A discarded invalidate would leave a purged wildcard copy
+			// resident, silently skewing the firmware's mirror.
+			d.invalidate(c.Tag)
+		default:
+			// START INSERT while inserting, or RESET mid-insert: the
+			// prototype discards these (§III-C).
+			d.stats.Discarded++
+		}
+		d.next = (*Device).insertStep
+		return
+	}
+
+	// Between inserts, matching continues until a match fails.
+	if d.held == nil {
+		if probe, ok := d.Headers.Pop(); ok {
+			d.doMatch(probe, true, (*Device).insertStep)
 			return
 		}
-		if c, ok := d.Commands.Pop(); ok {
-			switch c.Op {
-			case OpInsert:
-				d.doInsert(p, c)
-			case OpStopInsert:
-				d.insertMode = false
-				if d.held != nil {
-					probe := *d.held
-					d.held = nil
-					// Retry the held match against the post-insert list.
-					d.doMatch(p, probe, false)
-				}
-				return
-			case OpInvalidate:
-				// Honored in insert mode too: commands stay strictly FIFO
-				// and always precede header processing, so a probe pushed
-				// after an INVALIDATE can never observe the cleared cell.
-				// A discarded invalidate would leave a purged wildcard copy
-				// resident, silently skewing the firmware's mirror.
-				d.invalidate(c.Tag)
-			default:
-				// START INSERT while inserting, or RESET mid-insert: the
-				// prototype discards these (§III-C).
-				d.stats.Discarded++
-			}
-			continue
-		}
-
-		// Between inserts, matching continues until a match fails.
-		if d.held == nil {
-			if probe, ok := d.Headers.Pop(); ok {
-				d.doMatch(p, probe, true)
-				continue
-			}
-		}
-
-		d.idle(p, ready)
 	}
+	d.idle(d.hasInsertWorkFn, (*Device).insertStep)
 }
 
 // doInsert writes a new entry into cell 0, waiting for compaction to
-// vacate it if necessary. Inserts are irrevocable (§IV-C footnote 4): an
-// insert with no free cell is lost and counted.
-func (d *Device) doInsert(p *sim.Process, c Command) {
-	if t := d.cfg.Tracer; t != nil {
-		start := p.Now()
-		defer func() {
-			// Teardown (sim.Engine.Close) records nothing.
-			if !p.Killed() {
-				t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "insert", start, p.Now())
-			}
-		}()
-	}
+// vacate it if necessary, and continues at then. Inserts are irrevocable
+// (§IV-C footnote 4): an insert with no free cell is lost and counted.
+func (d *Device) doInsert(c Command, then step) {
+	d.cmd, d.insertRet, d.insertStart = c, then, d.eng.Now()
 	if d.free() == 0 {
 		d.stats.LostInserts++
-		d.tick(p, d.cfg.InsertCycles)
+		d.tick(d.cfg.InsertCycles, (*Device).insertDone)
 		return
 	}
-	for d.valid[0]&1 != 0 {
-		// Compaction will drain a hole down to cell 0 (one exists: free>0).
-		if d.cfg.PerCycle {
-			d.tick(p, 1)
-			continue
+	d.next = (*Device).insertWrite
+}
+
+// insertWrite writes the entry once compaction has drained a hole down to
+// cell 0 (one exists: the insert found a free cell).
+func (d *Device) insertWrite() {
+	if d.valid[0]&1 != 0 {
+		n := 1
+		if !d.cfg.PerCycle {
+			n = d.cyclesUntilCellZeroFree()
 		}
-		d.tick(p, d.cyclesUntilCellZeroFree())
+		d.tick(n, (*Device).insertWrite)
+		return
 	}
+	c := d.cmd
 	d.cells[0] = cell{bits: c.Bits, mask: c.Mask, tag: c.Tag,
 		par: cellParity(c.Bits, c.Mask, c.Tag)}
 	d.valid[0] |= 1
@@ -694,49 +830,69 @@ func (d *Device) doInsert(p *sim.Process, c Command) {
 	if occ := d.Occupancy(); occ > d.stats.MaxOccupancy {
 		d.stats.MaxOccupancy = occ
 	}
-	d.tick(p, d.cfg.InsertCycles)
+	d.tick(d.cfg.InsertCycles, (*Device).insertDone)
 }
 
-// doMatch runs one probe through the pipeline. In insert mode a failure is
-// held for retry instead of producing MATCH FAILURE (§IV-A: failure never
-// appears between START ACKNOWLEDGE and STOP INSERT).
-func (d *Device) doMatch(p *sim.Process, probe Probe, inInsertMode bool) {
-	d.faultHook(p)
-	// Resolve the match and delete against the pipeline-entry state; the
-	// tick below models the pipeline occupancy. Compaction during the tick
-	// may move cells, so the result must be captured first.
-	searchStart := p.Now()
-	idx := d.findMatch(probe)
-	hit := idx >= 0
-	var tag uint32
-	if hit {
-		tag = d.cells[idx].tag
+// insertDone records the insert's span in the step that completes it, so
+// an insert cut short by teardown (sim.Engine.Close fires no event)
+// records nothing.
+func (d *Device) insertDone() {
+	if t := d.cfg.Tracer; t != nil {
+		t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "insert", d.insertStart, d.eng.Now())
+	}
+	d.next = d.insertRet
+}
+
+// doMatch runs one probe through the pipeline and continues at then. In
+// insert mode (hold) a failure is held for retry instead of producing
+// MATCH FAILURE (§IV-A: failure never appears between START ACKNOWLEDGE
+// and STOP INSERT).
+func (d *Device) doMatch(probe Probe, hold bool, then step) {
+	d.probe, d.holdMiss, d.matchRet = probe, hold, then
+	d.faultHook((*Device).search)
+}
+
+// search resolves the match and delete against the pipeline-entry state;
+// the tick models the pipeline occupancy. Compaction during the tick may
+// move cells, so the result is captured first.
+func (d *Device) search() {
+	d.searchStart = d.eng.Now()
+	idx := d.findMatch(d.probe)
+	d.hit = idx >= 0
+	if d.hit {
+		d.hitTag = d.cells[idx].tag
 		d.deleteAt(idx)
 	}
-	d.tick(p, d.cfg.MatchCycles)
+	d.tick(d.cfg.MatchCycles, (*Device).searched)
+}
+
+// searched answers the probe when it leaves the pipeline.
+func (d *Device) searched() {
+	now := d.eng.Now()
 	if t := d.cfg.Tracer; t != nil {
-		t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "search", searchStart, p.Now())
-		if hit {
-			t.Instant(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "delete", p.Now())
+		t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "search", d.searchStart, now)
+		if d.hit {
+			t.Instant(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "delete", now)
 		}
 	}
 	d.stats.Matches++
 	if period := d.cfg.Clock.Period; period > 0 {
-		d.stats.SearchCycles.Add(int((p.Now() - searchStart) / period))
+		d.stats.SearchCycles.Add(int((now - d.searchStart) / period))
 	}
-	if hit {
+	if d.hit {
 		d.stats.Hits++
-		d.pushResult(p, Response{Kind: RespMatchSuccess, Tag: tag, Probe: probe})
+		d.pushResult(Response{Kind: RespMatchSuccess, Tag: d.hitTag, Probe: d.probe}, d.matchRet)
 		return
 	}
-	if inInsertMode {
+	if d.holdMiss {
 		d.stats.HeldRetries++
-		held := probe
+		held := d.probe
 		d.held = &held
+		d.next = d.matchRet
 		return
 	}
 	d.stats.Failures++
-	d.pushResult(p, Response{Kind: RespMatchFailure, Probe: probe})
+	d.pushResult(Response{Kind: RespMatchFailure, Probe: d.probe}, d.matchRet)
 }
 
 // findMatch returns the index of the highest-priority (highest index,
@@ -807,40 +963,68 @@ func (d *Device) reset() {
 }
 
 // tick advances n device clock cycles, performing one compaction step per
-// cycle (the per-cycle register enables of §III-B). The batched model
-// applies all n steps' worth of state change up front — the intermediate
-// layouts are internal to the device — and sleeps the burst in two events:
-// the final wake is scheduled one period early, exactly when the per-cycle
-// model schedules its last wake, so same-instant event ordering against
-// other processes is preserved.
-func (d *Device) tick(p *sim.Process, n int) {
+// cycle (the per-cycle register enables of §III-B), and continues at
+// then. The batched model applies all n steps' worth of state change up
+// front — the intermediate layouts are internal to the device — and
+// sleeps the burst in two steps: the first ends one period early, exactly
+// where the per-cycle model schedules its last step, so same-instant
+// event ordering against the rest of the world is preserved.
+func (d *Device) tick(n int, then step) {
 	if n <= 0 {
+		d.next = then
 		return
 	}
-	per := d.cfg.Clock.Period
+	d.tickRet = then
 	if d.cfg.PerCycle {
-		for i := 0; i < n; i++ {
-			if d.frng != nil && d.frng.Chance(d.cfg.Faults.StuckProb) {
-				// Stuck compaction: the step machinery wedges for a short
-				// run of cycles in which time passes but nothing moves.
-				k := 1 + d.frng.Intn(8)
-				d.stats.StuckCycles += uint64(k)
-				for j := 0; j < k; j++ {
-					p.Sleep(per)
-				}
-			}
-			if d.shiftStep() {
-				d.stats.ShiftCycles++
-			}
-			p.Sleep(per)
-		}
+		d.tickLeft = n
+		d.next = (*Device).cycle
 		return
 	}
 	d.materializeSteps(n)
 	if n > 1 {
-		p.Sleep(sim.Time(n-1) * per)
+		d.sleep(sim.Time(n-1)*d.cfg.Clock.Period, (*Device).lastCycle)
+		return
 	}
-	p.Sleep(per)
+	d.lastCycle()
+}
+
+// lastCycle sleeps the final cycle of a batched tick.
+func (d *Device) lastCycle() { d.sleep(d.cfg.Clock.Period, d.tickRet) }
+
+// cycle starts one cycle of a per-cycle tick. Stuck compaction: the step
+// machinery may wedge for a short run of cycles in which time passes but
+// nothing moves.
+func (d *Device) cycle() {
+	if d.tickLeft == 0 {
+		d.next = d.tickRet
+		return
+	}
+	d.tickLeft--
+	d.next = (*Device).shift
+	if d.frng != nil && d.frng.Chance(d.cfg.Faults.StuckProb) {
+		k := 1 + d.frng.Intn(8)
+		d.stats.StuckCycles += uint64(k)
+		d.stuckLeft = k
+		d.next = (*Device).stuck
+	}
+}
+
+// stuck waits out the dead cycles of a stuck step, one at a time.
+func (d *Device) stuck() {
+	if d.stuckLeft == 0 {
+		d.next = (*Device).shift
+		return
+	}
+	d.stuckLeft--
+	d.sleep(d.cfg.Clock.Period, (*Device).stuck)
+}
+
+// shift performs the cycle's compaction step and sleeps the cycle.
+func (d *Device) shift() {
+	if d.shiftStep() {
+		d.stats.ShiftCycles++
+	}
+	d.sleep(d.cfg.Clock.Period, (*Device).cycle)
 }
 
 // materializeSteps applies up to n compaction cycles of state change
@@ -1086,31 +1270,50 @@ func (d *Device) needsCompaction() bool {
 	return false
 }
 
-// pushResult appends to the result FIFO, stalling (as real hardware would
-// backpressure) while it is full until the processor drains it (§IV-C).
-// While stalled the device is not idle-spinning: compaction steps keep
-// running (one per cycle, as the hardware's register enables would), and
-// only once the array is fully compacted does the device park on the
-// FIFO's not-full edge. ResultStalls is charged at a single site from
-// elapsed stall time, so the per-cycle and cycle-batched paths count
-// identically by construction (tick(p, 1) advances exactly one clock
-// period in both modes; the fast-vs-reference oracle in
-// TestPushResultStallOracle pins this).
-func (d *Device) pushResult(p *sim.Process, r Response) {
-	for d.Results.Full() {
-		start := p.Now()
+// pushResult appends r to the result FIFO and continues at then, stalling
+// (as real hardware would backpressure) while the FIFO is full until the
+// processor drains it (§IV-C). While stalled the device is not
+// idle-spinning: compaction steps keep running (one per cycle, as the
+// hardware's register enables would), and only once the array is fully
+// compacted does the device wait on the FIFO's not-full edge.
+// ResultStalls is charged at a single site (stalled) from elapsed stall
+// time, so the per-cycle and cycle-batched paths count identically by
+// construction (tick(1) advances exactly one clock period in both modes;
+// the fast-vs-reference oracle in TestPushResultStallOracle pins this).
+func (d *Device) pushResult(r Response, then step) {
+	d.resp, d.pushRet = r, then
+	d.offer()
+}
+
+// offer pushes the pending response, or stalls one step while the FIFO
+// is full.
+func (d *Device) offer() {
+	if d.Results.Full() {
+		d.stallStart = d.eng.Now()
 		if d.needsCompaction() {
-			d.tick(p, 1)
+			d.tick(1, (*Device).stalled)
 		} else {
-			p.WaitCond(d.Results.NotFull, func() bool { return !d.Results.Full() })
+			d.wait(d.Results.NotFull, d.roomFn, (*Device).stalled)
 		}
-		d.stats.ResultStalls += uint64((p.Now() - start) / d.cfg.Clock.Period)
+		return
 	}
+	d.next = d.pushRet
 	if d.frng != nil && d.frng.Chance(d.cfg.Faults.ResultDropProb) {
 		d.stats.DroppedResults++
 		return
 	}
+	d.emit(d.resp)
+}
+
+// emit pushes r into a result FIFO the caller found not full.
+func (d *Device) emit(r Response) {
 	if !d.Results.Push(r) {
 		panic(fmt.Sprintf("%s: result FIFO rejected push while not full", d.name))
 	}
+}
+
+// stalled charges one stall step and offers the response again.
+func (d *Device) stalled() {
+	d.stats.ResultStalls += uint64((d.eng.Now() - d.stallStart) / d.cfg.Clock.Period)
+	d.next = (*Device).offer
 }

@@ -405,7 +405,7 @@ func (w *World) run() {
 }
 
 // Close tears the world down: every process still parked on its engines
-// — the NIC firmware loops, the ALPU devices and any rank left blocked —
+// — the NIC firmware loops and any rank left blocked —
 // is unwound without recording anything (sim.Engine.Close), so a
 // finished world holds no goroutine and is garbage once the caller drops
 // it. Results, recorders and statistics stay readable. RunSim calls it

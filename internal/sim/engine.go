@@ -189,7 +189,7 @@ type Engine struct {
 	executed uint64
 	switches uint64 // resumes of co-simulated processes
 	handoffs uint64 // baton transfers between goroutines
-	inlined  uint64 // Sleep wakes taken inline (see inlineWake)
+	inlined  uint64 // Sleep wakes and Advance steps taken inline (see inlineWake)
 
 	// pollers counts pending housekeeping events scheduled with
 	// SchedulePoll — watchdog checks, telemetry samplers. They are
@@ -215,8 +215,8 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Executed reports how many events have fired so far. A Sleep wake taken
-// inline counts as the event it stands for.
+// Executed reports how many events have fired so far. A Sleep wake or an
+// Advance step taken inline counts as the event it stands for.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Switches reports how many times a co-simulated process has been
@@ -579,6 +579,25 @@ func (e *Engine) inlineWake(t Time) bool {
 	e.executed++
 	e.inlined++
 	return true
+}
+
+// Advance is Schedule for the timed step of a model written as a state
+// machine rather than a process: it runs the step fn after delay d. When
+// that event would be the next one the active Run or RunBefore pops, it
+// is taken inline, as a process's Sleep would take its wake: the clock
+// and counters advance as the event would advance them, nothing is
+// queued, and Advance reports true; the caller then runs the step itself,
+// at once. Otherwise Advance schedules fn and reports false. Under a bare
+// Step, or once Stop is called, the step always goes through the queue.
+func (e *Engine) Advance(d Time, fn func()) bool {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v at %v", d, e.now))
+	}
+	if e.inlineWake(e.now + d) {
+		return true
+	}
+	e.push(e.now+d, fn)
+	return false
 }
 
 // Run executes events until none remain or Stop is called. While it runs,

@@ -212,21 +212,37 @@ func (p *Process) WaitCondUntil(s *Signal, cond func() bool, d Time) bool {
 // Raise with no waiter is not lost) and wakes all current waiters at the
 // same simulated instant. It is the moral equivalent of the "FIFO became
 // non-empty" wires between the paper's hardware units.
+//
+// A waiter is a parked process or a function (Notify): a hardware model
+// written as a state machine registers the function that steps it. Both
+// kinds share one list, so they fire in registration order.
 type Signal struct {
 	eng     *Engine
 	raised  bool
-	waiters []*Process
+	waiters []waiter
+}
+
+// waiter is one registration on a signal: a process or, when p is nil, a
+// function.
+type waiter struct {
+	p  *Process
+	fn func()
 }
 
 // NewSignal returns a lowered signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
-// Raise sets the signal level and schedules every waiting process to resume
-// at the current instant.
+// Raise sets the signal level and schedules one event per waiter at the
+// current instant, in registration order: a process's wake, or a call of
+// the function. Each takes the schedule sequence number Schedule would.
 func (s *Signal) Raise() {
 	s.raised = true
-	for _, p := range s.waiters {
-		s.eng.wake(0, p, true)
+	for _, w := range s.waiters {
+		if w.p != nil {
+			s.eng.wake(0, w.p, true)
+		} else {
+			s.eng.push(s.eng.now, w.fn)
+		}
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
@@ -239,4 +255,11 @@ func (s *Signal) TestClear() bool {
 	return r
 }
 
-func (s *Signal) addWaiter(p *Process) { s.waiters = append(s.waiters, p) }
+// Notify registers fn to run, as its own event, at the next Raise. The
+// registration is used once: a function that wants to keep waiting
+// registers again. Notify neither reads nor clears the level. fn should be
+// a value made once (a method value bound at construction), so that a
+// warm wait allocates nothing.
+func (s *Signal) Notify(fn func()) { s.waiters = append(s.waiters, waiter{fn: fn}) }
+
+func (s *Signal) addWaiter(p *Process) { s.waiters = append(s.waiters, waiter{p: p}) }

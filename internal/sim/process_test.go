@@ -308,7 +308,8 @@ func TestFIFOProducerConsumerProcesses(t *testing.T) {
 
 // TestParkAllocatesNothing: once warm, a park and the wake that resumes it
 // allocate nothing — the wake rides a pooled event object, and a signal
-// keeps its waiter list's backing array across raises.
+// keeps its waiter list's backing array across raises. The same holds
+// for a function waiter's wait.
 func TestParkAllocatesNothing(t *testing.T) {
 	const loops = 1000
 	t.Run("contended-sleep", func(t *testing.T) {
@@ -352,6 +353,29 @@ func TestParkAllocatesNothing(t *testing.T) {
 		}
 		for !w.Done() {
 			roundTrip()
+		}
+	})
+	t.Run("function-wait", func(t *testing.T) {
+		// A state machine's warm wait: the function is bound once, the
+		// registration reuses the waiter list's backing array and the
+		// event rides a pooled object.
+		e := NewEngine()
+		s := NewSignal(e)
+		n := 0
+		fn := func() { n++ }
+		roundTrip := func() {
+			s.Notify(fn)
+			s.Raise()
+			e.Step()
+		}
+		for i := 0; i < 16; i++ {
+			roundTrip()
+		}
+		if a := testing.AllocsPerRun(100, roundTrip); a != 0 {
+			t.Fatalf("Notify/Raise: %v allocations per wait, want 0", a)
+		}
+		if n != 16+101 {
+			t.Fatalf("the waiter ran %d times, want %d", n, 16+101)
 		}
 	})
 }
