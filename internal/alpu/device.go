@@ -125,10 +125,9 @@ type Stats struct {
 // signal (or on the result FIFO's not-full edge while a push stalls), and
 // its own step events at the clock edges where a cycle burst ends (see
 // sleep). Each state is a method that runs at one instant and names the
-// next state in next, or arranges a wake and leaves next nil; a state
-// that may run more than one way is entered through a small helper
-// (tick, pushResult, idle, doMatch, doInsert, faultHook) that records
-// where to continue afterwards.
+// next state in next, or arranges a wake and leaves next nil. A sequence
+// entered from several states (tick, pushResult, idle, doMatch, doInsert,
+// faultHook) is called with the state to continue at when it is done.
 type Device struct {
 	cfg  Config
 	eng  *sim.Engine
@@ -458,8 +457,8 @@ func (d *Device) signalled() {
 
 // sleep continues at then after t: inline, when the step event would be
 // the next one the engine pops (sim.Engine.Advance), or else from that
-// event. Either way the event is scheduled, or stands in for, the very
-// wake a process's Sleep(t) would take here.
+// event. Either way the step counts as one event, at the place in the
+// schedule that Schedule(t) gives it here.
 func (d *Device) sleep(t sim.Time, then step) {
 	if d.eng.Advance(t, d.stepFn) {
 		d.next = then

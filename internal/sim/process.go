@@ -219,14 +219,11 @@ func (p *Process) WaitCondUntil(s *Signal, cond func() bool, d Time) bool {
 type Signal struct {
 	eng     *Engine
 	raised  bool
-	waiters []waiter
-}
-
-// waiter is one registration on a signal: a process or, when p is nil, a
-// function.
-type waiter struct {
-	p  *Process
-	fn func()
+	waiters []*Process // registration order; nil stands for the next of fns
+	// fns holds the function waiters in registration order. The first
+	// Notify makes it, so a signal that only processes wait on keeps its
+	// size and one-word waiter entries.
+	fns *[]func()
 }
 
 // NewSignal returns a lowered signal bound to e.
@@ -237,15 +234,21 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 // the function. Each takes the schedule sequence number Schedule would.
 func (s *Signal) Raise() {
 	s.raised = true
-	for _, w := range s.waiters {
-		if w.p != nil {
-			s.eng.wake(0, w.p, true)
-		} else {
-			s.eng.push(s.eng.now, w.fn)
+	next := 0
+	for _, p := range s.waiters {
+		if p != nil {
+			s.eng.wake(0, p, true)
+			continue
 		}
+		s.eng.push(s.eng.now, (*s.fns)[next])
+		next++
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
+	if next > 0 {
+		clear(*s.fns)
+		*s.fns = (*s.fns)[:0]
+	}
 }
 
 // TestClear reports whether the signal was raised, clearing it.
@@ -260,6 +263,12 @@ func (s *Signal) TestClear() bool {
 // registers again. Notify neither reads nor clears the level. fn should be
 // a value made once (a method value bound at construction), so that a
 // warm wait allocates nothing.
-func (s *Signal) Notify(fn func()) { s.waiters = append(s.waiters, waiter{fn: fn}) }
+func (s *Signal) Notify(fn func()) {
+	if s.fns == nil {
+		s.fns = new([]func())
+	}
+	s.waiters = append(s.waiters, nil)
+	*s.fns = append(*s.fns, fn)
+}
 
-func (s *Signal) addWaiter(p *Process) { s.waiters = append(s.waiters, waiter{p: p}) }
+func (s *Signal) addWaiter(p *Process) { s.waiters = append(s.waiters, p) }

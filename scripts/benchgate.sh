@@ -54,6 +54,8 @@ go test -run '^$' -bench 'BenchmarkNetworkSend' -benchtime 0.2s -benchmem -count
 # reports its events, switches and handoffs per op, which the gate holds
 # exactly.
 go test -run '^$' -bench 'BenchmarkWorld(Build|Run)$' -benchtime 0.2s -benchmem -count 3 ./internal/mpi | tee -a "$out"
+# The quick Fig. 5 sweep cuts also report the events, switches and
+# handoffs of every world they run, per op; the gate holds them exactly.
 go test -run '^$' -bench 'BenchmarkFig5' -benchtime 3x -count 3 . | tee -a "$out"
 # Exporters (Chrome trace, sim-time pprof profile, time series) of one
 # recorders-sized world, about 600 events: -benchmem lets the gate hold
