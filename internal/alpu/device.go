@@ -169,11 +169,11 @@ type Device struct {
 	// Idle-drain state (see idleStep): a drain is the compaction the
 	// device runs while it waits for work, advanced by chunked timers
 	// instead of per-cycle steps.
-	drainStart sim.Time
-	drainSteps int // compaction cycles materialised since drainStart
-	drainDone  bool
-	drainTimer sim.EventID
-	drainChunk int // cycles the pending drain timer covers
+	drainStart  sim.Time
+	drainSteps  int // compaction cycles materialised since drainStart
+	drainDone   bool
+	drainTimer  sim.EventID
+	drainCycles int // cycles the pending drain timer covers
 
 	insertMode bool
 	stats      Stats
@@ -708,15 +708,15 @@ func (d *Device) armDrainChunk() {
 	// cycles-to-quiescence: the chunk whose materialisation reaches
 	// quiescence fires precisely when the per-cycle model's last wake
 	// would, with no lookahead ever simulated.
-	d.drainChunk = min(d.holesAboveLowestValid(), drainChunk)
-	d.drainTimer = d.eng.ScheduleCancellable(sim.Time(d.drainChunk)*d.cfg.Clock.Period, d.drainFn)
+	d.drainCycles = min(d.holesAboveLowestValid(), drainChunk)
+	d.drainTimer = d.eng.ScheduleCancellable(sim.Time(d.drainCycles)*d.cfg.Clock.Period, d.drainFn)
 }
 
 // drainTick is the drain timer: it materialises the chunk it covers and
 // arms the next, or marks the drain done.
 func (d *Device) drainTick() {
-	d.drainSteps += d.drainChunk
-	d.materializeSteps(d.drainChunk)
+	d.drainSteps += d.drainCycles
+	d.materializeSteps(d.drainCycles)
 	if d.needsCompaction() {
 		d.armDrainChunk()
 		return
