@@ -64,6 +64,9 @@ func TestQuickAllGolden(t *testing.T) {
 	seed := []string{"-seed", "42"}
 	clitest.New("ALPUSIM_MAIN").Run(t, []clitest.Case{
 		{Name: "all-quick", Args: []string{"-quick", "-experiment", "all"}},
+		// The CSV writer, with Fig. 5/6 messages of 1024 bytes instead of
+		// the paper's zero-byte payloads.
+		{Name: "all-quick-csv", Args: []string{"-quick", "-experiment", "all", "-format", "csv", "-size", "1024"}},
 		// Full size: the quick grids do not expose every cost constant
 		// (ALPUMatchCycles among them).
 		{Name: "all", Args: []string{"-experiment", "all"}},

@@ -75,6 +75,9 @@ func TestMain(m *testing.M) { clitest.Main(m, "QUEUESTUDY_MAIN", main) }
 func TestGolden(t *testing.T) {
 	clitest.New("QUEUESTUDY_MAIN").Run(t, []clitest.Case{
 		{Name: "default"},
+		// The run report of the 4-rank studies (the default sweep's
+		// report is 3 MB per golden).
+		{Name: "report", Args: []string{"-ranks", "4"}, Files: []string{"report"}},
 		// The -breakdown table moves with the partition count above 1:
 		// the lifecycle recorder keys messages by (source, tag), which
 		// these workloads reuse, so which message's stamps win depends on
