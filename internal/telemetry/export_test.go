@@ -270,8 +270,19 @@ func TestExportersMatchReference(t *testing.T) {
 }
 
 // TestExportersAllocateNothingPerEvent: the allocations of an export do
-// not grow with the number of events, spans or samples.
+// not grow with the number of events, spans or samples. Each size is
+// measured as the fewest allocations of several single exports: the race
+// runtime drops sync.Pool items at random (encoding/json's encoder pool
+// among them), which can only add allocations to a run, while an
+// allocation per event adds hundreds to every run.
 func TestExportersAllocateNothingPerEvent(t *testing.T) {
+	fewest := func(f func()) float64 {
+		least := testing.AllocsPerRun(1, f)
+		for i := 0; i < 9; i++ {
+			least = min(least, testing.AllocsPerRun(1, f))
+		}
+		return least
+	}
 	trace := func(n int) *Tracer {
 		tr := NewTracer()
 		everyKind(tr)
@@ -307,7 +318,7 @@ func TestExportersAllocateNothingPerEvent(t *testing.T) {
 		{"WriteSimProfile", func() { WriteSimProfile(io.Discard, small) }, func() { WriteSimProfile(io.Discard, large) }},
 		{"Sampler.WriteJSON", func() { ssmall.WriteJSON(io.Discard) }, func() { slarge.WriteJSON(io.Discard) }},
 	} {
-		if a, b := testing.AllocsPerRun(5, c.small), testing.AllocsPerRun(5, c.large); b > a {
+		if a, b := fewest(c.small), fewest(c.large); b > a {
 			t.Errorf("%s: %v allocs at 100 events, %v at 800", c.name, a, b)
 		}
 	}
