@@ -15,8 +15,8 @@ import (
 // buildPair wires two host+NIC nodes directly (below the MPI layer).
 func buildPair(eng *sim.Engine) (*host.Host, *host.Host) {
 	net := network.New(eng, 2)
-	n0 := nic.New(eng, nic.Config{ID: 0}, net)
-	n1 := nic.New(eng, nic.Config{ID: 1}, net)
+	n0 := nic.New(eng, 0, nic.Config{}, net, nic.Env{})
+	n1 := nic.New(eng, 1, nic.Config{}, net, nic.Env{})
 	return host.New(eng, 0, n0), host.New(eng, 1, n1)
 }
 

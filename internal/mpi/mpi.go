@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"alpusim/internal/alpu"
 	"alpusim/internal/host"
 	"alpusim/internal/match"
 	"alpusim/internal/network"
@@ -44,7 +43,7 @@ const (
 type Config struct {
 	// Ranks is the number of processes (= nodes; one rank per node).
 	Ranks int
-	// NIC is the per-node NIC configuration (ID is filled in per node).
+	// NIC is every node's NIC build point, passed to each NIC unmodified.
 	NIC nic.Config
 
 	// Partitions > 0 runs the world as a conservative parallel simulation:
@@ -60,10 +59,11 @@ type Config struct {
 	// negative values panic.
 	Partitions int
 
-	// Faults installs a network fault model (nil = the reliable in-order
-	// default). Setting it forces NIC.Reliable on: MPI matching is only
-	// correct over in-order loss-free delivery, which the NIC reliability
-	// protocol restores.
+	// Faults installs a fault model (nil = the reliable in-order
+	// default). Its wire classes go to the network and force every NIC's
+	// reliability protocol on: MPI matching is only correct over in-order
+	// loss-free delivery. Every NIC derives its device faults from its
+	// device classes (nic.Env).
 	Faults *network.FaultModel
 	// WatchdogLimit fails the world (panic with *sim.WatchdogError carrying
 	// a diagnostic dump) if simulated time passes it — the stall detector
@@ -160,37 +160,6 @@ type World struct {
 	nextCtx  uint16
 	ctxTable map[string]uint16
 	boards   map[string][]any
-
-	// devFaults records that device-level fault classes were configured,
-	// gating the world-level alpu_faults/nic_failover telemetry rollups.
-	devFaults bool
-	// matchShards mirrors Config.NIC.MatchShards, gating the world-level
-	// match_fabric telemetry rollups.
-	matchShards int
-}
-
-// applyDeviceFaults maps the device-level classes of the world fault
-// model onto one NIC's config. Per-device fault streams are derived
-// inside the alpu/nic layers from the seed, the NIC id and the unit id,
-// so one world seed yields independent, partition-count-invariant fault
-// schedules on every device.
-func applyDeviceFaults(nc *nic.Config, f *network.FaultModel) {
-	if !f.DeviceActive() {
-		return
-	}
-	if f.ALPUBitFlipProb > 0 || f.ALPUResultDropProb > 0 || f.ALPUStuckProb > 0 || f.ALPUDeathAt > 0 {
-		nc.ALPUFaults = &alpu.FaultModel{
-			Seed:           uint64(f.Seed),
-			BitFlipProb:    f.ALPUBitFlipProb,
-			ResultDropProb: f.ALPUResultDropProb,
-			StuckProb:      f.ALPUStuckProb,
-			DeathAt:        f.ALPUDeathAt,
-		}
-	}
-	if f.FwCrashProb > 0 {
-		nc.FwCrashProb = f.FwCrashProb
-		nc.FwCrashSeed = uint64(f.Seed)*0x9E3779B97F4A7C15 + uint64(nc.ID) + 1
-	}
 }
 
 // NewWorld constructs the cluster: network, NICs (with optional ALPUs),
@@ -235,10 +204,9 @@ func NewWorld(cfg Config) *World {
 		net = network.NewPartitioned(ps, partOf)
 	}
 	if cfg.Faults.WireActive() {
-		// Wire classes go to the network; the reliability protocol restores
-		// the in-order, loss-free delivery the matching queues assume.
+		// Wire classes go to the network; each NIC turns its reliability
+		// protocol on for them.
 		net.SetFaults(cfg.Faults)
-		cfg.NIC.Reliable = true
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -261,54 +229,46 @@ func NewWorld(cfg Config) *World {
 		parts[p] = newRecorders(cfg, engines[p], serial)
 	}
 	w := &World{
-		Eng:         engines[0],
-		Net:         net,
-		Tel:         reg,
-		Tracer:      cfg.Tracer,
-		Causal:      cfg.Causal,
-		Phases:      cfg.Phases,
-		Series:      cfg.Series,
-		Engines:     engines,
-		ps:          ps,
-		partOf:      partOf,
-		parts:       parts,
-		log:         telemetry.SimLogger(cfg.Log, engines[0].Now),
-		faults:      cfg.Faults,
-		flightPath:  cfg.FlightDumpPath,
-		devFaults:   cfg.Faults.DeviceActive() || cfg.NIC.DeviceFaults(),
-		matchShards: cfg.NIC.MatchShards,
-		nextCtx:     worldContext,
-		ctxTable:    make(map[string]uint16),
-		boards:      make(map[string][]any),
+		Eng:        engines[0],
+		Net:        net,
+		Tel:        reg,
+		Tracer:     cfg.Tracer,
+		Causal:     cfg.Causal,
+		Phases:     cfg.Phases,
+		Series:     cfg.Series,
+		Engines:    engines,
+		ps:         ps,
+		partOf:     partOf,
+		parts:      parts,
+		log:        parts[0].log,
+		faults:     cfg.Faults,
+		flightPath: cfg.FlightDumpPath,
+		nextCtx:    worldContext,
+		ctxTable:   make(map[string]uint16),
+		boards:     make(map[string][]any),
 	}
-	logs := make([]*slog.Logger, nparts)
-	for p := range logs {
-		logs[p] = telemetry.SimLogger(cfg.Log, engines[p].Now)
+	var onError func(error)
+	if w.flightPath != "" && parts[0].tracer != nil {
+		if serial {
+			// The world is quiescent inside any event of its one engine,
+			// so the dump holds exactly the history up to the first fault.
+			onError = func(error) { w.dumpFlight("protocol-error", false) }
+		} else {
+			// The hook fires on a partition goroutine mid-window, where
+			// reading other partitions' bundles would race; defer the dump
+			// to the next barrier, where the world is quiescent.
+			onError = func(error) { w.requestDump("protocol-error") }
+		}
 	}
 	for i := 0; i < cfg.Ranks; i++ {
-		p := partOf[i]
-		nc := cfg.NIC
-		nc.ID = i
-		applyDeviceFaults(&nc, cfg.Faults)
-		nc.Telemetry = reg
-		parts[p].attach(&nc, net.Endpoint(i))
-		nc.Log = logs[p]
-		if w.flightPath != "" && parts[0].tracer != nil {
-			if serial {
-				// The world is quiescent inside any event of its one
-				// engine, so the dump holds exactly the history up to the
-				// first fault.
-				nc.ErrorHook = func(error) { w.dumpFlight("protocol-error", false) }
-			} else {
-				// The hook fires on a partition goroutine mid-window, where
-				// reading other partitions' bundles would race; defer the
-				// dump to the next barrier, where the world is quiescent.
-				nc.ErrorHook = func(error) { w.requestDump("protocol-error") }
-			}
-		}
-		n := nic.New(engines[p], nc, net)
+		r := parts[partOf[i]]
+		n := nic.New(r.eng, i, cfg.NIC, net, nic.Env{
+			Telemetry: reg, Log: r.log, ErrorHook: onError,
+			Tracer: r.tracer, Causal: r.causal, Series: r.series,
+			Faults: cfg.Faults,
+		})
 		w.NICs = append(w.NICs, n)
-		w.Hosts = append(w.Hosts, host.New(engines[p], i, n))
+		w.Hosts = append(w.Hosts, host.New(r.eng, i, n))
 	}
 	if cfg.WatchdogLimit > 0 {
 		w.wds = make([]*sim.Watchdog, nparts)
@@ -449,7 +409,8 @@ func (w *World) absorbShards() {
 }
 
 // recorders is one partition's recorder bundle: every recorder the
-// components on that partition write during a window. A serial world's
+// components on that partition write during a window, and the logger
+// that stamps diagnostics with the partition's clock. A serial world's
 // single bundle holds the caller's own tracer (or the flight ring) and
 // lifecycle recorder, so its records are never copied or re-sorted; a
 // partitioned world gives each partition fresh recorders, which
@@ -459,6 +420,7 @@ type recorders struct {
 	tracer *telemetry.Tracer  // full tracer or flight ring; nil when off
 	causal *telemetry.Causal  // lifecycle recorder; nil when off
 	series *telemetry.Sampler // time-series shard; nil when off
+	log    *slog.Logger       // nil when Config.Log is
 }
 
 // newRecorders builds the bundle of the partition running on eng. own
@@ -470,7 +432,7 @@ type recorders struct {
 // memory, so it can stay on during chaos soaks without changing any
 // simulated outcome.
 func newRecorders(cfg Config, eng *sim.Engine, own bool) *recorders {
-	r := &recorders{eng: eng}
+	r := &recorders{eng: eng, log: telemetry.SimLogger(cfg.Log, eng.Now)}
 	flight := cfg.FlightEvents
 	if flight == 0 && (cfg.WatchdogLimit > 0 || cfg.FlightDumpPath != "") {
 		flight = telemetry.DefaultFlightEvents
@@ -495,13 +457,6 @@ func newRecorders(cfg Config, eng *sim.Engine, own bool) *recorders {
 	r.series = cfg.Series.Shard()
 	r.series.Attach(eng)
 	return r
-}
-
-// attach points one rank's NIC config and network endpoint at the
-// bundle.
-func (r *recorders) attach(nc *nic.Config, ep *network.Endpoint) {
-	nc.Tracer, nc.Causal, nc.Series = r.tracer, r.causal, r.series
-	ep.Causal = r.causal
 }
 
 // tracers and causals list the bundles' recorders in partition order.
@@ -621,7 +576,9 @@ func (w *World) TelemetrySnapshot() telemetry.Snapshot {
 		// folded; mid-run values would depend on the window schedule.
 		w.Series.Publish(w.Tel)
 	}
-	if w.devFaults {
+	// Every NIC of a world shares one build point and fault model.
+	shards := w.NICs[0].Config().MatchShards
+	if w.NICs[0].DeviceFaults() {
 		// World-level rollups of the device-fault and failover counters:
 		// these become the alpusim_alpu_faults_* / alpusim_nic_failover_*
 		// Prometheus families on the /metrics endpoint. Fabric shard units
@@ -630,14 +587,14 @@ func (w *World) TelemetrySnapshot() telemetry.Snapshot {
 			"strikes", "resyncs", "deaths", "shadow_rebuilds",
 			"fw_crashes", "fw_restarts", "fault_responses")
 		units := []string{"alpu/posted/faults", "alpu/unexp/faults"}
-		for s := 0; s < w.matchShards; s++ {
+		for s := 0; s < shards; s++ {
 			units = append(units, fmt.Sprintf("alpu/posted%d/faults", s))
 		}
 		w.rollup("alpu_faults", units,
 			"bit_flips", "parity_quarantines", "dropped_results",
 			"stuck_cycles", "dead_discards")
 	}
-	if w.matchShards > 1 {
+	if shards > 1 {
 		// World-level rollups of the matching-fabric counters: these
 		// become the alpusim_match_fabric_* Prometheus families on the
 		// /metrics endpoint.

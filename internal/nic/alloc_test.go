@@ -25,5 +25,5 @@ func TestMutuallyExclusiveConfigPanics(t *testing.T) {
 			t.Fatal("UseALPU+UseHashList did not panic")
 		}
 	}()
-	New(nil, Config{UseALPU: true, UseHashList: true}, nil)
+	New(nil, 0, Config{UseALPU: true, UseHashList: true}, nil, Env{})
 }

@@ -26,6 +26,7 @@ import (
 
 	"alpusim/internal/alpu"
 	"alpusim/internal/match"
+	"alpusim/internal/network"
 	"alpusim/internal/params"
 	"alpusim/internal/proc"
 	"alpusim/internal/sim"
@@ -54,21 +55,40 @@ func (c *FirmwareCrash) Error() string {
 	return fmt.Sprintf("nic%d: injected firmware crash at %v", c.NIC, c.At)
 }
 
-// DeviceFaults reports whether any device-level fault class is configured
-// (ALPU or shard fault models, firmware crashes) — the gate for response
-// timeouts, the recovery machinery and the world's failover rollups.
-// Fault-free worlds take exactly the pre-existing code paths.
-func (c *Config) DeviceFaults() bool {
-	if c.ALPUFaults.Active() || c.FwCrashProb > 0 {
-		return true
-	}
-	for _, f := range c.ShardFaults {
-		if f.Active() {
-			return true
+// deviceFaults derives the NIC's device faults from the world's fault
+// model f: the ALPU classes as one device fault model on the world seed
+// (alpuConfig re-seeds a copy per unit), and the firmware crash stream,
+// seeded by the world seed and the NIC id.
+func (n *NIC) deviceFaults(f *network.FaultModel) {
+	n.devFaults = f.DeviceActive()
+	if n.devFaults {
+		a := &alpu.FaultModel{
+			Seed:           uint64(f.Seed),
+			BitFlipProb:    f.ALPUBitFlipProb,
+			ResultDropProb: f.ALPUResultDropProb,
+			StuckProb:      f.ALPUStuckProb,
+			DeathAt:        f.ALPUDeathAt,
+		}
+		if a.Active() {
+			n.alpuFaults = a
+		}
+		if f.FwCrashProb > 0 {
+			seed := uint64(f.Seed)*0x9E3779B97F4A7C15 + uint64(n.id) + 1
+			n.crashProb = f.FwCrashProb
+			n.crashRng = sim.NewRand(seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
 		}
 	}
-	return false
+	for _, g := range n.cfg.ShardFaults {
+		n.devFaults = n.devFaults || g.Active()
+	}
 }
+
+// DeviceFaults reports whether any device-level fault class reaches the
+// NIC (the world's ALPU or firmware-crash classes, or a shard override)
+// — the gate for response timeouts, the recovery machinery and the
+// world's failover rollups. Fault-free NICs take exactly the
+// pre-existing code paths.
+func (n *NIC) DeviceFaults() bool { return n.devFaults }
 
 func (n *NIC) strikeLimit() int {
 	if n.cfg.FaultStrikeLimit > 0 {
@@ -82,7 +102,7 @@ func (n *NIC) strikeLimit() int {
 // queue's strike count — each consecutive fault buys the device a longer
 // grace period before the next retry, capped.
 func (n *NIC) resultWait(q *mirrorQueue) sim.Time {
-	if !n.cfg.DeviceFaults() {
+	if !n.devFaults {
 		return 0
 	}
 	t := n.cfg.FaultResultTimeout
@@ -114,7 +134,7 @@ func (n *NIC) retryBackoff(strikes int) sim.Time {
 
 // failCounter bumps a live failover counter under "nic<ID>/failover/...".
 func (n *NIC) failCounter(name string) {
-	n.reg.Counter(fmt.Sprintf("nic%d/failover/%s", n.cfg.ID, name)).Inc()
+	n.reg.Counter(fmt.Sprintf("nic%d/failover/%s", n.id, name)).Inc()
 }
 
 // noteDeviceFault records one strike against a queue's device: telemetry,
@@ -127,10 +147,10 @@ func (n *NIC) noteDeviceFault(q *mirrorQueue, op, detail string) {
 	q.needResync = true
 	q.retryAt = n.eng.Now() + n.retryBackoff(q.strikes)
 	n.failCounter("strikes")
-	n.noteError(&ProtocolError{NIC: n.cfg.ID, Op: "alpu-" + op,
+	n.noteError(&ProtocolError{NIC: n.id, Op: "alpu-" + op,
 		Detail: fmt.Sprintf("%s ALPU strike %d/%d: %s", q.name, q.strikes, n.strikeLimit(), detail)})
 	if n.tracer != nil {
-		n.tracer.Instant(n.cfg.ID, tidFirmware, "fault", "alpu-"+op, n.eng.Now())
+		n.tracer.Instant(n.id, tidFirmware, "fault", "alpu-"+op, n.eng.Now())
 	}
 }
 
@@ -154,7 +174,7 @@ func (n *NIC) noteDeviceSuccess(q *mirrorQueue) {
 // resync marks left by fault detections inside protocol waits, and
 // health-check struck units whose retry gate has opened.
 func (n *NIC) maintainDevices(e *proc.Engine) {
-	if !n.cfg.DeviceFaults() {
+	if !n.devFaults {
 		return
 	}
 	for _, q := range n.alpuQueues {
@@ -212,8 +232,8 @@ func (n *NIC) repairALPU(e *proc.Engine, q *mirrorQueue) {
 // provably silent, so old-era output cannot leak into the new era.
 func (n *NIC) resyncALPU(e *proc.Engine, q *mirrorQueue) {
 	n.failCounter("resyncs")
-	if n.cfg.Log != nil {
-		n.cfg.Log.Warn("alpu resync", "nic", n.cfg.ID, "queue", q.name,
+	if n.log != nil {
+		n.log.Warn("alpu resync", "nic", n.id, "queue", q.name,
 			"strikes", q.strikes, "inALPU", q.inALPU)
 	}
 	q.engaged = false
@@ -293,12 +313,12 @@ func (n *NIC) failoverALPU(e *proc.Engine, q *mirrorQueue) {
 	q.over = nil
 	n.failCounter("deaths")
 	n.failCounter("shadow_rebuilds")
-	if n.cfg.Log != nil {
-		n.cfg.Log.Warn("alpu declared dead, failing over to software matching",
-			"nic", n.cfg.ID, "queue", q.name, "strikes", q.strikes, "entries", q.list.Len())
+	if n.log != nil {
+		n.log.Warn("alpu declared dead, failing over to software matching",
+			"nic", n.id, "queue", q.name, "strikes", q.strikes, "entries", q.list.Len())
 	}
 	if n.tracer != nil {
-		n.tracer.Instant(n.cfg.ID, tidFirmware, "fault", "alpu-failover", n.eng.Now())
+		n.tracer.Instant(n.id, tidFirmware, "fault", "alpu-failover", n.eng.Now())
 	}
 	// Rebuild the fallback structure from the shadow list, charging the
 	// reconstruction like the hash inserts it is.
@@ -321,14 +341,14 @@ func (n *NIC) failoverALPU(e *proc.Engine, q *mirrorQueue) {
 // applied — the queued work survives the crash and is replayed by the
 // restarted loop.
 func (n *NIC) maybeCrash() {
-	if n.crashRng == nil || !n.crashRng.Chance(n.cfg.FwCrashProb) {
+	if n.crashRng == nil || !n.crashRng.Chance(n.crashProb) {
 		return
 	}
 	n.failCounter("fw_crashes")
-	if n.cfg.Log != nil {
-		n.cfg.Log.Warn("firmware crash injected", "nic", n.cfg.ID)
+	if n.log != nil {
+		n.log.Warn("firmware crash injected", "nic", n.id)
 	}
-	panic(&FirmwareCrash{NIC: n.cfg.ID, At: n.eng.Now()})
+	panic(&FirmwareCrash{NIC: n.id, At: n.eng.Now()})
 }
 
 // recoverFirmware is the post-crash state replay: every live ALPU mirror
@@ -338,8 +358,8 @@ func (n *NIC) maybeCrash() {
 // pop), so no request or packet is lost.
 func (n *NIC) recoverFirmware() {
 	n.failCounter("fw_restarts")
-	if n.cfg.Log != nil {
-		n.cfg.Log.Warn("firmware restarted", "nic", n.cfg.ID)
+	if n.log != nil {
+		n.log.Warn("firmware restarted", "nic", n.id)
 	}
 	for _, q := range n.alpuQueues {
 		if !q.alpuDead && q.engaged {

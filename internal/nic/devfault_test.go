@@ -3,8 +3,8 @@ package nic_test
 import (
 	"testing"
 
-	"alpusim/internal/alpu"
 	"alpusim/internal/mpi"
+	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 )
@@ -18,11 +18,12 @@ const devFaultWatchdog = 50 * sim.Millisecond
 // receives pre-posted (so the posted queue is long enough to engage the
 // ALPU), optionally pausing the sender mid-stream so a scheduled device
 // death lands inside the traffic. Every receive must complete with the
-// matching envelope — faults may cost time, never correctness.
-func runPipeline(t *testing.T, nc nic.Config, msgs int, pause sim.Time) *mpi.World {
+// matching envelope — faults may cost time, never correctness. fm is the
+// world's fault model.
+func runPipeline(t *testing.T, nc nic.Config, fm network.FaultModel, msgs int, pause sim.Time) *mpi.World {
 	t.Helper()
 	var statuses []mpi.Status
-	w := mpi.RunPrograms(mpi.Config{Ranks: 2, NIC: nc, WatchdogLimit: devFaultWatchdog}, []mpi.Program{
+	w := mpi.RunPrograms(mpi.Config{Ranks: 2, NIC: nc, Faults: &fm, WatchdogLimit: devFaultWatchdog}, []mpi.Program{
 		func(r *mpi.Rank) {
 			r.Barrier()
 			for i := 0; i < msgs; i++ {
@@ -65,13 +66,12 @@ func runPipeline(t *testing.T, nc nic.Config, msgs int, pause sim.Time) *mpi.Wor
 func TestALPUDeathFailsOverMidRun(t *testing.T) {
 	cfg := nic.Config{
 		UseALPU: true, Cells: 32,
-		ALPUFaults: &alpu.FaultModel{Seed: 3, DeathAt: 40 * sim.Microsecond},
 		// Tight recovery policy so the strike ladder (timeouts plus
 		// exponential backoff between health checks) fits inside the run.
 		FaultResultTimeout: 1 * sim.Microsecond,
 		FaultRetryBase:     3 * sim.Microsecond,
 	}
-	w := runPipeline(t, cfg, 128, 600*sim.Microsecond)
+	w := runPipeline(t, cfg, network.FaultModel{Seed: 3, ALPUDeathAt: 40 * sim.Microsecond}, 128, 600*sim.Microsecond)
 	n := w.NICs[1]
 	if !n.ALPUDead("posted") {
 		t.Fatalf("posted ALPU not declared dead after its device went dark (strikes=%d resyncs=%d deaths=%d unexpDead=%v)",
@@ -98,11 +98,8 @@ func TestALPUDeathFailsOverMidRun(t *testing.T) {
 // absorbed through resyncs — the run completes with every envelope
 // matched, without (necessarily) killing the unit.
 func TestBitFlipStormResyncsAndSurvives(t *testing.T) {
-	cfg := nic.Config{
-		UseALPU: true, Cells: 32,
-		ALPUFaults: &alpu.FaultModel{Seed: 5, BitFlipProb: 0.02},
-	}
-	w := runPipeline(t, cfg, 96, 0)
+	cfg := nic.Config{UseALPU: true, Cells: 32}
+	w := runPipeline(t, cfg, network.FaultModel{Seed: 5, ALPUBitFlipProb: 0.02}, 96, 0)
 	n := w.NICs[1]
 	if n.FailoverCount("fault_responses") == 0 {
 		t.Error("storm injected no observed FAULT responses; scenario idle")
@@ -119,11 +116,8 @@ func TestBitFlipStormResyncsAndSurvives(t *testing.T) {
 // surface as response timeouts; the firmware strikes, resyncs, and the
 // run still completes correctly.
 func TestResultDropsStrikeAndRecover(t *testing.T) {
-	cfg := nic.Config{
-		UseALPU: true, Cells: 32,
-		ALPUFaults: &alpu.FaultModel{Seed: 11, ResultDropProb: 0.05},
-	}
-	w := runPipeline(t, cfg, 96, 0)
+	cfg := nic.Config{UseALPU: true, Cells: 32}
+	w := runPipeline(t, cfg, network.FaultModel{Seed: 11, ALPUResultDropProb: 0.05}, 96, 0)
 	n := w.NICs[1]
 	if dev := n.PostedALPU(); dev.Stats().DroppedResults == 0 {
 		t.Skip("seed produced no drops at this rate; nothing to observe")
@@ -135,13 +129,11 @@ func TestResultDropsStrikeAndRecover(t *testing.T) {
 
 // TestFirmwareCrashRestarts: injected firmware crashes restart after the
 // reboot delay and replay device state from the shadow queues; no queued
-// packet or host request is lost across any crash.
+// packet or host request is lost across any crash. Each NIC draws its
+// own crash stream from the world seed.
 func TestFirmwareCrashRestarts(t *testing.T) {
-	cfg := nic.Config{
-		UseALPU: true, Cells: 32,
-		FwCrashProb: 0.03, FwCrashSeed: 7,
-	}
-	w := runPipeline(t, cfg, 96, 0)
+	cfg := nic.Config{UseALPU: true, Cells: 32}
+	w := runPipeline(t, cfg, network.FaultModel{Seed: 7, FwCrashProb: 0.03}, 96, 0)
 	crashes, restarts := uint64(0), uint64(0)
 	for _, n := range w.NICs {
 		crashes += n.FailoverCount("fw_crashes")
@@ -155,16 +147,13 @@ func TestFirmwareCrashRestarts(t *testing.T) {
 	}
 }
 
-// TestDeviceFaultDeterminism: the same device-fault seeds must reproduce
+// TestDeviceFaultDeterminism: the same device-fault seed must reproduce
 // the identical strike/resync/failover history, run to run.
 func TestDeviceFaultDeterminism(t *testing.T) {
 	run := func() [4]uint64 {
-		cfg := nic.Config{
-			UseALPU: true, Cells: 32,
-			ALPUFaults:  &alpu.FaultModel{Seed: 9, BitFlipProb: 0.01, ResultDropProb: 0.02},
-			FwCrashProb: 0.01, FwCrashSeed: 13,
-		}
-		w := runPipeline(t, cfg, 64, 0)
+		cfg := nic.Config{UseALPU: true, Cells: 32}
+		w := runPipeline(t, cfg, network.FaultModel{Seed: 9,
+			ALPUBitFlipProb: 0.01, ALPUResultDropProb: 0.02, FwCrashProb: 0.01}, 64, 0)
 		n := w.NICs[1]
 		return [4]uint64{
 			n.FailoverCount("strikes"), n.FailoverCount("resyncs"),

@@ -156,7 +156,7 @@ func (n *NIC) purgeSibling(e *proc.Engine, q *mirrorQueue, c *match.Entry) {
 	idx := -1 // a failed-over shard: the hash shadow is the only live structure
 	if q.hash == nil {
 		if idx = q.list.IndexOf(c); idx < 0 {
-			panic(fmt.Sprintf("nic%d: %s lost a wildcard copy", n.cfg.ID, q.name))
+			panic(fmt.Sprintf("nic%d: %s lost a wildcard copy", n.id, q.name))
 		}
 		if idx < q.inALPU {
 			for t, en := range q.tags {

@@ -47,12 +47,23 @@ func (n *NIC) fwSession(p *sim.Process) (crashed bool) {
 		if n.crashRng != nil && (n.ep.RxQ.Len() > 0 || n.HostQ.Len() > 0) {
 			n.maybeCrash()
 		}
+		// Each work item's span is recorded once its handler returns: a
+		// torn-down world (sim.Engine.Close) unwinds mid-item, and an
+		// unfinished item records nothing.
 		if pkt, ok := n.ep.RxQ.Pop(); ok {
+			start := e.Now()
 			n.handlePacket(e, pkt)
+			if n.tracer != nil {
+				n.tracer.Span(n.id, tidFirmware, "fw", "pkt "+pkt.Kind.String(), start, e.Now())
+			}
 			continue
 		}
 		if req, ok := n.HostQ.Pop(); ok {
+			start := e.Now()
 			n.handleHostReq(e, req)
+			if n.tracer != nil {
+				n.tracer.Span(n.id, tidFirmware, "fw", reqSpanNames[req.Kind], start, e.Now())
+			}
 			continue
 		}
 		if n.updateALPUs(e) {
@@ -69,16 +80,6 @@ func (n *NIC) fwSession(p *sim.Process) (crashed bool) {
 // handlePacket processes one incoming network packet.
 func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 	n.stats.PacketsHandled++
-	if n.tracer != nil {
-		start := e.Now()
-		defer func() {
-			// A torn-down world (sim.Engine.Close) unwinds mid-packet;
-			// the packet never finished, so it records no span.
-			if !e.P.Killed() {
-				n.tracer.Span(n.cfg.ID, tidFirmware, "fw", "pkt "+pkt.Kind.String(), start, e.Now())
-			}
-		}()
-	}
 	switch pkt.Kind {
 	case network.Eager, network.RTS:
 		bits := match.Pack(pkt.Hdr)
@@ -87,7 +88,7 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 		if n.tracer != nil {
 			// Terminate the cross-rank flow arrow started at the sender's
 			// firmware (the flow id is the packed envelope, globally unique).
-			n.tracer.FlowEnd(n.cfg.ID, tidFirmware, "mpi", "msg", e.Now(), key)
+			n.tracer.FlowEnd(n.id, tidFirmware, "mpi", "msg", e.Now(), key)
 		}
 		if n.admittedHdrs > 0 {
 			// This header no longer counts against the reliability engine's
@@ -125,13 +126,13 @@ func (n *NIC) handlePacket(e *proc.Engine, pkt network.Packet) {
 			// A CTS for a send we no longer (or never) track: stale control
 			// traffic, e.g. after a peer recovered through retransmission.
 			// Recoverable — count it and drop the packet.
-			n.noteError(&ProtocolError{NIC: n.cfg.ID, Op: "cts-unknown-send",
+			n.noteError(&ProtocolError{NIC: n.id, Op: "cts-unknown-send",
 				Detail: fmt.Sprintf("CTS for unknown send %d from nic%d", pkt.SenderReq, pkt.Src)})
 			return
 		}
 		delete(n.pendingSends, pkt.SenderReq)
 		n.sendPayload(e, network.Packet{
-			Kind: network.Data, Src: n.cfg.ID, Dst: pkt.Src,
+			Kind: network.Data, Src: n.id, Dst: pkt.Src,
 			Size: s.req.Size, RecvReq: pkt.RecvReq,
 		}, s.req.ID)
 
@@ -172,7 +173,7 @@ func (n *NIC) deliver(e *proc.Engine, pkt network.Packet, reqID uint64) {
 	e.Cycles(params.CompletionCycles)
 	n.rndvStatus[reqID] = statusOf(pkt.Hdr, pkt.Size)
 	n.send(network.Packet{
-		Kind: network.CTS, Src: n.cfg.ID, Dst: pkt.Src,
+		Kind: network.CTS, Src: n.id, Dst: pkt.Src,
 		SenderReq: pkt.SenderReq, RecvReq: reqID,
 	})
 }
@@ -194,32 +195,24 @@ var reqSpanNames = map[ReqKind]string{
 // handleHostReq processes one request from the main processor.
 func (n *NIC) handleHostReq(e *proc.Engine, req HostRequest) {
 	n.stats.HostReqsHandled++
-	if n.tracer != nil {
-		start := e.Now()
-		defer func() {
-			if !e.P.Killed() {
-				n.tracer.Span(n.cfg.ID, tidFirmware, "fw", reqSpanNames[req.Kind], start, e.Now())
-			}
-		}()
-	}
 	switch req.Kind {
 	case ReqSend:
 		e.Cycles(params.SendProcessCycles)
 		if n.tracer != nil {
 			// Open the cross-rank flow arrow for this message; the receiver's
 			// firmware closes it when it pops the header.
-			n.tracer.FlowStart(n.cfg.ID, tidFirmware, "mpi", "msg", e.Now(), uint64(match.Pack(req.Hdr)))
+			n.tracer.FlowStart(n.id, tidFirmware, "mpi", "msg", e.Now(), uint64(match.Pack(req.Hdr)))
 		}
 		if req.Size <= params.EagerLimit {
 			n.sendPayload(e, network.Packet{
-				Kind: network.Eager, Src: n.cfg.ID, Dst: req.Dst,
+				Kind: network.Eager, Src: n.id, Dst: req.Dst,
 				Hdr: req.Hdr, Size: req.Size,
 			}, req.ID)
 			return
 		}
 		n.pendingSends[req.ID] = &sendState{req: req}
 		n.send(network.Packet{
-			Kind: network.RTS, Src: n.cfg.ID, Dst: req.Dst,
+			Kind: network.RTS, Src: n.id, Dst: req.Dst,
 			Hdr: req.Hdr, Size: req.Size, SenderReq: req.ID,
 		})
 
@@ -333,7 +326,7 @@ func (n *NIC) match(e *proc.Engine, q *mirrorQueue, bits, mask match.Bits, key u
 func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits, mask match.Bits) *match.Entry {
 	entry, idx := q.tags[tag], -1
 	if entry == nil {
-		n.noteError(&ProtocolError{NIC: n.cfg.ID, Op: "alpu-unknown-tag",
+		n.noteError(&ProtocolError{NIC: n.id, Op: "alpu-unknown-tag",
 			Detail: fmt.Sprintf("%s ALPU returned unknown tag %d", q.name, tag)})
 	} else {
 		delete(q.tags, tag)
@@ -345,9 +338,9 @@ func (n *NIC) consumeALPUMatch(e *proc.Engine, q *mirrorQueue, tag uint32, bits,
 			n.unlink(e, q, entry, idx, idx, true)
 			return entry
 		}
-		if !n.cfg.DeviceFaults() {
+		if !n.devFaults {
 			panic(fmt.Sprintf("nic%d: %s ALPU matched entry outside the ALPU prefix (idx %d, inALPU %d)",
-				n.cfg.ID, q.name, idx, q.inALPU))
+				n.id, q.name, idx, q.inALPU))
 		}
 		// A fault knocked the mirror askew (e.g. a stale success resolved
 		// after a resync): the shadow list is the truth, so resolve there
@@ -499,15 +492,15 @@ func (n *NIC) fallbackSearch(e *proc.Engine, q *mirrorQueue, bits, mask match.Bi
 			// later header resolves in software.
 			n.resyncALPU(e, q)
 		case r.Kind != alpu.RespMatchSuccess:
-			if !n.cfg.DeviceFaults() {
-				panic(fmt.Sprintf("nic%d: %s purge probe missed the stale entry", n.cfg.ID, q.name))
+			if !n.devFaults {
+				panic(fmt.Sprintf("nic%d: %s purge probe missed the stale entry", n.id, q.name))
 			}
 			// The stale copy vanished from the device (quarantined by the
 			// scrubber): the mirror is off by at least one entry — resync.
 			n.deviceFault(e, q, "purge-miss", "purge probe found no stale copy")
 		default:
-			if !n.cfg.DeviceFaults() {
-				panic(fmt.Sprintf("nic%d: %s purge consumed tag %d, not the stale entry", n.cfg.ID, q.name, r.Tag))
+			if !n.devFaults {
+				panic(fmt.Sprintf("nic%d: %s purge consumed tag %d, not the stale entry", n.id, q.name, r.Tag))
 			}
 			delete(q.tags, r.Tag)
 			n.deviceFault(e, q, "purge-mismatch", "purge probe consumed a different entry")
@@ -591,7 +584,7 @@ func (n *NIC) updateALPUs(e *proc.Engine) bool {
 // inserted suffix: START INSERT, drain results until the acknowledge,
 // insert as many entries as fit, STOP INSERT (§IV-C, §V-C).
 func (n *NIC) updateALPU(e *proc.Engine, q *mirrorQueue) bool {
-	if q.alpuDead || (n.cfg.DeviceFaults() && n.eng.Now() < q.retryAt) {
+	if q.alpuDead || (n.devFaults && n.eng.Now() < q.retryAt) {
 		// Failed over, or backing off after a strike: no insert episodes.
 		return false
 	}

@@ -13,6 +13,7 @@ import (
 	"alpusim/internal/alpu"
 	"alpusim/internal/bench"
 	"alpusim/internal/mpi"
+	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/params"
 	"alpusim/internal/sim"
@@ -103,9 +104,8 @@ func TestFirmwareGolden(t *testing.T) {
 		return at, w
 	}})
 	cells = append(cells, goldenCell{name: "devchaos/fabric-4", run: func() (sim.Time, *mpi.World) {
-		cfg := fabricFaultCfg()
-		cfg.ALPUFaults = &alpu.FaultModel{Seed: 42, BitFlipProb: 0.02, ResultDropProb: 0.03}
-		return wildcardRoundsWorld(mpi.Config{NIC: cfg})
+		return wildcardRoundsWorld(mpi.Config{NIC: fabricFaultCfg(),
+			Faults: &network.FaultModel{Seed: 42, ALPUBitFlipProb: 0.02, ALPUResultDropProb: 0.03}})
 	}})
 	for _, org := range []struct {
 		name string
@@ -129,9 +129,9 @@ func TestFirmwareGolden(t *testing.T) {
 		{"fabric-4", fabricFaultCfg()},
 	} {
 		cfg, log := dying.cfg, &teardownLog{}
-		cfg.ALPUFaults = &alpu.FaultModel{Seed: 7, ResultDropProb: 0.05, DeathAt: 60 * sim.Microsecond}
+		fm := &network.FaultModel{Seed: 7, ALPUResultDropProb: 0.05, ALPUDeathAt: 60 * sim.Microsecond}
 		cells = append(cells, goldenCell{name: "death-log/" + dying.name, log: log, run: func() (sim.Time, *mpi.World) {
-			at, w := wildcardRoundsWorld(mpi.Config{NIC: cfg, Log: slog.New(log)})
+			at, w := wildcardRoundsWorld(mpi.Config{NIC: cfg, Faults: fm, Log: slog.New(log)})
 			if w.NICs[0].FailoverCount("resyncs") == 0 || w.NICs[0].FailoverCount("deaths") == 0 {
 				panic("death-log golden: nic0 never resynced and failed over")
 			}

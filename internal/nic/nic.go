@@ -66,10 +66,10 @@ type HostRequest struct {
 // larger of the two units the paper evaluates.
 const DefaultCells = 256
 
-// Config selects a NIC build point.
+// Config selects a NIC build point: the modelling choices a caller
+// makes. What the surrounding world supplies (the NIC's id, registry,
+// logger, recorders, error hook and fault model) comes through New.
 type Config struct {
-	ID int
-
 	// UseALPU enables the two matching units.
 	UseALPU bool
 	// Cells is the ALPU capacity (the paper evaluates 128 and 256;
@@ -95,23 +95,12 @@ type Config struct {
 	// UseHashList.
 	MatchShards int
 
-	// ALPUFaults, when active, attaches the device-level fault model to
-	// both matching units (per-unit streams are derived from the seed, the
-	// NIC id and the unit id, so every device in the world faults
-	// independently and deterministically) and arms the firmware's
-	// strike/resync/failover recovery machinery (devfault.go).
-	ALPUFaults *alpu.FaultModel
 	// ShardFaults optionally overrides the device fault model for
 	// individual fabric shards: ShardFaults[i], when non-nil and active,
-	// replaces ALPUFaults for shard i's unit (the one-shard-dies failover
-	// experiments). Entries beyond MatchShards are ignored.
+	// replaces the world's ALPU fault classes for shard i's unit (the
+	// one-shard-dies failover experiments), re-seeded per NIC like them.
+	// Entries beyond MatchShards are ignored.
 	ShardFaults []*alpu.FaultModel
-	// FwCrashProb is the per-pending-work-item probability of an injected
-	// firmware crash at the loop top. The crashed firmware restarts after
-	// a 10µs reboot and replays device state from the shadow queues.
-	FwCrashProb float64
-	// FwCrashSeed seeds the crash stream (0 = derived from ID).
-	FwCrashSeed uint64
 	// FaultStrikeLimit is the number of consecutive device faults after
 	// which the firmware declares a unit dead and hot-fails-over to
 	// software matching (0 = 5).
@@ -135,8 +124,8 @@ type Config struct {
 
 	// Reliable enables the link reliability engine (reliability.go): the
 	// go-back-N protocol that restores the in-order, loss-free delivery
-	// the matching queues assume when the network runs a fault model. The
-	// MPI layer forces it on whenever faults are configured.
+	// the matching queues assume when the network runs a fault model. New
+	// forces it on when the world's fault model has wire classes.
 	Reliable bool
 	// MaxUnexpected bounds the unexpected queue under the reliability
 	// protocol: an in-order EAGER/RTS that would grow it past the bound is
@@ -147,10 +136,16 @@ type Config struct {
 	// NIC refuses admission with RNR when it is full; a raw NIC drops the
 	// packet (counted by the FIFO).
 	RxQDepth int
+}
 
+// Env is what the world around a NIC supplies to New: the registry,
+// logger and recorders of the NIC's partition, the world's error hook
+// and its fault model. mpi.NewWorld fills it; the zero Env is a
+// standalone NIC with a private registry, no recorders and no faults.
+type Env struct {
 	// Telemetry is the world's metrics registry. The NIC registers its
-	// counters under "nic<ID>/..."; nil creates a private registry so the
-	// accessors below always work (standalone NICs in tests).
+	// counters under "nic<id>/..."; nil creates a private registry so the
+	// accessors below always work.
 	Telemetry *telemetry.Registry
 	// Log, when non-nil, receives structured diagnostics (recoverable
 	// protocol errors). The MPI layer passes a logger whose handler
@@ -161,17 +156,23 @@ type Config struct {
 	// trigger. Called on the simulation goroutine.
 	ErrorHook func(err error)
 	// Tracer, when set, records firmware/ALPU/reliability activity as
-	// trace events under pid ID.
+	// trace events under pid id.
 	Tracer *telemetry.Tracer
-	// Causal, when set, is the NIC's per-message lifecycle recorder: it
-	// receives the firmware's pipeline stamps (FwPop, Match, Complete,
-	// HostDone) and resync/failover time annotations (telemetry.Causal).
+	// Causal, when set, is the NIC's per-message lifecycle recorder, also
+	// installed on its network endpoint: it receives the firmware's
+	// pipeline stamps (FwPop, Match, Complete, HostDone) and
+	// resync/failover time annotations (telemetry.Causal).
 	Causal *telemetry.Causal
 	// Series, when set, receives the NIC's time-series probes: queue
 	// depths, FIFO occupancy, the go-back-N window, per-shard fabric
 	// balance and the rolling match-latency p99, all sampled on the
 	// owning engine's front-poll chain (telemetry.Sampler).
 	Series *telemetry.Sampler
+	// Faults is the world's fault model. Its wire classes force
+	// Config.Reliable on; its device classes fault the NIC's ALPU units
+	// and firmware (devfault.go), on streams derived from the seed, the
+	// NIC id and the unit, so every device faults independently.
+	Faults *network.FaultModel
 }
 
 // Stats aggregates firmware activity for the benchmark reports.
@@ -304,6 +305,7 @@ type postedRecv struct {
 // NIC is one simulated network interface.
 type NIC struct {
 	eng *sim.Engine
+	id  int
 	cfg Config
 	cpu params.CPU
 
@@ -348,11 +350,13 @@ type NIC struct {
 	stats Stats
 
 	// Telemetry: the registry all counters live in (never nil — a private
-	// one is created when Config.Telemetry is unset), plus the optional
-	// tracer and lifecycle recorder.
-	reg    *telemetry.Registry
-	tracer *telemetry.Tracer
-	causal *telemetry.Causal
+	// one is created when Env.Telemetry is unset), plus the optional
+	// tracer, lifecycle recorder, logger and error hook.
+	reg       *telemetry.Registry
+	tracer    *telemetry.Tracer
+	causal    *telemetry.Causal
+	log       *slog.Logger
+	errorHook func(error)
 
 	// Reliability-engine state (reliability.go). The counters live in the
 	// registry under "nic<ID>/rel/..." (rel holds the cached handles).
@@ -368,9 +372,15 @@ type NIC struct {
 	errTotal uint64
 	lastErr  error
 
-	// crashRng drives firmware crash injection (devfault.go); nil when
-	// Config.FwCrashProb is zero.
-	crashRng *sim.Rand
+	// Device faults (devfault.go), derived from Env.Faults: the ALPU
+	// classes as a device fault model (nil when none is set; each unit
+	// re-seeds a copy), the firmware crash probability and its stream
+	// (nil without crashes), and devFaults, the gate for response
+	// timeouts, the recovery machinery and the world's failover rollups.
+	alpuFaults *alpu.FaultModel
+	crashProb  float64
+	crashRng   *sim.Rand
+	devFaults  bool
 
 	// faultEvents counts device strikes (noteDeviceFault calls) — the
 	// causal recorder compares it across a match resolution to decide
@@ -399,9 +409,9 @@ func (a *addrAlloc) get() uint64 {
 
 func (a *addrAlloc) put(addr uint64) { a.free = append(a.free, addr) }
 
-// New creates a NIC bound to endpoint cfg.ID of net and starts its
-// firmware process.
-func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
+// New creates NIC id, bound to endpoint id of net, in the world env
+// describes, and starts its firmware process.
+func New(eng *sim.Engine, id int, cfg Config, net *network.Network, env Env) *NIC {
 	if cfg.UseALPU && cfg.UseHashList {
 		panic("nic: UseALPU and UseHashList are mutually exclusive")
 	}
@@ -414,66 +424,67 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 	if cfg.UseALPU && cfg.Cells == 0 {
 		cfg.Cells = DefaultCells
 	}
+	// MPI matching is only correct over in-order loss-free delivery,
+	// which the reliability protocol restores on a faulty wire.
+	cfg.Reliable = cfg.Reliable || env.Faults.WireActive()
 	cpu := params.NICCPU()
 	if cfg.CPUProfile != nil {
 		cpu = *cfg.CPUProfile
 	}
 	n := &NIC{
 		eng:          eng,
+		id:           id,
 		cfg:          cfg,
 		cpu:          cpu,
 		mem:          memsys.New(cpu, dram.New(dram.DefaultConfig())),
 		net:          net,
-		ep:           net.Endpoint(cfg.ID),
-		dmaRx:        dma.New(fmt.Sprintf("nic%d.rx", cfg.ID), 0, 0),
-		dmaTx:        dma.New(fmt.Sprintf("nic%d.tx", cfg.ID), 0, 0),
-		HostQ:        sim.NewFIFO[HostRequest](eng, fmt.Sprintf("nic%d.hostq", cfg.ID), 0),
+		ep:           net.Endpoint(id),
+		dmaRx:        dma.New(fmt.Sprintf("nic%d.rx", id), 0, 0),
+		dmaTx:        dma.New(fmt.Sprintf("nic%d.tx", id), 0, 0),
+		HostQ:        sim.NewFIFO[HostRequest](eng, fmt.Sprintf("nic%d.hostq", id), 0),
 		kick:         sim.NewSignal(eng),
 		pendingSends: make(map[uint64]*sendState),
 		rndvStatus:   make(map[uint64]CompletionStatus),
 		entryAlloc:   addrAlloc{next: 0x1_0000, size: params.QueueEntryFullBytes},
-		reg:          cfg.Telemetry,
-		tracer:       cfg.Tracer,
-		causal:       cfg.Causal,
+		reg:          env.Telemetry,
+		tracer:       env.Tracer,
+		causal:       env.Causal,
+		log:          env.Log,
+		errorHook:    env.ErrorHook,
 	}
 	if n.reg == nil {
 		n.reg = telemetry.NewRegistry()
 	}
-	if cfg.FwCrashProb > 0 {
-		seed := cfg.FwCrashSeed
-		if seed == 0 {
-			seed = uint64(cfg.ID) + 1
-		}
-		n.crashRng = sim.NewRand(seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
-	}
+	n.ep.Causal = env.Causal
+	n.deviceFaults(env.Faults)
 	if n.tracer != nil {
-		n.tracer.NameProcess(cfg.ID, fmt.Sprintf("nic%d", cfg.ID))
-		n.tracer.NameThread(cfg.ID, tidFirmware, "firmware")
+		n.tracer.NameProcess(id, fmt.Sprintf("nic%d", id))
+		n.tracer.NameThread(id, tidFirmware, "firmware")
 		if cfg.UseALPU {
 			if cfg.MatchShards > 1 {
 				for i := 0; i < cfg.MatchShards; i++ {
-					n.tracer.NameThread(cfg.ID, tidShardBase+i, fmt.Sprintf("posted-alpu%d", i))
+					n.tracer.NameThread(id, tidShardBase+i, fmt.Sprintf("posted-alpu%d", i))
 				}
 			} else {
-				n.tracer.NameThread(cfg.ID, tidPostedALPU, "posted-alpu")
+				n.tracer.NameThread(id, tidPostedALPU, "posted-alpu")
 			}
-			n.tracer.NameThread(cfg.ID, tidUnexpALPU, "unexp-alpu")
+			n.tracer.NameThread(id, tidUnexpALPU, "unexp-alpu")
 		}
 		if cfg.Reliable {
-			n.tracer.NameThread(cfg.ID, tidReliability, "reliability")
+			n.tracer.NameThread(id, tidReliability, "reliability")
 		}
 	}
 	if cfg.RxQDepth > 0 {
 		// Replace the endpoint's unbounded Rx FIFO with a bounded one: real
 		// NIC receive buffers are finite, and the reliability engine's
 		// admission control needs a full condition to push back against.
-		n.ep.RxQ = sim.NewFIFO[network.Packet](eng, fmt.Sprintf("net%d.rx", cfg.ID), cfg.RxQDepth)
+		n.ep.RxQ = sim.NewFIFO[network.Packet](eng, fmt.Sprintf("net%d.rx", id), cfg.RxQDepth)
 	}
 	n.posted = newMirrorQueue("posted", cfg)
 	n.unexp = newMirrorQueue("unexp", cfg)
-	n.posted.depths = n.reg.Histogram(fmt.Sprintf("nic%d/posted/match_depth", cfg.ID))
-	n.unexp.depths = n.reg.Histogram(fmt.Sprintf("nic%d/unexp/match_depth", cfg.ID))
-	n.matchLat = n.reg.Histogram(fmt.Sprintf("nic%d/posted/match_lat64", cfg.ID))
+	n.posted.depths = n.reg.Histogram(fmt.Sprintf("nic%d/posted/match_depth", id))
+	n.unexp.depths = n.reg.Histogram(fmt.Sprintf("nic%d/unexp/match_depth", id))
+	n.matchLat = n.reg.Histogram(fmt.Sprintf("nic%d/posted/match_lat64", id))
 	if cfg.UseALPU {
 		if cfg.MatchShards > 1 {
 			n.fab = &fabricState{cache: cache.New(dispatchCacheGeometry())}
@@ -481,16 +492,16 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 				q := newMirrorQueue(fmt.Sprintf("posted%d", i), cfg)
 				q.over = match.NewHashList()
 				q.stale = make(map[uint32]bool)
-				q.depths = n.reg.Histogram(fmt.Sprintf("nic%d/%s/match_depth", cfg.ID, q.name))
-				q.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.palpu%d", cfg.ID, i), n.shardConfig(i))
+				q.depths = n.reg.Histogram(fmt.Sprintf("nic%d/%s/match_depth", id, q.name))
+				q.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.palpu%d", id, i), n.shardConfig(i))
 				n.fab.shards = append(n.fab.shards, &q)
 			}
 			n.alpuQueues = append(n.alpuQueues, n.fab.shards...)
 		} else {
-			n.posted.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.palpu", cfg.ID), n.alpuConfig(alpu.PostedReceives, tidPostedALPU))
+			n.posted.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.palpu", id), n.alpuConfig(alpu.PostedReceives, tidPostedALPU))
 			n.alpuQueues = append(n.alpuQueues, &n.posted)
 		}
-		n.unexp.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.ualpu", cfg.ID), n.alpuConfig(alpu.UnexpectedMessages, tidUnexpALPU))
+		n.unexp.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.ualpu", id), n.alpuConfig(alpu.UnexpectedMessages, tidUnexpALPU))
 		n.alpuQueues = append(n.alpuQueues, &n.unexp)
 	}
 	// The hardware path of Fig. 1: every matchable header is replicated
@@ -517,8 +528,8 @@ func New(eng *sim.Engine, cfg Config, net *network.Network) *NIC {
 	if cfg.Reliable {
 		n.relInit()
 	}
-	n.registerProbes(cfg.Series)
-	eng.Spawn(fmt.Sprintf("nic%d.fw", cfg.ID), n.firmware)
+	n.registerProbes(env.Series)
+	eng.Spawn(fmt.Sprintf("nic%d.fw", id), n.firmware)
 	return n
 }
 
@@ -531,7 +542,7 @@ func (n *NIC) registerProbes(sa *telemetry.Sampler) {
 	if sa == nil {
 		return
 	}
-	pre := fmt.Sprintf("nic%d", n.cfg.ID)
+	pre := fmt.Sprintf("nic%d", n.id)
 	sa.Probe(pre+"/posted/depth", func() int64 { return int64(n.PostedLen()) })
 	sa.Probe(pre+"/unexp/depth", func() int64 { return int64(n.UnexpLen()) })
 	sa.Probe(pre+"/rxq/depth", func() int64 { return int64(n.ep.RxQ.Len()) })
@@ -585,11 +596,11 @@ func (n *NIC) alpuConfig(v alpu.Variant, tid int) alpu.Config {
 			c.Geometry.Cells = n.cfg.Cells
 		}
 	}
-	if f := n.unitFaults(n.cfg.ALPUFaults, tid); f != nil {
+	if f := n.unitFaults(n.alpuFaults, tid); f != nil {
 		c.Faults = f
 	}
 	c.Tracer = n.tracer
-	c.TracePID = n.cfg.ID
+	c.TracePID = n.id
 	c.TraceTID = tid
 	return c
 }
@@ -615,7 +626,7 @@ func (n *NIC) unitFaults(f *alpu.FaultModel, tid int) *alpu.FaultModel {
 		return nil
 	}
 	g := *f
-	g.Seed += uint64(n.cfg.ID)*0x9E3779B9 + uint64(tid)*0x85EBCA6B
+	g.Seed += uint64(n.id)*0x9E3779B9 + uint64(tid)*0x85EBCA6B
 	return &g
 }
 
@@ -636,7 +647,7 @@ func (n *NIC) ErrorsTotal() uint64 { return n.errTotal }
 // ErrorCount reports the recoverable protocol errors recorded for one
 // operation ("cts-unknown-send", "alpu-unknown-tag", ...).
 func (n *NIC) ErrorCount(op string) uint64 {
-	return n.reg.Counter(fmt.Sprintf("nic%d/err/%s", n.cfg.ID, op)).Get()
+	return n.reg.Counter(fmt.Sprintf("nic%d/err/%s", n.id, op)).Get()
 }
 
 // LastError returns the most recent recoverable protocol error, or nil.
@@ -658,22 +669,22 @@ func (n *NIC) ALPUDead(name string) bool {
 // "resyncs", "deaths", "shadow_rebuilds", "fw_crashes", "fw_restarts",
 // "fault_responses").
 func (n *NIC) FailoverCount(name string) uint64 {
-	return n.reg.Counter(fmt.Sprintf("nic%d/failover/%s", n.cfg.ID, name)).Get()
+	return n.reg.Counter(fmt.Sprintf("nic%d/failover/%s", n.id, name)).Get()
 }
 
 // noteError records a recoverable protocol error: counted, retained for
 // diagnostics, and the firmware carries on (true invariant violations
 // still panic).
 func (n *NIC) noteError(err *ProtocolError) {
-	n.reg.Counter(fmt.Sprintf("nic%d/err/%s", n.cfg.ID, err.Op)).Inc()
+	n.reg.Counter(fmt.Sprintf("nic%d/err/%s", n.id, err.Op)).Inc()
 	n.errTotal++
 	n.lastErr = err
-	if n.cfg.Log != nil {
-		n.cfg.Log.Warn("recoverable protocol error",
-			"nic", n.cfg.ID, "op", err.Op, "err", err.Error())
+	if n.log != nil {
+		n.log.Warn("recoverable protocol error",
+			"nic", n.id, "op", err.Op, "err", err.Error())
 	}
-	if n.cfg.ErrorHook != nil {
-		n.cfg.ErrorHook(err)
+	if n.errorHook != nil {
+		n.errorHook(err)
 	}
 }
 
@@ -809,7 +820,7 @@ func statusOf(hdr match.Header, size int) CompletionStatus {
 func (n *NIC) complete(reqID uint64, at sim.Time, st CompletionStatus) {
 	n.stats.Completions++
 	if n.tracer != nil {
-		n.tracer.Instant(n.cfg.ID, tidFirmware, "mpi", "complete", n.eng.Now())
+		n.tracer.Instant(n.id, tidFirmware, "mpi", "complete", n.eng.Now())
 	}
 	if n.Complete != nil {
 		n.Complete(reqID, at, st)
@@ -838,7 +849,7 @@ func (n *NIC) stampCompletion(hdr match.Header, done sim.Time) {
 // match-depth histograms) already reside there; this publishes the
 // snapshot-time view of everything else. Idempotent.
 func (n *NIC) PublishTelemetry() {
-	pre := fmt.Sprintf("nic%d", n.cfg.ID)
+	pre := fmt.Sprintf("nic%d", n.id)
 	s := n.stats
 	n.reg.Counter(pre + "/fw/packets_handled").Set(s.PacketsHandled)
 	n.reg.Counter(pre + "/fw/host_reqs_handled").Set(s.HostReqsHandled)
@@ -873,7 +884,7 @@ func (n *NIC) PublishTelemetry() {
 	if n.cfg.Reliable {
 		n.reg.Gauge(pre + "/rel/pending").Set(int64(n.RelPending()))
 	}
-	if n.cfg.DeviceFaults() {
+	if n.devFaults {
 		dead := int64(0)
 		for _, q := range n.alpuQueues {
 			if q.alpuDead {

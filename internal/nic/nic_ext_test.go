@@ -360,7 +360,7 @@ func TestBoundedRxQReliableRecovers(t *testing.T) {
 func TestStaleCTSCountedNotFatal(t *testing.T) {
 	eng := sim.NewEngine()
 	net := network.New(eng, 2)
-	n := nic.New(eng, nic.Config{ID: 1}, net)
+	n := nic.New(eng, 1, nic.Config{}, net, nic.Env{})
 	net.Send(network.Packet{Kind: network.CTS, Src: 0, Dst: 1, SenderReq: 42})
 	eng.Run()
 	if got := n.ErrorCount("cts-unknown-send"); got != 1 {

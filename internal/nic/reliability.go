@@ -106,7 +106,7 @@ type relPeer struct {
 // relInit sizes the reliability state; called from New when enabled.
 func (n *NIC) relInit() {
 	n.relPeers = make([]*relPeer, n.net.Size())
-	pre := fmt.Sprintf("nic%d/rel/", n.cfg.ID)
+	pre := fmt.Sprintf("nic%d/rel/", n.id)
 	n.rel = relCounters{
 		dataSent:    n.reg.Counter(pre + "data_sent"),
 		retransmits: n.reg.Counter(pre + "retransmits"),
@@ -171,7 +171,7 @@ func (n *NIC) txData(pr *relPeer, pkt network.Packet) {
 
 // sendCtl emits an unsequenced, checksummed control packet.
 func (n *NIC) sendCtl(kind network.PacketKind, dst int, seq uint64) {
-	pkt := network.Packet{Kind: kind, Src: n.cfg.ID, Dst: dst, RelSeq: seq}
+	pkt := network.Packet{Kind: kind, Src: n.id, Dst: dst, RelSeq: seq}
 	pkt.Seal()
 	n.net.Send(pkt)
 }
@@ -203,7 +203,7 @@ func (n *NIC) relTimeout(pr *relPeer) {
 	}
 	n.rel.timeouts.Inc()
 	if n.tracer != nil {
-		n.tracer.Instant(n.cfg.ID, tidReliability, "rel", "timeout", n.eng.Now())
+		n.tracer.Instant(n.id, tidReliability, "rel", "timeout", n.eng.Now())
 	}
 	pr.rto *= 2
 	if pr.rto > n.rtoMax {
@@ -212,7 +212,7 @@ func (n *NIC) relTimeout(pr *relPeer) {
 	for _, pkt := range pr.unacked {
 		n.rel.retransmits.Inc()
 		if n.tracer != nil {
-			n.tracer.Instant(n.cfg.ID, tidReliability, "rel", "retransmit", n.eng.Now())
+			n.tracer.Instant(n.id, tidReliability, "rel", "retransmit", n.eng.Now())
 		}
 		n.net.Send(pkt)
 	}
@@ -262,7 +262,7 @@ func (n *NIC) relIngress(pkt network.Packet) bool {
 			pr.nackedFor = pr.expected
 			n.rel.nacksSent.Inc()
 			if n.tracer != nil {
-				n.tracer.Instant(n.cfg.ID, tidReliability, "rel", "nack", n.eng.Now())
+				n.tracer.Instant(n.id, tidReliability, "rel", "nack", n.eng.Now())
 			}
 			n.sendCtl(network.Nack, pr.id, pr.expected)
 		}
@@ -275,7 +275,7 @@ func (n *NIC) relIngress(pkt network.Packet) bool {
 		n.rel.rnrSent.Inc()
 		pr.stalled = true
 		if n.tracer != nil {
-			n.tracer.Instant(n.cfg.ID, tidReliability, "rel", "rnr", n.eng.Now())
+			n.tracer.Instant(n.id, tidReliability, "rel", "rnr", n.eng.Now())
 		}
 		n.sendCtl(network.RNR, pr.id, pkt.RelSeq)
 		return false
@@ -287,7 +287,7 @@ func (n *NIC) relIngress(pkt network.Packet) bool {
 		pr.stalled = false
 		n.rel.recoveries.Inc()
 		if n.tracer != nil {
-			n.tracer.Instant(n.cfg.ID, tidReliability, "rel", "recovery", n.eng.Now())
+			n.tracer.Instant(n.id, tidReliability, "rel", "recovery", n.eng.Now())
 		}
 	}
 	if pkt.Kind == network.Eager || pkt.Kind == network.RTS {
@@ -390,7 +390,7 @@ func (n *NIC) goBack(pr *relPeer, seq uint64) {
 		}
 		n.rel.retransmits.Inc()
 		if n.tracer != nil {
-			n.tracer.Instant(n.cfg.ID, tidReliability, "rel", "retransmit", n.eng.Now())
+			n.tracer.Instant(n.id, tidReliability, "rel", "retransmit", n.eng.Now())
 		}
 		n.net.Send(pkt)
 	}

@@ -13,6 +13,7 @@ import (
 	"alpusim/internal/alpu"
 	"alpusim/internal/bench"
 	"alpusim/internal/mpi"
+	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 )
@@ -41,10 +42,10 @@ func TestEventScheduleGolden(t *testing.T) {
 		cfg := fabricFaultCfg()
 		cfg.MatchShards = 0
 		cfg.ALPUConfig = &acfg
-		cfg.ALPUFaults = &alpu.FaultModel{Seed: 11, BitFlipProb: 0.05, StuckProb: 0.05,
-			ResultDropProb: 0.02, DeathAt: 40 * sim.Microsecond}
 		return cfg
 	}
+	faults := &network.FaultModel{Seed: 11, ALPUBitFlipProb: 0.05, ALPUStuckProb: 0.05,
+		ALPUResultDropProb: 0.02, ALPUDeathAt: 40 * sim.Microsecond}
 	perCycle := alpu.DefaultConfig(alpu.PostedReceives, 128)
 	perCycle.PerCycle = true
 	cells := []scheduleCell{
@@ -66,7 +67,7 @@ func TestEventScheduleGolden(t *testing.T) {
 			return prepostedAt(nic.Config{UseALPU: true, Cells: 128, ALPUConfig: &perCycle}, 100, parts)
 		}},
 		{"devfault/alpu-16", func(parts int) (sim.Time, *mpi.World) {
-			at, w := wildcardRoundsWorld(mpi.Config{NIC: faulty(), Partitions: parts})
+			at, w := wildcardRoundsWorld(mpi.Config{NIC: faulty(), Faults: faults, Partitions: parts})
 			var s alpu.Stats
 			for _, n := range w.NICs {
 				for _, d := range devices(n) {

@@ -90,8 +90,8 @@ func TestEventGoexitOnProcessGoroutine(t *testing.T) {
 		t.Errorf("the loop went on after Goexit: later event ran %v, holder woke at %v, now %v, %d pending",
 			later, woke, e.Now(), e.Pending())
 	}
-	if !holder.Done() || !holder.Killed() {
-		t.Errorf("holder done %v killed %v, want its goroutine ended under the kill mark", holder.Done(), holder.Killed())
+	if !holder.Done() || !holder.killed {
+		t.Errorf("holder done %v killed %v, want its goroutine ended under the kill mark", holder.Done(), holder.killed)
 	}
 	e.Close()
 	settleGoroutines(t, base)

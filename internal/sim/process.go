@@ -116,11 +116,6 @@ func (p *Process) Now() Time { return p.eng.Now() }
 // or unwound, or Engine.Close ended it.
 func (p *Process) Done() bool { return p.done }
 
-// Killed reports whether Engine.Close is unwinding the process. Deferred
-// calls that record model activity (trace spans) check it, so a torn-down
-// process leaves every recorder as the run left it.
-func (p *Process) Killed() bool { return p.killed }
-
 // Sleep advances the process's local time by d, yielding to the simulation.
 // Sleep(0) yields without advancing time (other events at the same instant
 // that were scheduled earlier run first).

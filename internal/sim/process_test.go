@@ -407,7 +407,7 @@ func TestCloseUnwindsProcesses(t *testing.T) {
 	spawnParked := func(name string, wait func(p *Process)) {
 		e.Spawn(name, func(p *Process) {
 			defer func() {
-				if p.Killed() {
+				if p.killed {
 					unwound = append(unwound, name)
 				}
 			}()
