@@ -72,6 +72,10 @@ func TestQuickAllGolden(t *testing.T) {
 		{Name: "all", Args: []string{"-experiment", "all"}},
 		{Name: "chaos", Args: append([]string{"-experiment", "chaos"}, seed...)},
 		{Name: "devchaos", Args: append([]string{"-experiment", "devchaos"}, seed...)},
+		// A -faults value replaces the default matrix with one custom mix
+		// or scenario.
+		{Name: "chaos-custom", Args: []string{"-experiment", "chaos", "-faults", "drop=0.02,corrupt=0.01", "-seed", "7"}},
+		{Name: "devchaos-custom", Args: []string{"-experiment", "devchaos", "-faults", "alpudeath@50us,fwcrash=0.005", "-seed", "7"}},
 		{Name: "tenancy", Args: append([]string{"-quick", "-experiment", "tenancy"}, seed...), Files: []string{"report"}},
 		// The receive outcomes are the same at every fabric width.
 		{Name: "tenancy-shards1", Golden: "tenancy-outcomes", Args: append([]string{"-quick", "-experiment", "tenancy", "-shards", "1"}, seed...)},
