@@ -138,20 +138,21 @@ func (n *NIC) failCounter(name string) {
 }
 
 // noteDeviceFault records one strike against a queue's device: telemetry,
-// a recoverable protocol error (which feeds the log, the error hook and
-// the flight recorder), the exponential retry gate, and a pending-resync
-// mark that the next safe point acts on.
+// the fault instant, then a recoverable protocol error (which feeds the
+// log, the error hook and the flight recorder, so a flight dump ends with
+// the fault that triggered it), the exponential retry gate, and a
+// pending-resync mark that the next safe point acts on.
 func (n *NIC) noteDeviceFault(q *mirrorQueue, op, detail string) {
 	n.faultEvents++
 	q.strikes++
 	q.needResync = true
 	q.retryAt = n.eng.Now() + n.retryBackoff(q.strikes)
 	n.failCounter("strikes")
-	n.noteError(&ProtocolError{NIC: n.id, Op: "alpu-" + op,
-		Detail: fmt.Sprintf("%s ALPU strike %d/%d: %s", q.name, q.strikes, n.strikeLimit(), detail)})
 	if n.tracer != nil {
 		n.tracer.Instant(n.id, tidFirmware, "fault", "alpu-"+op, n.eng.Now())
 	}
+	n.noteError(&ProtocolError{NIC: n.id, Op: "alpu-" + op,
+		Detail: fmt.Sprintf("%s ALPU strike %d/%d: %s", q.name, q.strikes, n.strikeLimit(), detail)})
 }
 
 // deviceFault is noteDeviceFault plus immediate repair — callable only
