@@ -12,7 +12,6 @@ package alpusim
 //	go run ./cmd/alpusim -experiment all
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -56,10 +55,9 @@ func BenchmarkTable5(b *testing.B) { benchmarkFPGATable(b, alpu.UnexpectedMessag
 
 // --- Figure 5 --------------------------------------------------------
 
-// benchJobs fans each sweep's independent worlds across the machine; the
-// sim-ns metrics are identical at any setting (see internal/sweep), only
-// wall-clock ns/op changes.
-var benchJobs = runtime.GOMAXPROCS(0)
+// The sweeps run on the zero bench.Plan, which fans their independent
+// worlds across GOMAXPROCS workers; the sim-ns metrics are identical at
+// any setting (see internal/sweep), only wall-clock ns/op changes.
 
 // worldCounts sums the events, process resumes and goroutine handoffs
 // of every world a sweep runs, over each world's engines. The sweeps run
@@ -100,7 +98,6 @@ func fig5Rep(b *testing.B, kind bench.NICKind) {
 			NIC:       bench.NICConfig(kind),
 			QueueLens: []int{0, 200, 400},
 			Fracs:     []float64{1.0},
-			Jobs:      benchJobs,
 		})
 		base, mid, deep = pts[0].Latency, pts[1].Latency, pts[2].Latency
 	}
@@ -131,7 +128,6 @@ func fig6Rep(b *testing.B, kind bench.NICKind) {
 		pts := bench.RunUnexpected(bench.UnexpectedConfig{
 			NIC:       bench.NICConfig(kind),
 			QueueLens: []int{0, 100, 300},
-			Jobs:      benchJobs,
 		})
 		short, mid, deep = pts[0].Latency, pts[1].Latency, pts[2].Latency
 	}
@@ -215,7 +211,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := nic.Config{UseALPU: true, Cells: 256, Threshold: th}
 				pts := bench.RunPreposted(bench.PrepostedConfig{
-					NIC: cfg, QueueLens: []int{2, 100}, Fracs: []float64{1.0}, Jobs: benchJobs,
+					NIC: cfg, QueueLens: []int{2, 100}, Fracs: []float64{1.0},
 				})
 				shortQ, longQ = pts[0].Latency, pts[1].Latency
 			}
@@ -243,7 +239,7 @@ func BenchmarkAblationHashList(b *testing.B) {
 			var q0, q400 sim.Time
 			for i := 0; i < b.N; i++ {
 				pts := bench.RunPreposted(bench.PrepostedConfig{
-					NIC: cfg.nic, QueueLens: []int{0, 400}, Fracs: []float64{1.0}, Jobs: benchJobs,
+					NIC: cfg.nic, QueueLens: []int{0, 400}, Fracs: []float64{1.0},
 				})
 				q0, q400 = pts[0].Latency, pts[1].Latency
 			}
@@ -380,7 +376,7 @@ func BenchmarkGap(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var pts []bench.GapPoint
 			for i := 0; i < b.N; i++ {
-				pts = bench.RunGap(bench.GapConfig{NIC: cfg.nic, Depths: []int{0, 100}, Jobs: benchJobs})
+				pts = bench.RunGap(bench.GapConfig{NIC: cfg.nic, Depths: []int{0, 100}})
 			}
 			b.ReportMetric(pts[0].NsPerMsg, "sim-ns-msg-d0")
 			b.ReportMetric(pts[1].NsPerMsg, "sim-ns-msg-d100")

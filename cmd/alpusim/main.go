@@ -44,7 +44,8 @@
 // Flags: -quick shrinks the sweeps (~10x faster), -format csv emits
 // machine-readable series instead of tables, -jobs N fans the independent
 // simulation worlds of each sweep across N workers (results are
-// byte-identical at any setting; -jobs 1 is fully sequential).
+// byte-identical at any setting; -jobs 1 is fully sequential, and the
+// default 0 selects GOMAXPROCS).
 //
 // -par N runs every simulated world as a conservative parallel simulation
 // over N per-rank partitions (mpi.Config.Partitions): per-partition event
@@ -85,10 +86,14 @@
 // experiment output stays byte-identical with and without it. -linger
 // keeps the server up after the run so scrapers can catch the final
 // state; -log FILE ("-" = stderr) writes structured simulated-time
-// diagnostics (watchdog expiry, protocol errors, flight dumps). The
+// diagnostics (watchdog expiry, protocol errors, flight dumps) of every
+// world, and -flightsize N sizes every world's flight-recorder ring. The
 // telemetry, report, serving, -log and profiling flags are the shared
 // observability block of internal/obs (obs.CLI), with the same meaning in
-// queuestudy and queueprobe.
+// queuestudy and queueprobe. The run flags -jobs, -par, -faults, -seed
+// and -flightsize belong to the same block, shared with queuestudy: it
+// validates them once and builds the run plan (bench.Plan) that every
+// experiment world is built from.
 //
 // A malformed -faults, -format, or a negative -size, -par or -shards
 // exits 2, before any experiment runs.
@@ -106,7 +111,6 @@ import (
 	"alpusim/internal/bench"
 	"alpusim/internal/fpga"
 	"alpusim/internal/mpi"
-	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
 	"alpusim/internal/params"
@@ -121,21 +125,12 @@ var (
 	quick      = flag.Bool("quick", false, "reduced sweeps")
 	format     = flag.String("format", "table", "output format: table or csv")
 	msgSize    = flag.Int("size", 0, "message payload bytes for fig5/fig6")
-	jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation worlds per sweep (1 = sequential)")
-	par        = flag.Int("par", 0, "partitions per simulated world: conservative parallel simulation on per-partition engines (0 = serial engine; output is identical for any value >= 1)")
-	faultSpec  = flag.String("faults", "", "fault model: a probability (\"0.02\") or class=prob pairs (\"drop=0.01,dup=0.01,reorder=0.02,corrupt=0.005\")")
-	faultSeed  = flag.Int64("seed", 1, "fault-injection seed (same seed => byte-identical run)")
 	flightDump = flag.String("flightdump", "flight.json", "stall experiment: write the flight-recorder dump (Perfetto-loadable trace JSON) here on watchdog expiry")
-	flightSize = flag.Int("flightsize", 0, "flight-recorder ring capacity in events (0 = default when a watchdog is armed; < 0 disables the recorder)")
 	shards     = flag.Int("shards", 0, "tenancy experiment: dump the receive outcomes of this one fabric width instead of the full sweep (1 = single-ALPU baseline)")
 
 	ob = obs.NewCLI("alpusim", flag.CommandLine,
-		obs.FlagTrace|obs.FlagMetrics|obs.FlagReport|obs.FlagTimeseries|obs.FlagSimProf|obs.FlagLog|obs.FlagServe|obs.FlagProfile)
+		obs.FlagTrace|obs.FlagMetrics|obs.FlagReport|obs.FlagTimeseries|obs.FlagSimProf|obs.FlagLog|obs.FlagServe|obs.FlagProfile|obs.FlagRun)
 )
-
-// faults is the -faults model, parsed once at startup; nil without
-// -faults.
-var faults *network.FaultModel
 
 // experimentList names every -experiment value with a one-line
 // description — the table behind "-experiment list" and the
@@ -170,34 +165,24 @@ func printExperiments(w io.Writer) {
 	tb.Render(w)
 }
 
-// checkFlags rejects flag values no experiment can run with and returns
-// the parsed -faults model (nil without -faults).
-func checkFlags(size, par, shards int, format, faultSpec string, seed int64) (*network.FaultModel, error) {
+// checkFlags rejects values of this cmd's own flags that no experiment
+// can run with; obs.CLI.Validate checks the run flags.
+func checkFlags(size, shards int, format string) error {
 	switch {
 	case size < 0:
-		return nil, fmt.Errorf("-size %d: message size must not be negative", size)
-	case par < 0:
-		return nil, fmt.Errorf("-par %d: partition count must not be negative", par)
+		return fmt.Errorf("-size %d: message size must not be negative", size)
 	case shards < 0:
-		return nil, fmt.Errorf("-shards %d: fabric width must not be negative", shards)
+		return fmt.Errorf("-shards %d: fabric width must not be negative", shards)
 	case format != "table" && format != "csv":
-		return nil, fmt.Errorf("-format %q: want table or csv", format)
+		return fmt.Errorf("-format %q: want table or csv", format)
 	}
-	fm, err := network.ParseFaults(faultSpec, seed)
-	if err != nil {
-		return nil, fmt.Errorf("-faults: %w", err)
-	}
-	return fm, nil
+	return nil
 }
 
 func main() {
 	flag.Parse()
-	var err error
-	faults, err = checkFlags(*msgSize, *par, *shards, *format, *faultSpec, *faultSeed)
-	ob.Check(err, 2)
-	if *jobs < 1 {
-		*jobs = runtime.GOMAXPROCS(0)
-	}
+	ob.Check(checkFlags(*msgSize, *shards, *format), 2)
+	ob.Check(ob.Validate(), 2)
 	ob.Check(ob.Start(), 1)
 	if ob.Server != nil {
 		bench.WorldObserver = func(w *mpi.World) { ob.Server.MergeSnapshot(w.TelemetrySnapshot()) }
@@ -263,15 +248,9 @@ func main() {
 // workflow, demonstrated end to end.
 func stallExp() {
 	limit := 200 * sim.Microsecond
-	w := mpi.NewWorld(mpi.Config{
-		Ranks:          2,
-		NIC:            bench.NICConfig(bench.Baseline),
-		Partitions:     *par,
-		WatchdogLimit:  limit,
-		FlightEvents:   *flightSize,
-		FlightDumpPath: *flightDump,
-		Log:            ob.Log,
-	})
+	cfg := ob.Plan.WorldConfig(2, bench.NICConfig(bench.Baseline))
+	cfg.WatchdogLimit, cfg.FlightDumpPath = limit, *flightDump
+	w := mpi.NewWorld(cfg)
 	prog := func(r *mpi.Rank) {
 		peer := 1 - r.Rank()
 		for k := 0; ; k++ {
@@ -304,10 +283,6 @@ func stallExp() {
 	}()
 	w.RunSim()
 }
-
-// pointWorld is the world configuration of every figure and anchor
-// point beyond its two ranks and NIC.
-func pointWorld() mpi.Config { return mpi.Config{Partitions: *par} }
 
 func queueLens() []int {
 	if *quick {
@@ -376,8 +351,7 @@ func fig5(kind bench.NICKind) {
 		QueueLens: queueLens(),
 		Fracs:     fracs(),
 		MsgSize:   *msgSize,
-		Jobs:      *jobs,
-		World:     pointWorld(),
+		Plan:      ob.Plan,
 	})
 	if *format == "csv" {
 		rows := make([][]any, 0, len(pts))
@@ -442,8 +416,7 @@ func fig6() {
 			NIC:       bench.NICConfig(k),
 			QueueLens: unexpLens(),
 			MsgSize:   *msgSize,
-			Jobs:      *jobs,
-			World:     pointWorld(),
+			Plan:      ob.Plan,
 		}))
 	}
 	if *format == "csv" {
@@ -503,7 +476,7 @@ func gapExp() {
 	series := map[string]map[int]bench.GapPoint{}
 	for _, c := range configs {
 		byDepth := make(map[int]bench.GapPoint, len(depths))
-		for _, p := range bench.RunGap(bench.GapConfig{NIC: c.nic, Depths: depths, Jobs: *jobs, Partitions: *par}) {
+		for _, p := range bench.RunGap(bench.GapConfig{NIC: c.nic, Depths: depths, Plan: ob.Plan}) {
 			byDepth[p.Depth] = p
 		}
 		series[c.name] = byDepth
@@ -537,12 +510,13 @@ func scaleExp() {
 	if *quick {
 		iters = 8
 	}
-	parts := *par
+	parts := ob.Plan.World.Partitions
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
 	run := func(partitions int) (workloads.Report, float64) {
-		cfg := mpi.Config{Ranks: ranks, NIC: bench.NICConfig(bench.ALPU128), Partitions: partitions}
+		cfg := ob.Plan.WorldConfig(ranks, bench.NICConfig(bench.ALPU128))
+		cfg.Partitions = partitions
 		t0 := time.Now()
 		rep := workloads.Halo(cfg, iters, 1024, 8)
 		return rep, time.Since(t0).Seconds()
@@ -569,7 +543,7 @@ func cellGrid() bench.CellGrid {
 	if *quick {
 		lens = lens[:3]
 	}
-	return bench.CellGrid{QueueLens: lens, MsgSize: *msgSize, Jobs: *jobs, Partitions: *par, Faults: faults}
+	return bench.CellGrid{QueueLens: lens, MsgSize: *msgSize, Plan: ob.Plan}
 }
 
 // phasesExp decomposes the Fig. 5 end-to-end latency into pipeline
@@ -623,8 +597,8 @@ func phasesExp() {
 		// The title describes the workload only: anything -par/-jobs
 		// dependent would break the byte-identity CI asserts on the report.
 		title := "alpusim phases experiment"
-		if faults != nil {
-			title += fmt.Sprintf(" (faults %s, seed %d)", *faultSpec, *faultSeed)
+		if ob.Plan.Faults != nil {
+			title += fmt.Sprintf(" (faults %s, seed %d)", ob.FaultSpec(), ob.Plan.Seed)
 		}
 		var totals telemetry.Totals
 		for _, p := range pts {
@@ -668,17 +642,9 @@ func critpathExp() {
 // pure function of the flags (same -seed => identical bytes).
 func chaosExp() {
 	ob.Progress.SetLabel("chaos")
-	var mixes []bench.ChaosMix
-	if faults != nil {
-		mixes = []bench.ChaosMix{{Name: "custom", Faults: *faults}}
-	}
 	for _, kind := range []bench.NICKind{bench.Baseline, bench.ALPU128} {
-		fmt.Printf("Chaos: figure workloads under injected faults — %s NIC, seed %d\n", kind, *faultSeed)
-		results := bench.RunChaos(bench.ChaosConfig{
-			NIC: bench.NICConfig(kind), Seed: *faultSeed,
-			Mixes: mixes, MsgSize: *msgSize, Jobs: *jobs,
-			Partitions: *par,
-		})
+		fmt.Printf("Chaos: figure workloads under injected faults — %s NIC, seed %d\n", kind, ob.Plan.Seed)
+		results := bench.RunChaos(bench.ChaosConfig{NIC: bench.NICConfig(kind), MsgSize: *msgSize, Plan: ob.Plan})
 		bench.RenderChaos(os.Stdout, results)
 		fmt.Println()
 	}
@@ -692,15 +658,8 @@ func chaosExp() {
 // (same -seed => identical bytes at any -par).
 func devchaosExp() {
 	ob.Progress.SetLabel("devchaos")
-	var scenarios []bench.DevChaosScenario
-	if faults != nil {
-		scenarios = []bench.DevChaosScenario{{Name: "custom", Faults: *faults}}
-	}
-	fmt.Printf("Device chaos: soak under injected device faults vs clean software reference — seed %d\n", *faultSeed)
-	bench.RenderDevChaos(os.Stdout, bench.RunDevChaos(bench.DevChaosConfig{
-		NIC: bench.NICConfig(bench.ALPU128), Seed: *faultSeed,
-		Scenarios: scenarios, Jobs: *jobs, Partitions: *par,
-	}))
+	fmt.Printf("Device chaos: soak under injected device faults vs clean software reference — seed %d\n", ob.Plan.Seed)
+	bench.RenderDevChaos(os.Stdout, bench.RunDevChaos(bench.DevChaosConfig{NIC: bench.NICConfig(bench.ALPU128), Plan: ob.Plan}))
 	fmt.Println()
 }
 
@@ -708,7 +667,7 @@ func devchaosExp() {
 // -quick shrinks the plan, -seed steers the Zipf schedule, and -par
 // exercises the determinism claim across partitioned engines.
 func tenancyCfg() bench.TenancyBenchConfig {
-	cfg := bench.TenancyBenchConfig{Seed: *faultSeed, Jobs: *jobs, Partitions: *par}
+	cfg := bench.TenancyBenchConfig{Plan: ob.Plan}
 	if *quick {
 		cfg.Comms = 6
 		cfg.Msgs = 512
@@ -732,13 +691,13 @@ func tenancyExp() {
 	// The report wants the occupancy waterlines (per-config queue depths,
 	// per-shard fabric balance) the sweep table cannot show.
 	cfg.Series = ob.WantReport()
-	fmt.Printf("Heavy tenancy: Zipf-skewed multi-communicator matching, seed %d\n", *faultSeed)
+	fmt.Printf("Heavy tenancy: Zipf-skewed multi-communicator matching, seed %d\n", ob.Plan.Seed)
 	rows := bench.RunTenancy(cfg)
 	bench.RenderTenancy(os.Stdout, rows)
 	fmt.Println()
 	if cfg.Series {
 		ob.Check(ob.PublishReport(&obs.Report{
-			Title:  fmt.Sprintf("alpusim tenancy sweep (seed %d)", *faultSeed),
+			Title:  fmt.Sprintf("alpusim tenancy sweep (seed %d)", ob.Plan.Seed),
 			Series: bench.MergedTenancySeries(rows),
 		}), 1)
 	}
@@ -749,16 +708,16 @@ func anchors() {
 	fmt.Println("Measured vs published anchors (§VI-B, §VI-C)")
 	qls := []int{0, 5, 25, 50, 100, 150, 200, 350, 400, 450, 500}
 	base := bench.RunPreposted(bench.PrepostedConfig{
-		NIC: bench.NICConfig(bench.Baseline), QueueLens: qls, Fracs: []float64{0.8, 1.0}, Jobs: *jobs, World: pointWorld(),
+		NIC: bench.NICConfig(bench.Baseline), QueueLens: qls, Fracs: []float64{0.8, 1.0}, Plan: ob.Plan,
 	})
 	al := bench.RunPreposted(bench.PrepostedConfig{
-		NIC: bench.NICConfig(bench.ALPU256), QueueLens: qls, Fracs: []float64{1.0}, Jobs: *jobs, World: pointWorld(),
+		NIC: bench.NICConfig(bench.ALPU256), QueueLens: qls, Fracs: []float64{1.0}, Plan: ob.Plan,
 	})
 	a5 := bench.ExtractFig5(base, al, 256)
 
 	uls := []int{0, 25, 50, 60, 70, 80, 90, 100, 150}
-	b6 := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.Baseline), QueueLens: uls, Jobs: *jobs, World: pointWorld()})
-	a6x := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.ALPU256), QueueLens: uls, Jobs: *jobs, World: pointWorld()})
+	b6 := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.Baseline), QueueLens: uls, Plan: ob.Plan})
+	a6x := bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.ALPU256), QueueLens: uls, Plan: ob.Plan})
 	a6 := bench.ExtractFig6(b6, a6x)
 
 	tb := stats.NewTable("Anchor", "Paper", "Measured")

@@ -30,7 +30,10 @@
 // the studies finish. -linger keeps it up afterwards; -cpuprofile and
 // -memprofile profile the simulator itself. These are the shared
 // observability flags of internal/obs (obs.CLI), with the same meaning
-// as in alpusim and queueprobe.
+// as in alpusim and queueprobe. The run flags -jobs (default 0 =
+// GOMAXPROCS), -par, -faults, -seed and -flightsize belong to the same
+// block, shared with alpusim: it validates them once and builds the run
+// plan (bench.Plan) every study world is built from.
 //
 // -par N splits every study world into N per-rank partitions run as a
 // conservative parallel simulation (see alpusim -help); every output is
@@ -44,13 +47,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"alpusim/internal/alpu"
 	"alpusim/internal/mpi"
-	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
 	"alpusim/internal/params"
@@ -66,15 +67,10 @@ var (
 	workload   = flag.String("workload", "all", "halo, master, storm, sweep, irregular, or all")
 	cells      = flag.Int("cells", 128, "ALPU cells for the accelerated runs")
 	shardsFlag = flag.Int("shards", 0, "matching-fabric shards for the accelerated runs (0/1 = single ALPU); adds a per-shard occupancy table")
-	jobsFlag   = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation worlds (1 = sequential)")
-	parFlag    = flag.Int("par", 0, "partitions per study world: conservative parallel simulation (0 = serial engine; output identical for any value >= 1)")
-	faultSpec  = flag.String("faults", "", "fault model: a probability or class=prob pairs (see alpusim -help)")
-	faultSeed  = flag.Int64("seed", 1, "fault-injection seed")
 	breakdown  = flag.Bool("breakdown", false, "report mean per-message latency phases per study")
-	flightSize = flag.Int("flightsize", 0, "flight-recorder ring capacity in events per study world (0 = default when a watchdog is armed; < 0 disables the recorder)")
 
 	ob = obs.NewCLI("queuestudy", flag.CommandLine,
-		obs.FlagTrace|obs.FlagMetrics|obs.FlagReport|obs.FlagServe|obs.FlagProfile)
+		obs.FlagTrace|obs.FlagMetrics|obs.FlagReport|obs.FlagServe|obs.FlagProfile|obs.FlagRun)
 )
 
 // faultyWatchdog bounds each study world when faults are injected; the
@@ -96,52 +92,41 @@ func runners() []runner {
 	}
 }
 
-// checkFlags rejects flag values no study can run with and returns the
-// ALPU cell count the worlds are built with (-cells 0 selects the NIC's
-// default), the parsed -ranks list and the -faults model (nil without
-// -faults).
-func checkFlags(cells, par int, ranksSpec, faultSpec string, seed int64) (int, []int, *network.FaultModel, error) {
+// checkFlags rejects values of this cmd's own flags that no study can
+// run with (obs.CLI.Validate checks the run flags) and returns the ALPU
+// cell count the worlds are built with (-cells 0 selects the NIC's
+// default) and the parsed -ranks list.
+func checkFlags(cells int, ranksSpec string) (int, []int, error) {
 	if cells == 0 {
 		cells = nic.DefaultCells
 	}
 	if err := (alpu.Geometry{Cells: cells, BlockSize: params.ALPUDefaultBlockSize}).Validate(); err != nil {
-		return 0, nil, nil, fmt.Errorf("-cells %d: %w", cells, err)
-	}
-	if par < 0 {
-		return 0, nil, nil, fmt.Errorf("-par %d: partition count must not be negative", par)
+		return 0, nil, fmt.Errorf("-cells %d: %w", cells, err)
 	}
 	var ranks []int
 	for _, part := range strings.Split(ranksSpec, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 2 {
-			return 0, nil, nil, fmt.Errorf("-ranks %q: want comma-separated process counts of at least 2", ranksSpec)
+			return 0, nil, fmt.Errorf("-ranks %q: want comma-separated process counts of at least 2", ranksSpec)
 		}
 		ranks = append(ranks, v)
 	}
-	fm, err := network.ParseFaults(faultSpec, seed)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("-faults: %w", err)
-	}
-	return cells, ranks, fm, nil
+	return cells, ranks, nil
 }
 
 func main() {
 	flag.Parse()
-	ncells, ranks, fm, err := checkFlags(*cells, *parFlag, *ranksFlag, *faultSpec, *faultSeed)
+	ncells, ranks, err := checkFlags(*cells, *ranksFlag)
 	ob.Check(err, 2)
+	ob.Check(ob.Validate(), 2)
 	ob.Check(ob.Start(), 1)
 	ob.Progress.SetLabel("queuestudy")
-	if *jobsFlag < 1 {
-		*jobsFlag = runtime.GOMAXPROCS(0)
-	}
-	world := mpi.Config{Partitions: *parFlag, FlightEvents: *flightSize}
-	if fm != nil {
-		world.Faults, world.WatchdogLimit = fm, faultyWatchdog
-	}
+	plan := ob.Plan
+	fm := plan.Faults
 
 	fmt.Printf("Application queue study (refs [8]/[9] methodology), ALPU cells=%d\n", ncells)
 	if fm != nil {
-		fmt.Printf("fault injection: %s, seed %d\n", *faultSpec, *faultSeed)
+		fmt.Printf("fault injection: %s, seed %d\n", ob.FaultSpec(), plan.Seed)
 	}
 	fmt.Println()
 	tb := stats.NewTable("workload", "ranks",
@@ -182,8 +167,10 @@ func main() {
 		tracers = append(tracers, tr)
 		samplers = append(samplers, sa)
 		runLabels = append(runLabels, fmt.Sprintf("%s/r%d/%s/", r.name, n, label))
-		cfg := world
-		cfg.Ranks, cfg.NIC = n, nc
+		cfg := plan.WorldConfig(n, nc)
+		if fm != nil {
+			cfg.Faults, cfg.WatchdogLimit = fm, faultyWatchdog
+		}
 		cfg.Causal, cfg.Tracer, cfg.Series = p, tr, sa
 		runs = append(runs, func() workloads.Report { return r.run(cfg) })
 	}
@@ -202,7 +189,7 @@ func main() {
 			addRun(accel, n, r, "alpu")
 		}
 	}
-	reports := sweep.Map(*jobsFlag, len(runs), func(i int) workloads.Report { return runs[i]() })
+	reports := sweep.Map(plan.Jobs, len(runs), func(i int) workloads.Report { return runs[i]() })
 	for i := range studies {
 		studies[i].base, studies[i].accel = reports[2*i], reports[2*i+1]
 	}
@@ -310,13 +297,12 @@ func main() {
 		// ("halo/r8/alpu/..."), as the waterline names in the report. The
 		// title carries only workload parameters — nothing -jobs or -par
 		// dependent — so the report bytes are parallelism-invariant.
-		series := telemetry.NewSampler(0, 0)
-		for i, sa := range samplers {
-			series.AbsorbAs(runLabels[i], sa)
-		}
+		series := telemetry.MergeSeries(len(samplers), func(i int) (string, *telemetry.Sampler) {
+			return runLabels[i], samplers[i]
+		})
 		title := fmt.Sprintf("queuestudy %s, ranks %s, cells %d", *workload, *ranksFlag, ncells)
 		if fm != nil {
-			title += fmt.Sprintf(" (faults %s, seed %d)", *faultSpec, *faultSeed)
+			title += fmt.Sprintf(" (faults %s, seed %d)", ob.FaultSpec(), plan.Seed)
 		}
 		var totals telemetry.Totals
 		for _, p := range phases {

@@ -11,33 +11,29 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		cells, par    int
-		ranks, faults string
-		ok            bool
+		cells int
+		ranks string
+		ok    bool
 	}{
-		{0, 0, "4,8,16", "", true}, // 0 selects the NIC's default geometry
-		{128, 0, "4", "", true},
-		{128, 4, "2, 8", "0.02", true},
-		{-1, 0, "4", "", false},
-		{-5, 0, "4", "", false},
-		{0, -1, "4", "", false},
-		{128, -3, "4", "", false},
-		{128, 0, "4,x", "", false},
-		{128, 0, "1", "", false},
-		{128, 0, "", "", false},
-		{128, 0, "4", "garbage", false},
-		{100, 0, "4", "", false}, // not a whole number of 16-cell blocks
-		{3, 0, "4", "", false},
-		{1, 0, "4", "", false},
-		{16, 0, "4", "", true},
+		{0, "4,8,16", true}, // 0 selects the NIC's default geometry
+		{128, "4", true},
+		{128, "2, 8", true},
+		{-1, "4", false},
+		{-5, "4", false},
+		{128, "4,x", false},
+		{128, "1", false},
+		{128, "", false},
+		{100, "4", false}, // not a whole number of 16-cell blocks
+		{3, "4", false},
+		{1, "4", false},
+		{16, "4", true},
 	} {
-		cells, ranks, fm, err := checkFlags(c.cells, c.par, c.ranks, c.faults, 1)
+		cells, ranks, err := checkFlags(c.cells, c.ranks)
 		if (err == nil) != c.ok {
-			t.Errorf("checkFlags(-cells %d -par %d -ranks %q -faults %q) = %v, want ok=%v",
-				c.cells, c.par, c.ranks, c.faults, err, c.ok)
+			t.Errorf("checkFlags(-cells %d -ranks %q) = %v, want ok=%v", c.cells, c.ranks, err, c.ok)
 		}
-		if err == nil && (len(ranks) == 0 || (fm != nil) != (c.faults != "")) {
-			t.Errorf("checkFlags(-ranks %q -faults %q) = %v, %v", c.ranks, c.faults, ranks, fm)
+		if err == nil && len(ranks) == 0 {
+			t.Errorf("checkFlags(-ranks %q) = %v", c.ranks, ranks)
 		}
 		want := c.cells
 		if want == 0 {

@@ -7,6 +7,7 @@ package bench
 
 import (
 	"alpusim/internal/mpi"
+	"alpusim/internal/network"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/sweep"
@@ -48,10 +49,12 @@ func (k NICKind) String() string {
 	}
 }
 
-// WorldObserver, when set before any sweep starts, receives every
-// benchmark world after it has drained — the live observability hook:
-// alpusim -serve wires it to fold each world's telemetry snapshot into
-// the /metrics endpoint. Called from sweep worker goroutines, so the
+// WorldObserver, when set before any sweep starts, receives every world
+// of the figure, gap, chaos, devchaos, phases and critpath harnesses
+// after it has drained — the live observability hook: alpusim -serve
+// wires it to fold each world's telemetry snapshot into the /metrics
+// endpoint. The tenancy sweep runs its worlds through internal/workloads
+// and is not observed. Called from sweep worker goroutines, so the
 // observer must be safe for concurrent use; the world itself is
 // finished and exclusively owned by the caller. Observation happens
 // after all measured values are extracted and must not (and cannot)
@@ -63,6 +66,37 @@ func observeWorld(w *mpi.World) {
 	if f := WorldObserver; f != nil && w != nil {
 		f(w)
 	}
+}
+
+// Plan is the run context every experiment shares and each config
+// embeds: how many worlds run at once, the seed, the fault model and the
+// template every world is built from. obs.CLI builds it from the -jobs,
+// -par, -faults, -seed and -flightsize flags; the zero Plan runs
+// fault-free serial-engine worlds on GOMAXPROCS workers.
+type Plan struct {
+	// Jobs is the number of worlds run in parallel; <= 0 selects
+	// runtime.GOMAXPROCS(0), 1 runs sequentially. Every world is
+	// independent, so results are identical at any setting.
+	Jobs int
+	// Seed seeds the experiments' traffic plans and fault streams.
+	Seed int64
+	// Faults, when set, runs the chaos, devchaos, phases and critpath
+	// experiments over this fault model; the other harnesses ignore it.
+	Faults *network.FaultModel
+	// World is the template every world starts from: partitions, flight
+	// ring size and logger. The harnesses set Ranks and NIC, and their
+	// fault model and watchdog. A world must own its recorders, so set
+	// Telemetry, Tracer, Causal or Series only when the config describes
+	// a single world (the phases, chaos and critpath harnesses build a
+	// config per cell).
+	World mpi.Config
+}
+
+// WorldConfig is the template completed with ranks ranks on nc.
+func (p Plan) WorldConfig(ranks int, nc nic.Config) mpi.Config {
+	w := p.World
+	w.Ranks, w.NIC = ranks, nc
+	return w
 }
 
 // NICConfig returns the nic.Config for a named configuration.
@@ -96,31 +130,9 @@ type PrepostedConfig struct {
 	// Iters is the number of measured probes per point; the final
 	// iteration (cache steady state) is reported. Default 3.
 	Iters int
-	// Jobs is the number of simulation worlds run in parallel (each point
-	// is an independent world, so results are identical at any setting).
-	// 0 or 1 runs sequentially; < 0 selects runtime.GOMAXPROCS(0).
-	Jobs int
-	// World is the rest of each point's world configuration: partitions,
-	// faults, watchdog, recorders. Every point runs two ranks on NIC, so
-	// World.Ranks and World.NIC are ignored. A world must own its
-	// recorders, so set Telemetry, Tracer, Causal or Series only when the
-	// config describes a single point (the phases, chaos and critpath
-	// harnesses build a config per cell).
-	World mpi.Config
-}
-
-// pointWorld is the two-rank world of one benchmark point on nc.
-func pointWorld(world mpi.Config, nc nic.Config) mpi.Config {
-	world.Ranks, world.NIC = 2, nc
-	return world
-}
-
-// jobs maps the config's zero value to the historical sequential run.
-func normJobs(jobs int) int {
-	if jobs == 0 {
-		return 1
-	}
-	return sweep.Jobs(jobs)
+	// Plan runs every point as a two-rank world on NIC built from
+	// Plan.World (whose faults and watchdog apply; Plan.Faults does not).
+	Plan
 }
 
 // iters-many matching receives are pre-posted back to back at the chosen
@@ -168,7 +180,7 @@ func (c PrepostedConfig) cells() []prepostedCell {
 // regardless of parallelism.
 func RunPreposted(cfg PrepostedConfig) []PrepostedPoint {
 	cells := cfg.cells()
-	return sweep.Map(normJobs(cfg.Jobs), len(cells), func(i int) PrepostedPoint {
+	return sweep.Map(cfg.Jobs, len(cells), func(i int) PrepostedPoint {
 		c := cells[i]
 		lat, _ := prepostedPoint(cfg, c.q, c.p)
 		return PrepostedPoint{
@@ -233,7 +245,7 @@ func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 			}
 		},
 	}
-	w := mpi.RunPrograms(pointWorld(cfg.World, cfg.NIC), progs)
+	w := mpi.RunPrograms(cfg.WorldConfig(2, cfg.NIC), progs)
 	observeWorld(w)
 	// Report the final iteration: cache and ALPU state have reached the
 	// steady state the paper's repeated-iteration benchmark measures.
@@ -253,16 +265,15 @@ type UnexpectedConfig struct {
 	NIC       nic.Config
 	QueueLens []int
 	MsgSize   int
-	// Jobs and World: as in PrepostedConfig.
-	Jobs  int
-	World mpi.Config
+	// Plan: as in PrepostedConfig.
+	Plan
 }
 
 // RunUnexpected measures latency — including the time to post the
 // receive, overlapped with the transfer (§V-A, §VI-C) — as a function of
 // the unexpected queue length. Points run on cfg.Jobs parallel worlds.
 func RunUnexpected(cfg UnexpectedConfig) []UnexpectedPoint {
-	return sweep.Map(normJobs(cfg.Jobs), len(cfg.QueueLens), func(i int) UnexpectedPoint {
+	return sweep.Map(cfg.Jobs, len(cfg.QueueLens), func(i int) UnexpectedPoint {
 		u := cfg.QueueLens[i]
 		lat, _ := unexpectedPoint(cfg, u)
 		return UnexpectedPoint{
@@ -304,7 +315,7 @@ func unexpectedPoint(cfg UnexpectedConfig, u int) (sim.Time, *mpi.World) {
 			t1 = req.DoneAt()
 		},
 	}
-	w := mpi.RunPrograms(pointWorld(cfg.World, cfg.NIC), progs)
+	w := mpi.RunPrograms(cfg.WorldConfig(2, cfg.NIC), progs)
 	observeWorld(w)
 	return t1 - t0, w
 }

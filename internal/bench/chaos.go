@@ -43,19 +43,14 @@ func DefaultChaosMixes() []ChaosMix {
 
 // ChaosConfig parameterises the chaos experiment.
 type ChaosConfig struct {
-	NIC  nic.Config
-	Seed int64
-	// Mixes is the fault matrix (nil = DefaultChaosMixes). A -faults flag
-	// value becomes a single-entry matrix.
-	Mixes []ChaosMix
+	NIC nic.Config
 	// QueueLen / MsgSize shape the workloads (0 = 50 entries / 1024 B).
 	QueueLen int
 	MsgSize  int
-	// Jobs: parallel worlds, as in the figure benchmarks.
-	Jobs int
-	// Partitions: conservative parallel simulation per cell world
-	// (mpi.Config.Partitions). The report is identical at any setting >= 1.
-	Partitions int
+	// Plan seeds every mix; Plan.Faults, when set, replaces
+	// DefaultChaosMixes with the single mix "custom". The report is
+	// identical at any Plan.World.Partitions >= 1.
+	Plan
 }
 
 // ChaosResult is one (workload, mix) cell of the chaos report.
@@ -101,9 +96,9 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 	if cfg.MsgSize <= 0 {
 		cfg.MsgSize = 1024
 	}
-	mixes := cfg.Mixes
-	if mixes == nil {
-		mixes = DefaultChaosMixes()
+	mixes := DefaultChaosMixes()
+	if cfg.Faults != nil {
+		mixes = []ChaosMix{{Name: "custom", Faults: *cfg.Faults}}
 	}
 	// Cell 0 of each workload is the fault-free reference.
 	type cell struct {
@@ -120,9 +115,10 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 			cells = append(cells, cell{workload, m.Name, &fm})
 		}
 	}
-	return sweep.Map(normJobs(cfg.Jobs), len(cells), func(i int) ChaosResult {
+	return sweep.Map(cfg.Jobs, len(cells), func(i int) ChaosResult {
 		c := cells[i]
-		world := mpi.Config{Partitions: cfg.Partitions, Faults: c.fm, WatchdogLimit: chaosWatchdogLimit}
+		plan := cfg.Plan
+		plan.World.Faults, plan.World.WatchdogLimit = c.fm, chaosWatchdogLimit
 		var lat sim.Time
 		var w *mpi.World
 		switch c.workload {
@@ -130,10 +126,10 @@ func RunChaos(cfg ChaosConfig) []ChaosResult {
 			// Many probe iterations: the figure run needs only the cache
 			// steady state, but the chaos run needs enough transmissions for
 			// percent-level fault rates to fire.
-			lat, w = prepostedPoint(PrepostedConfig{NIC: cfg.NIC, MsgSize: cfg.MsgSize, Iters: 40, World: world},
+			lat, w = prepostedPoint(PrepostedConfig{NIC: cfg.NIC, MsgSize: cfg.MsgSize, Iters: 40, Plan: plan},
 				cfg.QueueLen, cfg.QueueLen)
 		default:
-			lat, w = unexpectedPoint(UnexpectedConfig{NIC: cfg.NIC, MsgSize: cfg.MsgSize, World: world}, cfg.QueueLen)
+			lat, w = unexpectedPoint(UnexpectedConfig{NIC: cfg.NIC, MsgSize: cfg.MsgSize, Plan: plan}, cfg.QueueLen)
 		}
 		rel, errs := worldTotals(w)
 		return ChaosResult{

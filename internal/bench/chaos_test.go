@@ -11,7 +11,7 @@ import (
 // the reliability machinery visibly engaged and zero unrecovered errors
 // surfacing as panics.
 func TestRunChaosRecoversEveryMix(t *testing.T) {
-	results := RunChaos(ChaosConfig{NIC: NICConfig(ALPU128), Seed: 17, QueueLen: 30})
+	results := RunChaos(ChaosConfig{NIC: NICConfig(ALPU128), QueueLen: 30, Plan: Plan{Seed: 17}})
 	if len(results) != 12 { // 2 workloads x (clean + 5 mixes)
 		t.Fatalf("got %d results, want 12", len(results))
 	}
@@ -51,7 +51,7 @@ func TestRunChaosRecoversEveryMix(t *testing.T) {
 func TestChaosReportDeterministic(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
-		RenderChaos(&b, RunChaos(ChaosConfig{NIC: NICConfig(Baseline), Seed: 23, QueueLen: 20, Jobs: 4}))
+		RenderChaos(&b, RunChaos(ChaosConfig{NIC: NICConfig(Baseline), QueueLen: 20, Plan: Plan{Jobs: 4, Seed: 23}}))
 		return b.String()
 	}
 	a, b := render(), render()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/network"
 	"alpusim/internal/sim"
 )
@@ -13,7 +14,7 @@ import (
 // the critical path covers every single-message makespan component (no
 // chain is longer than the path that by construction extends it).
 func TestCritPathBlameInvariants(t *testing.T) {
-	pts := RunCritPath(CritPathConfig{CellGrid: CellGrid{QueueLens: []int{0, 64}, Jobs: -1}})
+	pts := RunCritPath(CritPathConfig{CellGrid: CellGrid{QueueLens: []int{0, 64}, Plan: Plan{Jobs: -1}}})
 	if len(pts) != 6 {
 		t.Fatalf("got %d points, want 6 (3 kinds x 2 queue lens)", len(pts))
 	}
@@ -62,7 +63,7 @@ func TestCritPathBlameInvariants(t *testing.T) {
 // far more than the ALPU world's, because the ALPU already removed the
 // linear traversal from the path.
 func TestCritPathWhatIfFig5Ordering(t *testing.T) {
-	pts := RunCritPath(CritPathConfig{CellGrid: CellGrid{QueueLens: []int{128}, Jobs: -1}})
+	pts := RunCritPath(CritPathConfig{CellGrid: CellGrid{QueueLens: []int{128}, Plan: Plan{Jobs: -1}}})
 	speedup := func(kind NICKind) float64 {
 		for _, pt := range pts {
 			if pt.Kind != kind {
@@ -94,12 +95,14 @@ func TestCritPathDeterministic(t *testing.T) {
 	run := func(jobs, par int) (string, string) {
 		pts := RunCritPath(CritPathConfig{
 			CellGrid: CellGrid{
-				Kinds:      []NICKind{Baseline, ALPU128},
-				QueueLens:  []int{8, 64},
-				Jobs:       jobs,
-				Partitions: par,
-				Faults: &network.FaultModel{
-					Seed: 42, DropProb: 0.05, ALPUBitFlipProb: 0.02,
+				Kinds:     []NICKind{Baseline, ALPU128},
+				QueueLens: []int{8, 64},
+				Plan: Plan{
+					Jobs: jobs,
+					Faults: &network.FaultModel{
+						Seed: 42, DropProb: 0.05, ALPUBitFlipProb: 0.02,
+					},
+					World: mpi.Config{Partitions: par},
 				},
 			},
 		})
@@ -146,7 +149,7 @@ func TestCritPathResyncBlameUnderDeviceFaults(t *testing.T) {
 				CellGrid: CellGrid{
 					Kinds:     []NICKind{ALPU128},
 					QueueLens: []int{64},
-					Faults:    &fm,
+					Plan:      Plan{Faults: &fm},
 				},
 			})
 			rep := pts[0].Report

@@ -47,18 +47,15 @@ func DefaultDevChaosScenarios() []DevChaosScenario {
 
 // DevChaosConfig parameterises the campaign.
 type DevChaosConfig struct {
-	NIC  nic.Config // the ALPU NIC under test (UseALPU is forced on)
-	Seed int64
+	NIC nic.Config // the ALPU NIC under test (UseALPU is forced on)
 	// Ranks / Msgs shape the soak plan (0 = 4 ranks / 64 messages).
 	Ranks int
 	Msgs  int
-	// Scenarios is the fault matrix (nil = DefaultDevChaosScenarios).
-	Scenarios []DevChaosScenario
-	// Jobs: parallel worlds, as in the figure benchmarks.
-	Jobs int
-	// Partitions: conservative parallel simulation per cell world. The
-	// report is byte-identical at any setting >= 1.
-	Partitions int
+	// Plan seeds the traffic plan and every scenario; Plan.Faults, when
+	// set, replaces DefaultDevChaosScenarios with the single scenario
+	// "custom". The report is byte-identical at any
+	// Plan.World.Partitions >= 1.
+	Plan
 }
 
 // DevChaosResult is one scenario row of the campaign report.
@@ -100,10 +97,10 @@ func devChaosPlan(seed int64, ranks, msgs int) []devChaosOp {
 	return ops
 }
 
-// runDevChaosWorld drives the plan through one world and folds every
-// receive's matching outcome into an FNV-1a digest, rank by rank in plan
-// order — deliberately independent of completion timing, which faults
-// are allowed to change.
+// runDevChaosWorld drives the plan through one world, hands the drained
+// world to the observer, and folds every receive's matching outcome into
+// an FNV-1a digest, rank by rank in plan order — deliberately independent
+// of completion timing, which faults are allowed to change.
 func runDevChaosWorld(cfg mpi.Config, plan []devChaosOp) (uint64, sim.Time, *mpi.World) {
 	ranks := cfg.Ranks
 	statuses := make([][]mpi.Status, ranks)
@@ -139,6 +136,7 @@ func runDevChaosWorld(cfg mpi.Config, plan []devChaosOp) (uint64, sim.Time, *mpi
 		}
 	}
 	w := mpi.RunPrograms(cfg, progs)
+	observeWorld(w)
 	var end sim.Time
 	for _, e := range ends {
 		if e > end {
@@ -175,16 +173,15 @@ func RunDevChaos(cfg DevChaosConfig) []DevChaosResult {
 	if cfg.Msgs <= 0 {
 		cfg.Msgs = 64
 	}
-	scenarios := cfg.Scenarios
-	if scenarios == nil {
-		scenarios = DefaultDevChaosScenarios()
+	scenarios := DefaultDevChaosScenarios()
+	if cfg.Faults != nil {
+		scenarios = []DevChaosScenario{{Name: "custom", Faults: *cfg.Faults}}
 	}
 	plan := devChaosPlan(cfg.Seed, cfg.Ranks, cfg.Msgs)
-	clean, _, _ := runDevChaosWorld(mpi.Config{
-		Ranks: cfg.Ranks, Partitions: cfg.Partitions,
-		WatchdogLimit: chaosWatchdogLimit,
-	}, plan)
-	results := sweep.Map(normJobs(cfg.Jobs), len(scenarios), func(i int) DevChaosResult {
+	world := cfg.WorldConfig(cfg.Ranks, nic.Config{})
+	world.WatchdogLimit = chaosWatchdogLimit
+	clean, _, _ := runDevChaosWorld(world, plan)
+	results := sweep.Map(cfg.Jobs, len(scenarios), func(i int) DevChaosResult {
 		s := scenarios[i]
 		fm := s.Faults
 		fm.Seed = cfg.Seed
@@ -203,10 +200,9 @@ func RunDevChaos(cfg DevChaosConfig) []DevChaosResult {
 		if nc.FaultRetryBase == 0 {
 			nc.FaultRetryBase = 4 * sim.Microsecond
 		}
-		digest, lat, w := runDevChaosWorld(mpi.Config{
-			Ranks: cfg.Ranks, NIC: nc, Partitions: cfg.Partitions,
-			Faults: &fm, WatchdogLimit: chaosWatchdogLimit,
-		}, plan)
+		cell := world
+		cell.NIC, cell.Faults = nc, &fm
+		digest, lat, w := runDevChaosWorld(cell, plan)
 		snap := w.TelemetrySnapshot()
 		return DevChaosResult{
 			Scenario: s.Name, Digest: digest, Match: digest == clean, Latency: lat,

@@ -2,7 +2,10 @@ package bench
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"alpusim/internal/mpi"
 )
 
 // TestRunDevChaosEveryScenarioMatches: every device-fault scenario must
@@ -10,7 +13,7 @@ import (
 // a matching digest byte-identical to the clean software-only reference,
 // and with its fault class visibly injected.
 func TestRunDevChaosEveryScenarioMatches(t *testing.T) {
-	results := RunDevChaos(DevChaosConfig{Seed: 42})
+	results := RunDevChaos(DevChaosConfig{Plan: Plan{Seed: 42}})
 	if len(results) != len(DefaultDevChaosScenarios()) {
 		t.Fatalf("got %d results, want %d", len(results), len(DefaultDevChaosScenarios()))
 	}
@@ -48,7 +51,7 @@ func TestRunDevChaosEveryScenarioMatches(t *testing.T) {
 func TestDevChaosReportDeterministic(t *testing.T) {
 	render := func(parts int) string {
 		var b strings.Builder
-		RenderDevChaos(&b, RunDevChaos(DevChaosConfig{Seed: 7, Jobs: 4, Partitions: parts}))
+		RenderDevChaos(&b, RunDevChaos(DevChaosConfig{Plan: Plan{Jobs: 4, Seed: 7, World: mpi.Config{Partitions: parts}}}))
 		return b.String()
 	}
 	serial := render(0)
@@ -63,5 +66,18 @@ func TestDevChaosReportDeterministic(t *testing.T) {
 	}
 	if strings.Contains(serial, "DIVERGED") {
 		t.Errorf("report contains diverged scenario:\n%s", serial)
+	}
+}
+
+// TestDevChaosWorldsReachObserver: the clean reference and every
+// scenario world are handed to WorldObserver, so -serve publishes the
+// campaign's telemetry.
+func TestDevChaosWorldsReachObserver(t *testing.T) {
+	var worlds atomic.Int32
+	WorldObserver = func(*mpi.World) { worlds.Add(1) }
+	defer func() { WorldObserver = nil }()
+	RunDevChaos(DevChaosConfig{Msgs: 16, Plan: Plan{Seed: 3}})
+	if got, want := int(worlds.Load()), 1+len(DefaultDevChaosScenarios()); got != want {
+		t.Errorf("observer saw %d worlds, want %d (clean reference + every scenario)", got, want)
 	}
 }

@@ -26,10 +26,8 @@ type GapConfig struct {
 	Depths  []int
 	Burst   int // messages per measurement (default 32)
 	MsgSize int
-	// Jobs: parallel worlds, as in PrepostedConfig.
-	Jobs int
-	// Partitions: conservative parallel simulation (mpi.Config.Partitions).
-	Partitions int
+	// Plan: as in PrepostedConfig.
+	Plan
 }
 
 // RunGap measures the achieved receiver-side message rate as a function
@@ -39,7 +37,7 @@ func RunGap(cfg GapConfig) []GapPoint {
 	if burst <= 0 {
 		burst = 32
 	}
-	return sweep.Map(normJobs(cfg.Jobs), len(cfg.Depths), func(i int) GapPoint {
+	return sweep.Map(cfg.Jobs, len(cfg.Depths), func(i int) GapPoint {
 		gap := gapPoint(cfg, cfg.Depths[i], burst)
 		return GapPoint{
 			Depth:     cfg.Depths[i],
@@ -79,7 +77,7 @@ func gapPoint(cfg GapConfig, d, burst int) sim.Time {
 			lastDone = reqs[burst-1].DoneAt()
 		},
 	}
-	observeWorld(mpi.RunPrograms(mpi.Config{Ranks: 2, NIC: cfg.NIC, Partitions: cfg.Partitions}, progs))
+	observeWorld(mpi.RunPrograms(cfg.WorldConfig(2, cfg.NIC), progs))
 	return (lastDone - firstDone) / sim.Time(burst-1)
 }
 

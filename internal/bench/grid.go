@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"alpusim/internal/mpi"
-	"alpusim/internal/network"
 	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
 )
@@ -16,14 +14,10 @@ type CellGrid struct {
 	QueueLens []int     // nil = {0, 32, 128, 512}
 	MsgSize   int
 	Iters     int
-	// Jobs: parallel worlds, as in the figure benchmarks.
-	Jobs int
-	// Partitions: conservative parallel simulation per cell world.
-	Partitions int
-	// Faults runs the cells over a faulty network/device mix (reliability
-	// forced on), so retransmit recovery and resync windows show up in
-	// the recovery and resync columns.
-	Faults *network.FaultModel
+	// Plan.Faults runs the cells over a faulty network/device mix
+	// (reliability forced on), so retransmit recovery and resync windows
+	// show up in the recovery and resync columns.
+	Plan
 }
 
 func (g CellGrid) kinds() []NICKind {
@@ -48,10 +42,10 @@ func (g CellGrid) queueLens() []int {
 // recorders, runs the point and harvests it.
 func mapGrid[P any](g CellGrid, measure func(kind NICKind, q int, pc PrepostedConfig) P) []P {
 	kinds, lens := g.kinds(), g.queueLens()
-	return sweep.Map(normJobs(g.Jobs), len(kinds)*len(lens), func(i int) P {
+	return sweep.Map(g.Jobs, len(kinds)*len(lens), func(i int) P {
 		kind, q := kinds[i/len(lens)], lens[i%len(lens)]
-		pc := PrepostedConfig{NIC: NICConfig(kind), MsgSize: g.MsgSize, Iters: g.Iters,
-			World: mpi.Config{Partitions: g.Partitions, Causal: telemetry.NewCausal()}}
+		pc := PrepostedConfig{NIC: NICConfig(kind), MsgSize: g.MsgSize, Iters: g.Iters, Plan: g.Plan}
+		pc.World.Causal = telemetry.NewCausal()
 		if g.Faults != nil {
 			fm := *g.Faults
 			pc.World.Faults, pc.World.WatchdogLimit = &fm, chaosWatchdogLimit

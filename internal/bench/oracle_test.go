@@ -69,7 +69,7 @@ func TestOracleFastPathMatchesPerCycle(t *testing.T) {
 			deep := func(pc bool) ([]deviceStats, string) {
 				reg := telemetry.NewRegistry()
 				_, w := prepostedPoint(PrepostedConfig{
-					NIC: oracleNIC(k, pc), World: mpi.Config{Telemetry: reg},
+					NIC: oracleNIC(k, pc), Plan: Plan{World: mpi.Config{Telemetry: reg}},
 				}, 120, 120)
 				var stats []deviceStats
 				for _, n := range w.NICs {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/network"
 	"alpusim/internal/nic"
 )
@@ -14,14 +15,14 @@ func renderChaosString(t *testing.T, parts int) string {
 	t.Helper()
 	var sb strings.Builder
 	RenderChaos(&sb, RunChaos(ChaosConfig{
-		NIC:  nic.Config{UseALPU: true, Cells: 64},
-		Seed: 42,
-		Mixes: []ChaosMix{
-			{Name: "all", Faults: network.FaultModel{DropProb: 0.01, DupProb: 0.01, ReorderProb: 0.01, CorruptProb: 0.01}},
+		NIC:      nic.Config{UseALPU: true, Cells: 64},
+		QueueLen: 30,
+		MsgSize:  512,
+		Plan: Plan{
+			Seed:   42,
+			Faults: &network.FaultModel{DropProb: 0.01, DupProb: 0.01, ReorderProb: 0.01, CorruptProb: 0.01},
+			World:  mpi.Config{Partitions: parts},
 		},
-		QueueLen:   30,
-		MsgSize:    512,
-		Partitions: parts,
 	}))
 	return sb.String()
 }
@@ -35,7 +36,7 @@ func TestChaosReportPartitionsInvariant(t *testing.T) {
 	if got := renderChaosString(t, 2); got != ref {
 		t.Errorf("chaos report diverged between par1 and par2:\n--- par1\n%s\n--- par2\n%s", ref, got)
 	}
-	if !strings.Contains(ref, "all") {
+	if !strings.Contains(ref, "custom") {
 		t.Fatalf("chaos report missing the fault mix row:\n%s", ref)
 	}
 }

@@ -84,20 +84,13 @@ func MergedMetrics(points []PhasePoint) telemetry.Snapshot {
 }
 
 // MergedSeries folds the per-cell samplers into one set, each cell's
-// series prefixed "kind/q<len>/" — the experiment-wide waterline data
-// behind -report and /timeseries. Returns nil when sampling was off.
+// series prefixed "kind/q<len>/" (telemetry.MergeSeries). Returns nil
+// when sampling was off.
 func MergedSeries(points []PhasePoint) *telemetry.Sampler {
-	var m *telemetry.Sampler
-	for _, p := range points {
-		if p.Series == nil {
-			continue
-		}
-		if m == nil {
-			m = telemetry.NewSampler(p.Series.Interval(), 0)
-		}
-		m.AbsorbAs(fmt.Sprintf("%s/q%d/", p.Kind, p.QueueLen), p.Series)
-	}
-	return m
+	return telemetry.MergeSeries(len(points), func(i int) (string, *telemetry.Sampler) {
+		p := points[i]
+		return fmt.Sprintf("%s/q%d/", p.Kind, p.QueueLen), p.Series
+	})
 }
 
 // Tracers collects the non-nil per-cell tracers in enumeration order,

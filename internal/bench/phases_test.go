@@ -15,7 +15,7 @@ import (
 // phase columns telescope to the message's own total, and that total IS
 // the independently measured Fig. 5 end-to-end latency.
 func TestPhasesSumToEndToEnd(t *testing.T) {
-	pts := RunPhases(PhasesConfig{CellGrid: CellGrid{QueueLens: []int{0, 64}, Jobs: -1}})
+	pts := RunPhases(PhasesConfig{CellGrid: CellGrid{QueueLens: []int{0, 64}, Plan: Plan{Jobs: -1}}})
 	if len(pts) != 6 {
 		t.Fatalf("got %d points, want 6 (3 kinds x 2 queue lens)", len(pts))
 	}
@@ -63,8 +63,7 @@ func TestPhasesDeterministic(t *testing.T) {
 				Kinds:     []NICKind{Baseline, ALPU128},
 				QueueLens: []int{8, 32},
 				Iters:     6,
-				Jobs:      jobs,
-				Faults:    &network.FaultModel{DropProb: 0.05, Seed: 42},
+				Plan:      Plan{Jobs: jobs, Faults: &network.FaultModel{DropProb: 0.05, Seed: 42}},
 			},
 			Trace: true,
 		})
@@ -103,7 +102,7 @@ func TestTraceShowsSearchAndRetransmits(t *testing.T) {
 			Kinds:     []NICKind{ALPU128},
 			QueueLens: []int{16},
 			Iters:     30,
-			Faults:    &network.FaultModel{DropProb: 0.1, Seed: 7},
+			Plan:      Plan{Faults: &network.FaultModel{DropProb: 0.1, Seed: 7}},
 		},
 		Trace: true,
 	})
@@ -163,7 +162,7 @@ func TestPhasesDeviceFaultsLandBeforeDeliver(t *testing.T) {
 				CellGrid: CellGrid{
 					Kinds:     []NICKind{ALPU128},
 					QueueLens: []int{64},
-					Faults:    &fm,
+					Plan:      Plan{Faults: &fm},
 				},
 			})[0]
 			if p.Totals.Messages == 0 {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
@@ -25,20 +24,19 @@ import (
 
 // TenancyBenchConfig parameterises the sweep.
 type TenancyBenchConfig struct {
-	Seed  int64
 	Ranks int // world size (0 = 8); rank 0 is the receiver
 	Comms int // communicators / tenants (0 = 12)
 	Msgs  int // pre-posted receives (0 = 1536)
 	Cells int // ALPU cells per matching unit (0 = 128)
 	// Shards lists the fabric widths to sweep (nil = 2, 4, 8); the
 	// software-list and single-ALPU baselines always run first.
-	Shards     []int
-	Jobs       int
-	Partitions int
+	Shards []int
 	// Series attaches a time-series sampler to every configuration's
 	// receiver world — the per-config occupancy waterlines behind
 	// -report / -timeseries (MergedTenancySeries).
 	Series bool
+	// Plan.Seed steers the Zipf schedule; the sweep runs fault-free.
+	Plan
 }
 
 func (c *TenancyBenchConfig) norm() {
@@ -57,11 +55,6 @@ func (c *TenancyBenchConfig) norm() {
 	if c.Shards == nil {
 		c.Shards = []int{2, 4, 8}
 	}
-}
-
-// world is one configuration's world on nc.
-func (c *TenancyBenchConfig) world(nc nic.Config) mpi.Config {
-	return mpi.Config{Ranks: c.Ranks, NIC: nc, Partitions: c.Partitions}
 }
 
 // params is the plan every configuration of the sweep runs.
@@ -117,7 +110,7 @@ func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) Te
 	if shards > 1 {
 		nc.MatchShards = shards
 	}
-	world := cfg.world(nc)
+	world := cfg.WorldConfig(cfg.Ranks, nc)
 	if cfg.Series {
 		world.Series = telemetry.NewSampler(0, 0)
 	}
@@ -162,7 +155,7 @@ func RunTenancy(cfg TenancyBenchConfig) []TenancyRow {
 	for _, s := range cfg.Shards {
 		cells = append(cells, cell{fmt.Sprintf("fabric-%d", s), true, s})
 	}
-	rows := sweep.Map(normJobs(cfg.Jobs), len(cells), func(i int) TenancyRow {
+	rows := sweep.Map(cfg.Jobs, len(cells), func(i int) TenancyRow {
 		c := cells[i]
 		return tenancyRow(cfg, c.name, c.alpuOn, c.shards)
 	})
@@ -223,17 +216,9 @@ func RenderTenancy(out io.Writer, rows []TenancyRow) {
 // "fabric-4/nic0/fabric/shard2/depth", ...) — the waterline comparison
 // behind -report and /timeseries. Returns nil when sampling was off.
 func MergedTenancySeries(rows []TenancyRow) *telemetry.Sampler {
-	var m *telemetry.Sampler
-	for _, r := range rows {
-		if r.Series == nil {
-			continue
-		}
-		if m == nil {
-			m = telemetry.NewSampler(r.Series.Interval(), 0)
-		}
-		m.AbsorbAs(r.Config+"/", r.Series)
-	}
-	return m
+	return telemetry.MergeSeries(len(rows), func(i int) (string, *telemetry.Sampler) {
+		return rows[i].Config + "/", rows[i].Series
+	})
 }
 
 // WriteTenancyOutcomes dumps one configuration's receive outcomes in
@@ -258,5 +243,5 @@ func TenancyOutcomes(cfg TenancyBenchConfig, shards int) (workloads.TenancyParam
 		nc.MatchShards = shards
 	}
 	p := cfg.params()
-	return p, workloads.Tenancy(cfg.world(nc), p)
+	return p, workloads.Tenancy(cfg.WorldConfig(cfg.Ranks, nc), p)
 }

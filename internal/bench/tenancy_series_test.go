@@ -11,12 +11,12 @@ import (
 // depths, and the merged bytes are partition-invariant.
 func TestTenancySeriesMerged(t *testing.T) {
 	cfg := TenancyBenchConfig{
-		Seed: 7, Ranks: 4, Comms: 4, Msgs: 128,
-		Shards: []int{4}, Jobs: 1, Series: true,
+		Ranks: 4, Comms: 4, Msgs: 128,
+		Shards: []int{4}, Series: true, Plan: Plan{Jobs: 1, Seed: 7},
 	}
 	run := func(par int) []byte {
 		c := cfg
-		c.Partitions = par
+		c.World.Partitions = par
 		m := MergedTenancySeries(RunTenancy(c))
 		if m == nil {
 			t.Fatalf("par %d: no merged series", par)

@@ -404,7 +404,7 @@ func (w *World) absorbShards() {
 	}
 	for _, r := range w.parts {
 		r.series.Finalize(tEnd)
-		w.Series.Absorb(r.series)
+		w.Series.AbsorbAs("", r.series)
 	}
 }
 

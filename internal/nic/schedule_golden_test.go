@@ -59,7 +59,7 @@ func TestEventScheduleGolden(t *testing.T) {
 			var lat sim.Time
 			w := observe(func() {
 				lat = bench.RunUnexpected(bench.UnexpectedConfig{NIC: bench.NICConfig(bench.ALPU256),
-					QueueLens: []int{200}, World: mpi.Config{Partitions: parts}})[0].Latency
+					QueueLens: []int{200}, Plan: bench.Plan{World: mpi.Config{Partitions: parts}}})[0].Latency
 			})
 			return lat, w
 		}},
@@ -179,7 +179,7 @@ func prepostedAt(cfg nic.Config, q, parts int) (sim.Time, *mpi.World) {
 	var lat sim.Time
 	w := observe(func() {
 		lat = bench.RunPreposted(bench.PrepostedConfig{NIC: cfg, QueueLens: []int{q}, Fracs: []float64{1.0},
-			World: mpi.Config{Partitions: parts}})[0].Latency
+			Plan: bench.Plan{World: mpi.Config{Partitions: parts}}})[0].Latency
 	})
 	return lat, w
 }

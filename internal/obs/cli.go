@@ -10,12 +10,15 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"alpusim/internal/bench"
+	"alpusim/internal/mpi"
+	"alpusim/internal/network"
 	"alpusim/internal/sweep"
 )
 
-// FlagGroup selects which of the shared observability flags a cmd registers.
-// Every cmd registers the subset its runs can feed; a flag means the same
-// thing, with the same default and usage, in every cmd that has it.
+// FlagGroup selects which of the shared flags a cmd registers. Every cmd
+// registers the subset its runs can feed; a flag means the same thing,
+// with the same default and usage, in every cmd that has it.
 type FlagGroup uint
 
 const (
@@ -27,6 +30,7 @@ const (
 	FlagLog                              // -log FILE ("-" = stderr)
 	FlagServe                            // -serve ADDR and -linger DURATION
 	FlagProfile                          // -cpuprofile FILE and -memprofile FILE
+	FlagRun                              // -jobs, -par, -faults, -seed and -flightsize: the run plan
 )
 
 // fileSinks are the flags Emit writes to: a file path, "-" meaning stdout.
@@ -41,9 +45,9 @@ var fileSinks = [...]struct {
 	{FlagSimProf, "simprof", "write a pprof-compatible simulated-time profile to this file (read with `go tool pprof`)"},
 }
 
-// CLI is a cmd's observability flag block: the shared flags, and after
-// Start the sinks they opened. Start it after flag parsing and Close it
-// when the run is done.
+// CLI is a cmd's shared flag block: the observability flags, the run
+// flags, and after Start the sinks they opened. After flag parsing,
+// Validate it, then Start it; Close it when the run is done.
 type CLI struct {
 	name                   string
 	paths                  [len(fileSinks)]string
@@ -51,6 +55,14 @@ type CLI struct {
 	cpuProfile, memProfile string
 	linger                 time.Duration
 	logFile, cpuFile       *os.File
+
+	jobs, par, flightSize int
+	seed                  int64
+	faultSpec             string
+
+	// Plan is the run plan the run flags describe, built by Validate;
+	// Start adds the -log logger to its world template.
+	Plan bench.Plan
 
 	// Log is the -log diagnostic logger; nil without -log.
 	Log *slog.Logger
@@ -80,8 +92,35 @@ func NewCLI(name string, fs *flag.FlagSet, group FlagGroup) *CLI {
 		fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 		fs.StringVar(&c.memProfile, "memprofile", "", "write a pprof allocation profile to this file on exit")
 	}
+	if group&FlagRun != 0 {
+		fs.IntVar(&c.jobs, "jobs", 0, "parallel simulation worlds per sweep (1 = sequential; 0 or less = GOMAXPROCS); output is identical at any value")
+		fs.IntVar(&c.par, "par", 0, "partitions per simulated world: conservative parallel simulation on per-partition engines (0 = serial engine; output is identical for any value >= 1)")
+		fs.StringVar(&c.faultSpec, "faults", "", "fault model for the runs that take one: a probability (\"0.02\") or class=prob pairs (\"drop=0.01,reorder=0.05,alpudeath@50us\")")
+		fs.Int64Var(&c.seed, "seed", 1, "seed of the fault streams and traffic plans (same seed => byte-identical run)")
+		fs.IntVar(&c.flightSize, "flightsize", 0, "flight-recorder ring capacity in events per world (0 = default when a watchdog is armed; < 0 disables the recorder)")
+	}
 	return c
 }
+
+// Validate checks the run flags and builds Plan from them. The error
+// names the flag that failed.
+func (c *CLI) Validate() error {
+	if c.par < 0 {
+		return fmt.Errorf("-par %d: partition count must not be negative", c.par)
+	}
+	fm, err := network.ParseFaults(c.faultSpec, c.seed)
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
+	}
+	c.Plan = bench.Plan{
+		Jobs: sweep.Jobs(c.jobs), Seed: c.seed, Faults: fm,
+		World: mpi.Config{Partitions: c.par, FlightEvents: c.flightSize, Log: c.Log},
+	}
+	return nil
+}
+
+// FaultSpec is the -faults value as given.
+func (c *CLI) FaultSpec() string { return c.faultSpec }
 
 // Start opens what the parsed flags ask for: the CPU profile, the -log
 // file and the -serve plane. The error names the flag that failed.
@@ -109,6 +148,7 @@ func (c *CLI) Start() error {
 		c.logFile = f
 		c.Log = slog.New(slog.NewTextHandler(f, nil))
 	}
+	c.Plan.World.Log = c.Log
 	if c.serveAddr != "" {
 		c.Progress = sweep.NewProgress()
 		sweep.SetProgress(c.Progress)

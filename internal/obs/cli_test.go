@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,5 +86,55 @@ func TestCLIEmitErrorNamesFlag(t *testing.T) {
 	err := c.Emit(FlagMetrics, func(io.Writer) error { return nil })
 	if err == nil || !strings.HasPrefix(err.Error(), "-metrics: ") {
 		t.Errorf("Emit into a missing directory = %v, want a -metrics error", err)
+	}
+}
+
+// TestCLIRunFlags validates the run flags and checks the plan they build.
+func TestCLIRunFlags(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		args   []string
+		err    string // the error's prefix; "" = valid
+		jobs   int
+		par    int
+		flight int
+		seed   int64
+		fault  bool
+	}{
+		{args: nil, jobs: procs, seed: 1},
+		{args: []string{"-jobs", "0"}, jobs: procs, seed: 1},
+		{args: []string{"-jobs", "-1"}, jobs: procs, seed: 1},
+		{args: []string{"-jobs", "3", "-par", "8", "-flightsize", "256"}, jobs: 3, par: 8, flight: 256, seed: 1},
+		{args: []string{"-par", "-1"}, err: "-par -1: "},
+		{args: []string{"-faults", "garbage"}, err: "-faults: "},
+		{args: []string{"-faults", "drop=2"}, err: "-faults: "},
+		{args: []string{"-faults", "0.02", "-seed", "42"}, jobs: procs, seed: 42, fault: true},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		cli := NewCLI("test", fs, FlagRun)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		err := cli.Validate()
+		if c.err != "" {
+			if err == nil || !strings.HasPrefix(err.Error(), c.err) {
+				t.Errorf("%v: Validate = %v, want an error starting %q", c.args, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v: Validate = %v", c.args, err)
+			continue
+		}
+		p := cli.Plan
+		if p.Jobs != c.jobs || p.World.Partitions != c.par || p.World.FlightEvents != c.flight ||
+			p.Seed != c.seed || (p.Faults != nil) != c.fault {
+			t.Errorf("%v: plan jobs %d par %d flightsize %d seed %d faults %v; want %d %d %d %d faults=%v",
+				c.args, p.Jobs, p.World.Partitions, p.World.FlightEvents, p.Seed, p.Faults,
+				c.jobs, c.par, c.flight, c.seed, c.fault)
+		}
+		if p.Faults != nil && p.Faults.Seed != c.seed {
+			t.Errorf("%v: fault model seed %d, want -seed %d", c.args, p.Faults.Seed, c.seed)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func TestDeterminism(t *testing.T) {
 			NIC:       bench.NICConfig(bench.ALPU128),
 			QueueLens: []int{0, 50, 100, 200},
 			Fracs:     []float64{0, 0.5, 1.0},
-			Jobs:      jobs,
+			Plan:      bench.Plan{Jobs: jobs},
 		})
 	}
 	seq := run(1)

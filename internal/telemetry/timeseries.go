@@ -240,27 +240,11 @@ func (sa *Sampler) Finalize(tEnd sim.Time) {
 	}
 }
 
-// Absorb folds a shard's series into sa — a union by name, since every
-// series is written by exactly one shard. Rendering sorts by name, so
-// the fold order is immaterial.
-func (sa *Sampler) Absorb(o *Sampler) {
-	if sa == nil || o == nil {
-		return
-	}
-	for name, s := range o.series {
-		if _, dup := sa.series[name]; dup {
-			panic(fmt.Sprintf("telemetry: series %q absorbed twice", name))
-		}
-		sa.series[name] = s
-	}
-	o.series = make(map[string]*Series)
-	o.probes = nil
-}
-
-// AbsorbAs folds a finished sampler's series into sa under a name
-// prefix — the cross-world fold: a sweep's per-cell samplers all use
-// nic-scoped names, so a cell prefix ("alpu-128/q512/") keeps them
-// distinct in the merged set.
+// AbsorbAs folds o's series into sa under a name prefix, leaving o
+// empty. With an empty prefix it folds a partition shard back into its
+// world's sampler — a union by name, since every series is written by
+// exactly one shard. A non-empty prefix is the cross-world fold of
+// MergeSeries. Rendering sorts by name, so the fold order is immaterial.
 func (sa *Sampler) AbsorbAs(prefix string, o *Sampler) {
 	if sa == nil || o == nil {
 		return
@@ -274,6 +258,27 @@ func (sa *Sampler) AbsorbAs(prefix string, o *Sampler) {
 	}
 	o.series = make(map[string]*Series)
 	o.probes = nil
+}
+
+// MergeSeries folds n finished per-world samplers into one set — the
+// experiment-wide waterline data behind -report and /timeseries. world
+// returns world i's label and sampler; the label prefixes the sampler's
+// nic-scoped series names ("alpu-128/q512/"), which keeps different
+// worlds' series distinct. Worlds without a sampler are skipped, and the
+// result is nil when no world had one.
+func MergeSeries(n int, world func(i int) (label string, s *Sampler)) *Sampler {
+	var m *Sampler
+	for i := 0; i < n; i++ {
+		label, s := world(i)
+		if s == nil {
+			continue
+		}
+		if m == nil {
+			m = NewSampler(s.Interval(), 0)
+		}
+		m.AbsorbAs(label, s)
+	}
+	return m
 }
 
 // All returns every series sorted by name — the canonical render order.

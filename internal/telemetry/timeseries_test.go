@@ -171,7 +171,7 @@ func TestSamplerNilSafe(t *testing.T) {
 	var sa *Sampler
 	sa.Probe("x", func() int64 { return 1 })
 	sa.Finalize(100)
-	sa.Absorb(nil)
+	sa.AbsorbAs("", nil)
 	sa.Publish(nil)
 	if sa.All() != nil {
 		t.Error("nil sampler has series")
@@ -182,5 +182,29 @@ func TestSamplerNilSafe(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"series": []`) {
 		t.Errorf("nil sampler JSON: %s", buf.String())
+	}
+}
+
+// MergeSeries prefixes each world's series with its label, skips worlds
+// without a sampler, and is nil when no world had one.
+func TestMergeSeries(t *testing.T) {
+	world := func(name string) *Sampler {
+		sa := NewSampler(0, 0)
+		sa.Probe(name, func() int64 { return 1 })
+		sa.Finalize(0)
+		return sa
+	}
+	labels := []string{"a/", "b/", "c/"}
+	samplers := []*Sampler{world("nic0/x"), nil, world("nic0/x")}
+	m := MergeSeries(len(samplers), func(i int) (string, *Sampler) { return labels[i], samplers[i] })
+	var names []string
+	for _, s := range m.All() {
+		names = append(names, s.Name())
+	}
+	if got := strings.Join(names, " "); got != "a/nic0/x c/nic0/x" {
+		t.Errorf("merged series %q, want a/nic0/x c/nic0/x", got)
+	}
+	if m := MergeSeries(2, func(int) (string, *Sampler) { return "x/", nil }); m != nil {
+		t.Errorf("merge of no samplers = %v, want nil", m)
 	}
 }
