@@ -114,7 +114,7 @@ func (c *CLI) Validate() error {
 	}
 	c.Plan = bench.Plan{
 		Jobs: sweep.Jobs(c.jobs), Seed: c.seed, Faults: fm,
-		World: mpi.Config{Partitions: c.par, FlightEvents: c.flightSize, Log: c.Log},
+		World: mpi.Config{Partitions: c.par, FlightEvents: c.flightSize},
 	}
 	return nil
 }
