@@ -117,7 +117,6 @@ import (
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/workloads"
 )
 
 var (
@@ -184,9 +183,6 @@ func main() {
 	ob.Check(checkFlags(*msgSize, *shards, *format), 2)
 	ob.Check(ob.Validate(), 2)
 	ob.Check(ob.Start(), 1)
-	if ob.Server != nil {
-		bench.WorldObserver = func(w *mpi.World) { ob.Server.MergeSnapshot(w.TelemetrySnapshot()) }
-	}
 	switch *experiment {
 	case "tab3":
 		tab3()
@@ -278,8 +274,8 @@ func stallExp() {
 		}
 		fmt.Printf("stall: watchdog expired at %v (as intended)\n", we.Limit)
 		events, dropped := w.FlightStats()
-		fmt.Printf("stall: flight recorder dumped %d events to %s (%d older events dropped by the ring)\n",
-			events, *flightDump, dropped)
+		fmt.Printf("stall: flight recorder dumped %d events (%d older events dropped by the ring)\n",
+			events, dropped)
 	}()
 	w.RunSim()
 }
@@ -514,11 +510,11 @@ func scaleExp() {
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
-	run := func(partitions int) (workloads.Report, float64) {
+	run := func(partitions int) (bench.Report, float64) {
 		cfg := ob.Plan.WorldConfig(ranks, bench.NICConfig(bench.ALPU128))
 		cfg.Partitions = partitions
 		t0 := time.Now()
-		rep := workloads.Halo(cfg, iters, 1024, 8)
+		rep := bench.Halo(cfg, iters, 1024, 8)
 		return rep, time.Since(t0).Seconds()
 	}
 	serialRep, serialSec := run(0)
@@ -684,8 +680,7 @@ func tenancyExp() {
 	ob.Progress.SetLabel("tenancy")
 	cfg := tenancyCfg()
 	if *shards > 0 {
-		p, rep := bench.TenancyOutcomes(cfg, *shards)
-		bench.WriteTenancyOutcomes(os.Stdout, p, rep)
+		bench.WriteTenancyOutcomes(os.Stdout, cfg, *shards)
 		return
 	}
 	// The report wants the occupancy waterlines (per-config queue depths,

@@ -82,6 +82,10 @@ func TestQuickAllGolden(t *testing.T) {
 			Files: []string{"metrics"}},
 		{Name: "phases-faults", Args: append([]string{"-quick", "-experiment", "phases", "-faults", "0.02"}, seed...),
 			Files: []string{"trace", "metrics", "timeseries", "simprof", "report"}},
+		// The flight-recorder post-mortem of the forced stall, at the
+		// default ring size: a 2-rank world keeps the same ring at any
+		// -par >= 1.
+		{Name: "stall", Args: []string{"-experiment", "stall"}, Files: []string{"flightdump"}},
 	})
 }
 

@@ -39,7 +39,8 @@
 // conservative parallel simulation (see alpusim -help); every output is
 // byte-identical for any -par N >= 1, with 0 keeping the serial engine.
 //
-// A malformed -ranks, -cells, -par or -faults value exits 2.
+// A malformed -ranks, -cells, -workload, -par or -faults value, or a
+// negative -shards, exits 2.
 package main
 
 import (
@@ -47,10 +48,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"alpusim/internal/alpu"
+	"alpusim/internal/bench"
 	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/obs"
@@ -59,7 +62,6 @@ import (
 	"alpusim/internal/stats"
 	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
-	"alpusim/internal/workloads"
 )
 
 var (
@@ -79,16 +81,16 @@ const faultyWatchdog = 500 * sim.Millisecond
 
 type runner struct {
 	name string
-	run  func(cfg mpi.Config) workloads.Report
+	run  func(cfg mpi.Config) bench.Report
 }
 
 func runners() []runner {
 	return []runner{
-		{"halo", func(cfg mpi.Config) workloads.Report { return workloads.Halo(cfg, 10, 1024, 5) }},
-		{"master", func(cfg mpi.Config) workloads.Report { return workloads.MasterWorker(cfg, 4, 256, 3) }},
-		{"storm", func(cfg mpi.Config) workloads.Report { return workloads.UnexpectedStorm(cfg, 30, 64) }},
-		{"sweep", func(cfg mpi.Config) workloads.Report { return workloads.Sweep(cfg, 4, 512) }},
-		{"irregular", func(cfg mpi.Config) workloads.Report { return workloads.Irregular(cfg, 4, 3, 128, 7) }},
+		{"halo", func(cfg mpi.Config) bench.Report { return bench.Halo(cfg, 10, 1024, 5) }},
+		{"master", func(cfg mpi.Config) bench.Report { return bench.MasterWorker(cfg, 4, 256, 3) }},
+		{"storm", func(cfg mpi.Config) bench.Report { return bench.UnexpectedStorm(cfg, 30, 64) }},
+		{"sweep", func(cfg mpi.Config) bench.Report { return bench.Sweep(cfg, 4, 512) }},
+		{"irregular", func(cfg mpi.Config) bench.Report { return bench.Irregular(cfg, 4, 3, 128, 7) }},
 	}
 }
 
@@ -96,7 +98,17 @@ func runners() []runner {
 // run with (obs.CLI.Validate checks the run flags) and returns the ALPU
 // cell count the worlds are built with (-cells 0 selects the NIC's
 // default) and the parsed -ranks list.
-func checkFlags(cells int, ranksSpec string) (int, []int, error) {
+func checkFlags(cells int, ranksSpec, workload string, shards int) (int, []int, error) {
+	if shards < 0 {
+		return 0, nil, fmt.Errorf("-shards %d: fabric width must not be negative", shards)
+	}
+	names := []string{"all"}
+	for _, r := range runners() {
+		names = append(names, r.name)
+	}
+	if !slices.Contains(names, workload) {
+		return 0, nil, fmt.Errorf("-workload %q: want one of %s", workload, strings.Join(names, ", "))
+	}
 	if cells == 0 {
 		cells = nic.DefaultCells
 	}
@@ -116,7 +128,7 @@ func checkFlags(cells int, ranksSpec string) (int, []int, error) {
 
 func main() {
 	flag.Parse()
-	ncells, ranks, err := checkFlags(*cells, *ranksFlag)
+	ncells, ranks, err := checkFlags(*cells, *ranksFlag, *workload, *shardsFlag)
 	ob.Check(err, 2)
 	ob.Check(ob.Validate(), 2)
 	ob.Check(ob.Start(), 1)
@@ -139,10 +151,10 @@ func main() {
 	type study struct {
 		name        string
 		ranks       int
-		base, accel workloads.Report
+		base, accel bench.Report
 	}
 	var studies []study
-	var runs []func() workloads.Report
+	var runs []func() bench.Report
 	// Per-run recorders (lifecycle, tracer, sampler), indexed like runs:
 	// each world owns its recorders; outputs merge in enumeration order.
 	wantReport := ob.WantReport()
@@ -172,7 +184,7 @@ func main() {
 			cfg.Faults, cfg.WatchdogLimit = fm, faultyWatchdog
 		}
 		cfg.Causal, cfg.Tracer, cfg.Series = p, tr, sa
-		runs = append(runs, func() workloads.Report { return r.run(cfg) })
+		runs = append(runs, func() bench.Report { return r.run(cfg) })
 	}
 	for _, r := range runners() {
 		if *workload != "all" && *workload != r.name {
@@ -189,14 +201,9 @@ func main() {
 			addRun(accel, n, r, "alpu")
 		}
 	}
-	reports := sweep.Map(plan.Jobs, len(runs), func(i int) workloads.Report { return runs[i]() })
+	reports := sweep.Map(plan.Jobs, len(runs), func(i int) bench.Report { return runs[i]() })
 	for i := range studies {
 		studies[i].base, studies[i].accel = reports[2*i], reports[2*i+1]
-	}
-	if ob.Server != nil {
-		for _, rep := range reports {
-			ob.Server.MergeSnapshot(rep.Telemetry)
-		}
 	}
 
 	for _, s := range studies {

@@ -11,26 +11,35 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		cells int
-		ranks string
-		ok    bool
+		cells    int
+		ranks    string
+		workload string
+		shards   int
+		bad      string // the flag the error names; "" = accepted
 	}{
-		{0, "4,8,16", true}, // 0 selects the NIC's default geometry
-		{128, "4", true},
-		{128, "2, 8", true},
-		{-1, "4", false},
-		{-5, "4", false},
-		{128, "4,x", false},
-		{128, "1", false},
-		{128, "", false},
-		{100, "4", false}, // not a whole number of 16-cell blocks
-		{3, "4", false},
-		{1, "4", false},
-		{16, "4", true},
+		{0, "4,8,16", "all", 0, ""}, // 0 selects the NIC's default geometry
+		{128, "4", "all", 0, ""},
+		{128, "2, 8", "all", 0, ""},
+		{-1, "4", "all", 0, "-cells"},
+		{-5, "4", "all", 0, "-cells"},
+		{128, "4,x", "all", 0, "-ranks"},
+		{128, "1", "all", 0, "-ranks"},
+		{128, "", "all", 0, "-ranks"},
+		{100, "4", "all", 0, "-cells"}, // not a whole number of 16-cell blocks
+		{3, "4", "all", 0, "-cells"},
+		{1, "4", "all", 0, "-cells"},
+		{16, "4", "all", 0, ""},
+		{128, "4", "halo", 0, ""},
+		{128, "4", "irregular", 4, ""},
+		{128, "4", "nope", 0, "-workload"},
+		{128, "4", "", 0, "-workload"},
+		{128, "4", "all", 1, ""},
+		{128, "4", "all", -2, "-shards"},
 	} {
-		cells, ranks, err := checkFlags(c.cells, c.ranks)
-		if (err == nil) != c.ok {
-			t.Errorf("checkFlags(-cells %d -ranks %q) = %v, want ok=%v", c.cells, c.ranks, err, c.ok)
+		cells, ranks, err := checkFlags(c.cells, c.ranks, c.workload, c.shards)
+		if (err == nil) != (c.bad == "") || (err != nil && !strings.HasPrefix(err.Error(), c.bad+" ")) {
+			t.Errorf("checkFlags(-cells %d -ranks %q -workload %q -shards %d) = %v, want error naming %q",
+				c.cells, c.ranks, c.workload, c.shards, err, c.bad)
 		}
 		if err == nil && len(ranks) == 0 {
 			t.Errorf("checkFlags(-ranks %q) = %v", c.ranks, ranks)

@@ -9,10 +9,10 @@ package main
 import (
 	"fmt"
 
+	"alpusim/internal/bench"
 	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/stats"
-	"alpusim/internal/workloads"
 )
 
 func main() {
@@ -24,14 +24,14 @@ func main() {
 	tb := stats.NewTable("pattern", "ranks", "peak posted", "peak unexpected", "match depths")
 	type entry struct {
 		name string
-		rep  workloads.Report
+		rep  bench.Report
 	}
 	var rows []entry
 	for _, n := range []int{4, 8, 16} {
 		rows = append(rows,
-			entry{"halo-1d", workloads.Halo(world(base, n), 8, 1024, 4)},
-			entry{"master-worker", workloads.MasterWorker(world(base, n), 4, 256, 3)},
-			entry{"unexpected-storm", workloads.UnexpectedStorm(world(base, n), 20, 64)},
+			entry{"halo-1d", bench.Halo(world(base, n), 8, 1024, 4)},
+			entry{"master-worker", bench.MasterWorker(world(base, n), 4, 256, 3)},
+			entry{"unexpected-storm", bench.UnexpectedStorm(world(base, n), 20, 64)},
 		)
 	}
 	for _, e := range rows {
@@ -49,11 +49,11 @@ func main() {
 	for _, n := range []int{8, 16} {
 		for _, p := range []struct {
 			name string
-			run  func(mpi.Config) workloads.Report
+			run  func(mpi.Config) bench.Report
 		}{
-			{"halo-1d", func(c mpi.Config) workloads.Report { return workloads.Halo(c, 8, 1024, 4) }},
-			{"master-worker", func(c mpi.Config) workloads.Report { return workloads.MasterWorker(c, 4, 256, 3) }},
-			{"unexpected-storm", func(c mpi.Config) workloads.Report { return workloads.UnexpectedStorm(c, 20, 64) }},
+			{"halo-1d", func(c mpi.Config) bench.Report { return bench.Halo(c, 8, 1024, 4) }},
+			{"master-worker", func(c mpi.Config) bench.Report { return bench.MasterWorker(c, 4, 256, 3) }},
+			{"unexpected-storm", func(c mpi.Config) bench.Report { return bench.UnexpectedStorm(c, 20, 64) }},
 		} {
 			b := p.run(world(base, n))
 			a := p.run(world(alpu, n))

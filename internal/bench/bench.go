@@ -2,7 +2,10 @@
 // receive queue benchmark behind Fig. 5 and the unexpected message queue
 // benchmark behind Fig. 6 — plus the NIC configurations they compare
 // (baseline, 128-entry ALPU, 256-entry ALPU) and helpers that extract the
-// §VI-B text anchors from the measured series.
+// §VI-B text anchors from the measured series. The experiments built on
+// them (gap, chaos, devchaos, phases, critpath, tenancy) and the
+// application studies of §I-II live here too, so every world they run
+// goes through one function, runWorld, and reaches WorldObserver.
 package bench
 
 import (
@@ -50,22 +53,38 @@ func (k NICKind) String() string {
 }
 
 // WorldObserver, when set before any sweep starts, receives every world
-// of the figure, gap, chaos, devchaos, phases and critpath harnesses
-// after it has drained — the live observability hook: alpusim -serve
-// wires it to fold each world's telemetry snapshot into the /metrics
-// endpoint. The tenancy sweep runs its worlds through internal/workloads
-// and is not observed. Called from sweep worker goroutines, so the
-// observer must be safe for concurrent use; the world itself is
-// finished and exclusively owned by the caller. Observation happens
-// after all measured values are extracted and must not (and cannot)
-// change them.
+// an experiment or application study runs, after it has drained — the
+// live observability hook: obs.CLI wires it under -serve to fold each
+// world's telemetry snapshot into the /metrics endpoint. Only the stall
+// world, which never drains, is not observed. Called from sweep worker
+// goroutines, so the observer must be safe for concurrent use; the world
+// itself is finished and exclusively owned by the caller. Observation
+// must not (and cannot) change any measured value.
 var WorldObserver func(w *mpi.World)
 
-// observeWorld hands a drained world to the observer, if any.
-func observeWorld(w *mpi.World) {
-	if f := WorldObserver; f != nil && w != nil {
+// runWorld runs progs[i] as rank i of a cfg world, hands the drained
+// world to WorldObserver and returns it with the time the last rank's
+// program returned. Every world of the package runs through it.
+func runWorld(cfg mpi.Config, progs []mpi.Program) (*mpi.World, sim.Time) {
+	// Per-rank finish times, folded after the run: rank goroutines on
+	// different partitions finish concurrently, so a shared max would race.
+	finished := make([]sim.Time, len(progs))
+	timed := make([]mpi.Program, len(progs))
+	for i, prog := range progs {
+		timed[i] = func(r *mpi.Rank) {
+			prog(r)
+			finished[i] = r.Now()
+		}
+	}
+	w := mpi.RunPrograms(cfg, timed)
+	if f := WorldObserver; f != nil {
 		f(w)
 	}
+	var last sim.Time
+	for _, t := range finished {
+		last = max(last, t)
+	}
+	return w, last
 }
 
 // Plan is the run context every experiment shares and each config
@@ -245,8 +264,7 @@ func prepostedPoint(cfg PrepostedConfig, q, p int) (sim.Time, *mpi.World) {
 			}
 		},
 	}
-	w := mpi.RunPrograms(cfg.WorldConfig(2, cfg.NIC), progs)
-	observeWorld(w)
+	w, _ := runWorld(cfg.WorldConfig(2, cfg.NIC), progs)
 	// Report the final iteration: cache and ALPU state have reached the
 	// steady state the paper's repeated-iteration benchmark measures.
 	return recvDone[iters-1] - sendStart[iters-1], w
@@ -315,7 +333,6 @@ func unexpectedPoint(cfg UnexpectedConfig, u int) (sim.Time, *mpi.World) {
 			t1 = req.DoneAt()
 		},
 	}
-	w := mpi.RunPrograms(cfg.WorldConfig(2, cfg.NIC), progs)
-	observeWorld(w)
+	w, _ := runWorld(cfg.WorldConfig(2, cfg.NIC), progs)
 	return t1 - t0, w
 }

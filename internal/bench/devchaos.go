@@ -97,17 +97,15 @@ func devChaosPlan(seed int64, ranks, msgs int) []devChaosOp {
 	return ops
 }
 
-// runDevChaosWorld drives the plan through one world, hands the drained
-// world to the observer, and folds every receive's matching outcome into
-// an FNV-1a digest, rank by rank in plan order — deliberately independent
-// of completion timing, which faults are allowed to change.
+// runDevChaosWorld drives the plan through one world and folds every
+// receive's matching outcome into a digest, rank by rank in plan order —
+// deliberately independent of completion timing, which faults are
+// allowed to change.
 func runDevChaosWorld(cfg mpi.Config, plan []devChaosOp) (uint64, sim.Time, *mpi.World) {
 	ranks := cfg.Ranks
 	statuses := make([][]mpi.Status, ranks)
-	ends := make([]sim.Time, ranks)
 	progs := make([]mpi.Program, ranks)
 	for rank := 0; rank < ranks; rank++ {
-		rank := rank
 		progs[rank] = func(r *mpi.Rank) {
 			var reqs []*mpi.Request
 			for _, op := range plan {
@@ -132,34 +130,31 @@ func runDevChaosWorld(cfg mpi.Config, plan []devChaosOp) (uint64, sim.Time, *mpi
 				statuses[rank] = append(statuses[rank], req.Status())
 			}
 			r.Barrier()
-			ends[rank] = r.Now()
 		}
 	}
-	w := mpi.RunPrograms(cfg, progs)
-	observeWorld(w)
-	var end sim.Time
-	for _, e := range ends {
-		if e > end {
-			end = e
-		}
-	}
-	h := uint64(0xcbf29ce484222325)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 0x100000001b3
-		}
-	}
+	w, end := runWorld(cfg, progs)
+	h := newFNV()
 	for rank, sts := range statuses {
 		for i, st := range sts {
-			mix(uint64(rank))
-			mix(uint64(i))
-			mix(uint64(int64(st.Source)))
-			mix(uint64(int64(st.Tag)))
-			mix(uint64(int64(st.Size)))
+			h.add(uint64(rank), uint64(i), uint64(int64(st.Source)), uint64(int64(st.Tag)), uint64(int64(st.Size)))
 		}
 	}
-	return h, end, w
+	return uint64(h), end, w
+}
+
+// fnv1a is an FNV-1a hash over 64-bit words, fed low byte first: the
+// outcome digest of the devchaos and tenancy harnesses.
+type fnv1a uint64
+
+func newFNV() fnv1a { return 0xcbf29ce484222325 }
+
+func (h *fnv1a) add(words ...uint64) {
+	for _, v := range words {
+		for i := 0; i < 8; i++ {
+			*h ^= fnv1a((v >> (8 * i)) & 0xff)
+			*h *= 0x100000001b3
+		}
+	}
 }
 
 // RunDevChaos runs the clean software-only reference, then every scenario

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"alpusim/internal/mpi"
@@ -66,18 +65,5 @@ func TestDevChaosReportDeterministic(t *testing.T) {
 	}
 	if strings.Contains(serial, "DIVERGED") {
 		t.Errorf("report contains diverged scenario:\n%s", serial)
-	}
-}
-
-// TestDevChaosWorldsReachObserver: the clean reference and every
-// scenario world are handed to WorldObserver, so -serve publishes the
-// campaign's telemetry.
-func TestDevChaosWorldsReachObserver(t *testing.T) {
-	var worlds atomic.Int32
-	WorldObserver = func(*mpi.World) { worlds.Add(1) }
-	defer func() { WorldObserver = nil }()
-	RunDevChaos(DevChaosConfig{Msgs: 16, Plan: Plan{Seed: 3}})
-	if got, want := int(worlds.Load()), 1+len(DefaultDevChaosScenarios()); got != want {
-		t.Errorf("observer saw %d worlds, want %d (clean reference + every scenario)", got, want)
 	}
 }

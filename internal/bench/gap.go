@@ -77,7 +77,7 @@ func gapPoint(cfg GapConfig, d, burst int) sim.Time {
 			lastDone = reqs[burst-1].DoneAt()
 		},
 	}
-	observeWorld(mpi.RunPrograms(cfg.WorldConfig(2, cfg.NIC), progs))
+	runWorld(cfg.WorldConfig(2, cfg.NIC), progs)
 	return (lastDone - firstDone) / sim.Time(burst-1)
 }
 

@@ -1,16 +1,17 @@
-// Package workloads reproduces the style of application study that
-// motivated the ALPU (the paper's §I-II, following refs [8] and [9]):
-// synthetic but structurally faithful communication patterns whose queue
-// behaviour spans the design space — nearest-neighbour codes with short
-// queues, manager/worker codes whose posted queue grows with the process
-// count and uses MPI_ANY_SOURCE heavily, and loosely synchronised codes
-// that build deep unexpected queues. Each run reports queue depths, match
-// depths and completion time, for baseline and ALPU NICs alike.
+package bench
+
+// The application studies that motivated the ALPU (the paper's §I-II,
+// following refs [8] and [9]): synthetic but structurally faithful
+// communication patterns whose queue behaviour spans the design space —
+// nearest-neighbour codes with short queues, manager/worker codes whose
+// posted queue grows with the process count and uses MPI_ANY_SOURCE
+// heavily, and loosely synchronised codes that build deep unexpected
+// queues. Each run reports queue depths, match depths and completion
+// time, for baseline and ALPU NICs alike.
 //
-// Every workload takes the world's whole configuration as one mpi.Config
+// Every study takes the world's whole configuration as one mpi.Config
 // (Ranks and NIC set; partitions, faults, watchdog and recorders as
 // wanted) followed by the pattern's own parameters.
-package workloads
 
 import (
 	"fmt"
@@ -22,7 +23,7 @@ import (
 	"alpusim/internal/trace"
 )
 
-// Report summarises one workload run.
+// Report summarises one application study run.
 type Report struct {
 	Name    string
 	Ranks   int
@@ -92,22 +93,15 @@ func gather(name string, w *mpi.World, elapsed sim.Time) Report {
 	return rep
 }
 
-// run executes prog on a fresh cluster and reports.
-func run(name string, cfg mpi.Config, prog mpi.Program) Report {
-	// Per-rank finish times, folded after the run: rank goroutines on
-	// different partitions finish concurrently, so a shared max would race.
-	finished := make([]sim.Time, cfg.Ranks)
-	w := mpi.Run(cfg, func(r *mpi.Rank) {
-		prog(r)
-		finished[r.Rank()] = r.Now()
-	})
-	var last sim.Time
-	for _, t := range finished {
-		if t > last {
-			last = t
-		}
+// study runs prog on every rank of a cfg world and reports the world
+// under name.
+func study(name string, cfg mpi.Config, prog mpi.Program) Report {
+	progs := make([]mpi.Program, cfg.Ranks)
+	for i := range progs {
+		progs[i] = prog
 	}
-	return gather(name, w, last)
+	w, end := runWorld(cfg, progs)
+	return gather(name, w, end)
 }
 
 // Halo runs a 1-D periodic halo exchange: every iteration each rank
@@ -120,7 +114,7 @@ func Halo(cfg mpi.Config, iters, msgSize, reduceEvery int) Report {
 		reduceEvery = 10
 	}
 	name := fmt.Sprintf("halo-1d(ranks=%d iters=%d size=%d)", cfg.Ranks, iters, msgSize)
-	return run(name, cfg, func(r *mpi.Rank) {
+	return study(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		n := c.Size()
 		left := (c.Rank() - 1 + n) % n
@@ -151,7 +145,7 @@ func MasterWorker(cfg mpi.Config, tasksPerWorker, taskSize, window int) Report {
 		tagTask   = 1
 		tagResult = 2
 	)
-	return run(name, cfg, func(r *mpi.Rank) {
+	return study(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		workers := c.Size() - 1
 		if workers == 0 {
@@ -233,7 +227,7 @@ func MasterWorker(cfg mpi.Config, tasksPerWorker, taskSize, window int) Report {
 // ALPU would offer a much greater benefit."
 func UnexpectedStorm(cfg mpi.Config, msgsPerRank, msgSize int) Report {
 	name := fmt.Sprintf("unexpected-storm(ranks=%d msgs=%d size=%d)", cfg.Ranks, msgsPerRank, msgSize)
-	return run(name, cfg, func(r *mpi.Rank) {
+	return study(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		if c.Rank() != 0 {
 			for i := 0; i < msgsPerRank; i++ {
@@ -257,7 +251,7 @@ func UnexpectedStorm(cfg mpi.Config, msgsPerRank, msgSize int) Report {
 // iters rounds of Alltoall plus a reduction.
 func Sweep(cfg mpi.Config, iters, msgSize int) Report {
 	name := fmt.Sprintf("sweep-alltoall(ranks=%d iters=%d size=%d)", cfg.Ranks, iters, msgSize)
-	return run(name, cfg, func(r *mpi.Rank) {
+	return study(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		for it := 0; it < iters; it++ {
 			c.Alltoall(msgSize)
@@ -292,7 +286,7 @@ func Irregular(cfg mpi.Config, rounds, degree, msgSize int, seed int64) Report {
 		}
 	}
 	received := make([][]mpi.Status, ranks)
-	rep := run(name, cfg, func(r *mpi.Rank) {
+	rep := study(name, cfg, func(r *mpi.Rank) {
 		c := r.Comm()
 		me := c.Rank()
 		for rd := 0; rd < rounds; rd++ {

@@ -3,15 +3,16 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 
+	"alpusim/internal/mpi"
 	"alpusim/internal/nic"
 	"alpusim/internal/sim"
 	"alpusim/internal/stats"
 	"alpusim/internal/sweep"
 	"alpusim/internal/telemetry"
 	"alpusim/internal/trace"
-	"alpusim/internal/workloads"
 )
 
 // The heavy-tenancy sweep: the workload motivating the sharded matching
@@ -35,7 +36,8 @@ type TenancyBenchConfig struct {
 	// receiver world — the per-config occupancy waterlines behind
 	// -report / -timeseries (MergedTenancySeries).
 	Series bool
-	// Plan.Seed steers the Zipf schedule; the sweep runs fault-free.
+	// Plan.Seed steers the Zipf schedule of Comms x Msgs; the sweep runs
+	// fault-free.
 	Plan
 }
 
@@ -57,9 +59,123 @@ func (c *TenancyBenchConfig) norm() {
 	}
 }
 
-// params is the plan every configuration of the sweep runs.
-func (c *TenancyBenchConfig) params() workloads.TenancyParams {
-	return workloads.TenancyParams{Comms: c.Comms, Msgs: c.Msgs, Seed: c.Seed}
+// nicFor is the matching configuration of one row: the software list
+// without alpuOn, else Cells-cell ALPUs, sharded when shards > 1.
+func (c *TenancyBenchConfig) nicFor(alpuOn bool, shards int) nic.Config {
+	nc := nic.Config{UseALPU: alpuOn}
+	if alpuOn {
+		nc.Cells = c.Cells
+	}
+	if shards > 1 {
+		nc.MatchShards = shards
+	}
+	return nc
+}
+
+// tenancyReport extends the common Report with the receive outcomes: one
+// status per message, in posting order, plus an FNV-1a digest over them.
+// The digest is the pattern's correctness fingerprint — every NIC
+// configuration (software list, hash list, single ALPU, any fabric shard
+// count, any partition count) must produce the identical value.
+type tenancyReport struct {
+	Report
+	Statuses []mpi.Status
+	Digest   uint64
+}
+
+// tenancyPlan is the precomputed message schedule every rank agrees on.
+type tenancyPlan struct {
+	comm []int // message i -> communicator index
+	src  []int // message i -> sending rank (1..Ranks-1)
+	size []int // message i -> payload bytes
+	wild []bool
+	// perSender[s] lists the message indices rank s sends, in index order.
+	perSender [][]int
+}
+
+func makeTenancyPlan(ranks int, c TenancyBenchConfig) tenancyPlan {
+	rng := rand.New(rand.NewSource(c.Seed))
+	// Zipf-skewed tenancy: a few (communicator, source) pairs dominate the
+	// traffic — the regime the fabric's hot-entry dispatch cache targets —
+	// with a long tail spreading entries across every shard.
+	zc := rand.NewZipf(rng, 1.25, 1, uint64(c.Comms-1))
+	zs := rand.NewZipf(rng, 1.25, 1, uint64(ranks-2))
+	pl := tenancyPlan{
+		comm:      make([]int, c.Msgs),
+		src:       make([]int, c.Msgs),
+		size:      make([]int, c.Msgs),
+		wild:      make([]bool, c.Msgs),
+		perSender: make([][]int, ranks),
+	}
+	for i := 0; i < c.Msgs; i++ {
+		pl.comm[i] = int(zc.Uint64())
+		pl.src[i] = 1 + int(zs.Uint64())
+		if rng.Intn(2) == 0 {
+			pl.size[i] = 64
+		}
+		// ~1/8 of the receives are posted MPI_ANY_SOURCE: under the fabric
+		// these broadcast to every shard. Tags are unique (tag = i), so
+		// each wildcard still matches exactly one message and the outcome
+		// stays deterministic.
+		pl.wild[i] = rng.Intn(8) == 0
+		pl.perSender[pl.src[i]] = append(pl.perSender[pl.src[i]], i)
+	}
+	return pl
+}
+
+// tenancy runs the heavy-tenancy pattern on a world of world.Ranks ranks:
+// c.Comms communicators share the network, rank 0 pre-posts one receive
+// per message (all c.Msgs of them, so the posted queue peaks far beyond
+// a single ALPU's cell count), and the senders then fire their
+// Zipf-scheduled messages, drawn from c.Seed. Matching is entirely
+// posted-side and the receive set spans many (context, source) keys.
+func tenancy(world mpi.Config, c TenancyBenchConfig) tenancyReport {
+	if world.Ranks < 3 || c.Comms < 1 || c.Msgs < 1 {
+		panic(fmt.Sprintf("bench: bad tenancy plan ranks=%d comms=%d msgs=%d", world.Ranks, c.Comms, c.Msgs))
+	}
+	pl := makeTenancyPlan(world.Ranks, c)
+	name := fmt.Sprintf("tenancy(ranks=%d comms=%d msgs=%d)", world.Ranks, c.Comms, c.Msgs)
+	statuses := make([]mpi.Status, c.Msgs)
+	rep := study(name, world, func(r *mpi.Rank) {
+		wc := r.Comm()
+		// Collective: every rank dups the same K communicators in the same
+		// order, so the contexts agree deterministically.
+		comms := make([]*mpi.Comm, c.Comms)
+		for i := range comms {
+			comms[i] = wc.Dup()
+		}
+		if r.Rank() == 0 {
+			reqs := make([]*mpi.Request, c.Msgs)
+			for i := range reqs {
+				src := pl.src[i]
+				if pl.wild[i] {
+					src = mpi.AnySource
+				}
+				reqs[i] = comms[pl.comm[i]].Irecv(src, i, pl.size[i])
+			}
+			wc.Barrier() // receives are all posted; release the senders
+			r.Waitall(reqs...)
+			for i, req := range reqs {
+				statuses[i] = req.Status()
+			}
+			wc.Barrier()
+			return
+		}
+		wc.Barrier() // wait for the receiver to finish posting
+		var reqs []*mpi.Request
+		for _, i := range pl.perSender[r.Rank()] {
+			reqs = append(reqs, comms[pl.comm[i]].Isend(0, i, pl.size[i]))
+		}
+		r.Waitall(reqs...)
+		wc.Barrier()
+	})
+	// The digest folds index, matched source, tag and size of every
+	// receive, in posting order.
+	h := newFNV()
+	for i, st := range statuses {
+		h.add(uint64(i), uint64(int64(st.Source)), uint64(int64(st.Tag)), uint64(int64(st.Size)))
+	}
+	return tenancyReport{Report: rep, Statuses: statuses, Digest: uint64(h)}
 }
 
 // TenancyRow is one configuration row of the report.
@@ -89,7 +205,7 @@ type TenancyRow struct {
 
 // matchLatNs merges the per-NIC match-latency histograms (64 ns units)
 // and returns the p-quantile in nanoseconds.
-func matchLatNs(rep workloads.Report, p float64) int64 {
+func matchLatNs(rep Report, p float64) int64 {
 	var h trace.Histogram
 	for name, hh := range rep.Telemetry.Hists {
 		if strings.HasSuffix(name, "/posted/match_lat64") {
@@ -103,18 +219,12 @@ func matchLatNs(rep workloads.Report, p float64) int64 {
 // its row. shards == 0 with alpuOn == false is the software-list
 // reference; shards <= 1 with alpuOn is the single-ALPU baseline.
 func tenancyRow(cfg TenancyBenchConfig, name string, alpuOn bool, shards int) TenancyRow {
-	nc := nic.Config{UseALPU: alpuOn}
-	if alpuOn {
-		nc.Cells = cfg.Cells
-	}
-	if shards > 1 {
-		nc.MatchShards = shards
-	}
+	nc := cfg.nicFor(alpuOn, shards)
 	world := cfg.WorldConfig(cfg.Ranks, nc)
 	if cfg.Series {
 		world.Series = telemetry.NewSampler(0, 0)
 	}
-	rep := workloads.Tenancy(world, cfg.params())
+	rep := tenancy(world, cfg)
 	row := TenancyRow{
 		Config: name, Shards: nc.MatchShards, Digest: rep.Digest,
 		Elapsed: rep.Elapsed, PeakPosted: rep.PeakPosted,
@@ -221,27 +331,18 @@ func MergedTenancySeries(rows []TenancyRow) *telemetry.Sampler {
 	})
 }
 
-// WriteTenancyOutcomes dumps one configuration's receive outcomes in
-// posting order plus the digest — the shard-invariance format. Any two
-// matching configurations (any shard count, any -par) must produce the
-// identical bytes: timing never appears here.
-func WriteTenancyOutcomes(out io.Writer, p workloads.TenancyParams, rep workloads.TenancyReport) {
-	fmt.Fprintf(out, "tenancy ranks=%d comms=%d msgs=%d seed=%d\n", rep.Ranks, p.Comms, p.Msgs, p.Seed)
+// WriteTenancyOutcomes runs one matching configuration (shards <= 1 is
+// the single-ALPU baseline) over the plan RunTenancy uses and dumps its
+// receive outcomes in posting order plus the digest — the
+// shard-invariance format. Any two matching configurations (any shard
+// count, any -par) must produce the identical bytes: timing never
+// appears here.
+func WriteTenancyOutcomes(out io.Writer, cfg TenancyBenchConfig, shards int) {
+	cfg.norm()
+	rep := tenancy(cfg.WorldConfig(cfg.Ranks, cfg.nicFor(true, shards)), cfg)
+	fmt.Fprintf(out, "tenancy ranks=%d comms=%d msgs=%d seed=%d\n", rep.Ranks, cfg.Comms, cfg.Msgs, cfg.Seed)
 	for i, st := range rep.Statuses {
 		fmt.Fprintf(out, "recv %4d src=%d tag=%d size=%d\n", i, st.Source, st.Tag, st.Size)
 	}
 	fmt.Fprintf(out, "digest %016x\n", rep.Digest)
-}
-
-// TenancyOutcomes runs one matching configuration (shards <= 1 is the
-// single-ALPU baseline, 0 ALPU cells means software list) over the same
-// plan RunTenancy uses and returns its report for WriteTenancyOutcomes.
-func TenancyOutcomes(cfg TenancyBenchConfig, shards int) (workloads.TenancyParams, workloads.TenancyReport) {
-	cfg.norm()
-	nc := nic.Config{UseALPU: true, Cells: cfg.Cells}
-	if shards > 1 {
-		nc.MatchShards = shards
-	}
-	p := cfg.params()
-	return p, workloads.Tenancy(cfg.WorldConfig(cfg.Ranks, nc), p)
 }

@@ -123,7 +123,9 @@ func (c *CLI) Validate() error {
 func (c *CLI) FaultSpec() string { return c.faultSpec }
 
 // Start opens what the parsed flags ask for: the CPU profile, the -log
-// file and the -serve plane. The error names the flag that failed.
+// file and the -serve plane, whose /metrics then folds in every world
+// the experiments drain (bench.WorldObserver). The error names the flag
+// that failed.
 func (c *CLI) Start() error {
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)
@@ -153,6 +155,7 @@ func (c *CLI) Start() error {
 		c.Progress = sweep.NewProgress()
 		sweep.SetProgress(c.Progress)
 		c.Server = NewServer(Options{Progress: c.Progress, Log: c.Log})
+		bench.WorldObserver = func(w *mpi.World) { c.Server.MergeSnapshot(w.TelemetrySnapshot()) }
 		addr, err := c.Server.Start(c.serveAddr)
 		if err != nil {
 			return fmt.Errorf("-serve: %w", err)

@@ -9,13 +9,16 @@ import (
 	"strings"
 	"testing"
 
+	"alpusim/internal/bench"
+	"alpusim/internal/mpi"
 	"alpusim/internal/sweep"
 )
 
 // TestCLISinks drives every sink of the block through one run: the file
-// sinks, the report fan-out to files and server, -log and both profiles.
+// sinks, the report fan-out to files and server, the worlds served on
+// /metrics, -log and both profiles.
 func TestCLISinks(t *testing.T) {
-	t.Cleanup(func() { sweep.SetProgress(nil) })
+	t.Cleanup(func() { sweep.SetProgress(nil); bench.WorldObserver = nil })
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -55,6 +58,10 @@ func TestCLISinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := get(t, "http://"+c.Server.Addr()+"/report")
+	bench.Halo(mpi.Config{Ranks: 2}, 1, 64, 1)
+	if metrics, _ := get(t, "http://"+c.Server.Addr()+"/metrics"); !strings.Contains(metrics, "alpusim_nic1_fw_packets_handled ") {
+		t.Error("/metrics lacks the telemetry of a world run after Start")
+	}
 	c.Log.Info("diagnostic")
 	c.Close("test")
 
