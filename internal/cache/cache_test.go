@@ -324,61 +324,112 @@ var geometries = []struct {
 	{"dispatch", Config{Size: 512, Assoc: 4, LineSize: 8, Policy: LRU}},
 }
 
+// oddGeometries do not fill whole 8-way fingerprint words: a 12-way set
+// spans one and a half words, a 1-way set one byte of one.
+var oddGeometries = []struct {
+	name string
+	cfg  Config
+}{
+	{"12-way", Config{Size: 16 * 12 * 32, Assoc: 12, LineSize: 32, Policy: Random}},
+	{"12-way-lru", Config{Size: 16 * 12 * 32, Assoc: 12, LineSize: 32, Policy: LRU}},
+	{"1-way", Config{Size: 64 * 32, Assoc: 1, LineSize: 32, Policy: LRU}},
+}
+
+// A stream draws the line number of each access. It also returns the lines
+// it can touch outside the first three capacities, which Probe checks too.
+type stream func(cfg Config, rng *rand.Rand) (next func() int, extra []int)
+
+// mixedStream puts half the accesses in a hot range that fits in the cache
+// and half anywhere in three times its capacity, so it mixes hits, clean
+// and dirty evictions and (for Random) victim draws.
+func mixedStream(cfg Config, rng *rand.Rand) (func() int, []int) {
+	lines := cfg.Size / cfg.LineSize
+	return func() int {
+		l := rng.Intn(3 * lines)
+		if rng.Intn(2) == 0 {
+			l = rng.Intn(lines / 2)
+		}
+		return l
+	}, nil
+}
+
+// aliasStream confines every access to one set and to twice its ways'
+// worth of tags that share their low seven bits, so any fingerprint taken
+// from a tag's low byte collides: a lookup must tell the lines apart by
+// their full tags, through hits and clean and dirty evictions alike.
+func aliasStream(cfg Config, rng *rand.Rand) (func() int, []int) {
+	sets := cfg.Size / cfg.LineSize / cfg.Assoc
+	set := 5 % sets
+	pool := make([]int, 2*cfg.Assoc)
+	for i := range pool {
+		tag := i<<7 | 0x2a
+		pool[i] = tag*sets + set
+	}
+	return func() int { return pool[rng.Intn(len(pool))] }, pool
+}
+
 // TestCacheMatchesReference replays seeded random read/write streams on the
 // Cache and on refCache side by side. Every Result, the stats and Probe over
 // the whole address range must agree, before the first access as well as
-// during and after the stream. Half the accesses fall in a hot range that
-// fits in the cache, half anywhere in three times its capacity, so the
-// streams mix hits, clean and dirty evictions and (for Random) victim draws.
+// during and after the stream.
 func TestCacheMatchesReference(t *testing.T) {
-	for _, g := range geometries {
+	streams := []struct {
+		name string
+		gen  stream
+	}{{"mixed", mixedStream}, {"alias", aliasStream}}
+	for _, g := range append(geometries[:len(geometries):len(geometries)], oddGeometries...) {
 		t.Run(g.name, func(t *testing.T) {
-			lines := g.cfg.Size / g.cfg.LineSize
-			span := 3 * lines
-			ls := uint64(g.cfg.LineSize)
-			for seed := int64(1); seed <= 3; seed++ {
-				c, ref := New(g.cfg), newRef(g.cfg)
-				check := func(when string) {
-					t.Helper()
-					if c.Accesses() != ref.accesses || c.Hits() != ref.hits || c.Writebacks() != ref.writebacks {
-						t.Fatalf("seed %d %s: stats %d/%d/%d, reference %d/%d/%d", seed, when,
-							c.Accesses(), c.Hits(), c.Writebacks(), ref.accesses, ref.hits, ref.writebacks)
-					}
-					for l := 0; l < span; l++ {
-						a := uint64(l) * ls
-						if c.Probe(a) != ref.probe(a) {
-							t.Fatalf("seed %d %s: Probe(%#x) = %v, reference %v", seed, when, a, c.Probe(a), ref.probe(a))
+			for _, st := range streams {
+				t.Run(st.name, func(t *testing.T) {
+					lines := g.cfg.Size / g.cfg.LineSize
+					ls := uint64(g.cfg.LineSize)
+					for seed := int64(1); seed <= 3; seed++ {
+						c, ref := New(g.cfg), newRef(g.cfg)
+						rng := rand.New(rand.NewSource(seed))
+						next, extra := st.gen(g.cfg, rng)
+						var probed []int
+						for l := 0; l < 3*lines; l++ {
+							probed = append(probed, l)
+						}
+						probed = append(probed, extra...)
+						check := func(when string) {
+							t.Helper()
+							if c.Accesses() != ref.accesses || c.Hits() != ref.hits || c.Writebacks() != ref.writebacks {
+								t.Fatalf("seed %d %s: stats %d/%d/%d, reference %d/%d/%d", seed, when,
+									c.Accesses(), c.Hits(), c.Writebacks(), ref.accesses, ref.hits, ref.writebacks)
+							}
+							for _, l := range probed {
+								a := uint64(l) * ls
+								if c.Probe(a) != ref.probe(a) {
+									t.Fatalf("seed %d %s: Probe(%#x) = %v, reference %v", seed, when, a, c.Probe(a), ref.probe(a))
+								}
+							}
+						}
+						check("before the first access")
+						if c.lines != nil {
+							t.Fatalf("seed %d: Probe and stats backed the cache", seed)
+						}
+						if c.HitRate() != 1 {
+							t.Fatalf("seed %d: HitRate before the first access = %v, want 1", seed, c.HitRate())
+						}
+						n := 4 * lines
+						for i := 0; i < n; i++ {
+							addr := uint64(next())*ls + uint64(rng.Intn(g.cfg.LineSize))
+							write := rng.Intn(3) == 0
+							if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+								t.Fatalf("seed %d access %d (%#x, write %v): %+v, reference %+v", seed, i, addr, write, got, want)
+							}
+							if i == n/2 {
+								check("mid-stream")
+							}
+						}
+						check("after the stream")
+						if ref.writebacks == 0 || ref.hits == 0 || ref.hits == ref.accesses {
+							t.Fatalf("seed %d: stream exercised too little: %d hits, %d writebacks of %d accesses",
+								seed, ref.hits, ref.writebacks, ref.accesses)
 						}
 					}
-				}
-				check("before the first access")
-				if c.lines != nil {
-					t.Fatalf("seed %d: Probe and stats backed the cache", seed)
-				}
-				if c.HitRate() != 1 {
-					t.Fatalf("seed %d: HitRate before the first access = %v, want 1", seed, c.HitRate())
-				}
-				rng := rand.New(rand.NewSource(seed))
-				n := 4 * lines
-				for i := 0; i < n; i++ {
-					l := rng.Intn(span)
-					if rng.Intn(2) == 0 {
-						l = rng.Intn(lines / 2)
-					}
-					addr := uint64(l)*ls + uint64(rng.Intn(g.cfg.LineSize))
-					write := rng.Intn(3) == 0
-					if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
-						t.Fatalf("seed %d access %d (%#x, write %v): %+v, reference %+v", seed, i, addr, write, got, want)
-					}
-					if i == n/2 {
-						check("mid-stream")
-					}
-				}
-				check("after the stream")
-				if ref.writebacks == 0 || ref.hits == 0 || ref.hits == ref.accesses {
-					t.Fatalf("seed %d: stream exercised too little: %d hits, %d writebacks of %d accesses",
-						seed, ref.hits, ref.writebacks, ref.accesses)
-				}
+				})
 			}
 		})
 	}
