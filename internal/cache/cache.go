@@ -4,7 +4,11 @@
 // Table III latencies.
 package cache
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Policy selects the replacement policy.
 type Policy int
@@ -38,15 +42,32 @@ type line struct {
 
 const dirtyBit = uint64(1) << 63
 
+// Each way also has a one-byte fingerprint: its tag's low seven bits with
+// the top bit set, or zero while the way is invalid. The fingerprints take
+// a byte a line, in the lines' order, so a lookup reads a set's ways eight
+// at a time as one little-endian word and compares them with one XOR and a
+// zero-byte test. A word may run past its set into the next set's bytes,
+// or into the seven bytes of slack after the last set; the lookup ignores
+// the ways it finds there.
+const (
+	lowBytes  = 0x0101010101010101
+	highBits  = 0x8080808080808080
+	wordBytes = 8
+)
+
+func fingerprint(tag uint64) byte { return byte(tag) | 0x80 }
+
 // Cache is a single level of set-associative cache. Its line state is
 // allocated on the first Access, so a cache nothing touches costs only
 // its header; until then every line reads as invalid.
 type Cache struct {
-	cfg     Config
-	lines   []line // numSets*Assoc ways, set-major; nil until the first Access
-	numSets int
-	ticks   uint64
-	rng     uint64 // xorshift state for Random replacement (deterministic)
+	cfg       Config
+	lines     []line // numSets*Assoc ways, set-major; nil until the first Access
+	fps       []byte // a fingerprint per way in lines' order, then 7 bytes of slack
+	lineShift uint   // log2(LineSize)
+	setShift  uint   // log2(numSets)
+	ticks     uint64
+	rng       uint64 // xorshift state for Random replacement (deterministic)
 
 	// Stats.
 	accesses   uint64
@@ -55,8 +76,8 @@ type Cache struct {
 }
 
 // New returns an empty cache. It panics on a geometry it cannot model —
-// a non-positive field, a line size that is not a power of two, or a
-// size that does not divide into whole sets — since that is a
+// a non-positive field, a line size or set count that is not a power of
+// two, or a size that does not divide into whole sets — since that is a
 // configuration bug.
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
@@ -72,7 +93,16 @@ func New(cfg Config) *Cache {
 	if lines%cfg.Assoc != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by assoc %d", lines, cfg.Assoc))
 	}
-	return &Cache{cfg: cfg, numSets: lines / cfg.Assoc, rng: 0x9e3779b97f4a7c15}
+	sets := lines / cfg.Assoc
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: set count %d is not a power of two", sets))
+	}
+	return &Cache{
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		rng:       0x9e3779b97f4a7c15,
+	}
 }
 
 // nextRand is a deterministic xorshift64 step.
@@ -93,45 +123,66 @@ type Result struct {
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr / uint64(c.cfg.LineSize)
-	return int(lineAddr % uint64(c.numSets)), lineAddr / uint64(c.numSets)
+	lineAddr := addr >> (c.lineShift & 63)
+	return int(lineAddr & (1<<(c.setShift&63) - 1)), lineAddr >> (c.setShift & 63)
 }
 
-// set returns the ways of set s; the cache must be backed.
-func (c *Cache) set(s int) []line {
+// lookup searches set s for tag; the cache must be backed. On a hit it
+// returns the way holding tag. On a miss it returns the first invalid way,
+// or -1 when every way is valid: a miss fills the first invalid way and no
+// line is ever invalidated, so a set's valid ways are a prefix, and the
+// search ends at the first word that holds an invalid way.
+//
+// (x - lowBytes) &^ x & highBits marks each zero byte of x, which is each
+// way whose fingerprint equals tag's. It can also mark a byte of 1 above a
+// zero byte, a fingerprint that differs from tag's in its low bit only;
+// the full-tag compare rejects that way. It never marks an invalid way:
+// its zero byte XORs to a byte with the top bit set.
+func (c *Cache) lookup(s int, tag uint64) (way int, hit bool) {
 	a := c.cfg.Assoc
-	return c.lines[s*a : s*a+a : s*a+a]
+	base := s * a
+	want := uint64(fingerprint(tag)) * lowBytes
+	for w := 0; w < a; w += wordBytes {
+		word := binary.LittleEndian.Uint64(c.fps[base+w:])
+		x := word ^ want
+		for m := (x - lowBytes) &^ x & highBits; m != 0; m &= m - 1 {
+			if i := w + bits.TrailingZeros64(m)/8; i < a && c.lines[base+i].tag == tag {
+				return i, true
+			}
+		}
+		if free := ^word & highBits; free != 0 {
+			if i := w + bits.TrailingZeros64(free)/8; i < a {
+				return i, false
+			}
+		}
+	}
+	return -1, false
 }
 
 // Access looks up addr, allocating on miss, and returns what happened.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	if c.lines == nil {
-		c.lines = make([]line, c.numSets*c.cfg.Assoc)
+		n := c.cfg.Assoc << c.setShift
+		c.lines = make([]line, n)
+		c.fps = make([]byte, n+wordBytes-1)
 	}
 	c.accesses++
 	c.ticks++
 	setIdx, tag := c.index(addr)
-	set := c.set(setIdx)
 	var dirty uint64
 	if write {
 		dirty = dirtyBit
 	}
 
-	// A miss fills the first invalid way and no line is ever invalidated,
-	// so a set's valid ways are a prefix: the scan for a hit ends at the
-	// first invalid way, which is also the victim.
-	victim := -1
-	for i := range set {
-		if set[i].stamp == 0 {
-			victim = i
-			break
-		}
-		if set[i].tag == tag {
-			c.hits++
-			set[i].stamp = c.ticks | set[i].stamp&dirtyBit | dirty
-			return Result{Hit: true}
-		}
+	victim, hit := c.lookup(setIdx, tag)
+	a := c.cfg.Assoc
+	if hit {
+		c.hits++
+		l := &c.lines[setIdx*a+victim]
+		l.stamp = c.ticks | l.stamp&dirtyBit | dirty
+		return Result{Hit: true}
 	}
+	set := c.lines[setIdx*a : setIdx*a+a]
 	if victim < 0 {
 		if c.cfg.Policy == Random {
 			victim = int(c.nextRand() % uint64(len(set)))
@@ -151,6 +202,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		c.writebacks++
 	}
 	set[victim] = line{tag: tag, stamp: c.ticks | dirty}
+	c.fps[setIdx*a+victim] = fingerprint(tag)
 	return res
 }
 
@@ -159,18 +211,13 @@ func (c *Cache) Probe(addr uint64) bool {
 	if c.lines == nil {
 		return false
 	}
-	setIdx, tag := c.index(addr)
-	for _, l := range c.set(setIdx) {
-		if l.stamp != 0 && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, hit := c.lookup(c.index(addr))
+	return hit
 }
 
 // victimAddr reconstructs a line's base address from its set and tag.
 func (c *Cache) victimAddr(set int, tag uint64) uint64 {
-	return (tag*uint64(c.numSets) + uint64(set)) * uint64(c.cfg.LineSize)
+	return (tag<<(c.setShift&63) | uint64(set)) << (c.lineShift & 63)
 }
 
 // Accesses reports the total number of lookups.

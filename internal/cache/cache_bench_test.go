@@ -35,3 +35,40 @@ func BenchmarkCacheDispatchMiss(b *testing.B) {
 		b.Fatalf("miss benchmark hit %d times", c.Hits())
 	}
 }
+
+// BenchmarkCacheNICL1 times the NIC L1 geometry (params.NICCPU: 32 K,
+// 64-way, 32-byte lines, Random), whose 64-way sets every firmware queue
+// walk searches. Both cases start from a full cache. The hit case cycles
+// through the resident lines, so hits land at every way; the miss case
+// streams fresh lines, so every access misses a full set and evicts.
+func BenchmarkCacheNICL1(b *testing.B) {
+	cfg := Config{Size: 32 << 10, Assoc: 64, LineSize: 32, Policy: Random}
+	lines := cfg.Size / cfg.LineSize
+	full := func() *Cache {
+		c := New(cfg)
+		for l := 0; l < lines; l++ {
+			c.Access(uint64(l*cfg.LineSize), false)
+		}
+		return c
+	}
+	b.Run("hit", func(b *testing.B) {
+		c := full()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%lines*cfg.LineSize), false)
+		}
+		if c.Hits() != uint64(b.N) {
+			b.Fatalf("hit benchmark missed: %d hits over %d timed accesses", c.Hits(), b.N)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := full()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64((lines+i)*cfg.LineSize), false)
+		}
+		if c.Hits() != 0 {
+			b.Fatalf("miss benchmark hit %d times", c.Hits())
+		}
+	})
+}

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -144,18 +146,24 @@ func TestBadConfigPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		msg  string // the panic message must contain it
 	}{
-		{"zero line size", Config{Size: 1024, Assoc: 2, LineSize: 0}},
-		{"zero assoc", Config{Size: 1024, Assoc: 0, LineSize: 32}},
-		{"zero size", Config{Size: 0, Assoc: 2, LineSize: 32}},
-		{"line size not a power of two", Config{Size: 960, Assoc: 2, LineSize: 48}},
-		{"size not whole lines", Config{Size: 1040, Assoc: 2, LineSize: 32}},
-		{"lines not whole sets", Config{Size: 96, Assoc: 2, LineSize: 32}},
+		{"zero line size", Config{Size: 1024, Assoc: 2, LineSize: 0}, "bad config"},
+		{"zero assoc", Config{Size: 1024, Assoc: 0, LineSize: 32}, "bad config"},
+		{"zero size", Config{Size: 0, Assoc: 2, LineSize: 32}, "bad config"},
+		{"line size not a power of two", Config{Size: 960, Assoc: 2, LineSize: 48}, "line size 48"},
+		{"size not whole lines", Config{Size: 1040, Assoc: 2, LineSize: 32}, "size 1040"},
+		{"lines not whole sets", Config{Size: 96, Assoc: 2, LineSize: 32}, "3 lines"},
+		{"set count not a power of two", Config{Size: 3 * 4 * 32, Assoc: 4, LineSize: 32}, "set count 3 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("New(%+v) did not panic", tc.cfg)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.msg) {
+					t.Fatalf("New(%+v) panicked with %q, want it to name %q", tc.cfg, msg, tc.msg)
 				}
 			}()
 			New(tc.cfg)
@@ -436,7 +444,8 @@ func TestCacheMatchesReference(t *testing.T) {
 }
 
 // TestBackedOnFirstAccess pins what a cache costs: the host L2 allocates
-// under 1 KB until its first Access, which backs it at 16 bytes a line.
+// under 1 KB until its first Access, which backs it at 17 bytes a line,
+// 16 of line state and a fingerprint byte.
 func TestBackedOnFirstAccess(t *testing.T) {
 	if sz := unsafe.Sizeof(line{}); sz != 16 {
 		t.Fatalf("line is %d bytes, want 16", sz)

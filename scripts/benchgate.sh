@@ -3,6 +3,7 @@
 # event-queue and partition-runner micro-benchmarks, the process Sleep,
 # process-to-process handoff and signal-wait micro-benchmarks, the ALPU device micro-benchmarks, the
 # matching-fabric dispatch/overflow and dispatch-cache micro-benchmarks,
+# the NIC L1 cache lookup,
 # the firmware's software queue search, the network transmit path, the 2-rank world build and whole
 # world lifecycle, the quick Fig. 5
 # sweep cuts and the telemetry exporters — and writes the raw `go test -bench` output to the given
@@ -38,6 +39,9 @@ go test -run '^$' -bench 'BenchmarkMicro/' -benchtime 2000x -count 3 ./internal/
 # to ~100 ns each, so time-based benchtime again.
 go test -run '^$' -bench 'BenchmarkFabric' -benchtime 0.2s -count 3 ./internal/match | tee -a "$out"
 go test -run '^$' -bench 'BenchmarkCacheDispatch' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
+# The NIC L1's 64-way set lookup, hitting and missing (and evicting from)
+# a full cache: tens of ns per access.
+go test -run '^$' -bench 'BenchmarkCacheNICL1' -benchtime 0.2s -count 3 ./internal/cache | tee -a "$out"
 # Firmware queue search with its cost accounting (a 256-entry list miss,
 # a shard prefix walk into the overflow hash, an exact hash probe): tens
 # of ns to tens of µs per search.
