@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -107,24 +105,47 @@ func TestMain(m *testing.M) {
 
 // TestDemoWideBlocks runs the demo script on geometries whose blocks span
 // whole 64-cell words — a block of two words, and one block covering the
-// array — and compares stdout with the goldens.
+// array — and at the default geometry with -trace and -metrics, and
+// compares stdout, and each file an output flag wrote, with the goldens
+// (testdata/<name>.golden and <name>.<flag>.golden).
 func TestDemoWideBlocks(t *testing.T) {
-	for _, g := range []struct{ cells, block int }{{256, 128}, {256, 256}} {
-		name := fmt.Sprintf("demo-cells%d-block%d", g.cells, g.block)
-		t.Run(name, func(t *testing.T) {
-			cmd := osexec.Command(os.Args[0], "-demo",
-				"-cells", strconv.Itoa(g.cells), "-block", strconv.Itoa(g.block))
+	for _, c := range []struct {
+		name  string
+		args  []string
+		files []string // output flags whose files are pinned
+	}{
+		{"demo-cells256-block128", []string{"-cells", "256", "-block", "128"}, nil},
+		{"demo-cells256-block256", []string{"-cells", "256", "-block", "256"}, nil},
+		{"demo-trace-metrics", nil, []string{"trace", "metrics"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{"-demo"}, c.args...)
+			dir := t.TempDir()
+			for _, f := range c.files {
+				args = append(args, "-"+f, filepath.Join(dir, f))
+			}
+			cmd := osexec.Command(os.Args[0], args...)
 			cmd.Env = append(os.Environ(), "QUEUEPROBE_MAIN=1")
 			got, err := cmd.Output()
 			if err != nil {
-				t.Fatalf("queueprobe %v: %v", cmd.Args[1:], err)
+				t.Fatalf("queueprobe %v: %v", args, err)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
-			if err != nil {
-				t.Fatal(err)
+			compare := func(what string, got []byte, golden string) {
+				want, err := os.ReadFile(filepath.Join("testdata", golden))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s differs from testdata/%s:\n%s", what, golden, got)
+				}
 			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("stdout differs from testdata/%s.golden:\n%s", name, got)
+			compare("stdout", got, c.name+".golden")
+			for _, f := range c.files {
+				b, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				compare("-"+f, b, c.name+"."+f+".golden")
 			}
 		})
 	}
