@@ -157,7 +157,6 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		bs := bs
 		b.Run(benchName("block", bs), func(b *testing.B) {
 			cfg := alpu.Config{
-				Variant:  alpu.PostedReceives,
 				Geometry: alpu.Geometry{Cells: 256, BlockSize: bs},
 				// MatchCycles 0: use the geometry's pipeline rule, at the
 				// FPGA-measured clock for this block size.
@@ -179,7 +178,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 // device.
 func deviceMatchLatency(cfg alpu.Config) float64 {
 	eng := sim.NewEngine()
-	dev := alpu.MustDevice(eng, "alpu", cfg)
+	dev := alpu.MustDevice(eng, "alpu", cfg, alpu.Env{Variant: alpu.PostedReceives})
 	var lat sim.Time
 	eng.Spawn("drv", func(p *sim.Process) {
 		dev.PushCommand(alpu.Command{Op: alpu.OpStartInsert})
@@ -266,7 +265,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 			var burst, lat sim.Time
 			for i := 0; i < b.N; i++ {
 				burst = insertBurstTime(any)
-				acfg := alpu.DefaultConfig(alpu.PostedReceives, 256)
+				acfg := alpu.DefaultConfig(256)
 				acfg.CompactAnyBlock = any
 				ncfg := nic.Config{UseALPU: true, Cells: 256, ALPUConfig: &acfg}
 				pts := bench.RunPreposted(bench.PrepostedConfig{
@@ -283,10 +282,10 @@ func BenchmarkAblationCompaction(b *testing.B) {
 // insertBurstTime fragments a device (spaced inserts), then times a burst
 // of inserts that must wait for holes to drain to cell 0.
 func insertBurstTime(anyBlock bool) sim.Time {
-	cfg := alpu.DefaultConfig(alpu.PostedReceives, 256)
+	cfg := alpu.DefaultConfig(256)
 	cfg.CompactAnyBlock = anyBlock
 	eng := sim.NewEngine()
-	dev := alpu.MustDevice(eng, "alpu", cfg)
+	dev := alpu.MustDevice(eng, "alpu", cfg, alpu.Env{Variant: alpu.PostedReceives})
 	var burst sim.Time
 	eng.Spawn("drv", func(p *sim.Process) {
 		bits, mask := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})

@@ -92,16 +92,15 @@ func main() {
 	v, err := parseVariant(*variant)
 	ob.Check(err, 2)
 	ob.Check(ob.Start(), 1)
-	cfg := alpu.DefaultConfig(v, *cells)
+	cfg := alpu.DefaultConfig(*cells)
 	cfg.Geometry.BlockSize = *block
-	var tracer *telemetry.Tracer
+	env := alpu.Env{Variant: v}
 	if ob.Want(obs.FlagTrace) {
-		tracer = telemetry.NewTracer()
-		tracer.NameProcess(0, "alpu")
-		cfg.Tracer = tracer
+		env.Tracer = telemetry.NewTracer()
+		env.Tracer.NameProcess(0, "alpu")
 	}
 	eng := sim.NewEngine()
-	dev, err := alpu.NewDevice(eng, "alpu", cfg)
+	dev, err := alpu.NewDevice(eng, "alpu", cfg, env)
 	ob.Check(err, 1)
 	fmt.Printf("ALPU %s: %d cells, block %d, %d-cycle pipeline at %.0f MHz\n",
 		v, *cells, *block, cfg.MatchCycles, cfg.Clock.Freq())
@@ -155,7 +154,7 @@ func main() {
 		}
 		publish()
 	}
-	ob.Check(ob.Emit(obs.FlagTrace, tracer.WriteJSON), 1)
+	ob.Check(ob.Emit(obs.FlagTrace, env.Tracer.WriteJSON), 1)
 	ob.Check(ob.Emit(obs.FlagMetrics, func(w io.Writer) error {
 		reg := telemetry.NewRegistry()
 		dev.Publish(reg, "alpu")

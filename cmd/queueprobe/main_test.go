@@ -45,7 +45,7 @@ func TestParseTriple(t *testing.T) {
 
 func TestExecRejectsBadAlputag(t *testing.T) {
 	eng := sim.NewEngine()
-	dev, err := alpu.NewDevice(eng, "alpu", alpu.DefaultConfig(alpu.PostedReceives, 16))
+	dev, err := alpu.NewDevice(eng, "alpu", alpu.DefaultConfig(16), alpu.Env{Variant: alpu.PostedReceives})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	eng := sim.NewEngine()
-	dev := alpu.MustDevice(eng, "alpu", alpu.DefaultConfig(alpu.PostedReceives, 128))
+	dev := alpu.MustDevice(eng, "alpu", alpu.DefaultConfig(128), alpu.Env{Variant: alpu.PostedReceives})
 
 	eng.Spawn("firmware", func(p *sim.Process) {
 		result := func() alpu.Response {

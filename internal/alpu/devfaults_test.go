@@ -1,6 +1,7 @@
 package alpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,11 +16,11 @@ import (
 // sequences must be bit-identical.
 func TestPushResultStallOracle(t *testing.T) {
 	run := func(perCycle bool) (Stats, []Response) {
-		cfg := testConfig(PostedReceives, 32, 8)
+		cfg := testConfig(32, 8)
 		cfg.ResultFIFODepth = 2 // force backpressure quickly
 		cfg.PerCycle = perCycle
 		eng := sim.NewEngine()
-		dev := MustDevice(eng, "alpu", cfg)
+		dev := MustDevice(eng, "alpu", cfg, posted)
 		var got []Response
 		eng.Spawn("driver", func(p *sim.Process) {
 			dr := &driver{p: p, dev: dev}
@@ -72,10 +73,8 @@ func TestPushResultStallOracle(t *testing.T) {
 // corruption is caught by parity before any probe can match against it,
 // the cell is quarantined, and a FAULT response names the lost tag.
 func TestBitFlipScrubQuarantines(t *testing.T) {
-	cfg := testConfig(PostedReceives, 32, 8)
-	cfg.Faults = &FaultModel{Seed: 7, BitFlipProb: 0.5}
 	eng := sim.NewEngine()
-	dev := MustDevice(eng, "alpu", cfg)
+	dev := MustDevice(eng, "alpu", testConfig(32, 8), Env{Faults: &FaultModel{Seed: 7, BitFlipProb: 0.5}})
 	inserted := map[uint32]bool{}
 	faultTags := map[uint32]bool{}
 	matched := map[uint32]bool{}
@@ -136,10 +135,8 @@ func TestBitFlipScrubQuarantines(t *testing.T) {
 // device swallows everything and never responds, but its FIFOs keep
 // draining so producers are not wedged — and the world still quiesces.
 func TestDeviceDeathGoesDark(t *testing.T) {
-	cfg := testConfig(PostedReceives, 32, 8)
-	cfg.Faults = &FaultModel{Seed: 1, DeathAt: 2 * sim.Microsecond}
 	eng := sim.NewEngine()
-	dev := MustDevice(eng, "alpu", cfg)
+	dev := MustDevice(eng, "alpu", testConfig(32, 8), Env{Faults: &FaultModel{Seed: 1, DeathAt: 2 * sim.Microsecond}})
 	var before, after int
 	eng.Spawn("driver", func(p *sim.Process) {
 		dr := &driver{p: p, dev: dev}
@@ -175,42 +172,85 @@ func TestDeviceDeathGoesDark(t *testing.T) {
 	}
 }
 
+// faultSchedule runs a fixed insert/probe session on a 32-cell unit in
+// the role env gives it and returns its final Stats and the responses it
+// produced: together, the fault schedule the unit drew.
+func faultSchedule(env Env) (Stats, []Response) {
+	eng := sim.NewEngine()
+	dev := MustDevice(eng, "alpu", testConfig(32, 8), env)
+	var got []Response
+	eng.Spawn("driver", func(p *sim.Process) {
+		dr := &driver{p: p, dev: dev}
+		var entries []Command
+		for i := 0; i < 16; i++ {
+			entries = append(entries, Command{
+				Bits: match.Bits(i), Mask: match.FullMask, Tag: uint32(i),
+			})
+		}
+		dr.insertAll(entries)
+		for i := 0; i < 16; i++ {
+			dev.PushProbe(Probe{Bits: match.Bits(i)})
+		}
+		// Drain with timeouts: dropped results mean fewer responses
+		// than probes, and the exact count is the seed's business.
+		for p.WaitCondUntil(dev.Results.NotEmpty,
+			func() bool { return dev.Results.Len() > 0 }, 5*sim.Microsecond) {
+			r, _ := dev.Results.Pop()
+			got = append(got, r)
+		}
+	})
+	eng.Run()
+	return dev.Stats(), got
+}
+
+// soakFaults is the fault model the schedule tests draw from.
+var soakFaults = &FaultModel{Seed: 99, BitFlipProb: 0.3, ResultDropProb: 0.1, StuckProb: 0.2}
+
 // TestFaultDeterminism: the same seed yields the same fault schedule and
 // the same final stats, run to run.
 func TestFaultDeterminism(t *testing.T) {
-	run := func() Stats {
-		cfg := testConfig(PostedReceives, 32, 8)
-		cfg.Faults = &FaultModel{Seed: 99, BitFlipProb: 0.3, ResultDropProb: 0.1, StuckProb: 0.2}
-		eng := sim.NewEngine()
-		dev := MustDevice(eng, "alpu", cfg)
-		eng.Spawn("driver", func(p *sim.Process) {
-			dr := &driver{p: p, dev: dev}
-			var entries []Command
-			for i := 0; i < 16; i++ {
-				entries = append(entries, Command{
-					Bits: match.Bits(i), Mask: match.FullMask, Tag: uint32(i),
-				})
-			}
-			dr.insertAll(entries)
-			for i := 0; i < 16; i++ {
-				dev.PushProbe(Probe{Bits: match.Bits(i)})
-			}
-			// Drain with timeouts: dropped results mean fewer responses
-			// than probes, and the exact count is the seed's business.
-			for p.WaitCondUntil(dev.Results.NotEmpty,
-				func() bool { return dev.Results.Len() > 0 }, 5*sim.Microsecond) {
-				dev.Results.Pop()
-			}
-		})
-		eng.Run()
-		return dev.Stats()
-	}
-	a, b := run(), run()
+	a, _ := faultSchedule(Env{Faults: soakFaults})
+	b, _ := faultSchedule(Env{Faults: soakFaults})
 	if a != b {
 		t.Fatalf("same seed, different stats:\n a: %+v\n b: %+v", a, b)
 	}
 	if a.BitFlips == 0 && a.DroppedResults == 0 && a.StuckCycles == 0 {
 		t.Fatalf("fault injection idle: %+v", a)
+	}
+}
+
+// TestFaultStreamFollowsIdentity: a unit's fault stream is derived from
+// its Env identity. Units sharing one fault model but differing in (PID,
+// TID) draw different schedules; one identity reproduces its schedule
+// exactly; the identity offsets the seed by PID·0x9E3779B9 +
+// TID·0x85EBCA6B; and identity (0, 0) is the standalone seeding, whose
+// counts are pinned.
+func TestFaultStreamFollowsIdentity(t *testing.T) {
+	schedule := func(f *FaultModel, pid, tid int) string {
+		s, resp := faultSchedule(Env{Faults: f, PID: pid, TID: tid})
+		return fmt.Sprintf("%+v %v", s, resp)
+	}
+	ids := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {3, 4}}
+	seen := map[string][2]int{}
+	for _, id := range ids {
+		got := schedule(soakFaults, id[0], id[1])
+		if prev, ok := seen[got]; ok {
+			t.Errorf("identities %v and %v drew the same schedule", prev, id)
+		}
+		seen[got] = id
+		if again := schedule(soakFaults, id[0], id[1]); again != got {
+			t.Errorf("identity %v: schedule not reproduced:\n %s\n %s", id, got, again)
+		}
+		g := *soakFaults
+		g.Seed += uint64(id[0])*0x9E3779B9 + uint64(id[1])*0x85EBCA6B
+		if off := schedule(&g, 0, 0); off != got {
+			t.Errorf("identity %v: schedule differs from the offset seed's:\n %s\n %s", id, got, off)
+		}
+	}
+	s, resp := faultSchedule(Env{Faults: soakFaults})
+	want := [4]uint64{8, 2, 136, 22}
+	if got := [4]uint64{s.BitFlips, s.DroppedResults, s.StuckCycles, uint64(len(resp))}; got != want {
+		t.Errorf("standalone schedule (flips, drops, stuck cycles, responses) = %v, want %v", got, want)
 	}
 }
 
@@ -221,7 +261,7 @@ func TestFaultDeterminism(t *testing.T) {
 // result FIFO, the one inconsistency the device checks for.
 func TestDevicePanicReachesRun(t *testing.T) {
 	eng := sim.NewEngine()
-	dev := MustDevice(eng, "nic3.palpu", testConfig(PostedReceives, 32, 8))
+	dev := MustDevice(eng, "nic3.palpu", testConfig(32, 8), posted)
 	full := sim.NewFIFO[Response](eng, "full", 1)
 	full.Push(Response{})
 	eng.Spawn("driver", func(p *sim.Process) {

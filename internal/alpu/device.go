@@ -11,9 +11,10 @@ import (
 	"alpusim/internal/trace"
 )
 
-// Config describes a Device build point and its timing.
+// Config describes a Device build point and its timing: the choices that
+// are the same for every unit built from it. What differs per unit comes
+// through Env.
 type Config struct {
-	Variant  Variant
 	Geometry Geometry
 	Clock    sim.Clock
 
@@ -42,25 +43,33 @@ type Config struct {
 	// modes are bit-identical in observable behaviour, enforced by the
 	// equivalence oracle in internal/bench.
 	PerCycle bool
+}
+
+// Env is one unit's place in the system that builds it: the queue it
+// serves, its trace track and its fault stream. A NIC builds its two units
+// (or its fabric shards) from one Config, each with its own Env.
+type Env struct {
+	Variant Variant
+
+	// Tracer, when set, records search/insert spans and delete instants
+	// on the (PID, TID) track.
+	Tracer *telemetry.Tracer
+	// PID and TID name the unit: its trace track, and the identity its
+	// fault stream is derived from, so every unit of a world faults
+	// independently. A standalone device leaves both 0.
+	PID, TID int
 
 	// Faults, when Active, enables seeded device-level fault injection
 	// (see FaultModel). Fault injection forces PerCycle: stuck cycles
 	// perturb the per-cycle stepping schedule, which the cycle-batching
 	// equivalence lemmas assume is fault-free.
 	Faults *FaultModel
-
-	// Tracer, when set, records search/insert spans and delete instants
-	// on the (TracePID, TraceTID) track.
-	Tracer   *telemetry.Tracer
-	TracePID int
-	TraceTID int
 }
 
 // DefaultConfig returns the simulated configuration used by the paper's
 // Fig. 5/6 runs: the ASIC-speed unit at 500 MHz with a 7-cycle pipeline.
-func DefaultConfig(v Variant, cells int) Config {
+func DefaultConfig(cells int) Config {
 	return Config{
-		Variant:          v,
 		Geometry:         Geometry{Cells: cells, BlockSize: params.ALPUDefaultBlockSize},
 		Clock:            sim.MHz(params.ALPUClockMHz),
 		MatchCycles:      params.ALPUMatchCycles,
@@ -105,7 +114,7 @@ type Stats struct {
 	ShiftCycles  uint64 // cycles in which compaction moved data
 	ResultStalls uint64 // cycles stalled on a full result FIFO
 
-	// Fault-injection activity (zero unless Config.Faults is Active).
+	// Fault-injection activity (zero unless Env.Faults is Active).
 	BitFlips       uint64 // transient cell corruptions injected
 	ParityFaults   uint64 // corrupted cells the scrubber quarantined
 	DroppedResults uint64 // result-FIFO entries silently lost
@@ -130,6 +139,7 @@ type Stats struct {
 // faultHook) is called with the state to continue at when it is done.
 type Device struct {
 	cfg  Config
+	env  Env
 	eng  *sim.Engine
 	name string
 
@@ -179,7 +189,8 @@ type Device struct {
 	stats      Stats
 
 	// frng is the device's private fault stream; nil when fault injection
-	// is off, which keeps every fault check a single nil test.
+	// is off (env.Faults is nil then too), which keeps every fault check a
+	// single nil test.
 	frng *sim.Rand
 
 	// The control machine. next is the state to run now (nil once the
@@ -220,9 +231,10 @@ type Device struct {
 // step is one state of the device's control machine.
 type step func(d *Device)
 
-// NewDevice creates a Device on eng and schedules its start, as its own
-// step event at the current instant.
-func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
+// NewDevice creates a Device with build point cfg in the role env gives
+// it on eng, and schedules its start, as its own step event at the
+// current instant.
+func NewDevice(eng *sim.Engine, name string, cfg Config, env Env) (*Device, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
@@ -235,14 +247,22 @@ func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 	if cfg.InsertCycles == 0 {
 		cfg.InsertCycles = params.ALPUInsertCycles
 	}
-	if cfg.Faults.Active() {
+	var frng *sim.Rand
+	if f := env.Faults; f.Active() {
 		// Stuck cycles perturb the stepping schedule the cycle-batching
 		// equivalence lemmas assume, so fault injection runs the per-cycle
 		// reference model.
 		cfg.PerCycle = true
+		// The unit's own stream: Seed offset by its (PID, TID) identity,
+		// then mixed with stream index 1.
+		seed := f.Seed + uint64(env.PID)*0x9E3779B9 + uint64(env.TID)*0x85EBCA6B
+		frng = sim.NewRand(seed*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
+	} else {
+		env.Faults = nil
 	}
 	d := &Device{
 		cfg:      cfg,
+		env:      env,
 		eng:      eng,
 		name:     name,
 		Headers:  sim.NewFIFO[Probe](eng, name+".hdr", cfg.HeaderFIFODepth),
@@ -250,12 +270,9 @@ func NewDevice(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 		Results:  sim.NewFIFO[Response](eng, name+".res", cfg.ResultFIFODepth),
 		kick:     sim.NewSignal(eng),
 		cells:    make([]cell, cfg.Geometry.Cells),
+		frng:     frng,
 	}
 	d.initBits()
-	if cfg.Faults.Active() {
-		// The device's own stream: Seed mixed with stream index 1.
-		d.frng = sim.NewRand(cfg.Faults.Seed*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
-	}
 	d.stepFn, d.signalFn, d.drainFn = d.wake, d.signalled, d.drainTick
 	d.hasWorkFn, d.hasInsertWorkFn, d.roomFn = d.hasWork, d.hasInsertWork, d.resultRoom
 	d.resume = (*Device).loop
@@ -324,8 +341,8 @@ func (d *Device) nextValid(i int) int {
 }
 
 // MustDevice is NewDevice for known-good configurations.
-func MustDevice(eng *sim.Engine, name string, cfg Config) *Device {
-	d, err := NewDevice(eng, name, cfg)
+func MustDevice(eng *sim.Engine, name string, cfg Config, env Env) *Device {
+	d, err := NewDevice(eng, name, cfg, env)
 	if err != nil {
 		panic(err)
 	}
@@ -364,7 +381,7 @@ func (d *Device) Publish(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix + "/max_occupancy").SetMax(int64(s.MaxOccupancy))
 	reg.Gauge(prefix + "/occupancy").Set(int64(d.Occupancy()))
 	reg.Histogram(prefix + "/search_cycles").Set(s.SearchCycles)
-	if d.cfg.Faults.Active() {
+	if d.env.Faults != nil {
 		reg.Counter(prefix + "/faults/bit_flips").Set(s.BitFlips)
 		reg.Counter(prefix + "/faults/parity_quarantines").Set(s.ParityFaults)
 		reg.Counter(prefix + "/faults/dropped_results").Set(s.DroppedResults)
@@ -383,7 +400,7 @@ func (d *Device) Publish(reg *telemetry.Registry, prefix string) {
 // never peeks — it detects death through response timeouts, as a real host
 // would.
 func (d *Device) Dead() bool {
-	f := d.cfg.Faults
+	f := d.env.Faults
 	return f != nil && f.DeathAt > 0 && d.eng.Now() >= f.DeathAt
 }
 
@@ -576,7 +593,7 @@ func (d *Device) faultHook(then step) {
 // maybeFlip draws the bit-flip chance and, on a hit, flips one random bit
 // of one random valid cell's match bits, leaving its parity bit stale.
 func (d *Device) maybeFlip() {
-	if !d.frng.Chance(d.cfg.Faults.BitFlipProb) {
+	if !d.frng.Chance(d.env.Faults.BitFlipProb) {
 		return
 	}
 	occ := d.Occupancy()
@@ -836,8 +853,8 @@ func (d *Device) insertWrite() {
 // an insert cut short by teardown (sim.Engine.Close fires no event)
 // records nothing.
 func (d *Device) insertDone() {
-	if t := d.cfg.Tracer; t != nil {
-		t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "insert", d.insertStart, d.eng.Now())
+	if t := d.env.Tracer; t != nil {
+		t.Span(d.env.PID, d.env.TID, "alpu", "insert", d.insertStart, d.eng.Now())
 	}
 	d.next = d.insertRet
 }
@@ -868,10 +885,10 @@ func (d *Device) search() {
 // searched answers the probe when it leaves the pipeline.
 func (d *Device) searched() {
 	now := d.eng.Now()
-	if t := d.cfg.Tracer; t != nil {
-		t.Span(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "search", d.searchStart, now)
+	if t := d.env.Tracer; t != nil {
+		t.Span(d.env.PID, d.env.TID, "alpu", "search", d.searchStart, now)
 		if d.hit {
-			t.Instant(d.cfg.TracePID, d.cfg.TraceTID, "alpu", "delete", now)
+			t.Instant(d.env.PID, d.env.TID, "alpu", "delete", now)
 		}
 	}
 	d.stats.Matches++
@@ -899,12 +916,12 @@ func (d *Device) searched() {
 // §III-B collapsed into its functional result; only valid cells are
 // compared, walked from the top of the bitmap down.
 func (d *Device) findMatch(probe Probe) int {
-	pm := probeMask(d.cfg.Variant, probe)
+	pm := probeMask(d.env.Variant, probe)
 	for w := len(d.valid) - 1; w >= 0; w-- {
 		for v := d.valid[w]; v != 0; {
 			b := bits.Len64(v) - 1
 			c := &d.cells[w*64+b]
-			if match.Matches(c.bits, entryMask(d.cfg.Variant, c.mask), probe.Bits, pm) {
+			if match.Matches(c.bits, entryMask(d.env.Variant, c.mask), probe.Bits, pm) {
 				return w*64 + b
 			}
 			v &^= 1 << uint(b)
@@ -1000,7 +1017,7 @@ func (d *Device) cycle() {
 	}
 	d.tickLeft--
 	d.next = (*Device).shift
-	if d.frng != nil && d.frng.Chance(d.cfg.Faults.StuckProb) {
+	if d.frng != nil && d.frng.Chance(d.env.Faults.StuckProb) {
 		k := 1 + d.frng.Intn(8)
 		d.stats.StuckCycles += uint64(k)
 		d.stuckLeft = k
@@ -1297,7 +1314,7 @@ func (d *Device) offer() {
 		return
 	}
 	d.next = d.pushRet
-	if d.frng != nil && d.frng.Chance(d.cfg.Faults.ResultDropProb) {
+	if d.frng != nil && d.frng.Chance(d.env.Faults.ResultDropProb) {
 		d.stats.DroppedResults++
 		return
 	}

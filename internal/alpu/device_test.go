@@ -9,9 +9,8 @@ import (
 )
 
 // testConfig returns a small, fast device for protocol tests.
-func testConfig(v Variant, cells, block int) Config {
+func testConfig(cells, block int) Config {
 	return Config{
-		Variant:          v,
 		Geometry:         Geometry{Cells: cells, BlockSize: block},
 		Clock:            sim.MHz(500),
 		MatchCycles:      7,
@@ -21,6 +20,12 @@ func testConfig(v Variant, cells, block int) Config {
 		ResultFIFODepth:  16,
 	}
 }
+
+// posted and unexpected are a standalone unit's two roles.
+var (
+	posted     = Env{Variant: PostedReceives}
+	unexpected = Env{Variant: UnexpectedMessages}
+)
 
 // driver wraps the processor side of the Table I/II protocol for tests.
 type driver struct {
@@ -64,10 +69,10 @@ func (d *driver) pushCommandWait(c Command) {
 }
 
 // run spawns a driver process, runs the simulation to quiescence.
-func runDriver(t *testing.T, cfg Config, body func(dr *driver)) *Device {
+func runDriver(t *testing.T, cfg Config, env Env, body func(dr *driver)) *Device {
 	t.Helper()
 	eng := sim.NewEngine()
-	dev := MustDevice(eng, "alpu", cfg)
+	dev := MustDevice(eng, "alpu", cfg, env)
 	done := false
 	eng.Spawn("driver", func(p *sim.Process) {
 		body(&driver{p: p, dev: dev})
@@ -81,7 +86,7 @@ func runDriver(t *testing.T, cfg Config, body func(dr *driver)) *Device {
 }
 
 func TestDeviceMatchFailureOnEmpty(t *testing.T) {
-	dev := runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	dev := runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		dr.dev.PushProbe(Probe{Bits: hdrBits(1, 0, 0)})
 		r := dr.waitResult()
 		if r.Kind != RespMatchFailure {
@@ -95,7 +100,7 @@ func TestDeviceMatchFailureOnEmpty(t *testing.T) {
 }
 
 func TestDeviceInsertThenMatch(t *testing.T) {
-	dev := runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	dev := runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		b, m := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
 		_, free := dr.insertAll([]Command{{Bits: b, Mask: m, Tag: 77}})
 		if free != 32 {
@@ -119,7 +124,7 @@ func TestDeviceInsertThenMatch(t *testing.T) {
 }
 
 func TestDeviceMatchLatencySevenCycles(t *testing.T) {
-	runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		start := dr.p.Now()
 		dr.dev.PushProbe(Probe{Bits: hdrBits(1, 0, 0)})
 		dr.waitResult()
@@ -132,7 +137,7 @@ func TestDeviceMatchLatencySevenCycles(t *testing.T) {
 }
 
 func TestDeviceInsertEveryOtherCycle(t *testing.T) {
-	runDriver(t, testConfig(PostedReceives, 64, 8), func(dr *driver) {
+	runDriver(t, testConfig(64, 8), posted, func(dr *driver) {
 		dr.dev.PushCommand(Command{Op: OpStartInsert})
 		r := dr.waitResult()
 		if r.Kind != RespStartAck {
@@ -163,7 +168,7 @@ func TestDeviceInsertModeHoldsFailures(t *testing.T) {
 	// §IV-A: MATCH FAILURE cannot occur between START ACKNOWLEDGE and
 	// STOP INSERT. A probe that fails mid-insert is retried against the
 	// post-insert contents and can then succeed.
-	runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		dr.dev.PushCommand(Command{Op: OpStartInsert})
 		if r := dr.waitResult(); r.Kind != RespStartAck {
 			t.Fatalf("want ack, got %v", r.Kind)
@@ -187,7 +192,7 @@ func TestDeviceInsertModeHoldsFailures(t *testing.T) {
 }
 
 func TestDeviceHeldFailureEmittedAfterStop(t *testing.T) {
-	dev := runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	dev := runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		dr.dev.PushCommand(Command{Op: OpStartInsert})
 		if r := dr.waitResult(); r.Kind != RespStartAck {
 			t.Fatalf("want ack, got %v", r.Kind)
@@ -206,7 +211,7 @@ func TestDeviceHeldFailureEmittedAfterStop(t *testing.T) {
 }
 
 func TestDeviceDiscardsInvalidCommands(t *testing.T) {
-	dev := runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	dev := runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		// INSERT and STOP INSERT outside insert mode are discarded
 		// (§III-C footnote 3).
 		dr.dev.PushCommand(Command{Op: OpInsert, Bits: hdrBits(1, 0, 0), Tag: 1})
@@ -226,7 +231,7 @@ func TestDeviceDiscardsInvalidCommands(t *testing.T) {
 }
 
 func TestDeviceReset(t *testing.T) {
-	runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		b, m := match.PackRecv(match.Recv{Context: 1, Source: 0, Tag: 0})
 		dr.insertAll([]Command{{Bits: b, Mask: m, Tag: 9}})
 		dr.p.Sleep(100 * sim.Nanosecond)
@@ -243,7 +248,7 @@ func TestDeviceReset(t *testing.T) {
 }
 
 func TestDevicePriorityOldestWins(t *testing.T) {
-	runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		wb, wm := match.PackRecv(match.Recv{Context: 1, Source: match.AnySource, Tag: 4})
 		eb, em := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 4})
 		dr.insertAll([]Command{
@@ -259,7 +264,7 @@ func TestDevicePriorityOldestWins(t *testing.T) {
 }
 
 func TestDeviceUnexpectedVariant(t *testing.T) {
-	runDriver(t, testConfig(UnexpectedMessages, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), unexpected, func(dr *driver) {
 		// Store exact headers; probe with a wildcard receive.
 		dr.insertAll([]Command{
 			{Bits: hdrBits(1, 3, 9), Tag: 1},
@@ -275,9 +280,9 @@ func TestDeviceUnexpectedVariant(t *testing.T) {
 }
 
 func TestDeviceLostInsertWhenFull(t *testing.T) {
-	cfg := testConfig(PostedReceives, 8, 8)
+	cfg := testConfig(8, 8)
 	cfg.CommandFIFODepth = 16
-	dev := runDriver(t, cfg, func(dr *driver) {
+	dev := runDriver(t, cfg, posted, func(dr *driver) {
 		var cmds []Command
 		for i := 0; i < 9; i++ { // one more than capacity
 			cmds = append(cmds, Command{Bits: hdrBits(1, 0, int32(i)), Mask: match.FullMask, Tag: uint32(i)})
@@ -294,7 +299,7 @@ func TestDeviceLostInsertWhenFull(t *testing.T) {
 }
 
 func TestDeviceTagsOrderAfterMigration(t *testing.T) {
-	dev := runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	dev := runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		var cmds []Command
 		for i := 0; i < 10; i++ {
 			cmds = append(cmds, Command{Bits: hdrBits(1, 0, int32(i)), Mask: match.FullMask, Tag: uint32(i + 1)})
@@ -314,9 +319,9 @@ func TestDeviceTagsOrderAfterMigration(t *testing.T) {
 }
 
 func TestDeviceResultFIFOBackpressure(t *testing.T) {
-	cfg := testConfig(PostedReceives, 32, 8)
+	cfg := testConfig(32, 8)
 	cfg.ResultFIFODepth = 2
-	runDriver(t, cfg, func(dr *driver) {
+	runDriver(t, cfg, posted, func(dr *driver) {
 		// Burst of 6 probes; drain slowly. The device must stall, not drop.
 		for i := 0; i < 6; i++ {
 			dr.dev.PushProbe(Probe{Bits: hdrBits(1, 0, int32(i))})
@@ -342,10 +347,10 @@ func TestDeviceResultFIFOBackpressure(t *testing.T) {
 // has nothing to compact, the device waits on the FIFO's not-full edge, and
 // every waited device cycle must still land in ResultStalls.
 func TestDeviceResultStallAccounting(t *testing.T) {
-	cfg := testConfig(PostedReceives, 32, 8)
+	cfg := testConfig(32, 8)
 	cfg.ResultFIFODepth = 2
 	const idle = 1000 * sim.Nanosecond // 500 cycles at 500 MHz
-	dev := runDriver(t, cfg, func(dr *driver) {
+	dev := runDriver(t, cfg, posted, func(dr *driver) {
 		// Three failures on an empty (hole-free) array: two fill the FIFO,
 		// the third forces the device into the parked stall.
 		for i := 0; i < 3; i++ {
@@ -372,9 +377,9 @@ func TestDeviceResultStallAccounting(t *testing.T) {
 
 func TestDeviceCompactionPoliciesEquivalentSemantics(t *testing.T) {
 	for _, anyBlock := range []bool{false, true} {
-		cfg := testConfig(PostedReceives, 32, 8)
+		cfg := testConfig(32, 8)
 		cfg.CompactAnyBlock = anyBlock
-		runDriver(t, cfg, func(dr *driver) {
+		runDriver(t, cfg, posted, func(dr *driver) {
 			// Create interior holes: insert with idle gaps so entries
 			// migrate apart, then verify matching and order are unaffected.
 			for i := 0; i < 5; i++ {
@@ -408,7 +413,7 @@ func TestDeviceEquivalentToReference(t *testing.T) {
 		if trial%2 == 1 {
 			variant = UnexpectedMessages
 		}
-		cfg := testConfig(variant, 32, 8)
+		cfg := testConfig(32, 8)
 		ref := NewReference(variant, 32)
 		nextTag := uint32(1)
 
@@ -446,7 +451,7 @@ func TestDeviceEquivalentToReference(t *testing.T) {
 			return Probe{Bits: b, Mask: m}
 		}
 
-		runDriver(t, cfg, func(dr *driver) {
+		runDriver(t, cfg, Env{Variant: variant}, func(dr *driver) {
 			for phase := 0; phase < 8; phase++ {
 				if rng.Intn(2) == 0 {
 					// Insert phase: batch up to the free space.

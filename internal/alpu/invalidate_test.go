@@ -10,7 +10,7 @@ import (
 // keep their priority order, probes that would have hit the cleared entry
 // fall through to the next candidate, and an absent tag is a silent no-op.
 func TestDeviceInvalidate(t *testing.T) {
-	cfg := testConfig(PostedReceives, 16, 8)
+	cfg := testConfig(16, 8)
 	probe := func(tag int32) Probe {
 		return Probe{Bits: match.Pack(match.Header{Context: 1, Source: 2, Tag: tag})}
 	}
@@ -18,7 +18,7 @@ func TestDeviceInvalidate(t *testing.T) {
 		b, m := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: tag})
 		return Command{Bits: b, Mask: m, Tag: devTag}
 	}
-	dev := runDriver(t, cfg, func(dr *driver) {
+	dev := runDriver(t, cfg, posted, func(dr *driver) {
 		dr.insertAll([]Command{entry(10, 100), entry(11, 101), entry(12, 102)})
 		dr.pushCommandWait(Command{Op: OpInvalidate, Tag: 101})
 		// The invalidated entry must not match; its neighbours must.

@@ -113,8 +113,8 @@ func TestCompactionKernelDifferential(t *testing.T) {
 func runKernelTrial(t *testing.T, rng *rand.Rand, g Geometry, anyBlock bool) {
 	t.Helper()
 	d := MustDevice(sim.NewEngine(), "k", Config{
-		Variant: PostedReceives, Geometry: g, Clock: sim.MHz(500), CompactAnyBlock: anyBlock,
-	})
+		Geometry: g, Clock: sim.MHz(500), CompactAnyBlock: anyBlock,
+	}, posted)
 	n := g.Cells
 	ref := &refArray{valid: make([]bool, n), tag: make([]uint32, n), bs: g.BlockSize}
 	if anyBlock {
@@ -231,8 +231,8 @@ func TestMaterializeStepsDifferential(t *testing.T) {
 			g, anyBlock := g, anyBlock
 			t.Run(fmt.Sprintf("cells=%d/block=%d/any=%v", g.Cells, g.BlockSize, anyBlock), func(t *testing.T) {
 				d := MustDevice(sim.NewEngine(), "k", Config{
-					Variant: PostedReceives, Geometry: g, Clock: sim.MHz(500), CompactAnyBlock: anyBlock,
-				})
+					Geometry: g, Clock: sim.MHz(500), CompactAnyBlock: anyBlock,
+				}, posted)
 				bs := g.BlockSize
 				if anyBlock {
 					bs = g.Cells

@@ -51,7 +51,7 @@ func MicroCases() []MicroCase {
 }
 
 func microConfig(g Geometry) Config {
-	cfg := DefaultConfig(PostedReceives, g.Cells)
+	cfg := DefaultConfig(g.Cells)
 	cfg.Geometry = g
 	return cfg
 }
@@ -81,7 +81,7 @@ func microProbe() Probe {
 // periodic resets (amortised into the loop).
 func microInsert(b *testing.B, g Geometry) {
 	eng := sim.NewEngine()
-	d := MustDevice(eng, "bench", microConfig(g))
+	d := MustDevice(eng, "bench", microConfig(g), posted)
 	bits, mask := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
 	eng.Spawn("drv", func(p *sim.Process) {
 		ack := func() {
@@ -118,7 +118,7 @@ func microInsert(b *testing.B, g Geometry) {
 // depth constant.
 func microSearch(b *testing.B, g Geometry, hit bool) {
 	eng := sim.NewEngine()
-	d := MustDevice(eng, "bench", microConfig(g))
+	d := MustDevice(eng, "bench", microConfig(g), posted)
 	depth := g.Cells / 2
 	microFill(d, depth, hit)
 	snapshot := append([]cell(nil), d.cells...)
@@ -150,7 +150,7 @@ func microSearch(b *testing.B, g Geometry, hit bool) {
 // cell 0 below a compacted half-full suffix. It returns the device and
 // copies of its cells and bitmap to restore before each drain.
 func drainLayout(g Geometry) (d *Device, cells []cell, valid []uint64) {
-	d = MustDevice(sim.NewEngine(), "bench", microConfig(g))
+	d = MustDevice(sim.NewEngine(), "bench", microConfig(g), posted)
 	microFill(d, g.Cells/2, false)
 	bits, mask := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
 	placeCell(d, 0, cell{bits: bits, mask: mask, tag: 99})

@@ -20,7 +20,7 @@ func TestMultiProcessPartitioning(t *testing.T) {
 	}
 	pidMask := match.Bits(uint64(0xFFFF) << pidShift)
 
-	runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		// Two processes post receives with identical MPI criteria.
 		var cmds []Command
 		for pid := uint64(1); pid <= 2; pid++ {
@@ -66,7 +66,7 @@ func TestMultiProcessWildcardIsolation(t *testing.T) {
 	}
 	pidMask := match.Bits(uint64(0xFFFF) << pidShift)
 
-	runDriver(t, testConfig(PostedReceives, 32, 8), func(dr *driver) {
+	runDriver(t, testConfig(32, 8), posted, func(dr *driver) {
 		b, m := match.PackRecv(match.Recv{Context: 1, Source: match.AnySource, Tag: 9})
 		dr.insertAll([]Command{{Bits: withPID(1, b), Mask: m | pidMask, Tag: 11}})
 		dr.p.Sleep(200 * sim.Nanosecond)

@@ -75,7 +75,7 @@ func prioTree(in []prioIn) (matched bool, tag uint32, loc int) {
 func (d *Device) MatchLocation(probe Probe) (bool, uint32, int) {
 	bs := d.cfg.Geometry.BlockSize
 	nb := d.cfg.Geometry.Blocks()
-	pm := probeMask(d.cfg.Variant, probe)
+	pm := probeMask(d.env.Variant, probe)
 
 	blocks := make([]prioIn, nb)
 	for b := 0; b < nb; b++ {
@@ -86,7 +86,7 @@ func (d *Device) MatchLocation(probe Probe) (bool, uint32, int) {
 			// valid bit (§III-A: "invalid data cannot produce a valid
 			// match").
 			leaves[i] = prioIn{
-				match: d.isValid(b*bs+i) && match0(c, d.cfg.Variant, probe.Bits, pm),
+				match: d.isValid(b*bs+i) && match0(c, d.env.Variant, probe.Bits, pm),
 				tag:   c.tag,
 			}
 		}

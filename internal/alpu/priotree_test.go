@@ -13,10 +13,9 @@ import (
 func fillDevice(cells, block int, occupied map[int]uint32) *Device {
 	eng := sim.NewEngine()
 	d := MustDevice(eng, "t", Config{
-		Variant:  PostedReceives,
 		Geometry: Geometry{Cells: cells, BlockSize: block},
 		Clock:    sim.MHz(500),
-	})
+	}, posted)
 	b, m := match.PackRecv(match.Recv{Context: 1, Source: 2, Tag: 3})
 	for idx, tag := range occupied {
 		placeCell(d, idx, cell{bits: b, mask: m, tag: tag})

@@ -22,8 +22,8 @@ import (
 func oracleNIC(k NICKind, perCycle bool) nic.Config {
 	c := NICConfig(k)
 	if perCycle {
-		// Variant and cells are filled in per unit.
-		dev := alpu.DefaultConfig(alpu.PostedReceives, 0)
+		// Cells 0: each NIC fills in its own.
+		dev := alpu.DefaultConfig(0)
 		dev.PerCycle = true
 		c.ALPUConfig = &dev
 	}

@@ -56,9 +56,6 @@ func (e *Engine) Transfer(now sim.Time, size int) sim.Time {
 	return done
 }
 
-// BusyUntil reports when the engine becomes free.
-func (e *Engine) BusyUntil() sim.Time { return e.busyUntil }
-
 // Transfers reports the number of transfers issued.
 func (e *Engine) Transfers() uint64 { return e.transfers }
 

@@ -143,7 +143,9 @@ const faultClasses = "drop, dup, reorder, corrupt, linkflap, alpubitflip, alpure
 // list of elements — class=prob pairs ("drop=0.01,corrupt=0.005"), the
 // device classes ("alpubitflip=0.001,fwcrash=0.0001"), "linkflap" (bare,
 // default 0.1 down-fraction) or "linkflap=frac", and "alpudeath@t" with a
-// Go duration ("alpudeath@500us"). An empty spec returns nil (no faults).
+// Go duration ("alpudeath@500us"). A class may be named once: a second
+// element of the same class (bare "linkflap" and "linkflap=frac" are one
+// class) is an error. An empty spec returns nil (no faults).
 func ParseFaults(spec string, seed int64) (*FaultModel, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -163,6 +165,7 @@ func ParseFaults(spec string, seed int64) (*FaultModel, error) {
 		fm.DropProb, fm.DupProb, fm.ReorderProb, fm.CorruptProb = p, p, p, p
 		return fm, nil
 	}
+	seen := make(map[string]bool)
 	for i, part := range strings.Split(spec, ",") {
 		tok := strings.TrimSpace(part)
 		fail := func(msg string) error {
@@ -171,6 +174,15 @@ func ParseFaults(spec string, seed int64) (*FaultModel, error) {
 		if tok == "" {
 			return nil, fail("empty element; want " + faultClasses)
 		}
+		class, _, _ := strings.Cut(tok, "=")
+		if strings.HasPrefix(tok, "alpudeath@") {
+			class = "alpudeath"
+		}
+		class = strings.ToLower(class)
+		if seen[class] {
+			return nil, fail(fmt.Sprintf("class %q given twice", class))
+		}
+		seen[class] = true
 		if tok == "linkflap" {
 			fm.LinkFlapFrac = 0.1
 			continue

@@ -193,6 +193,11 @@ func TestParseFaultsErrorsArePositional(t *testing.T) {
 		{"NaN", "NaN", 1},
 		{"drop=0.01,corrupt=NaN", "corrupt=NaN", 2},
 		{"drop=0.01,alpudeath@3000h", "alpudeath@3000h", 2},
+		{"drop=0.1,drop=0.2", "drop=0.2", 2},
+		{"DROP=0.1,drop=0.2", "drop=0.2", 2},
+		{"linkflap,linkflap=0.3", "linkflap=0.3", 2},
+		{"linkflap=0.3,dup=0.1,linkflap", "linkflap", 3},
+		{"alpudeath@1us,drop=0.1,alpudeath@2us", "alpudeath@2us", 3},
 	} {
 		_, err := ParseFaults(c.spec, 0)
 		pe, ok := err.(*ParseError)

@@ -57,7 +57,7 @@ func (c *FirmwareCrash) Error() string {
 
 // deviceFaults derives the NIC's device faults from the world's fault
 // model f: the ALPU classes as one device fault model on the world seed
-// (alpuConfig re-seeds a copy per unit), and the firmware crash stream,
+// (each unit derives its own stream from it and its alpu.Env identity), and the firmware crash stream,
 // seeded by the world seed and the NIC id.
 func (n *NIC) deviceFaults(f *network.FaultModel) {
 	n.devFaults = f.DeviceActive()

@@ -64,7 +64,7 @@ func TestFirmwareGolden(t *testing.T) {
 		}})
 	}
 	for _, anyBlock := range []bool{false, true} {
-		acfg := alpu.DefaultConfig(alpu.PostedReceives, 256)
+		acfg := alpu.DefaultConfig(256)
 		acfg.CompactAnyBlock = anyBlock
 		cfg := nic.Config{UseALPU: true, Cells: 256, ALPUConfig: &acfg}
 		cells = append(cells, prepostedCell(fmt.Sprintf("abl-compaction/any%v/q100", anyBlock), cfg, 100))

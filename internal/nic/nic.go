@@ -81,8 +81,10 @@ type Config struct {
 	// InsertBatchMax caps inserts per START/STOP INSERT episode
 	// (0 = fill all free cells); the abl-insertbatch ablation sets 1.
 	InsertBatchMax int
-	// ALPUConfig optionally overrides the device configuration (geometry,
-	// pipeline). Variant and cells are filled in per unit.
+	// ALPUConfig optionally overrides the device build point (geometry,
+	// pipeline, FIFOs) every unit is built from; a zero Geometry.Cells
+	// takes Cells. Each unit's role, trace track and fault stream come
+	// from its alpu.Env.
 	ALPUConfig *alpu.Config
 	// MatchShards, when > 1 with UseALPU, replaces the single
 	// posted-receive unit with a sharded matching fabric of that many ALPU
@@ -98,7 +100,8 @@ type Config struct {
 	// ShardFaults optionally overrides the device fault model for
 	// individual fabric shards: ShardFaults[i], when non-nil and active,
 	// replaces the world's ALPU fault classes for shard i's unit (the
-	// one-shard-dies failover experiments), re-seeded per NIC like them.
+	// one-shard-dies failover experiments); like them, the unit derives
+	// its own stream from it.
 	// Entries beyond MatchShards are ignored.
 	ShardFaults []*alpu.FaultModel
 	// FaultStrikeLimit is the number of consecutive device faults after
@@ -374,9 +377,10 @@ type NIC struct {
 
 	// Device faults (devfault.go), derived from Env.Faults: the ALPU
 	// classes as a device fault model (nil when none is set; each unit
-	// re-seeds a copy), the firmware crash probability and its stream
-	// (nil without crashes), and devFaults, the gate for response
-	// timeouts, the recovery machinery and the world's failover rollups.
+	// derives its own stream from it), the firmware crash probability
+	// and its stream (nil without crashes), and devFaults, the gate for
+	// response timeouts, the recovery machinery and the world's failover
+	// rollups.
 	alpuFaults *alpu.FaultModel
 	crashProb  float64
 	crashRng   *sim.Rand
@@ -486,6 +490,17 @@ func New(eng *sim.Engine, id int, cfg Config, net *network.Network, env Env) *NI
 	n.unexp.depths = n.reg.Histogram(fmt.Sprintf("nic%d/unexp/match_depth", id))
 	n.matchLat = n.reg.Histogram(fmt.Sprintf("nic%d/posted/match_lat64", id))
 	if cfg.UseALPU {
+		acfg := alpu.DefaultConfig(cfg.Cells)
+		if cfg.ALPUConfig != nil {
+			acfg = *cfg.ALPUConfig
+			if acfg.Geometry.Cells == 0 {
+				acfg.Geometry.Cells = cfg.Cells
+			}
+		}
+		unit := func(name string, v alpu.Variant, tid int, f *alpu.FaultModel) *alpu.Device {
+			return alpu.MustDevice(eng, name, acfg,
+				alpu.Env{Variant: v, Tracer: n.tracer, PID: id, TID: tid, Faults: f})
+		}
 		if cfg.MatchShards > 1 {
 			n.fab = &fabricState{cache: cache.New(dispatchCacheGeometry())}
 			for i := 0; i < cfg.MatchShards; i++ {
@@ -493,15 +508,19 @@ func New(eng *sim.Engine, id int, cfg Config, net *network.Network, env Env) *NI
 				q.over = match.NewHashList()
 				q.stale = make(map[uint32]bool)
 				q.depths = n.reg.Histogram(fmt.Sprintf("nic%d/%s/match_depth", id, q.name))
-				q.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.palpu%d", id, i), n.shardConfig(i))
+				f := n.alpuFaults
+				if i < len(cfg.ShardFaults) && cfg.ShardFaults[i].Active() {
+					f = cfg.ShardFaults[i]
+				}
+				q.dev = unit(fmt.Sprintf("nic%d.palpu%d", id, i), alpu.PostedReceives, tidShardBase+i, f)
 				n.fab.shards = append(n.fab.shards, &q)
 			}
 			n.alpuQueues = append(n.alpuQueues, n.fab.shards...)
 		} else {
-			n.posted.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.palpu", id), n.alpuConfig(alpu.PostedReceives, tidPostedALPU))
+			n.posted.dev = unit(fmt.Sprintf("nic%d.palpu", id), alpu.PostedReceives, tidPostedALPU, n.alpuFaults)
 			n.alpuQueues = append(n.alpuQueues, &n.posted)
 		}
-		n.unexp.dev = alpu.MustDevice(eng, fmt.Sprintf("nic%d.ualpu", id), n.alpuConfig(alpu.UnexpectedMessages, tidUnexpALPU))
+		n.unexp.dev = unit(fmt.Sprintf("nic%d.ualpu", id), alpu.UnexpectedMessages, tidUnexpALPU, n.alpuFaults)
 		n.alpuQueues = append(n.alpuQueues, &n.unexp)
 	}
 	// The hardware path of Fig. 1: every matchable header is replicated
@@ -581,54 +600,11 @@ const (
 	tidPostedALPU
 	tidUnexpALPU
 	tidReliability
-	// tidShardBase + i is fabric shard i's device track (fabric.go); the
-	// offset also salts each shard's fault-stream seed, so the shards of
-	// one NIC fault independently.
+	// tidShardBase + i is fabric shard i's device track (fabric.go). A
+	// unit's track is also the identity its fault stream is derived from
+	// (alpu.Env), so the shards of one NIC fault independently.
 	tidShardBase
 )
-
-func (n *NIC) alpuConfig(v alpu.Variant, tid int) alpu.Config {
-	c := alpu.DefaultConfig(v, n.cfg.Cells)
-	if n.cfg.ALPUConfig != nil {
-		c = *n.cfg.ALPUConfig
-		c.Variant = v
-		if c.Geometry.Cells == 0 {
-			c.Geometry.Cells = n.cfg.Cells
-		}
-	}
-	if f := n.unitFaults(n.alpuFaults, tid); f != nil {
-		c.Faults = f
-	}
-	c.Tracer = n.tracer
-	c.TracePID = n.id
-	c.TraceTID = tid
-	return c
-}
-
-// shardConfig builds fabric shard i's device configuration: the ordinary
-// posted-receive configuration on the shard's own trace/fault stream,
-// with Config.ShardFaults[i] overriding the fault model when set.
-func (n *NIC) shardConfig(i int) alpu.Config {
-	c := n.alpuConfig(alpu.PostedReceives, tidShardBase+i)
-	if i < len(n.cfg.ShardFaults) {
-		if f := n.unitFaults(n.cfg.ShardFaults[i], tidShardBase+i); f != nil {
-			c.Faults = f
-		}
-	}
-	return c
-}
-
-// unitFaults returns a copy of f re-seeded for the device unit on trace
-// track tid of this NIC, so every unit in the world faults independently;
-// nil when f injects nothing.
-func (n *NIC) unitFaults(f *alpu.FaultModel, tid int) *alpu.FaultModel {
-	if !f.Active() {
-		return nil
-	}
-	g := *f
-	g.Seed += uint64(n.id)*0x9E3779B9 + uint64(tid)*0x85EBCA6B
-	return &g
-}
 
 // Config returns the NIC configuration.
 func (n *NIC) Config() Config { return n.cfg }
@@ -701,13 +677,6 @@ func (n *NIC) PostedDepths() *trace.Histogram {
 		return &h
 	}
 	h := n.posted.depths.Hist()
-	return &h
-}
-
-// MatchLatencies returns a copy of the posted-side match latency
-// histogram; one sample per incoming header, in units of 64 ns.
-func (n *NIC) MatchLatencies() *trace.Histogram {
-	h := n.matchLat.Hist()
 	return &h
 }
 

@@ -238,16 +238,23 @@ func TestAccessors(t *testing.T) {
 	_ = n.UnexpDepths()
 }
 
-// TestALPUConfigOverride covers custom device geometry via ALPUConfig.
+// TestALPUConfigOverride covers a custom device build point via
+// ALPUConfig: both units are built from it as given, with only a zero
+// Geometry.Cells filled in from Cells.
 func TestALPUConfigOverride(t *testing.T) {
-	acfg := alpu.DefaultConfig(alpu.PostedReceives, 0)
-	acfg.Geometry.Cells = 0 // filled from Cells
+	acfg := alpu.DefaultConfig(0) // Cells 0: filled from Cells
 	acfg.Geometry.BlockSize = 8
+	acfg.MatchCycles = 9
+	acfg.ResultFIFODepth = 3
+	acfg.PerCycle = true
 	cfg := nic.Config{UseALPU: true, Cells: 32, ALPUConfig: &acfg}
 	w := buildQueue(t, cfg, 10)
-	dev := w.NICs[1].PostedALPU()
-	if got := dev.Config().Geometry; got.Cells != 32 || got.BlockSize != 8 {
-		t.Errorf("override geometry = %+v", got)
+	want := acfg
+	want.Geometry.Cells = 32
+	for _, dev := range []*alpu.Device{w.NICs[1].PostedALPU(), w.NICs[1].UnexpALPU()} {
+		if got := dev.Config(); got != want {
+			t.Errorf("unit config = %+v, want %+v", got, want)
+		}
 	}
 }
 

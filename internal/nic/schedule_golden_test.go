@@ -37,7 +37,7 @@ type scheduleCell struct {
 // golden.
 func TestEventScheduleGolden(t *testing.T) {
 	faulty := func() nic.Config {
-		acfg := alpu.DefaultConfig(alpu.PostedReceives, 16)
+		acfg := alpu.DefaultConfig(16)
 		acfg.ResultFIFODepth = 1
 		cfg := fabricFaultCfg()
 		cfg.MatchShards = 0
@@ -46,7 +46,7 @@ func TestEventScheduleGolden(t *testing.T) {
 	}
 	faults := &network.FaultModel{Seed: 11, ALPUBitFlipProb: 0.05, ALPUStuckProb: 0.05,
 		ALPUResultDropProb: 0.02, ALPUDeathAt: 40 * sim.Microsecond}
-	perCycle := alpu.DefaultConfig(alpu.PostedReceives, 128)
+	perCycle := alpu.DefaultConfig(128)
 	perCycle.PerCycle = true
 	cells := []scheduleCell{
 		{"fig5/alpu-128/q200", func(parts int) (sim.Time, *mpi.World) {
@@ -70,8 +70,8 @@ func TestEventScheduleGolden(t *testing.T) {
 			at, w := wildcardRoundsWorld(mpi.Config{NIC: faulty(), Faults: faults, Partitions: parts})
 			var s alpu.Stats
 			for _, n := range w.NICs {
-				for _, d := range devices(n) {
-					ds := d.Stats()
+				for _, u := range devices(n) {
+					ds := u.dev.Stats()
 					s.BitFlips += ds.BitFlips
 					s.ParityFaults += ds.ParityFaults
 					s.StuckCycles += ds.StuckCycles
@@ -102,8 +102,8 @@ func TestEventScheduleGolden(t *testing.T) {
 			}
 			out.WriteByte('\n')
 			for i, n := range w.NICs {
-				for _, d := range devices(n) {
-					fmt.Fprintf(&out, "  nic%d %s %v\n", i, d.Config().Variant, d.Stats())
+				for _, u := range devices(n) {
+					fmt.Fprintf(&out, "  nic%d %s %v\n", i, u.variant, u.dev.Stats())
 				}
 			}
 		}
@@ -146,20 +146,26 @@ func compareGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
+// unit is one of a NIC's ALPU devices and the variant the NIC built it as.
+type unit struct {
+	variant alpu.Variant
+	dev     *alpu.Device
+}
+
 // devices lists a NIC's ALPU units: the posted unit or the fabric
 // shards, then the unexpected unit.
-func devices(n *nic.NIC) []*alpu.Device {
-	var ds []*alpu.Device
+func devices(n *nic.NIC) []unit {
+	var us []unit
 	if d := n.PostedALPU(); d != nil {
-		ds = append(ds, d)
+		us = append(us, unit{alpu.PostedReceives, d})
 	}
 	for i := 0; i < n.MatchShardCount(); i++ {
-		ds = append(ds, n.ShardALPU(i))
+		us = append(us, unit{alpu.PostedReceives, n.ShardALPU(i)})
 	}
 	if d := n.UnexpALPU(); d != nil {
-		ds = append(ds, d)
+		us = append(us, unit{alpu.UnexpectedMessages, d})
 	}
-	return ds
+	return us
 }
 
 // outcomeDigest folds a cell's measured time and, per NIC, its counters

@@ -40,10 +40,10 @@ type AccelTable struct {
 // capacity.
 func NewAccelTable(cells int) *AccelTable {
 	eng := sim.NewEngine()
-	cfg := alpu.DefaultConfig(alpu.PostedReceives, cells) // stored-mask cell variant
 	t := &AccelTable{
-		eng:  eng,
-		dev:  alpu.MustDevice(eng, "portals-alpu", cfg),
+		eng: eng,
+		dev: alpu.MustDevice(eng, "portals-alpu", alpu.DefaultConfig(cells),
+			alpu.Env{Variant: alpu.PostedReceives}), // stored-mask cell variant
 		tags: make(map[uint32]*MatchEntry),
 	}
 	return t
